@@ -335,20 +335,49 @@ def _euler_fallback(terms):
 _LEVIN_MAX_ORDER = 20
 
 
+def _first_zero(f, start, period_hint):
+    """First sign change of f within two periods of `start`, found on a
+    grid of period_hint/16 steps and bisected to floating-point
+    resolution; `start` itself when f keeps one sign there."""
+    step = period_hint / 16.0
+    a, fa = start, f(start)
+    for k in range(1, 33):
+        if fa == 0.0:
+            return a
+        b = start + k * step
+        fb = f(b)
+        if (fa < 0.0) != (fb < 0.0):
+            while True:
+                m = 0.5 * (a + b)
+                if m <= a or m >= b:
+                    return b
+                fm = f(m)
+                if (fm < 0.0) == (fa < 0.0):
+                    a, fa = m, fm
+                else:
+                    b = m
+        a, fa = b, fb
+    return start
+
+
 def integrate_oscillatory(f, start, period_hint, plan=None):
     """Semi-infinite oscillatory integral from `start`: fixed cells of
     width `period_hint` between estimated zeros, Levin-u acceleration of
-    the cell partial sums.  Status is 'accelerated'; the error estimate is
-    the spread of the last two usable transform orders."""
+    the cell partial sums.  The cells start at the first sign change of f
+    past `start` (the piece before it is one Kronrod cell), so each cell
+    holds one lobe; without a sign change within two periods they start
+    at `start`.  Status is 'accelerated'; the error estimate is the spread
+    of the last two usable transform orders plus the head cell's estimate."""
     if plan is None:
         plan = oscillatory_plan(period_hint, start)
     if not period_hint > 0.0:
         raise DomainError("integrate_oscillatory: period_hint must be positive")
     max_cells = plan.strategy[3] if plan.strategy[0] == "oscillatory" else 60
     target = max(plan.target_abs, 1e-14)
+    x0 = _first_zero(f, start, period_hint)
+    head, head_err = _gk15(f, start, x0) if x0 > start else (0.0, 0.0)
     terms = []
     grow = 0
-    x0 = start
     best = None
     for k in range(max_cells):
         x1 = x0 + period_hint
@@ -374,7 +403,7 @@ def integrate_oscillatory(f, start, period_hint, plan=None):
             continue
         use = terms[-(_LEVIN_MAX_ORDER + 1):] if len(terms) > _LEVIN_MAX_ORDER + 1 else terms
         if all(t == 0.0 for t in use):
-            return QuadratureResult(math.fsum(terms), 0.0, len(terms), "converged")
+            return QuadratureResult(head + math.fsum(terms), head_err, len(terms), "converged")
         ests = levin_u(use)
         spread = abs(ests[-1] - ests[-2]) if len(ests) >= 2 else math.inf
         if math.isfinite(ests[-1]) and (best is None or spread < best[0]):
@@ -383,8 +412,8 @@ def integrate_oscillatory(f, start, period_hint, plan=None):
             break
     if best is None or not math.isfinite(best[1]):
         value, err = _euler_fallback(terms)
-        return QuadratureResult(value, err, len(terms), "accelerated")
-    return QuadratureResult(best[1], best[0], best[2], "accelerated")
+        return QuadratureResult(head + value, head_err + err, len(terms), "accelerated")
+    return QuadratureResult(head + best[1], head_err + best[0], best[2], "accelerated")
 
 
 _PARITY_PROBES = (0.6180339887498949, 1.7320508075688772, 2.23606797749979, 3.7416573867739413)

@@ -18,10 +18,16 @@ is what this module computes, to ~1e-11:
 
 The expansion, the amplitude and the tail are all validated against the
 60-digit series in the test suite.
+
+Work that does not depend on the call's (gam, mu, nu) is done once per
+process, on first use: the Gauss-Legendre nodes and, at every node of
+the [0, T] cells, the weight factor, ln t and t**3.  A call then makes
+one exp and one series per node, and the tail takes every power
+T**(beta - j) from a single exp/ln by steps of 1/T.
 """
 
 import math
-from decimal import Decimal as D, getcontext, localcontext
+from decimal import Decimal as D, localcontext
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -43,13 +49,8 @@ _PI = D("3.14159265358979323846264338327950288419716939937510582097494459")
 _TAIL_CUT = D(16)
 _CELL_WIDTH = D("0.6")
 _GL_ORDER = 40
-
-
-def _ctx():
-    ctx = getcontext()
-    if ctx.prec < _PREC:
-        ctx.prec = _PREC
-    return ctx
+_SERIES_EPS = D("1e-55")
+_SINCOS_EPS = D("1e-58")
 
 
 def _with_precision(fn):
@@ -67,7 +68,6 @@ def _with_precision(fn):
 
 def _sincos(x):
     """sin and cos of a Decimal by reduction mod 2*pi plus Taylor."""
-    _ctx()
     two_pi = 2 * _PI
     k = int(x / two_pi)
     r = x - k * two_pi
@@ -81,7 +81,7 @@ def _sincos(x):
     while True:
         s += term
         nxt = term * r * r / ((2 * n) * (2 * n + 1))
-        if abs(nxt) < D("1e-58"):
+        if abs(nxt) < _SINCOS_EPS:
             break
         term = -nxt
         n += 1
@@ -91,7 +91,7 @@ def _sincos(x):
     while True:
         c += term
         nxt = term * r * r / ((2 * n - 1) * (2 * n))
-        if abs(nxt) < D("1e-58"):
+        if abs(nxt) < _SINCOS_EPS:
             break
         term = -nxt
         n += 1
@@ -118,9 +118,14 @@ def _rpow(base, expo):
     return (expo * base.ln()).exp()
 
 
-_SQRT3 = D(3).sqrt()
-_OMEGA = (D("0.5"), _SQRT3 / 2)  # exp(i pi/3)
-_P_RATE = (3 * _OMEGA[0], 3 * _OMEGA[1])  # exponent rate 3*omega
+@_with_precision
+def _saddle_constants():
+    sqrt3 = D(3).sqrt()
+    omega = (D("0.5"), sqrt3 / 2)  # exp(i pi/3)
+    return sqrt3, omega, (3 * omega[0], 3 * omega[1])  # exponent rate 3*omega
+
+
+_SQRT3, _OMEGA, _P_RATE = _saddle_constants()
 
 
 def _halfint(x):
@@ -144,25 +149,41 @@ def _gamma_decimal(x):
     return v
 
 
-@_with_precision
-def humbert2_decimal(mu, nu, z):
-    """J_{mu,nu}(z) by direct series in 60-digit decimal; mu, nu must be
-    nonnegative integers or half-integers (the catalog windows)."""
-    _ctx()
-    mu_d = D(str(mu))
-    nu_d = D(str(nu))
-    t = 1 / (_gamma_decimal(mu + 1.0) * _gamma_decimal(nu + 1.0))
-    z = D(z) if not isinstance(z, D) else z
+def _series_prefactor(mu, nu):
+    """Leading series term 1/(Gamma(mu+1) Gamma(nu+1))."""
+    return 1 / (_gamma_decimal(mu + 1.0) * _gamma_decimal(nu + 1.0))
+
+
+def _humbert2_series(mu_d, nu_d, t, z, dens):
+    """Sum of the J_{mu,nu}(z) series from its leading term t; z Decimal.
+
+    dens holds the term-ratio denominators (k+1)(k+1+mu)(k+1+nu) found so
+    far and is extended in place, so series that share (mu, nu) can share
+    it."""
+    neg_z = -z
     s = D(0)
     k = 0
     while True:
         s += t
-        t = t * (-z) / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+        if k == len(dens):
+            dens.append((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+        t = t * neg_z / dens[k]
         k += 1
-        if k > 8 and abs(t) < D("1e-55") * (abs(s) + 1):
+        if k > 8 and abs(t) < _SERIES_EPS * (abs(s) + 1):
             return s
         if k > 4000:
             raise DomainError("humbert2_decimal: series failed to converge")
+
+
+@_with_precision
+def humbert2_decimal(mu, nu, z):
+    """J_{mu,nu}(z) by direct series in 60-digit decimal; mu, nu must be
+    nonnegative integers or half-integers (the catalog windows)."""
+    mu_d = D(str(mu))
+    nu_d = D(str(nu))
+    t = _series_prefactor(mu, nu)
+    z = D(z) if not isinstance(z, D) else z
+    return _humbert2_series(mu_d, nu_d, t, z, [])
 
 
 @lru_cache(maxsize=64)
@@ -170,7 +191,6 @@ def _asym_coeffs(mu, nu, nmax=48):
     """Correction coefficients a_i of the saddle expansion
     f(t^3) ~ 2 Re[C e^{3 omega t} t^q sum_i a_i t^-i], q = -(1+mu+nu),
     from the third-order recurrence the defining ODE imposes."""
-    _ctx()
     mu_d = D(str(mu))
     nu_d = D(str(nu))
     q = -(1 + mu_d + nu_d)
@@ -217,7 +237,6 @@ def _sum_to_min(terms):
 @_with_precision
 def stokes_amplitude(mu, nu):
     """Closed-form saddle amplitude C = omega**q / (2 pi sqrt(3))."""
-    _ctx()
     q, _ = _asym_coeffs(mu, nu)
     phase = q * _PI / 3
     s, c = _sincos(phase)
@@ -229,7 +248,6 @@ def stokes_amplitude(mu, nu):
 def asym_saddle_value(mu, nu, t):
     """2 Re[C e^{3 omega t} t^q P(t)]: the growing-oscillation part of
     J_{mu,nu}(t**3) for large t."""
-    _ctx()
     q, acoef = _asym_coeffs(mu, nu)
     C = stokes_amplitude(mu, nu)
     t = D(str(t)) if not isinstance(t, D) else t
@@ -250,7 +268,6 @@ def fit_stokes_amplitude(mu, nu, t_fit=D(14)):
     """Numerically determine the saddle amplitude by matching the
     decimal series at two quarter-period-separated points; used by the
     test suite to validate the closed form."""
-    _ctx()
     q, acoef = _asym_coeffs(mu, nu)
     t1 = D(t_fit)
     t2 = t1 + _PI / (2 * (3 * _SQRT3 / 2))
@@ -286,37 +303,39 @@ def _tail_regularized(T, gam, mu, nu):
     boundary survives, so the tail is minus the antiderivative at T.  The
     decaying real saddle is below 1e-17 at the default cut and is dropped.
     """
-    _ctx()
     q, acoef = _asym_coeffs(mu, nu)
     C = stokes_amplitude(mu, nu)
     p = _P_RATE
     e_pT = _cexp((p[0] * T, p[1] * T))
-    lnT = T.ln()
+    gam_d = D(str(gam))
+    inv_T = 1 / T
+    # T**(beta - j) for every piece and order, stepped down from one exp/ln
+    tb_i = ((q + gam_d) * T.ln()).exp()
     saddle_terms = []
     for i, ai in enumerate(acoef):
-        beta = q + D(str(gam)) - i
+        beta = q + gam_d - i
         c = _cdiv((D(1), D(0)), p)
+        tb = tb_i
         inner = []
         j = 0
         while j < 120:
-            tb = ((beta - j) * lnT).exp()
             inner.append((c[0] * tb, c[1] * tb))
             c = _cdiv((-(beta - j) * c[0], -(beta - j) * c[1]), p)
+            tb *= inv_T
             j += 1
-            if j > 5 and abs(inner[-1][0]) + abs(inner[-1][1]) < D("1e-55"):
+            if j > 5 and abs(inner[-1][0]) + abs(inner[-1][1]) < _SERIES_EPS:
                 break
         Ai = _sum_to_min(inner)
         saddle_terms.append(_cmul(ai, _cmul(e_pT, Ai)))
+        tb_i *= inv_T
     tot = _sum_to_min(saddle_terms)
     v = _cmul(C, tot)
     return -2 * v[0]
 
 
-@lru_cache(maxsize=4)
 def _gl_nodes_decimal(order):
     """Gauss-Legendre nodes/weights Newton-refined in decimal; binary64
     nodes would cost ~1e-6 absolute on cells where the integrand is ~1e9."""
-    _ctx()
 
     def legendre_p_dp(n, x):
         p0, p1 = D(1), x
@@ -338,33 +357,46 @@ def _gl_nodes_decimal(order):
     return tuple(xs), tuple(ws)
 
 
-def _finite_part(T, gam, mu, nu):
-    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt in decimal.
+@lru_cache(maxsize=4)
+def _finite_nodes(T, order):
+    """(weight factor, ln t, t**3) at every node of the [0, T] cells.
 
     The first cell is mapped through t = h u**4 to absorb the t**gam
     endpoint kink (gam may be as low as -1/4 in the catalog windows).
+    The weight factor is the left-to-right product wi * 0.5 * 4 * h * u**3
+    (wi * h/2 on the other cells), so wf * t**gam * J rounds exactly as the
+    unsplit product does.
     """
-    _ctx()
-    gam_d = D(str(gam))
-    xs, ws = _gl_nodes_decimal(_GL_ORDER)
+    xs, ws = _gl_nodes_decimal(order)
     ncell = int(T / _CELL_WIDTH) + 1
     h = T / ncell
-    total = D(0)
+    nodes = []
     for xi, wi in zip(xs, ws):
         u = (1 + xi) / 2
         t = h * u**4
         if t == 0:
             continue
-        gp = (gam_d * t.ln()).exp()
-        total += wi * D("0.5") * 4 * h * u**3 * gp * humbert2_decimal(mu, nu, t**3)
+        nodes.append((wi * D("0.5") * 4 * h * u**3, t.ln(), t**3))
     for k in range(1, ncell):
         a = k * h
         mid = a + h / 2
         hl = h / 2
         for xi, wi in zip(xs, ws):
             t = mid + hl * xi
-            gp = (gam_d * t.ln()).exp()
-            total += wi * hl * gp * humbert2_decimal(mu, nu, t**3)
+            nodes.append((wi * hl, t.ln(), t**3))
+    return tuple(nodes)
+
+
+def _finite_part(T, gam, mu, nu):
+    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt in decimal."""
+    gam_d = D(str(gam))
+    mu_d = D(str(mu))
+    nu_d = D(str(nu))
+    lead = _series_prefactor(mu, nu)
+    dens = []
+    total = D(0)
+    for wf, lnt, t3 in _finite_nodes(T, _GL_ORDER):
+        total += wf * (gam_d * lnt).exp() * _humbert2_series(mu_d, nu_d, lead, t3, dens)
     return total
 
 
@@ -377,7 +409,6 @@ def humbert2_phase_integral(gam, mu, nu):
         raise DomainError(
             "humbert2_phase_integral: indices restricted to nonnegative half-integers"
         )
-    _ctx()
     T = _TAIL_CUT
     fp = _finite_part(T, gam, mu, nu)
     tl = _tail_regularized(T, gam, mu, nu)

@@ -166,6 +166,35 @@ class TestVerifyAll:
             assert r.status == "pass"
 
 
+class TestOscillatoryJitteredGrids:
+    # jittered I07 points whose half-period cells used to start near a lobe
+    # peak, cancel, regrow and trip the growth guard (CLI seeds 80, 98,
+    # 102, 122, 211)
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (2.0733761116953446, 1.5444309418918905),
+            (2.0734944819060117, 1.5300301840938453),
+            (1.5050505669829433, 0.8758421735401828),
+            (2.073705485582223, 1.5443071500866419),
+            (1.4614435009859055, 0.8678946037407048),
+        ],
+    )
+    def test_i07_lobe_peak_starts(self, a, b):
+        r = verify("I07", {"a": a, "b": b})
+        assert r.status == "pass", r.reason
+        assert r.rel_err <= 1e-11
+
+    def test_i07_seed_scan(self):
+        bad = [
+            (seed, r.params, r.reason)
+            for seed in range(1, 121)
+            for r in verify_all(ids=["I07"], seed=seed)
+            if r.status != "pass"
+        ]
+        assert bad == []
+
+
 class TestCatalogExport:
     def test_schema(self):
         data = catalog_json()

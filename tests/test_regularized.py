@@ -1,7 +1,9 @@
 import math
+from decimal import localcontext
 
 import pytest
 
+from sphstruve import regularized
 from sphstruve.errors import DomainError
 from sphstruve.gammakit import gamma
 from sphstruve.regularized import (
@@ -51,6 +53,21 @@ class TestAsymptotics:
             assert a == pytest.approx(e, rel=1e-20)
 
 
+class TestConstants:
+    def test_sqrt3_holds_sixty_digits(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert abs(regularized._SQRT3**2 - 3) < 1e-57
+            assert abs((2 * regularized._OMEGA[1]) ** 2 - 3) < 1e-57
+
+    def test_callers_context_untouched(self):
+        with localcontext() as ctx:
+            ctx.prec = 20
+            humbert2_decimal(0.0, 0.0, 1)
+            stokes_amplitude(1.0, 0.5)
+            assert ctx.prec == 20
+
+
 class TestRegularizedIntegrals:
     def test_real_line_values(self):
         for mu, nu in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0)):
@@ -74,3 +91,26 @@ class TestRegularizedIntegrals:
             humbert2_phase_integral(-1.5, 0.0, 0.0)
         with pytest.raises(DomainError):
             humbert2_phase_integral(0.5, -0.5, 0.0)
+
+
+# humbert2_phase_integral(gam, mu, nu).hex() before the loop-invariant
+# tables were hoisted out of the 60-digit pipeline; every returned float
+# must stay bit-for-bit the same.
+_GOLDEN_BITS = (
+    ((0.5, 0.0, 0.0), "0x1.812746b041ff4p-3"),
+    ((0.5, 0.5, 1.0), "0x1.5555555560ef2p-1"),
+    ((0.5, 1.0, 2.0), "0x1.00c4d9cad0b71p-1"),
+    ((0.5, 0.5, 0.5), "0x1.2e7fb0bce96a2p-1"),
+    ((0.5, 2.0, 1.0), "0x1.00c4d9cad0b71p-1"),
+    ((-0.25, 1.0, 0.5), "0x1.736497ad1dbc5p+0"),
+    ((1.25, 2.0, 1.0), "0x1.974bd13a023d0p-2"),
+    ((0.5, 1.0, 1.0), "0x1.812746b03628fp-1"),
+    ((-0.25, 0.5, 0.5), "0x1.78948fbdcbf12p+0"),
+    ((0.4123, 1.5, 2.0), "0x1.d32f6c6b4fa25p-2"),
+    ((-0.13, 2.0, 2.0), "0x1.b4749cb1fdb95p-2"),
+)
+
+
+@pytest.mark.parametrize("args,bits", _GOLDEN_BITS)
+def test_phase_integral_golden_bits(args, bits):
+    assert humbert2_phase_integral(*args).hex() == bits
