@@ -292,7 +292,13 @@ def _make_parser():
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
         p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-300)
         p.add_argument("--max-terms", dest="max_terms", type=int, default=500)
-        p.add_argument("--parallelism", type=int, default=1)
+        p.add_argument(
+            "--parallelism",
+            type=int,
+            default=1,
+            help="verify in this many worker processes, capped at the available CPUs; "
+            "each worker fills its own lazy caches",
+        )
         p.add_argument("--seed", type=int, default=0, help="nonzero jitters verification grids")
         p.add_argument("--verbose", action="store_true")
         p.add_argument("--config", default=None, help="flat key=value file; flags override it")

@@ -381,7 +381,6 @@ def integrate_oscillatory(f, start, period_hint, plan=None):
     best = None
     for k in range(max_cells):
         x1 = x0 + period_hint
-        v, _ = _gk15(f, x0, x1)
         # one refinement level keeps the cell rule error well under the
         # acceleration noise for smooth half-period lobes
         vm, _ = _gk15(f, x0, 0.5 * (x0 + x1))

@@ -306,6 +306,9 @@ def _tail_regularized(T, gam, mu, nu):
     q, acoef = _asym_coeffs(mu, nu)
     C = stokes_amplitude(mu, nu)
     p = _P_RATE
+    # |p|^2 once per call; the step below is _cdiv's arithmetic otherwise,
+    # so every bit matches it
+    p_norm = p[0] * p[0] + p[1] * p[1]
     e_pT = _cexp((p[0] * T, p[1] * T))
     gam_d = D(str(gam))
     inv_T = 1 / T
@@ -320,7 +323,9 @@ def _tail_regularized(T, gam, mu, nu):
         j = 0
         while j < 120:
             inner.append((c[0] * tb, c[1] * tb))
-            c = _cdiv((-(beta - j) * c[0], -(beta - j) * c[1]), p)
+            step = -(beta - j)
+            a0, a1 = step * c[0], step * c[1]
+            c = ((a0 * p[0] + a1 * p[1]) / p_norm, (a1 * p[0] - a0 * p[1]) / p_norm)
             tb *= inv_T
             j += 1
             if j > 5 and abs(inner[-1][0]) + abs(inner[-1][1]) < _SERIES_EPS:

@@ -1,6 +1,7 @@
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,15 @@ from sphstruve.ddouble import (
     two_sum,
 )
 
-getcontext().prec = 50
+
+@pytest.fixture(autouse=True, scope="module")
+def _decimal_prec_50():
+    # scoped to this module: the exactness checks need 50 digits, and a
+    # global setting would leak into every module collected after this one
+    with localcontext() as ctx:
+        ctx.prec = 50
+        yield
+
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False).filter(lambda v: abs(v) > 1e-8)
 

@@ -1,8 +1,11 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
+from sphstruve import identities
 from sphstruve.errors import DomainError, UnknownIdentityError
 from sphstruve.identities import (
     catalog_json,
@@ -153,6 +156,74 @@ class TestVerifyAll:
             assert ra.identity_id == rb.identity_id
             assert ra.params == rb.params
             assert ra.lhs == rb.lhs and ra.rhs == rb.rhs
+
+    def test_process_pool_is_bitwise_serial(self, monkeypatch):
+        # a jittered subset that touches every lazily built per-process
+        # table (Golub-Welsch nodes, the regularized node table)
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        ids = ["I07", "I12", "I17", "I18"]
+        pooled = verify_all(ids=ids, seed=7, parallelism=2)
+        serial = verify_all(ids=ids, seed=7, parallelism=1)
+
+        def key(r):
+            return (r.identity_id, r.params, r.status, r.lhs.hex(), r.rhs.hex())
+
+        assert [key(r) for r in pooled] == [key(r) for r in serial]
+        assert all(r.status == "pass" for r in pooled)
+
+    def test_process_pool_survives_wrapped_verify(self, monkeypatch):
+        # a tracer replaces the module's `verify` with a closure, which
+        # cannot be pickled; the pool must still run it
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        inner = identities.verify
+
+        def wrapper(*args, **kwargs):
+            return inner(*args, **kwargs)
+
+        want = verify_all(ids=["I02"])
+        monkeypatch.setattr(identities, "verify", wrapper)
+        got = verify_all(ids=["I02"], parallelism=2)
+        assert [(r.identity_id, r.params, r.status, r.lhs, r.rhs) for r in got] == [
+            (r.identity_id, r.params, r.status, r.lhs, r.rhs) for r in want
+        ]
+
+    @pytest.mark.parametrize(
+        "parallelism,affinity,cpu_count,workers",
+        [
+            (500, 3, 8, 3),  # capped at the CPUs this process may use
+            (500, 64, 64, 12),  # capped at the 12 I02 checks
+            (2, 8, 8, 2),
+            (4, None, 3, 3),  # no sched_getaffinity: os.cpu_count()
+            (2, 1, 8, None),  # one CPU: serial, no pool
+            (2, None, None, None),  # unknown CPU count counts as one
+        ],
+    )
+    def test_worker_cap(self, monkeypatch, parallelism, affinity, cpu_count, workers):
+        started = []
+
+        class StubExecutor:
+            # records the pool size and runs the jobs in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        reports = verify_all(ids=["I02"], parallelism=parallelism)
+        assert started == ([] if workers is None else [workers])
+        assert [r.status for r in reports] == ["pass"] * 12
 
     def test_jitter_is_seeded_and_in_window(self):
         a = verify_all(ids=["I02"], seed=3)

@@ -213,3 +213,18 @@ class TestOscillatoryDeterminism:
         a = integrate_oscillatory(f, 1.0, math.pi)
         b = integrate_oscillatory(f, 1.0, math.pi)
         assert a == b
+
+    def test_cell_evaluations_and_bits(self):
+        # each cell costs its two half-cell Kronrod rules (30 calls); the
+        # other 68 are the zero scan and the head cell.  The value's bits
+        # are those of the version that also ran a discarded full-cell rule.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x) / (1.0 + x)
+
+        r = integrate_oscillatory(f, 1.0, math.pi)
+        assert r.value.hex() == "-0x1.07d9b4fc4a498p-2"
+        assert r.cells_or_nodes == 10
+        assert len(calls) == 68 + 30 * 10
