@@ -275,10 +275,6 @@ def _cmd_table(args):
     return 0
 
 
-class _TrackingNamespace(argparse.Namespace):
-    pass
-
-
 def _make_parser():
     parser = argparse.ArgumentParser(
         prog="sphstruve",

@@ -32,6 +32,7 @@ from .functions import (
     bessel_j_asym,
     bessel_y_asym,
     cyl_j,
+    delta_fn,
     hankel_coeff_arrays,
     humbert2,
     humbert3,
@@ -57,7 +58,7 @@ from .quadrature import (
     real_line_plan,
 )
 from .regularized import power_moment_integral, real_line_squared_integral
-from .umbral import laplace_reduce, reduce_expr
+from .umbral import laplace_reduce, reduce_shifts
 
 __all__ = [
     "Identity",
@@ -319,12 +320,16 @@ def _i16_lhs(u, v, x, policy, m_cut=14):
 
 
 def _i17_lhs(u, v, x, gamma_p, policy, m_cut=14):
+    # Delta_{m,n,g} is the Laplace image times c1**m c2**n: one expansion,
+    # reduced at every (m, n) shift
     w = (x / 2.0) ** 2
+    orders = range(-m_cut, m_cut + 1)
+    image = laplace_reduce(gamma_p, w, 0.0, 0.0, order=60)
+    values = iter(reduce_shifts(image, [(float(m), float(n)) for m in orders for n in orders]))
     total = 0.0
-    for m in range(-m_cut, m_cut + 1):
-        for n in range(-m_cut, m_cut + 1):
-            expr = laplace_reduce(gamma_p, w, float(m), float(n), order=60)
-            total += u**m * v**n * reduce_expr(expr)
+    for m in orders:
+        for n in orders:
+            total += u**m * v**n * next(values)
     return total
 
 
@@ -735,7 +740,7 @@ def _build_catalog():
             "laguerre-quadrature",
         ),
         rhs=_binding(
-            lambda p, pol: delta_closed_form(p["alpha"], p["beta"], p["gamma_p"], p["x"], pol),
+            lambda p, pol: delta_fn(p["alpha"], p["beta"], p["gamma_p"], p["x"], pol),
             {"delta_fn", "hyp1f2", "gamma"},
             "hypergeometric-series",
         ),
@@ -786,7 +791,7 @@ def _build_catalog():
         ),
         lhs=_binding(
             lambda p, pol: _i17_lhs(p["u"], p["v"], p["x"], p["gamma_p"], pol),
-            {"laplace_reduce", "reduce_expr"},
+            {"laplace_reduce", "reduce_shifts"},
             "umbral-pipeline",
         ),
         rhs=_binding(
@@ -980,12 +985,6 @@ def _build_catalog():
     ))
 
     return {iden.id: iden for iden in ids}
-
-
-def delta_closed_form(alpha, beta, gamma_p, x, policy=None):
-    from .functions import delta_fn
-
-    return delta_fn(alpha, beta, gamma_p, x, policy)
 
 
 _CATALOG = None

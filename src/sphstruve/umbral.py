@@ -13,7 +13,9 @@ rules close the calculus over everything needed here:
   whose reduction is a 1F2 hypergeometric value.
 
 Reduction is linear and exact in the coefficients; certification of a
-truncated exponential is a tail-bound check on the reduced terms.
+truncated exponential is a tail-bound check on the reduced terms.  A
+symbol monomial factor only shifts exponents, so one image reduces at a
+whole family of shifts in one pass (`reduce_shifts`).
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ __all__ = [
     "UmbralExpr",
     "UmbralExpSeries",
     "reduce_expr",
+    "reduce_shifts",
     "expand",
     "gaussian_reduce",
     "laplace_reduce",
@@ -123,28 +126,66 @@ def reduce_expr(expr, check_tail_rel=None):
     certifying the truncation of an expanded exponential; otherwise a
     ConvergenceError is raised.
     """
-    total = 0.0
-    comp = 0.0
-    reduced_last = []
-    for t in expr.terms:
-        r = t.coeff
-        for e in t.exponents:
-            r *= rgamma(1.0 + e)
-        reduced_last.append(r)
-        if len(reduced_last) > 2:
-            reduced_last.pop(0)
-        y = r - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    if check_tail_rel is not None and expr.terms:
-        bound = check_tail_rel * max(abs(total), 1e-300)
-        if any(abs(r) > bound for r in reduced_last):
-            raise ConvergenceError(
-                "reduce_expr: truncation not certified, last terms "
-                f"{reduced_last} exceed {bound}"
-            )
-    return total
+    return reduce_shifts(expr, ((0.0,) * expr.symbol_count,), check_tail_rel)[0]
+
+
+def reduce_shifts(expr, shifts, check_tail_rel=None):
+    """Reduce `expr` times each symbol monomial c_1**s_1 ... c_m**s_m.
+
+    Multiplying an image by a symbol monomial only shifts its exponents,
+    so the sum for the shift (s_1, ..., s_m) is the reduction of the
+    terms coeff * c_1**(e_1 + s_1) ... c_m**(e_m + s_m): a shift of a
+    symbol is a shift of the gamma argument.  Returns one sum per shift,
+    each formed exactly as `reduce_expr` forms its sum and certified by
+    the same tail check.  Within the call each distinct rgamma argument
+    is evaluated once.
+    """
+    m = expr.symbol_count
+    coeffs = [t.coeff for t in expr.terms]
+    exponent_columns = list(zip(*(t.exponents for t in expr.terms)))
+    rgammas = {}  # argument -> rgamma(argument)
+    columns = {}  # (symbol, shift) -> reduced factor of that symbol, term by term
+
+    def column(i, s):
+        col = columns.get((i, s))
+        if col is None:
+            col = []
+            for e in exponent_columns[i]:
+                a = 1.0 + (s + e)
+                g = rgammas.get(a)
+                if g is None:
+                    g = rgammas[a] = rgamma(a)
+                col.append(g)
+            columns[(i, s)] = col
+        return col
+
+    sums = []
+    for shift in shifts:
+        if len(shift) != m:
+            raise DomainError(f"reduce_shifts: shift length {len(shift)} != symbol_count {m}")
+        factors = zip(*(column(i, s) for i, s in enumerate(shift)))
+        total = 0.0
+        comp = 0.0
+        prev = last = 0.0
+        for coeff, gs in zip(coeffs, factors):
+            r = coeff
+            for g in gs:
+                r *= g
+            prev, last = last, r
+            y = r - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        if check_tail_rel is not None and coeffs:
+            bound = check_tail_rel * max(abs(total), 1e-300)
+            tail = (prev, last) if len(coeffs) > 1 else (last,)
+            if any(abs(r) > bound for r in tail):
+                raise ConvergenceError(
+                    f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "
+                    f"last terms {list(tail)} exceed {bound}"
+                )
+        sums.append(total)
+    return sums
 
 
 def gaussian_reduce(a, q, p, order=60):
@@ -177,6 +218,8 @@ def laplace_reduce(gamma_exp, w, alpha, beta, order=60):
     """
     if not gamma_exp > 0:
         raise DomainError("laplace_reduce: exponent parameter must be positive")
+    if order < 0:
+        raise DomainError("laplace_reduce: order must be nonnegative")
     if order > _MAX_ORDER:
         raise DomainError(f"laplace_reduce: order {order} exceeds limit {_MAX_ORDER}")
     coeff = gamma(gamma_exp)

@@ -142,6 +142,40 @@ class TestTruncationMonotonicity:
             assert b < a or b < 1e-12
 
 
+class TestI17ShiftFamily:
+    # lhs bits of the four default I17 points, taken from the
+    # per-(m, n) laplace_reduce + reduce_expr loop before it was replaced
+    # by one expansion reduced at every shift
+    @pytest.mark.parametrize(
+        "index,bits",
+        [
+            (0, "0x1.bd14fbd0480f9p+2"),
+            (1, "0x1.a2e692a5e9676p+2"),
+            (2, "0x1.b05d86e78fe0dp+2"),
+            (3, "0x1.8b4e3232cc15bp+2"),
+        ],
+    )
+    def test_default_grid_golden_bits(self, index, bits):
+        r = verify("I17", get_identity("I17").grid[index])
+        assert r.status == "pass"
+        assert r.lhs.hex() == bits
+
+    def test_jittered_grid_matches_per_pair_reduction(self):
+        from sphstruve.umbral import laplace_reduce, reduce_expr
+
+        reports = verify_all(ids=["I17"], seed=7)
+        assert [r.status for r in reports] == ["pass"] * 4
+        for r in reports:
+            p = r.params
+            w = (p["x"] / 2.0) ** 2
+            want = 0.0
+            for m in range(-14, 15):
+                for n in range(-14, 15):
+                    expr = laplace_reduce(p["gamma_p"], w, float(m), float(n), order=60)
+                    want += p["u"] ** m * p["v"] ** n * reduce_expr(expr)
+            assert r.lhs.hex() == want.hex()
+
+
 class TestVerifyAll:
     def test_subset_run_and_ordering(self):
         reports = verify_all(ids=["I02", "I09"])

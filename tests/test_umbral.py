@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sphstruve.errors import ConvergenceError, DomainError
 from sphstruve.functions import humbert2, humbert3, hyp1f2, sph_j
 from sphstruve.gammakit import gamma, rgamma
+from sphstruve import umbral
 from sphstruve.umbral import (
     UmbralExpSeries,
     UmbralExpr,
@@ -15,6 +16,7 @@ from sphstruve.umbral import (
     gaussian_reduce,
     laplace_reduce,
     reduce_expr,
+    reduce_shifts,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -154,6 +156,10 @@ class TestLaplaceReduce:
         with pytest.raises(DomainError):
             laplace_reduce(0.0, 1.0, 0.0, 0.0)
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(DomainError):
+            laplace_reduce(1.0, 0.25, 0.0, 0.0, order=-1)
+
     def test_term_coefficients(self):
         g, w = 1.5, 0.3
         e = laplace_reduce(g, w, 0.25, 0.75, order=8)
@@ -161,6 +167,67 @@ class TestLaplaceReduce:
             want = (-w) ** k * gamma(g + k) / math.factorial(k)
             assert t.coeff == pytest.approx(want, rel=1e-13)
             assert t.exponents == (0.25 + k, 0.75 + k)
+
+
+class TestReduceShifts:
+    @pytest.mark.parametrize("g,w", [(1.0, 0.25), (2.0, 0.09), (1.5, 1.7)])
+    @pytest.mark.parametrize("shift", [(0.25, 0.75), (-3.0, 5.0), (2.0, -1.0), (-0.5, 0.0)])
+    def test_shift_equals_shifted_expansion(self, g, w, shift):
+        a, b = shift
+        want = reduce_expr(laplace_reduce(g, w, a, b, order=60))
+        got = reduce_shifts(laplace_reduce(g, w, 0.0, 0.0, order=60), [shift])
+        assert [v.hex() for v in got] == [want.hex()]
+
+    def test_family_in_order(self):
+        shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (1, -1)]
+        image = laplace_reduce(2.0, 0.3, 0.0, 0.0, order=40)
+        want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
+        assert [v.hex() for v in reduce_shifts(image, shifts)] == want
+
+    def test_single_term_product_order(self):
+        # one term sums exactly, so this pins r = coeff, then r *= g per
+        # symbol in turn (coeff * (g1 * g2) differs in the last bit here)
+        t = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60).terms[5]
+        e = UmbralExpr(2, (t,))
+        want = t.coeff * rgamma(1.0 + (3.0 + 5.0)) * rgamma(1.0 + (2.0 + 5.0))
+        assert reduce_shifts(e, [(3.0, 2.0)])[0].hex() == want.hex()
+
+    def test_zero_shift_is_reduce_expr(self):
+        ser = UmbralExpSeries((0.5,), (1,), 2.25, -1, 40)
+        ex = expand(ser)
+        assert reduce_shifts(ex, [(0.0,)], check_tail_rel=1e-12)[0].hex() == reduce_expr(ex).hex()
+        e = UmbralExpr(2, (UmbralTerm(1.5, (0.3, -0.0)), UmbralTerm(-0.25, (1.1, 2.0))))
+        assert reduce_shifts(e, [(0.0, 0.0)])[0].hex() == reduce_expr(e).hex()
+
+    def test_empty_family(self):
+        assert reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), []) == []
+
+    def test_rejects_wrong_shift_length(self):
+        with pytest.raises(DomainError):
+            reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [(1.0,)])
+
+    def test_one_uncertified_shift_raises(self):
+        # at shift (-9, 0) the terms k < 9 hit poles of Gamma and vanish,
+        # so the last two terms are the whole sum
+        image = laplace_reduce(1.0, 0.25, 0.0, 0.0, order=10)
+        reduce_shifts(image, [(0.0, 0.0), (1.0, 2.0)], check_tail_rel=1e-12)
+        for shifts in ([(0.0, 0.0), (-9.0, 0.0)], [(-9.0, 0.0), (0.0, 0.0)]):
+            with pytest.raises(ConvergenceError):
+                reduce_shifts(image, shifts, check_tail_rel=1e-12)
+
+    def test_distinct_gamma_arguments_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return rgamma(a)
+
+        monkeypatch.setattr(umbral, "rgamma", counted)
+        image = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60)
+        shifts = [(float(m), float(n)) for m in range(-14, 15) for n in range(-14, 15)]
+        reduce_shifts(image, shifts)
+        # arguments 1 + (s + k) for s in -14..14 and k in 0..60
+        assert sorted(calls) == [float(a) for a in range(-13, 76)]
 
 
 class TestSeriesEquivalence:
