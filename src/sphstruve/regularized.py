@@ -8,9 +8,12 @@ is what this module computes, to ~1e-11:
 
 1. substitute x = t**3 (or x**2 = t**3), which makes the asymptotic
    phase linear in t;
-2. integrate [0, T] with high-order Gauss-Legendre cells in fixed
-   60-digit decimal arithmetic (the integrand reaches ~1e9 at T = 16
-   while the answer is O(1), so binary64 cannot hold the cancellation);
+2. integrate [0, T] term by term: J_{mu,nu}(t**3) is an entire series,
+   so the finite part is the closed series
+   sum_k (-1)**k T**(gam+1+3k) / ((gam+1+3k) k! Gamma(k+mu+1) Gamma(k+nu+1)),
+   summed in fixed 60-digit decimal arithmetic (its terms reach ~1e18 at
+   T = 16 while the answer is O(1), so binary64 cannot hold the
+   cancellation);
 3. replace the tail by the Abel-regularized antiderivative of the
    function's large-argument expansion, extracted from the ODE
    recurrence with the closed-form saddle amplitude
@@ -19,18 +22,14 @@ is what this module computes, to ~1e-11:
 The expansion, the amplitude and the tail are all validated against the
 60-digit series in the test suite.
 
-Work that does not depend on the call's (gam, mu, nu) is done once per
-process, on first use: the Gauss-Legendre nodes and, at every node of
-the [0, T] cells, the weight factor, ln t and t**3.  A call then makes
-one exp and one series per node, and the tail takes every power
-T**(beta - j) from a single exp/ln by steps of 1/T.
+Each power of T comes from a single exp/ln per call: the finite part
+steps T**(gam+1) by -T**3 from term to term (about 70 terms), and the
+tail steps T**(q+gam) by 1/T.
 """
 
 import math
 from decimal import Decimal as D, localcontext
 from functools import lru_cache, wraps
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -47,8 +46,6 @@ __all__ = [
 _PREC = 60
 _PI = D("3.14159265358979323846264338327950288419716939937510582097494459")
 _TAIL_CUT = D(16)
-_CELL_WIDTH = D("0.6")
-_GL_ORDER = 40
 _SERIES_EPS = D("1e-55")
 _SINCOS_EPS = D("1e-58")
 
@@ -154,27 +151,6 @@ def _series_prefactor(mu, nu):
     return 1 / (_gamma_decimal(mu + 1.0) * _gamma_decimal(nu + 1.0))
 
 
-def _humbert2_series(mu_d, nu_d, t, z, dens):
-    """Sum of the J_{mu,nu}(z) series from its leading term t; z Decimal.
-
-    dens holds the term-ratio denominators (k+1)(k+1+mu)(k+1+nu) found so
-    far and is extended in place, so series that share (mu, nu) can share
-    it."""
-    neg_z = -z
-    s = D(0)
-    k = 0
-    while True:
-        s += t
-        if k == len(dens):
-            dens.append((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
-        t = t * neg_z / dens[k]
-        k += 1
-        if k > 8 and abs(t) < _SERIES_EPS * (abs(s) + 1):
-            return s
-        if k > 4000:
-            raise DomainError("humbert2_decimal: series failed to converge")
-
-
 @_with_precision
 def humbert2_decimal(mu, nu, z):
     """J_{mu,nu}(z) by direct series in 60-digit decimal; mu, nu must be
@@ -183,7 +159,17 @@ def humbert2_decimal(mu, nu, z):
     nu_d = D(str(nu))
     t = _series_prefactor(mu, nu)
     z = D(z) if not isinstance(z, D) else z
-    return _humbert2_series(mu_d, nu_d, t, z, [])
+    neg_z = -z
+    s = D(0)
+    k = 0
+    while True:
+        s += t
+        t = t * neg_z / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+        k += 1
+        if k > 8 and abs(t) < _SERIES_EPS * (abs(s) + 1):
+            return s
+        if k > 4000:
+            raise DomainError("humbert2_decimal: series failed to converge")
 
 
 @lru_cache(maxsize=64)
@@ -338,71 +324,22 @@ def _tail_regularized(T, gam, mu, nu):
     return -2 * v[0]
 
 
-def _gl_nodes_decimal(order):
-    """Gauss-Legendre nodes/weights Newton-refined in decimal; binary64
-    nodes would cost ~1e-6 absolute on cells where the integrand is ~1e9."""
-
-    def legendre_p_dp(n, x):
-        p0, p1 = D(1), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        return p1, dp
-
-    xs, ws = [], []
-    seed, _ = np.polynomial.legendre.leggauss(order)
-    for xv in seed:
-        x = D(repr(float(xv)))
-        for _ in range(3):
-            pv, dp = legendre_p_dp(order, x)
-            x = x - pv / dp
-        pv, dp = legendre_p_dp(order, x)
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
-    return tuple(xs), tuple(ws)
-
-
-@lru_cache(maxsize=4)
-def _finite_nodes(T, order):
-    """(weight factor, ln t, t**3) at every node of the [0, T] cells.
-
-    The first cell is mapped through t = h u**4 to absorb the t**gam
-    endpoint kink (gam may be as low as -1/4 in the catalog windows).
-    The weight factor is the left-to-right product wi * 0.5 * 4 * h * u**3
-    (wi * h/2 on the other cells), so wf * t**gam * J rounds exactly as the
-    unsplit product does.
-    """
-    xs, ws = _gl_nodes_decimal(order)
-    ncell = int(T / _CELL_WIDTH) + 1
-    h = T / ncell
-    nodes = []
-    for xi, wi in zip(xs, ws):
-        u = (1 + xi) / 2
-        t = h * u**4
-        if t == 0:
-            continue
-        nodes.append((wi * D("0.5") * 4 * h * u**3, t.ln(), t**3))
-    for k in range(1, ncell):
-        a = k * h
-        mid = a + h / 2
-        hl = h / 2
-        for xi, wi in zip(xs, ws):
-            t = mid + hl * xi
-            nodes.append((wi * hl, t.ln(), t**3))
-    return tuple(nodes)
-
-
 def _finite_part(T, gam, mu, nu):
-    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt in decimal."""
-    gam_d = D(str(gam))
+    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt, term by term:
+    sum_k (-1)**k T**(gam+1+3k) / ((gam+1+3k) k! Gamma(k+mu+1) Gamma(k+nu+1))."""
     mu_d = D(str(mu))
     nu_d = D(str(nu))
-    lead = _series_prefactor(mu, nu)
-    dens = []
-    total = D(0)
-    for wf, lnt, t3 in _finite_nodes(T, _GL_ORDER):
-        total += wf * (gam_d * lnt).exp() * _humbert2_series(mu_d, nu_d, lead, t3, dens)
-    return total
+    e = D(str(gam)) + 1
+    t = _series_prefactor(mu, nu) * _rpow(T, e)
+    neg_T3 = -(T**3)
+    s = D(0)
+    k = 0
+    while True:
+        s += t / (e + 3 * k)
+        t = t * neg_T3 / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+        k += 1
+        if k > 8 and abs(t) < _SERIES_EPS * (abs(s) + 1):
+            return s
 
 
 @_with_precision

@@ -176,6 +176,56 @@ class TestI17ShiftFamily:
             assert r.lhs.hex() == want.hex()
 
 
+class TestRegularizedJitteredGrids:
+    # I12/I13 lhs bits of `verify_all(ids=["I12", "I13"], seed=...)` taken
+    # while the [0, 16] finite part was still a Gauss-Legendre quadrature.
+    # Summing it term by term moved the five flagged I13 values; each must
+    # be no farther from the 50-digit closed form than before.  The other
+    # fifteen keep their bits.
+    _PARENT_BITS = {
+        7: (
+            ("0x1.20dd7504317f7p-1", False),
+            ("0x1.0000000008b36p+1", False),
+            ("0x1.812746b03912ap+0", False),
+            ("0x1.c5bf891b5e1f3p+0", False),
+            ("0x1.812746b03912ap+0", False),
+            ("0x1.2bd4d91a91a01p-1", False),
+            ("0x1.2609f94e2d8c5p+2", True),
+            ("0x1.303f9f63b11cep+0", False),
+            ("0x1.29817e9169c54p+1", False),
+            ("0x1.18bc4d3679450p+2", True),
+        ),
+        102: (
+            ("0x1.20dd7504317f7p-1", False),
+            ("0x1.0000000008b36p+1", False),
+            ("0x1.812746b03912ap+0", False),
+            ("0x1.c5bf891b5e1f3p+0", False),
+            ("0x1.812746b03912ap+0", False),
+            ("0x1.371f918b36a1fp-1", True),
+            ("0x1.11bb0f1d7ce2cp+2", True),
+            ("0x1.34314ca83a121p+0", False),
+            ("0x1.1cbe0f4c3b57cp+1", False),
+            ("0x1.1560e10f7b72bp+2", True),
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", [7, 102])
+    def test_no_farther_from_closed_form(self, seed):
+        mp = pytest.importorskip("mpmath")
+        reports = verify_all(ids=["I12", "I13"], seed=seed)
+        assert [r.identity_id for r in reports] == ["I12"] * 5 + ["I13"] * 5
+        assert all(r.status == "pass" for r in reports)
+        with mp.workdps(50):
+            for r, (bits, moved) in zip(reports, self._PARENT_BITS[seed]):
+                if not moved:
+                    assert r.lhs.hex() == bits, r.params
+                    continue
+                a, mu, nu = (mp.mpf(r.params[k]) for k in ("alpha", "mu", "nu"))
+                want = mp.gamma(a) / (mp.gamma(mu - a + 1) * mp.gamma(nu - a + 1))
+                old = mp.mpf(float.fromhex(bits))
+                assert abs(mp.mpf(r.lhs) - want) <= abs(old - want), r.params
+
+
 class TestVerifyAll:
     def test_subset_run_and_ordering(self):
         reports = verify_all(ids=["I02", "I09"])
@@ -193,7 +243,7 @@ class TestVerifyAll:
 
     def test_process_pool_is_bitwise_serial(self, monkeypatch):
         # a jittered subset that touches every lazily built per-process
-        # table (Golub-Welsch nodes, the regularized node table)
+        # table (Golub-Welsch nodes, the regularized expansion coefficients)
         monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
         ids = ["I07", "I12", "I17", "I18"]
         pooled = verify_all(ids=ids, seed=7, parallelism=2)
