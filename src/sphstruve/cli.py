@@ -7,7 +7,8 @@ Three subcommands:
 * ``table``  -- sweep a function over a start:stop:count grid.
 
 Exit codes: 0 success / all verified, 1 verification failure,
-2 usage or domain error.
+2 usage or domain error, 141 the reader closed the output pipe early
+(the code a shell reports for a process killed by SIGPIPE).
 """
 
 import argparse
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .errors import ConvergenceError, DomainError, UnknownIdentityError
@@ -200,7 +202,6 @@ def _cmd_verify(args):
             rec = dict(rec)
             for k in ("lhs", "rhs", "abs_err", "rel_err"):
                 rec[k] = _finite_or_none(rec[k])
-            rec["params"] = rec["params"]
             _emit(args, json.dumps(rec))
     elif args.format == "csv":
         buf = io.StringIO()
@@ -338,7 +339,16 @@ def main(argv=None):
             _apply_config_defaults(args, _read_config_file(args.config))
         if args.parallelism < 1:
             raise _UsageError("parallelism must be >= 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

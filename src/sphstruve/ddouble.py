@@ -1,28 +1,14 @@
-"""Double-double arithmetic on (hi, lo) float pairs.
+"""Double-double building blocks on (hi, lo) float pairs.
 
-Roughly 31 significant digits; used by the extended-precision series
-path, where alternating sums lose ~x/ln10 digits to cancellation between
-the crossover and the asymptotic switchover.  Only the handful of
-operations the series kernels need are provided.
-
-Algorithms are the standard error-free transformations (Dekker splits,
-Knuth two-sums); no FMA is assumed.
+The extended-precision series path carries its sums in double-double,
+roughly 31 significant digits, because alternating sums lose ~x/ln10
+digits to cancellation between the crossover and the asymptotic
+switchover.  Its kernel (`functions._sum_ratio_series_dd`) inlines the
+error-free transformations for speed; this module keeps the Dekker
+splitter and the exact product `two_prod`.  No FMA is assumed.
 """
 
 _SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def two_sum(a, b):
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def quick_two_sum(a, b):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
 
 
 def _split(a):
@@ -37,53 +23,3 @@ def two_prod(a, b):
     bhi, blo = _split(b)
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
-
-
-def dd(a):
-    """Promote a float to a double-double."""
-    return (float(a), 0.0)
-
-
-def dd_add(x, y):
-    s, e = two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return quick_two_sum(s, e)
-
-
-def dd_add_d(x, a):
-    s, e = two_sum(x[0], a)
-    e += x[1]
-    return quick_two_sum(s, e)
-
-
-def dd_neg(x):
-    return (-x[0], -x[1])
-
-
-def dd_mul(x, y):
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return quick_two_sum(p, e)
-
-
-def dd_mul_d(x, a):
-    p, e = two_prod(x[0], a)
-    e += x[1] * a
-    return quick_two_sum(p, e)
-
-
-def dd_div(x, y):
-    q1 = x[0] / y[0]
-    r = dd_add(x, dd_neg(dd_mul_d(y, q1)))
-    q2 = r[0] / y[0]
-    r = dd_add(r, dd_neg(dd_mul_d(y, q2)))
-    q3 = r[0] / y[0]
-    return dd_add_d((q2, q3), q1)
-
-
-def dd_div_d(x, a):
-    q1 = x[0] / a
-    p, e = two_prod(q1, a)
-    s, f = two_sum(x[0], -p)
-    q2 = (s + (f + x[1] - e)) / a
-    return quick_two_sum(q1, q2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .gammakit import SQRT_PI, gamma, rgamma
+from .gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from .ddouble import _SPLITTER, two_prod
 
 __all__ = [
@@ -94,17 +94,13 @@ def _closed(value):
     return SeriesResult(value=value, terms_used=0, tail_estimate=0.0, path=PATH_CLOSED_FORM)
 
 
-def _is_nonpositive_int(x):
-    return x <= 0.0 and x == math.floor(x)
-
-
 def _kill_start(gamma_args):
     """First surviving index of a series whose term k carries
     rgamma(k + g) factors: terms vanish while any integer g makes
     k + g a nonpositive integer."""
     k0 = 0
     for g in gamma_args:
-        if g == math.floor(g) and g <= 0.0:
+        if _is_nonpositive_integer(g):
             k0 = max(k0, int(1.0 - g))
     return k0
 
@@ -535,10 +531,10 @@ def humbert3(mu, nu, rho, z, policy=None):
 def hyp1f2(gamma_p, a, b, z, policy=None):
     """Generalized hypergeometric 1F2(gamma_p; a, b; z) by its defining series."""
     policy = policy or DEFAULT_POLICY
-    terminates = _is_nonpositive_int(gamma_p)
+    terminates = _is_nonpositive_integer(gamma_p)
     if not terminates:
         for name, c in (("a", a), ("b", b)):
-            if _is_nonpositive_int(c):
+            if _is_nonpositive_integer(c):
                 raise DomainError(f"hyp1f2: denominator parameter {name}={c} is a pole")
     if terminates:
         kmax = int(-gamma_p)

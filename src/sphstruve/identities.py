@@ -48,15 +48,7 @@ from .functions import (
     watson_a_coeffs,
     weber,
 )
-from .quadrature import (
-    finite_plan,
-    integrate_finite,
-    integrate_laguerre,
-    integrate_oscillatory,
-    integrate_real_line,
-    oscillatory_plan,
-    real_line_plan,
-)
+from .quadrature import integrate_finite, integrate_laguerre, integrate_oscillatory, integrate_real_line
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import laplace_reduce, reduce_shifts
 
@@ -172,24 +164,9 @@ def _struve_line_integral(alpha, policy):
     the exact algebraic tail."""
     T = _TAIL_SPLIT
     policy = replace(policy, crossover_x=18.0)
-    head = integrate_finite(
-        lambda u: 2.0 * u * struve_h(alpha, u * u, policy).value,
-        0.0,
-        1.0,
-        finite_plan(0.0, 1.0, 1e-10, 1e-10),
-    )
-    mid = integrate_finite(
-        lambda x: struve_h(alpha, x, policy).value,
-        1.0,
-        T,
-        finite_plan(1.0, T, 3e-9, 3e-9, max_cells=4000),
-    )
-    osc = integrate_oscillatory(
-        lambda x: bessel_y_asym(alpha, x),
-        T,
-        math.pi,
-        oscillatory_plan(math.pi, T, 60, 1e-9, 1e-9),
-    )
+    head = integrate_finite(lambda u: 2.0 * u * struve_h(alpha, u * u, policy).value, 0.0, 1.0)
+    mid = integrate_finite(lambda x: struve_h(alpha, x, policy).value, 1.0, T, tol=3e-9, max_cells=4000)
+    osc = integrate_oscillatory(lambda x: bessel_y_asym(alpha, x), T, math.pi, tol=1e-9)
     return head.value + mid.value + osc.value + struve_algebraic_tail(alpha, T)
 
 
@@ -220,24 +197,18 @@ def _s_line_integral(nu, kind, extra_power, policy):
     """integral over [0, inf) of S_kind(nu, x)/x**extra_power."""
     T = _TAIL_SPLIT
     policy = replace(policy, crossover_x=18.0)
-    if kind == 1:
-        f = lambda x: s1(nu, x, policy).value / x**extra_power if extra_power else s1(nu, x, policy).value
-    else:
-        f = lambda x: s2(nu, x, policy).value / x**extra_power if extra_power else s2(nu, x, policy).value
-    head = integrate_finite(f, 0.0, T, finite_plan(0.0, T, 3e-9, 3e-9, max_cells=6000))
+    # x**0 is exactly 1.0: with extra_power == 0 the division changes no bit
+    sk = s1 if kind == 1 else s2
+    head = integrate_finite(lambda x: sk(nu, x, policy).value / x**extra_power, 0.0, T, tol=3e-9, max_cells=6000)
     c = math.cos(0.5 * nu * math.pi)
     s = math.sin(0.5 * nu * math.pi)
     if kind == 1:
-        osc = lambda x: (c * bessel_j_asym(nu, x) - s * bessel_y_asym(nu, x)) / x**extra_power if extra_power else (
-            c * bessel_j_asym(nu, x) - s * bessel_y_asym(nu, x)
-        )
+        osc = lambda x: (c * bessel_j_asym(nu, x) - s * bessel_y_asym(nu, x)) / x**extra_power
         combo = [s * v for v in _watson_combo_coeffs(nu, -1.0)]
     else:
-        osc = lambda x: (s * bessel_j_asym(nu, x) + c * bessel_y_asym(nu, x)) / x**extra_power if extra_power else (
-            s * bessel_j_asym(nu, x) + c * bessel_y_asym(nu, x)
-        )
+        osc = lambda x: (s * bessel_j_asym(nu, x) + c * bessel_y_asym(nu, x)) / x**extra_power
         combo = [c * v for v in _watson_combo_coeffs(nu, +1.0)]
-    tail_osc = integrate_oscillatory(osc, T, math.pi, oscillatory_plan(math.pi, T, 60, 1e-9, 1e-9))
+    tail_osc = integrate_oscillatory(osc, T, math.pi, tol=1e-9)
     tail_alg = _watson_tail(combo, T, extra_power)
     return head.value + tail_osc.value + tail_alg
 
@@ -273,7 +244,7 @@ def _j_product_integral(mu, nu, policy):
     T = _TAIL_SPLIT
     policy = replace(policy, crossover_x=18.0)
     g = lambda x: (x / 2.0) ** (-(mu + nu)) * cyl_j(mu, x, policy).value * cyl_j(nu, x, policy).value
-    head = integrate_finite(g, 0.0, T, finite_plan(0.0, T, 3e-9, 3e-9, max_cells=6000))
+    head = integrate_finite(g, 0.0, T, tol=3e-9, max_cells=6000)
     spp_qq, dpq_qp, dpp_qq, spq_qp = _product_series_arrays(mu, nu)
     delta = 0.5 * (nu - mu) * math.pi
     cd, sd = math.cos(delta), math.sin(delta)
@@ -291,7 +262,7 @@ def _j_product_integral(mu, nu, policy):
             u /= x
         return scale * x ** (-(mu + nu) - 1.0) / math.pi * (pp * math.cos(sig) - pq * math.sin(sig))
 
-    tail_osc = integrate_oscillatory(osc, T, math.pi / 2.0, oscillatory_plan(math.pi / 2.0, T, 80, 1e-9, 1e-9))
+    tail_osc = integrate_oscillatory(osc, T, math.pi / 2.0, tol=1e-9, max_cells=80)
     # constant-phase part integrates in closed form
     tail_mono = 0.0
     for m in range(len(spp_qq)):
@@ -406,7 +377,7 @@ def _build_catalog():
         params={},
         grid=_grid({}),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(lambda x: _j_parity(0, x), real_line_plan(math.pi, 40.0, 60, 1e-9, 1e-9)).value,
+            lambda p, pol: integrate_real_line(lambda x: _j_parity(0, x), tol=1e-9).value,
             {"integrate_real_line", "rayleigh_jn", "sph_j"},
             "oscillatory-quadrature",
         ),
@@ -475,10 +446,7 @@ def _build_catalog():
         params={"m": ("choice", (0, 1, 2, 3, 4, 5, 6, 7))},
         grid=_product_grid(m=(0, 1, 2, 3, 4, 5, 6, 7)),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(
-                lambda x, m=p["m"]: _j_parity(m, x),
-                real_line_plan(math.pi, 40.0, 60, 1e-9, 1e-9),
-            ).value,
+            lambda p, pol: integrate_real_line(lambda x, m=p["m"]: _j_parity(m, x), tol=1e-9).value,
             {"integrate_real_line", "rayleigh_jn", "sph_j"},
             "oscillatory-quadrature",
         ),
@@ -501,10 +469,7 @@ def _build_catalog():
         params={"t": ("range", 0.0, 3.0)},
         grid=_product_grid(t=(0.5, 1.0, 2.0)),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(
-                lambda x, t=p["t"]: sinc_sqrt(x * x - 2.0 * x * t),
-                real_line_plan(math.pi, 40.0, 60, 1e-9, 1e-9),
-            ).value,
+            lambda p, pol: integrate_real_line(lambda x, t=p["t"]: sinc_sqrt(x * x - 2.0 * x * t), tol=1e-9).value,
             {"integrate_real_line"},
             "oscillatory-quadrature",
         ),
@@ -528,7 +493,8 @@ def _build_catalog():
         lhs=_binding(
             lambda p, pol: integrate_real_line(
                 lambda x, a=p["a"], b=p["b"]: sinc_sqrt(a * x * x + b * x),
-                real_line_plan(math.pi / math.sqrt(p["a"]), 40.0, 60, 1e-9, 1e-9),
+                period_hint=math.pi / math.sqrt(p["a"]),
+                tol=1e-9,
             ).value,
             {"integrate_real_line"},
             "oscillatory-quadrature",

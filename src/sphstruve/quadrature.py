@@ -26,12 +26,7 @@ from .errors import ConvergenceError, DomainError
 from .gammakit import gamma
 
 __all__ = [
-    "QuadraturePlan",
     "QuadratureResult",
-    "finite_plan",
-    "laguerre_plan",
-    "oscillatory_plan",
-    "real_line_plan",
     "integrate_finite",
     "integrate_laguerre",
     "integrate_oscillatory",
@@ -71,74 +66,11 @@ _WG = (
 
 
 @dataclass(frozen=True)
-class QuadraturePlan:
-    """Domain + strategy + accuracy targets for one integration.
-
-    domain: ("finite", a, b) | ("semi_infinite", a) | ("real_line",)
-    strategy: ("adaptive", max_cells)
-            | ("laguerre", sigma, nodes)
-            | ("oscillatory", period_hint, start_x, max_cells)
-    """
-
-    domain: tuple
-    strategy: tuple
-    target_abs: float = 1e-10
-    target_rel: float = 1e-10
-
-    def __post_init__(self):
-        kind = self.domain[0]
-        if kind == "finite":
-            if not self.domain[1] < self.domain[2]:
-                raise DomainError("QuadraturePlan: finite domain requires a < b")
-        elif kind == "semi_infinite":
-            pass
-        elif kind == "real_line":
-            pass
-        else:
-            raise DomainError(f"QuadraturePlan: unknown domain {kind!r}")
-        s = self.strategy[0]
-        if s == "laguerre":
-            if not self.strategy[1] > -1.0:
-                raise DomainError("QuadraturePlan: laguerre weight exponent must exceed -1")
-        elif s == "oscillatory":
-            if not self.strategy[1] > 0.0:
-                raise DomainError("QuadraturePlan: oscillatory period_hint must be positive")
-        elif s != "adaptive":
-            raise DomainError(f"QuadraturePlan: unknown strategy {s!r}")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
     cells_or_nodes: int
     status: str  # converged | max_refinement | accelerated
-
-
-def finite_plan(a, b, target_abs=1e-10, target_rel=1e-10, max_cells=2000):
-    return QuadraturePlan(("finite", a, b), ("adaptive", max_cells), target_abs, target_rel)
-
-
-def laguerre_plan(sigma, nodes, target_abs=1e-10, target_rel=1e-10):
-    return QuadraturePlan(("semi_infinite", 0.0), ("laguerre", sigma, nodes), target_abs, target_rel)
-
-
-def oscillatory_plan(period_hint, start_x, max_cells=60, target_abs=1e-10, target_rel=1e-10):
-    return QuadraturePlan(
-        ("semi_infinite", start_x),
-        ("oscillatory", period_hint, start_x, max_cells),
-        target_abs,
-        target_rel,
-    )
-
-
-def real_line_plan(period_hint=math.pi, start_x=40.0, max_cells=60, target_abs=1e-10, target_rel=1e-10):
-    return QuadraturePlan(
-        ("real_line",),
-        ("oscillatory", period_hint, start_x, max_cells),
-        target_abs,
-        target_rel,
-    )
 
 
 def _gk15(f, a, b):
@@ -180,14 +112,13 @@ def _gk15(f, a, b):
     return resk * half, err
 
 
-def integrate_finite(f, a, b, plan=None):
-    """Adaptive bisection with the embedded pair; greedy on the largest
-    cell error until the combined estimate meets the plan targets."""
-    if plan is None:
-        plan = finite_plan(a, b)
+def integrate_finite(f, a, b, *, tol=1e-10, max_cells=2000):
+    """Adaptive bisection with the embedded pair over [a, b]; greedy on the
+    largest cell error until the summed estimate is at most
+    max(tol, tol * |value|), or `max_cells` cells are spent (status
+    'max_refinement')."""
     if not a < b:
         raise DomainError("integrate_finite: requires a < b")
-    max_cells = plan.strategy[1] if plan.strategy[0] == "adaptive" else 2000
     val, err = _gk15(f, a, b)
     # heap of (-err, seq, a, b, val, err); seq breaks ties deterministically
     seq = 0
@@ -196,7 +127,7 @@ def integrate_finite(f, a, b, plan=None):
     total_err = err
     n = 1
     while n < max_cells:
-        bound = max(plan.target_abs, plan.target_rel * abs(total_val))
+        bound = max(tol, tol * abs(total_val))
         if total_err <= bound:
             break
         neg, _, ca, cb, cval, cerr = heapq.heappop(cells)
@@ -219,12 +150,13 @@ def integrate_finite(f, a, b, plan=None):
     ordered = sorted(cells, key=lambda c: c[2])
     total_val = math.fsum(c[4] for c in ordered)
     total_err = math.fsum(c[5] for c in ordered)
-    bound = max(plan.target_abs, plan.target_rel * abs(total_val))
+    bound = max(tol, tol * abs(total_val))
     status = "converged" if total_err <= bound else "max_refinement"
     return QuadratureResult(total_val, total_err, n, status)
 
 
 _LAGUERRE_CACHE = {}
+_LAGUERRE_TOL = 1e-10
 
 
 def gauss_laguerre_nodes(sigma, n):
@@ -255,11 +187,12 @@ def gauss_laguerre_nodes(sigma, n):
     return out
 
 
-def integrate_laguerre(f, sigma, nodes, plan=None):
+def integrate_laguerre(f, sigma, nodes):
     """integral over [0, inf) of s**sigma exp(-s) f(s) ds.
 
     Error estimated by doubling the node count; the returned value is the
-    doubled-rule one."""
+    doubled-rule one, 'converged' when the error is at most
+    max(1e-10, 1e-10 * |value|)."""
     if not sigma > -1.0:
         raise DomainError("integrate_laguerre: sigma must exceed -1")
     if not 8 <= nodes <= 200:
@@ -269,9 +202,7 @@ def integrate_laguerre(f, sigma, nodes, plan=None):
     v1 = math.fsum(w * f(x) for x, w in zip(xs1, ws1))
     v2 = math.fsum(w * f(x) for x, w in zip(xs2, ws2))
     err = abs(v2 - v1)
-    target = plan.target_abs if plan is not None else 1e-10
-    rel = plan.target_rel if plan is not None else 1e-10
-    status = "converged" if err <= max(target, rel * abs(v2)) else "max_refinement"
+    status = "converged" if err <= max(_LAGUERRE_TOL, _LAGUERRE_TOL * abs(v2)) else "max_refinement"
     return QuadratureResult(v2, err, 3 * nodes, status)
 
 
@@ -360,20 +291,19 @@ def _first_zero(f, start, period_hint):
     return start
 
 
-def integrate_oscillatory(f, start, period_hint, plan=None):
+def integrate_oscillatory(f, start, period_hint, *, tol=1e-10, max_cells=60):
     """Semi-infinite oscillatory integral from `start`: fixed cells of
     width `period_hint` between estimated zeros, Levin-u acceleration of
     the cell partial sums.  The cells start at the first sign change of f
     past `start` (the piece before it is one Kronrod cell), so each cell
     holds one lobe; without a sign change within two periods they start
-    at `start`.  Status is 'accelerated'; the error estimate is the spread
-    of the last two usable transform orders plus the head cell's estimate."""
-    if plan is None:
-        plan = oscillatory_plan(period_hint, start)
+    at `start`.  Cells stop at `max_cells` or once the spread of the last
+    two usable transform orders is at most 0.1 * max(tol, 1e-14).  Status
+    is 'accelerated'; the error estimate is that spread plus the head
+    cell's estimate."""
     if not period_hint > 0.0:
         raise DomainError("integrate_oscillatory: period_hint must be positive")
-    max_cells = plan.strategy[3] if plan.strategy[0] == "oscillatory" else 60
-    target = max(plan.target_abs, 1e-14)
+    target = max(tol, 1e-14)
     x0 = _first_zero(f, start, period_hint)
     head, head_err = _gk15(f, start, x0) if x0 > start else (0.0, 0.0)
     terms = []
@@ -416,31 +346,26 @@ def integrate_oscillatory(f, start, period_hint, plan=None):
 
 
 _PARITY_PROBES = (0.6180339887498949, 1.7320508075688772, 2.23606797749979, 3.7416573867739413)
+_REAL_LINE_SPLIT = 40.0
+_REAL_LINE_TAIL_CELLS = 60
 
 
-def integrate_real_line(f, plan=None):
+def integrate_real_line(f, *, period_hint=math.pi, tol=1e-10):
     """Real-line integral: probes parity first (library evaluators are
     bitwise parity-faithful), integrating even integrands as twice the
     half-line and odd ones as exactly zero; otherwise both half-lines are
-    composed from a finite adaptive part plus an oscillatory tail."""
-    if plan is None:
-        plan = real_line_plan()
-    if plan.strategy[0] == "oscillatory":
-        period = plan.strategy[1]
-        split = plan.strategy[2]
-        max_cells = plan.strategy[3]
-    else:
-        period, split, max_cells = math.pi, 40.0, 60
+    composed.  A half-line is a finite adaptive part on [0, 40] plus an
+    oscillatory tail of cells `period_hint` wide, each run with tol/4."""
+    if not period_hint > 0.0:
+        raise DomainError("integrate_real_line: period_hint must be positive")
     even = all(f(-p) == f(p) for p in _PARITY_PROBES)
     odd = not even and all(f(-p) == -f(p) for p in _PARITY_PROBES)
     if odd:
         return QuadratureResult(0.0, 0.0, 0, "converged")
 
     def half_line(g):
-        fin = integrate_finite(g, 0.0, split, finite_plan(0.0, split, plan.target_abs / 4, plan.target_rel / 4))
-        tail = integrate_oscillatory(
-            g, split, period, oscillatory_plan(period, split, max_cells, plan.target_abs / 4, plan.target_rel / 4)
-        )
+        fin = integrate_finite(g, 0.0, _REAL_LINE_SPLIT, tol=tol / 4)
+        tail = integrate_oscillatory(g, _REAL_LINE_SPLIT, period_hint, tol=tol / 4, max_cells=_REAL_LINE_TAIL_CELLS)
         return fin, tail
 
     if even:

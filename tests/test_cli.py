@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -185,6 +186,32 @@ class TestOutFile:
         assert out == ""
         rec = json.loads(target.read_text().strip())
         assert rec["id"] == "I01"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away: every write raises."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedPipe:
+    def test_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+            code = main(["verify", "I02", "--format", "json"])
+            monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestFullCatalogRun:

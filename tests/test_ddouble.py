@@ -1,21 +1,11 @@
-import math
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphstruve.ddouble import (
-    dd,
-    dd_add,
-    dd_add_d,
-    dd_div,
-    dd_div_d,
-    dd_mul,
-    dd_mul_d,
-    two_prod,
-    two_sum,
-)
+from sphstruve.ddouble import two_prod
+from sphstruve.functions import EvalPolicy, _sum_ratio_series, _sum_ratio_series_dd
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -30,17 +20,6 @@ def _decimal_prec_50():
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False).filter(lambda v: abs(v) > 1e-8)
 
 
-def as_dec(x):
-    return Decimal(x[0]) + Decimal(x[1])
-
-
-@given(finite, finite)
-@settings(max_examples=300, deadline=None)
-def test_two_sum_exact(a, b):
-    s, e = two_sum(a, b)
-    assert Decimal(s) + Decimal(e) == Decimal(a) + Decimal(b)
-
-
 @given(finite, finite)
 @settings(max_examples=300, deadline=None)
 def test_two_prod_exact(a, b):
@@ -48,43 +27,13 @@ def test_two_prod_exact(a, b):
     assert Decimal(p) + Decimal(e) == Decimal(a) * Decimal(b)
 
 
-@given(finite, finite)
-@settings(max_examples=300, deadline=None)
-def test_mul_accuracy(a, b):
-    got = as_dec(dd_mul(dd(a), dd(b)))
-    want = Decimal(a) * Decimal(b)
-    assert abs(got - want) <= abs(want) * Decimal("1e-30")
-
-
-@given(finite, finite)
-@settings(max_examples=300, deadline=None)
-def test_div_accuracy(a, b):
-    got = as_dec(dd_div(dd(a), dd(b)))
-    want = Decimal(a) / Decimal(b)
-    assert abs(got - want) <= abs(want) * Decimal("1e-30")
-
-
-@given(finite, finite)
-@settings(max_examples=200, deadline=None)
-def test_div_d_accuracy(a, b):
-    got = as_dec(dd_div_d(dd(a), b))
-    want = Decimal(a) / Decimal(b)
-    assert abs(got - want) <= abs(want) * Decimal("1e-30")
-
-
 def test_cancellation_heavy_sum():
-    # exp(-20) by its alternating series: loses ~17 digits in binary64,
-    # double-double keeps the result at full double accuracy.
-    term = dd(1.0)
-    total = dd(0.0)
-    for k in range(1, 200):
-        total = dd_add(total, term)
-        term = dd_div_d(dd_mul_d(term, -20.0), float(k))
+    # exp(-20) by its alternating series, summed by the library's
+    # double-double ratio kernel: binary64 loses ~17 digits here, the
+    # double-double kernel keeps full double accuracy.
+    policy = EvalPolicy(rel_tol=1e-20)
     want = Decimal(-20).exp()
-    got = as_dec(total)
-    assert abs(got - want) <= abs(want) * Decimal("1e-15")
-
-
-def test_add_d_matches_add():
-    x = dd_mul_d(dd(math.pi), 1e3)
-    assert dd_add_d(x, 2.5) == dd_add(x, dd(2.5))
+    got, _, _ = _sum_ratio_series_dd(1.0, -20.0, 0.0, (), (1.0,), policy)
+    assert abs(Decimal(got) - want) <= abs(want) * Decimal("1e-15")
+    plain, _, _ = _sum_ratio_series(1.0, -20.0, (), (1.0,), policy)
+    assert abs(Decimal(plain) - want) > abs(want) * Decimal("1e-15")

@@ -5,37 +5,13 @@ import pytest
 from sphstruve.errors import DomainError
 from sphstruve.gammakit import gamma
 from sphstruve.quadrature import (
-    QuadraturePlan,
-    finite_plan,
     gauss_laguerre_nodes,
     integrate_finite,
     integrate_laguerre,
     integrate_oscillatory,
     integrate_real_line,
     levin_u,
-    oscillatory_plan,
-    real_line_plan,
 )
-
-
-class TestPlanValidation:
-    def test_finite_requires_order(self):
-        with pytest.raises(DomainError):
-            QuadraturePlan(("finite", 2.0, 1.0), ("adaptive", 100))
-
-    def test_laguerre_weight_exponent(self):
-        with pytest.raises(DomainError):
-            QuadraturePlan(("semi_infinite", 0.0), ("laguerre", -1.0, 16))
-
-    def test_oscillatory_period(self):
-        with pytest.raises(DomainError):
-            QuadraturePlan(("semi_infinite", 0.0), ("oscillatory", 0.0, 0.0, 60))
-
-    def test_unknown_kinds(self):
-        with pytest.raises(DomainError):
-            QuadraturePlan(("circle",), ("adaptive", 10))
-        with pytest.raises(DomainError):
-            QuadraturePlan(("real_line",), ("romberg",))
 
 
 class TestFinite:
@@ -77,8 +53,7 @@ class TestFinite:
         assert a == b
 
     def test_max_refinement_status(self):
-        plan = finite_plan(0.0, 1.0, 1e-300, 1e-300, max_cells=4)
-        r = integrate_finite(lambda x: math.exp(x) * math.sin(40.0 * x), 0.0, 1.0, plan)
+        r = integrate_finite(lambda x: math.exp(x) * math.sin(40.0 * x), 0.0, 1.0, tol=1e-300, max_cells=4)
         assert r.status == "max_refinement"
 
 
@@ -168,8 +143,8 @@ class TestOscillatory:
         def f(x):
             return math.sin(x) * math.exp(-((x - 2.0) ** 2) * 4.0) if x < 8.0 else 0.0
 
-        r = integrate_oscillatory(f, 0.0, math.pi, oscillatory_plan(math.pi, 0.0, 40, 1e-12, 1e-12))
-        want = integrate_finite(f, 0.0, 8.0, finite_plan(0.0, 8.0, 1e-13, 1e-13))
+        r = integrate_oscillatory(f, 0.0, math.pi, tol=1e-12, max_cells=40)
+        want = integrate_finite(f, 0.0, 8.0, tol=1e-13)
         assert r.value == pytest.approx(want.value, abs=1e-10)
 
     def test_growing_integrand_diagnosed(self):
@@ -193,18 +168,20 @@ class TestRealLine:
 
     def test_general_asymmetric(self):
         # shifted Gaussian: stays sqrt(pi) wherever it sits
-        r = integrate_real_line(
-            lambda x: math.exp(-((x - 1.3) ** 2)), real_line_plan(math.pi, 20.0, 40, 1e-9, 1e-9)
-        )
+        r = integrate_real_line(lambda x: math.exp(-((x - 1.3) ** 2)), tol=1e-9)
         assert r.value == pytest.approx(math.sqrt(math.pi), abs=1e-9)
 
     def test_oscillatory_even(self):
         from sphstruve.functions import sinc_sqrt
 
-        r = integrate_real_line(
-            lambda x: sinc_sqrt(x * x), real_line_plan(math.pi, 40.0, 60, 1e-9, 1e-9)
-        )
+        r = integrate_real_line(lambda x: sinc_sqrt(x * x), tol=1e-9)
         assert r.value == pytest.approx(math.pi, abs=1e-8)
+
+    def test_period_validation(self):
+        # an odd integrand would otherwise return 0 before the period is used
+        for period in (0.0, -math.pi):
+            with pytest.raises(DomainError):
+                integrate_real_line(lambda x: x * math.exp(-abs(x)), period_hint=period)
 
 
 class TestOscillatoryDeterminism:
