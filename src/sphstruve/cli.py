@@ -6,7 +6,7 @@ Three subcommands:
 * ``verify`` -- run identities from the catalog and stream reports,
 * ``table``  -- sweep a function over a start:stop:count grid.
 
-Exit codes: 0 success / all verified, 1 verification failure,
+Exit codes: 0 success / all verified, 1 a check failed or was skipped,
 2 usage or domain error, 141 the reader closed the output pipe early
 (the code a shell reports for a process killed by SIGPIPE).
 """
@@ -223,7 +223,7 @@ def _cmd_verify(args):
     n_skip = sum(1 for r in reports if r.status == "skipped")
     if args.format == "text":
         _emit(args, f"# {len(reports)} checks, {n_fail} failed, {n_skip} skipped")
-    return 1 if n_fail else 0
+    return 1 if n_fail or n_skip else 0
 
 
 def _parse_sweep(spec):

@@ -105,18 +105,28 @@ def _kill_start(gamma_args):
     return k0
 
 
-def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0):
+def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     """Sum t0 * prod ratios, term_{k+1} = term_k * z * prod(k+num)/prod(k+den).
+
+    `dens` is an optional caller-owned list whose entry i holds the
+    denominator prod(k0 + i + den): the loop reads it as far as it
+    reaches and appends every denominator it builds past that, so a
+    caller summing one parameter set at many z builds each only once.
 
     Returns (value, terms_used, tail_estimate); certified when the first
     neglected term is below rel_tol*|sum| twice in a row.
     """
+    if dens is None:
+        dens = []
+    known = len(dens)
+    rel_tol = policy.rel_tol
+    abs_tol = policy.abs_tol
     total = 0.0
     comp = 0.0
     term = t0
     small = 0
     k = k0
-    for _ in range(policy.max_terms):
+    for i in range(policy.max_terms):
         y = term - comp
         s = total + y
         comp = (s - total) - y
@@ -124,12 +134,18 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0):
         num = z
         for a in num_offsets:
             num *= k + a
-        den = 1.0
-        for a in den_offsets:
-            den *= k + a
+        if i < known:
+            den = dens[i]
+        else:
+            den = 1.0
+            for a in den_offsets:
+                den *= k + a
+            dens.append(den)
         term = term * num / den
         k += 1
-        bound = max(policy.rel_tol * abs(total), policy.abs_tol)
+        bound = rel_tol * abs(total)
+        if bound < abs_tol:
+            bound = abs_tol
         if abs(term) <= bound:
             small += 1
             if small >= 2:
@@ -499,16 +515,26 @@ def struve_algebraic_tail(alpha, T):
 # Humbert-type multi-index families.
 
 
-def _humbert_sum(z, gamma_args, policy, use_dd=False):
+def _humbert_family(indices, policy):
+    """Prepare sum_k (-z)^k / (k! prod_i Gamma(k + index_i + 1)) for many z.
+
+    Returns z -> (value, terms_used, tail_estimate).  What depends only
+    on the indices is done here once: the kill start, the reciprocal
+    gammas of the first surviving term, and a denominator table that
+    every later z reads and extends.
+    """
+    gamma_args = (1.0,) + tuple(i + 1.0 for i in indices)
     k0 = _kill_start(gamma_args)
-    t0 = (-z) ** k0 if k0 else 1.0
-    for g in gamma_args:
-        t0 *= rgamma(k0 + g)
-    if use_dd:
-        v, n, tail = _sum_ratio_series_dd(t0, -z, 0.0, (), gamma_args, policy, k0=k0)
-    else:
-        v, n, tail = _sum_ratio_series(t0, -z, (), gamma_args, policy, k0=k0)
-    return v, n, tail
+    rgammas = [rgamma(k0 + g) for g in gamma_args]
+    dens = []
+
+    def evaluate(z):
+        t0 = (-z) ** k0 if k0 else 1.0
+        for r in rgammas:
+            t0 *= r
+        return _sum_ratio_series(t0, -z, (), gamma_args, policy, k0=k0, dens=dens)
+
+    return evaluate
 
 
 def humbert2(mu, nu, z, policy=None):
@@ -516,15 +542,13 @@ def humbert2(mu, nu, z, policy=None):
 
     Negative integer indices start the sum past the reciprocal-gamma zeros.
     """
-    policy = policy or DEFAULT_POLICY
-    v, n, tail = _humbert_sum(float(z), (1.0, mu + 1.0, nu + 1.0), policy)
+    v, n, tail = _humbert_family((mu, nu), policy or DEFAULT_POLICY)(float(z))
     return SeriesResult(v, n, tail, PATH_SERIES)
 
 
 def humbert3(mu, nu, rho, z, policy=None):
     """Three-index Bessel-like series with four reciprocal-gamma factors per term."""
-    policy = policy or DEFAULT_POLICY
-    v, n, tail = _humbert_sum(float(z), (1.0, mu + 1.0, nu + 1.0, rho + 1.0), policy)
+    v, n, tail = _humbert_family((mu, nu, rho), policy or DEFAULT_POLICY)(float(z))
     return SeriesResult(v, n, tail, PATH_SERIES)
 
 

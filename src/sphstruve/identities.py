@@ -28,6 +28,7 @@ from .gammakit import SQRT_PI, gamma, rgamma
 from . import fd
 from .functions import (
     DEFAULT_POLICY,
+    _humbert_family,
     anger,
     bessel_j_asym,
     bessel_y_asym,
@@ -35,7 +36,6 @@ from .functions import (
     delta_fn,
     hankel_coeff_arrays,
     humbert2,
-    humbert3,
     mod_i0,
     rayleigh_jn,
     s1,
@@ -280,6 +280,14 @@ def _generating_sum(x, t, policy, nmax=25):
             coeff *= t / n
         total += coeff * sph_j(n, x, policy).value
     return total
+
+
+def _humbert_laguerre(indices, z_of_s, sigma, nodes, policy):
+    """integral over [0, inf) of s**sigma exp(-s) J_indices(z_of_s(s)) ds by
+    `integrate_laguerre`; the multi-index series is prepared once and
+    serves every node of the rule pair."""
+    series = _humbert_family(indices, policy)
+    return integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma, nodes).value
 
 
 def _i16_lhs(u, v, x, policy, m_cut=14):
@@ -590,11 +598,7 @@ def _build_catalog():
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
-            * integrate_laguerre(
-                lambda s, a=p["alpha"], x=p["x"]: humbert2(0.5, a + 0.5, s * (x / 2.0) ** 2, pol).value,
-                0.0,
-                80,
-            ).value,
+            * _humbert_laguerre((0.5, p["alpha"] + 0.5), lambda s, x=p["x"]: s * (x / 2.0) ** 2, 0.0, 80, pol),
             {"integrate_laguerre", "humbert2"},
             "laguerre-quadrature",
         ),
@@ -697,11 +701,9 @@ def _build_catalog():
         },
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), beta=(0.0, 0.5, 1.0), gamma_p=(0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: integrate_laguerre(
-                lambda s, a=p["alpha"], b=p["beta"], x=p["x"]: humbert2(a, b, s * (x / 2.0) ** 2, pol).value,
-                p["gamma_p"] - 1.0,
-                80,
-            ).value,
+            lambda p, pol: _humbert_laguerre(
+                (p["alpha"], p["beta"]), lambda s, x=p["x"]: s * (x / 2.0) ** 2, p["gamma_p"] - 1.0, 80, pol
+            ),
             {"integrate_laguerre", "humbert2"},
             "laguerre-quadrature",
         ),
@@ -799,11 +801,13 @@ def _build_catalog():
         ),
         rhs=_binding(
             lambda p, pol: (p["x"] / 2.0) ** (p["mu"] + p["nu"])
-            * integrate_laguerre(
-                lambda s, m=p["mu"], n=p["nu"], x=p["x"]: humbert3(m, n, m + n, (s * s) * (x * x) / 4.0, pol).value,
+            * _humbert_laguerre(
+                (p["mu"], p["nu"], p["mu"] + p["nu"]),
+                lambda s, x=p["x"]: (s * s) * (x * x) / 4.0,
                 p["mu"] + p["nu"],
                 100,
-            ).value,
+                pol,
+            ),
             {"integrate_laguerre", "humbert3"},
             "laguerre-quadrature",
         ),

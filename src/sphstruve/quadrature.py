@@ -161,7 +161,10 @@ _LAGUERRE_TOL = 1e-10
 
 def gauss_laguerre_nodes(sigma, n):
     """Nodes and weights of the n-point generalized Gauss-Laguerre rule
-    for the weight s**sigma exp(-s), by Golub-Welsch on the Jacobi matrix."""
+    for the weight s**sigma exp(-s), by Golub-Welsch on the Jacobi matrix.
+
+    Both are tuples of floats, built once per (sigma, n) and shared by
+    every caller, so no caller can alter the rule for the others."""
     if not sigma > -1.0:
         raise DomainError("gauss_laguerre_nodes: sigma must exceed -1")
     key = (float(sigma), int(n))
@@ -182,7 +185,7 @@ def gauss_laguerre_nodes(sigma, n):
     with np.errstate(over="ignore"):
         bound = np.exp(np.minimum(-vals + sigma * np.log(np.maximum(vals, 1e-300)) + 30.0, 700.0))
     weights = np.where(weights <= bound, weights, 0.0)
-    out = (vals.copy(), weights.copy())
+    out = (tuple(vals.tolist()), tuple(weights.tolist()))
     _LAGUERRE_CACHE[key] = out
     return out
 

@@ -117,6 +117,26 @@ class TestVerify:
 
         assert strip(out1) == strip(out2)
 
+    def test_skipped_check_exits_nonzero(self, run, monkeypatch):
+        from sphstruve import cli
+        from sphstruve.identities import VerificationReport
+
+        skipped = VerificationReport(
+            identity_id="I01",
+            params={},
+            lhs=math.nan,
+            rhs=math.nan,
+            abs_err=math.nan,
+            rel_err=math.nan,
+            status="skipped",
+            seconds=0.0,
+            reason="DomainError: stub",
+        )
+        monkeypatch.setattr(cli, "verify_all", lambda **kw: [skipped])
+        code, out, _ = run("verify", "I01", "--format", "text")
+        assert code == 1
+        assert "0 failed, 1 skipped" in out
+
     def test_catalog_listing(self, run):
         code, out, _ = run("verify", "--list-catalog")
         assert code == 0

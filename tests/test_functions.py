@@ -27,8 +27,10 @@ from sphstruve.functions import (
     watson_a_coeffs,
     anger_a_value,
     weber,
+    _humbert_family,
+    _sum_ratio_series,
 )
-from sphstruve.gammakit import SQRT_PI, gamma, rgamma
+from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from sphstruve.quadrature import integrate_finite
 
 # forced-path policies for consistency checks
@@ -241,6 +243,78 @@ class TestHumbert:
             0.061731404324707195, rel=1e-13
         )
         assert humbert3(1.0, 1.0, 2.0, 0.0).value == pytest.approx(0.5, rel=1e-14)
+
+
+def _humbert_by_loop(indices, z, policy):
+    """The multi-index series summed term by term with no prepared state,
+    in the operation order the prepared family must keep."""
+    gamma_args = (1.0,) + tuple(i + 1.0 for i in indices)
+    k0 = max([int(1.0 - g) for g in gamma_args if _is_nonpositive_integer(g)], default=0)
+    term = (-z) ** k0 if k0 else 1.0
+    for g in gamma_args:
+        term *= rgamma(k0 + g)
+    total = comp = 0.0
+    small = 0
+    k = k0
+    for _ in range(policy.max_terms):
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        den = 1.0
+        for g in gamma_args:
+            den *= k + g
+        term = term * -z / den
+        k += 1
+        if abs(term) <= max(policy.rel_tol * abs(total), policy.abs_tol):
+            small += 1
+            if small >= 2:
+                return total, k - k0, abs(term)
+        else:
+            small = 0
+    raise AssertionError("reference loop did not converge")
+
+
+def _bits(result):
+    value, terms, tail = result
+    return value.hex(), terms, tail.hex()
+
+
+class TestHumbertFamily:
+    # long and short series interleave, so the shared denominator table is
+    # read past its end, read partly, and extended in every order
+    ZS = (30.0, 0.0, 0.5, 12.0, 1e-3, 45.0, 2.0, 0.0, 7.5)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            (0.5, 1.5),
+            (-3.0, 0.0),  # kill start k0 = 3
+            (-1.5, -0.25),
+            (0.0, -2.0, 0.5),
+            (-0.5, 1.0, -1.0),
+        ],
+    )
+    def test_matches_pointwise_bitwise(self, indices):
+        family = _humbert_family(indices, DEFAULT_POLICY)
+        pointwise = humbert2 if len(indices) == 2 else humbert3
+        for z in self.ZS:
+            got = family(z)
+            assert _bits(got) == _bits(_humbert_by_loop(indices, z, DEFAULT_POLICY)), z
+            res = pointwise(*indices, z)
+            assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), z
+
+    def test_max_terms_holds_on_a_grown_table(self):
+        dens = []
+        _, terms, _ = _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), DEFAULT_POLICY, dens=dens)
+        assert len(dens) == terms > 5
+        with pytest.raises(ConvergenceError):
+            _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), EvalPolicy(max_terms=5), dens=dens)
+        family = _humbert_family((0.0, 0.0), EvalPolicy(max_terms=5))
+        family(0.0)
+        family(1e-4)
+        with pytest.raises(ConvergenceError):
+            family(30.0)
 
 
 class TestHypergeometric:

@@ -176,6 +176,70 @@ class TestI17ShiftFamily:
             assert r.lhs.hex() == want.hex()
 
 
+class TestLaguerreMultiIndex:
+    # the Laguerre side of every default I11/I15/I18 point, taken while
+    # each node still called humbert2/humbert3 afresh; preparing the series
+    # once per check must keep these bits
+    _BITS = {
+        "I11": (
+            "0x1.3cfc39c5aeb12p-2", "0x1.2326f61fa6f28p-1", "0x1.94eb737cc767bp-1", "-0x1.7b52f43370d90p-3",
+            "0x1.1ae59fec267b5p-3", "0x1.7796ab2c99b04p-2", "0x1.99134a2bb05aap-1", "0x1.05bddf0dccf68p-2",
+            "0x1.ab6845a76215ep-5", "0x1.9670ccc51be95p-3", "0x1.4b249d8a6f11ap-1", "0x1.9d99870101df0p-1",
+        ),
+        "I15": (
+            "0x1.b7bbd7f90f224p+0", "0x1.8fa0ac9ab72a7p+0", "0x1.09ae9a3774c8ep+0", "0x1.0feda478c860dp-8",
+            "0x1.e07f1d54c3f3bp-1", "0x1.87c7fdbd7b8f6p-1", "0x1.ca873fb24cf15p-3", "-0x1.6bb7db255cb23p-3",
+            "0x1.f56ece8622471p+0", "0x1.d6e6e780f1c2cp+0", "0x1.6cff482ce3ba3p+0", "0x1.24fde41551c28p-2",
+            "0x1.14fa843f86218p+0", "0x1.e624a51d16754p-1", "0x1.06aa0d11b4e6ep-1", "-0x1.bb3316536750ap-3",
+            "0x1.beb6a93cdb69dp+0", "0x1.aa428aec1dad5p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d47p-2",
+            "0x1.f02a71f4870ddp-1", "0x1.c29c9ee970c73p-1", "0x1.27487958371f6p-1", "-0x1.0c5a5308fbaaep-3",
+            "0x1.f56ece8622471p+0", "0x1.d6e6e780f1c2cp+0", "0x1.6cff482ce3ba3p+0", "0x1.24fde41551c28p-2",
+            "0x1.14fa843f86218p+0", "0x1.e624a51d16754p-1", "0x1.06aa0d11b4e6ep-1", "-0x1.bb3316536750ap-3",
+            "0x1.1ce20d3cb1dc5p+1", "0x1.114a5454e1fadp+1", "0x1.cfbf6b05288a3p+0", "0x1.662d42601022bp-1",
+            "0x1.3cfc39c5aeb12p+0", "0x1.2326f61fa6f28p+0", "0x1.94eb737cc767bp-1", "-0x1.2f75902927140p-4",
+            "0x1.fab32b17bd80cp+0", "0x1.eb31301872beap+0", "0x1.b2b6170190557p+0", "0x1.ab2b0d99cf9a5p-1",
+            "0x1.1ae59fec267b5p+0", "0x1.0994ca317b734p+0", "0x1.99134a2bb05aap-1", "0x1.08dd2ca3ec216p-4",
+            "0x1.beb6a93cdb69dp+0", "0x1.aa428aec1dad5p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d47p-2",
+            "0x1.f02a71f4870ddp-1", "0x1.c29c9ee970c73p-1", "0x1.27487958371f6p-1", "-0x1.0c5a5308fbaaep-3",
+            "0x1.fab32b17bd80cp+0", "0x1.eb31301872beap+0", "0x1.b2b6170190557p+0", "0x1.ab2b0d99cf9a5p-1",
+            "0x1.1ae59fec267b5p+0", "0x1.0994ca317b734p+0", "0x1.99134a2bb05aap-1", "0x1.08dd2ca3ec216p-4",
+            "0x1.c238c019bac79p+0", "0x1.b7dc32dab744ap+0", "0x1.9184b844e6096p+0", "0x1.d6330a435f09bp-1",
+            "0x1.f80e2ab3c0cc0p-1", "0x1.e0e0090a11c49p-1", "0x1.8d5e30136cc49p-1", "0x1.81dffa1a753e9p-3",
+        ),
+        "I18": (
+            "0x1.c2ee768dfe23dp-1", "0x1.2bca42aaa3c2ap-1", "0x1.150011bff5aadp-4", "0x1.2bad224f899b4p-2",
+            "0x1.cd979414a5f81p-2", "0x1.14f595fcec714p-8", "0x1.e5e8d0b042404p-8", "0x1.9e37059973007p-5",
+            "0x1.5189ca796325dp-3",
+        ),
+    }
+    _SIDE = {"I11": "lhs", "I15": "lhs", "I18": "rhs"}
+
+    @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
+    def test_default_grid_golden_bits(self, identity_id):
+        grid = get_identity(identity_id).grid
+        assert len(grid) == len(self._BITS[identity_id])
+        for params, bits in zip(grid, self._BITS[identity_id]):
+            r = verify(identity_id, params)
+            assert r.status == "pass"
+            assert getattr(r, self._SIDE[identity_id]).hex() == bits, params
+
+    def test_one_prefactor_per_check(self, monkeypatch):
+        from sphstruve import functions
+        from sphstruve.functions import DEFAULT_POLICY
+
+        calls = []
+        rgamma = functions.rgamma
+
+        def counted(x):
+            calls.append(x)
+            return rgamma(x)
+
+        monkeypatch.setattr(functions, "rgamma", counted)
+        iden = get_identity("I15")
+        iden.lhs.fn(iden.grid[0], DEFAULT_POLICY)
+        assert len(calls) == 3
+
+
 class TestRegularizedJitteredGrids:
     # I12/I13 lhs bits of `verify_all(ids=["I12", "I13"], seed=...)` taken
     # while the [0, 16] finite part was still a Gauss-Legendre quadrature.

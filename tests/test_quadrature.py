@@ -95,6 +95,18 @@ class TestLaguerre:
         assert all(w >= 0 for w in ws)
         assert math.fsum(ws) == pytest.approx(gamma(1.5), rel=1e-13)
 
+    def test_rule_is_shared_and_immutable(self):
+        rule = gauss_laguerre_nodes(0.25, 24)
+        assert gauss_laguerre_nodes(0.25, 24) is rule
+        xs, ws = rule
+        assert all(type(v) is float for v in xs + ws)
+        first = xs[0]
+        with pytest.raises(TypeError):
+            xs[0] = 0.0
+        with pytest.raises(TypeError):
+            ws[0] = 0.0
+        assert gauss_laguerre_nodes(0.25, 24)[0][0] == first
+
 
 class TestLevin:
     def test_geometric_series(self):
