@@ -4,10 +4,15 @@ Every family follows the same three-path scheme:
 
 * plain power series up to `crossover_x` (alternating series lose about
   x/ln10 digits to cancellation, so plain binary64 is only trusted there),
-* the same series accumulated in double-double up to `extended_x`,
-* large-argument asymptotics beyond that (Hankel phase/amplitude pairs
-  for the cylindrical kinds, plus the algebraic correction series for the
-  Struve and Anger/Weber auxiliaries).
+* large-argument asymptotics (Hankel phase/amplitude pairs for the
+  cylindrical kinds, plus the algebraic correction series for the Struve
+  and Anger/Weber auxiliaries) past `crossover_x` wherever their
+  certified floor (first neglected terms plus the phase rounding) meets
+  rel_tol against the envelope sqrt(2/(pi x)), and beyond `extended_x`
+  wherever it meets the looser absolute `_ASYM_FLOOR`,
+* otherwise the power series accumulated in double-double: up to
+  `extended_x` (large orders, whose Hankel terms grow), and beyond it
+  while its cancellation stays within the extended budget.
 
 Series are certified by a tail bound: a result counts as converged only
 when the first neglected term is below rel_tol * |partial sum| twice in
@@ -246,6 +251,18 @@ def _half_x_squared_dd(x):
 # Hankel-type large-argument machinery for the cylindrical kinds.
 
 
+# absolute accuracy demanded of a certified asymptotic truncation beyond
+# extended_x, and the largest cancellation exponent the double-double
+# series can absorb while staying near 1e-9 absolute
+_ASYM_FLOOR = 1e-9
+_DD_LOSS_LIMIT = 62.0
+# a term below this fraction of a binary64 sum is under half its ulp
+_NEGLIGIBLE = 2.0**-55
+# c*u of the rounding bound c*u*(1 + x)*envelope of an asymptotic value:
+# its phase x - (nu/2 + 1/4) pi is rounded at ulp(x)
+_ROUNDING = 4.0 * 2.0**-53
+
+
 def hankel_coeff_arrays(nu, kmax=30):
     """Coefficient arrays (p, q) of the phase/amplitude expansions.
 
@@ -277,9 +294,15 @@ def hankel_pq(nu, x, policy=None):
     Returns (P, Q, floor) where `floor` is the magnitude of the first
     neglected term: the expansion's certified absolute accuracy.  It is
     exactly zero for half-integer orders (the expansion terminates) and
-    grows useless once the order is large compared to sqrt(x)."""
-    policy = policy or DEFAULT_POLICY
+    grows useless once the order is large compared to sqrt(x).
+
+    The sum stops early at the first term, past k = |nu| - 1/2 (where
+    the terms start to fall; DLMF 10.17(iii)), below 2**-55 of both |P|
+    and |Q|: it and every later term up to the smallest one are under
+    half an ulp of their sum, so P and Q keep the bits of the full
+    smallest-term truncation."""
     mu4 = 4.0 * nu * nu
+    k_bound = abs(nu) - 0.5
     P = 0.0
     Q = 0.0
     term = 1.0
@@ -294,6 +317,9 @@ def hankel_pq(nu, x, policy=None):
             break
         if mag > prev and k > 2:
             floor = prev
+            break
+        if k >= k_bound and mag < _NEGLIGIBLE * abs(P) and mag < _NEGLIGIBLE * abs(Q):
+            floor = mag
             break
         prev = mag
         floor = mag
@@ -310,25 +336,29 @@ def _chi(nu, x):
     return x - (0.5 * nu + 0.25) * math.pi
 
 
+def _envelope(x):
+    """sqrt(2/(pi x)): the size of the oscillatory large-argument terms."""
+    return math.sqrt(2.0 / (math.pi * x))
+
+
+def _jy_asym(nu, x, policy=None):
+    """(J_nu, Y_nu, floor) from one phase/amplitude pair."""
+    P, Q, floor = hankel_pq(nu, x, policy)
+    c = _chi(nu, x)
+    cc = math.cos(c)
+    sc = math.sin(c)
+    a = _envelope(x)
+    return a * (P * cc - Q * sc), a * (P * sc + Q * cc), floor
+
+
 def bessel_j_asym(nu, x, policy=None):
     """Large-argument first-kind cylindrical value via the phase/amplitude pair."""
-    P, Q, _ = hankel_pq(nu, x, policy)
-    c = _chi(nu, x)
-    return math.sqrt(2.0 / (math.pi * x)) * (P * math.cos(c) - Q * math.sin(c))
+    return _jy_asym(nu, x, policy)[0]
 
 
 def bessel_y_asym(nu, x, policy=None):
     """Large-argument second-kind cylindrical value via the phase/amplitude pair."""
-    P, Q, _ = hankel_pq(nu, x, policy)
-    c = _chi(nu, x)
-    return math.sqrt(2.0 / (math.pi * x)) * (P * math.sin(c) + Q * math.cos(c))
-
-
-# absolute accuracy demanded of a certified asymptotic truncation, and the
-# largest cancellation exponent the double-double series can absorb while
-# staying near 1e-9 absolute
-_ASYM_FLOOR = 1e-9
-_DD_LOSS_LIMIT = 62.0
+    return _jy_asym(nu, x, policy)[1]
 
 
 def _series_loss(nu, x):
@@ -341,6 +371,25 @@ def _series_loss(nu, x):
     if nu > 0.0:
         L -= nu * math.asinh(nu / x)
     return max(L - math.log(math.pi * max(x, 1.0)), 0.0)
+
+
+def _rounding(x, env):
+    """Rounding bound of a large-argument value of size `env`."""
+    return _ROUNDING * (1.0 + x) * env
+
+
+def _asym_certified(floor, env, x, policy, scale=1.0):
+    """Whether a large-argument value whose truncation floor is `floor`
+    is taken over the ascending series past crossover_x.
+
+    Up to extended_x the double-double series is good to about 1e-32
+    times its cancellation, so the asymptotic value must meet rel_tol
+    against the envelope `env`, rounding included.  Beyond extended_x
+    the series loses digits, and the absolute _ASYM_FLOOR (times
+    `scale`) is enough."""
+    if x <= policy.extended_x:
+        return floor + _rounding(x, env) <= policy.rel_tol * env
+    return floor <= _ASYM_FLOOR * scale
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +416,31 @@ def cyl_j(nu, x, policy=None):
             return _closed(0.0)
         raise DomainError("cyl_j: x=0 is singular for negative order")
     if x <= policy.crossover_x:
-        t0 = (x / 2.0) ** nu * rgamma(nu + 1.0)
-        v, n, tail = _sum_ratio_series(
-            t0, -((x / 2.0) ** 2), (), (1.0, nu + 1.0), policy
-        )
+        v, n, tail = _cyl_j_series(nu, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-
-    def dd_path():
-        t0 = (x / 2.0) ** nu * rgamma(nu + 1.0)
-        zh, zl = _half_x_squared_dd(x)
-        v, n, tail = _sum_ratio_series_dd(t0, -zh, -zl, (), (1.0, nu + 1.0), policy)
-        return SeriesResult(v, n, tail, PATH_EXTENDED)
-
-    if x <= policy.extended_x:
-        return dd_path()
-    P, Q, floor = hankel_pq(nu, x, policy)
-    if floor <= _ASYM_FLOOR:
-        c = _chi(nu, x)
-        v = math.sqrt(2.0 / (math.pi * x)) * (P * math.cos(c) - Q * math.sin(c))
-        return SeriesResult(v, 0, floor + abs(v) * 1e-15, PATH_ASYMPTOTIC)
+    v, _, floor = _jy_asym(nu, x, policy)
+    env = _envelope(x)
+    if _asym_certified(floor, env, x, policy):
+        return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
     loss = _series_loss(nu, x)
-    if loss <= _DD_LOSS_LIMIT:
-        res = dd_path()
-        # report the cancellation floor honestly out here
-        floor_dd = 1e-32 * math.exp(loss)
-        return SeriesResult(res.value, res.terms_used, max(res.tail_estimate, floor_dd), res.path)
+    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
+        v, n, tail = _cyl_j_series(nu, x, policy, use_dd=True)
+        # report the cancellation floor with the tail
+        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)), PATH_EXTENDED)
     raise ConvergenceError(
         f"cyl_j: no certified path for order {nu} at x={x} "
         "(asymptotics diverge, series cancellation exceeds the extended budget)"
     )
+
+
+def _cyl_j_series(nu, x, policy, use_dd):
+    """Ascending series of J_nu(x) in binary64 or double-double:
+    (value, terms_used, tail_estimate)."""
+    t0 = (x / 2.0) ** nu * rgamma(nu + 1.0)
+    if use_dd:
+        zh, zl = _half_x_squared_dd(x)
+        return _sum_ratio_series_dd(t0, -zh, -zl, (), (1.0, nu + 1.0), policy)
+    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), (1.0, nu + 1.0), policy)
 
 
 def mod_i0(t, policy=None):
@@ -410,15 +455,6 @@ def mod_i0(t, policy=None):
 
 # ---------------------------------------------------------------------------
 # Struve functions.
-
-
-def _struve_series_start(alpha, x):
-    """(k0, t0) of the Struve power series with term-killing applied."""
-    g = alpha + 1.5
-    k0 = _kill_start((g,))
-    sign = -1.0 if k0 % 2 else 1.0
-    t0 = sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g)
-    return k0, t0
 
 
 def struve_h(alpha, x, policy=None):
@@ -437,36 +473,34 @@ def struve_h(alpha, x, policy=None):
             return _closed(2.0 / math.pi)
         raise DomainError("struve_h: x=0 is singular for alpha < -1")
     if x <= policy.crossover_x:
-        k0, t0 = _struve_series_start(alpha, x)
-        v, n, tail = _sum_ratio_series(
-            t0, -((x / 2.0) ** 2), (), (1.5, alpha + 1.5), policy, k0=k0
-        )
+        v, n, tail = _struve_series(alpha, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-
-    def dd_path():
-        k0, t0 = _struve_series_start(alpha, x)
-        zh, zl = _half_x_squared_dd(x)
-        v, n, tail = _sum_ratio_series_dd(
-            t0, -zh, -zl, (), (1.5, alpha + 1.5), policy, k0=k0
-        )
-        return SeriesResult(v, n, tail, PATH_EXTENDED)
-
-    if x <= policy.extended_x:
-        return dd_path()
-    P, Q, floor = hankel_pq(alpha, x, policy)
+    _, y, floor = _jy_asym(alpha, x, policy)
     alg, alg_tail = struve_algebraic(alpha, x, policy)
-    if floor + alg_tail <= _ASYM_FLOOR * max(1.0, abs(alg)):
-        c = _chi(alpha, x)
-        y = math.sqrt(2.0 / (math.pi * x)) * (P * math.sin(c) + Q * math.cos(c))
-        return SeriesResult(y + alg, 0, floor + alg_tail + 1e-16, PATH_ASYMPTOTIC)
+    floor += alg_tail
+    env = max(_envelope(x), abs(alg))
+    if _asym_certified(floor, env, x, policy, scale=max(1.0, abs(alg))):
+        return SeriesResult(y + alg, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
     loss = _series_loss(alpha, x)
-    if loss <= _DD_LOSS_LIMIT:
-        res = dd_path()
-        floor_dd = 1e-32 * math.exp(loss)
-        return SeriesResult(res.value, res.terms_used, max(res.tail_estimate, floor_dd), res.path)
+    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
+        v, n, tail = _struve_series(alpha, x, policy, use_dd=True)
+        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)), PATH_EXTENDED)
     raise ConvergenceError(
         f"struve_h: no certified path for order {alpha} at x={x}"
     )
+
+
+def _struve_series(alpha, x, policy, use_dd):
+    """Ascending series of H_alpha(x) in binary64 or double-double, with
+    term-killing applied: (value, terms_used, tail_estimate)."""
+    g = alpha + 1.5
+    k0 = _kill_start((g,))
+    sign = -1.0 if k0 % 2 else 1.0
+    t0 = sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g)
+    if use_dd:
+        zh, zl = _half_x_squared_dd(x)
+        return _sum_ratio_series_dd(t0, -zh, -zl, (), (1.5, g), policy, k0=k0)
+    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), (1.5, g), policy, k0=k0)
 
 
 def struve_algebraic(alpha, x, policy=None):
@@ -644,20 +678,31 @@ def watson_a_coeffs(nu, K=26):
 
 def anger_a_value(nu, x, policy=None):
     """Algebraic Anger/Weber integral (1/pi) int_0^inf e^{-nu t - x sinh t} dt
-    via its large-x expansion, truncated at the smallest term."""
+    via its large-x expansion, truncated at the smallest term.
+
+    The smallest term is found on the envelope max(|t_k|, |t_{k-1}|):
+    near integer orders every other coefficient nearly vanishes (exactly,
+    at integers), and a tiny term is no sign that the expansion turns.
+
+    Returns (value, floor): `floor` is the magnitude of the first
+    neglected term, or the envelope of the last two terms kept when the
+    coefficients run out first."""
     cs = watson_a_coeffs(nu)
     total = 0.0
     term = 1.0 / x
+    last = 0.0
     prev = math.inf
     for k, c in enumerate(cs):
         t = c * term
         mag = abs(t)
-        if mag > prev and k > 2:
-            break
+        env = max(mag, last)
+        if env > prev and k > 2:
+            return total / math.pi, mag / math.pi
         total += t
-        prev = mag if c != 0.0 else prev
+        last = mag
+        prev = env
         term *= (k + 1.0) / x
-    return total / math.pi
+    return total / math.pi, prev / math.pi
 
 
 def _s_series(kind, nu, x, policy, use_dd):
@@ -673,18 +718,19 @@ def _s_series(kind, nu, x, policy, use_dd):
     return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), ga, policy, k0=k0)
 
 
-def _s_asym(nu, x, policy):
-    """(S1, S2) from the large-argument decomposition:
+def _s_asym(kind, nu, x, policy):
+    """S1 (kind=1) or S2 (kind=2) from the large-argument decomposition
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
-    with c = cos(nu pi/2), s = sin(nu pi/2)."""
+    with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor)."""
     c = math.cos(0.5 * nu * math.pi)
     s = math.sin(0.5 * nu * math.pi)
-    J = bessel_j_asym(nu, x, policy)
-    Y = bessel_y_asym(nu, x, policy)
-    ap = anger_a_value(nu, x, policy)
-    am = anger_a_value(-nu, x, policy)
-    return c * J - s * Y + s * (ap - am), s * J + c * Y + c * (ap + am)
+    J, Y, floor = _jy_asym(nu, x, policy)
+    ap, floor_p = anger_a_value(nu, x, policy)
+    am, floor_m = anger_a_value(-nu, x, policy)
+    if kind == 1:
+        return c * J - s * Y + s * (ap - am), floor + abs(s) * (floor_p + floor_m)
+    return s * J + c * Y + c * (ap + am), floor + abs(c) * (floor_p + floor_m)
 
 
 def _s_eval(kind, nu, x, policy):
@@ -701,16 +747,12 @@ def _s_eval(kind, nu, x, policy):
     if x <= policy.crossover_x:
         v, n, tail = _s_series(kind, nu, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    if x <= policy.extended_x:
-        v, n, tail = _s_series(kind, nu, x, policy, use_dd=True)
-        return SeriesResult(v, n, tail, PATH_EXTENDED)
-    _, _, floor = hankel_pq(nu, x, policy)
-    if floor <= _ASYM_FLOOR:
-        v1, v2 = _s_asym(nu, x, policy)
-        v = v1 if kind == 1 else v2
-        return SeriesResult(v, 0, floor + abs(v) * 1e-12, PATH_ASYMPTOTIC)
+    v, floor = _s_asym(kind, nu, x, policy)
+    env = _envelope(x)
+    if _asym_certified(floor, env, x, policy):
+        return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
     # the auxiliary series cancels like exp(x) independent of the order,
-    # so the extended budget only stretches a little past the switchover
+    # so the extended budget only stretches a little past extended_x
     if x <= policy.extended_x + 10.0:
         v, n, tail = _s_series(kind, nu, x, policy, use_dd=True)
         return SeriesResult(v, n, tail, PATH_EXTENDED)

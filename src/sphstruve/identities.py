@@ -29,8 +29,8 @@ from . import fd
 from .functions import (
     DEFAULT_POLICY,
     _humbert_family,
+    _jy_asym,
     anger,
-    bessel_j_asym,
     bessel_y_asym,
     cyl_j,
     delta_fn,
@@ -203,11 +203,15 @@ def _s_line_integral(nu, kind, extra_power, policy):
     c = math.cos(0.5 * nu * math.pi)
     s = math.sin(0.5 * nu * math.pi)
     if kind == 1:
-        osc = lambda x: (c * bessel_j_asym(nu, x) - s * bessel_y_asym(nu, x)) / x**extra_power
         combo = [s * v for v in _watson_combo_coeffs(nu, -1.0)]
     else:
-        osc = lambda x: (s * bessel_j_asym(nu, x) + c * bessel_y_asym(nu, x)) / x**extra_power
         combo = [c * v for v in _watson_combo_coeffs(nu, +1.0)]
+
+    def osc(x):
+        # both kinds of the first phase/amplitude pair from one (P, Q)
+        J, Y, _ = _jy_asym(nu, x)
+        return (c * J - s * Y if kind == 1 else s * J + c * Y) / x**extra_power
+
     tail_osc = integrate_oscillatory(osc, T, math.pi, tol=1e-9)
     tail_alg = _watson_tail(combo, T, extra_power)
     return head.value + tail_osc.value + tail_alg

@@ -27,14 +27,20 @@ from sphstruve.functions import (
     watson_a_coeffs,
     anger_a_value,
     weber,
+    _ASYM_FLOOR,
+    _cyl_j_series,
     _humbert_family,
+    _s_series,
+    _struve_series,
     _sum_ratio_series,
+    hankel_pq,
 )
 from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from sphstruve.quadrature import integrate_finite
 
-# forced-path policies for consistency checks
-POL_DD = EvalPolicy(crossover_x=1.0, extended_x=200.0)
+# forced-path policy for consistency checks; the double-double series is
+# reached through the private series helpers, since inside the band the
+# evaluators take the asymptotic value wherever it meets rel_tol
 POL_ASYM = EvalPolicy(crossover_x=0.4, extended_x=0.5)
 
 
@@ -446,20 +452,23 @@ class TestPathConsistency:
         lo = DEFAULT_POLICY.extended_x - 5.0
         hi = DEFAULT_POLICY.extended_x
         xs = (lo, 0.5 * (lo + hi), hi)
+        pol = DEFAULT_POLICY
         for nu in (0.0, 0.5, 1.0, 2.0):
             for x in xs:
-                a = cyl_j(nu, x, POL_DD).value
+                a = _cyl_j_series(nu, x, pol, use_dd=True)[0]
                 b = cyl_j(nu, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for alpha in (-1.5, -0.5, 0.0, 1.7):
             for x in xs:
-                a = struve_h(alpha, x, POL_DD).value
+                a = _struve_series(alpha, x, pol, use_dd=True)[0]
                 b = struve_h(alpha, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for nu in (0.0, 0.5, 1.5):
             for x in xs:
-                assert abs(s1(nu, x, POL_DD).value - s1(nu, x, POL_ASYM).value) <= 1e-7
-                assert abs(s2(nu, x, POL_DD).value - s2(nu, x, POL_ASYM).value) <= 1e-7
+                dd1 = _s_series(1, nu, x, pol, use_dd=True)[0]
+                dd2 = _s_series(2, nu, x, pol, use_dd=True)[0]
+                assert abs(dd1 - s1(nu, x, POL_ASYM).value) <= 1e-7
+                assert abs(dd2 - s2(nu, x, POL_ASYM).value) <= 1e-7
 
     def test_switch_point_continuity(self):
         eps = 1e-9
@@ -470,7 +479,9 @@ class TestPathConsistency:
 
     def test_paths_are_labelled(self):
         assert sph_j(1, 1.0).path == "series"
-        assert cyl_j(0.5, 40.0).path == "extended-precision-series"
+        assert cyl_j(0.5, 40.0).path == "asymptotic"
+        # a large order's Hankel terms grow: the band keeps the series
+        assert cyl_j(20.3, 40.0).path == "extended-precision-series"
         assert cyl_j(0.5, 80.0).path == "asymptotic"
         assert sph_j(-2, 1.0).path == "closed-form"
 
@@ -488,7 +499,7 @@ class TestAsymptoticPieces:
         # dd series minus second-kind asymptotics must equal the algebraic series
         for alpha in (-0.5, 0.0, 1.0):
             x = 55.0
-            full = struve_h(alpha, x, POL_DD).value
+            full = _struve_series(alpha, x, DEFAULT_POLICY, use_dd=True)[0]
             alg, _ = struve_algebraic(alpha, x)
             assert full - bessel_y_asym(alpha, x) == pytest.approx(alg, abs=5e-8)
 
@@ -496,7 +507,7 @@ class TestAsymptoticPieces:
         # (1/pi) integral_0^inf exp(-nu t - x sinh t) dt at x = 40
         for nu in (-1.5, 0.0, 0.5, 2.0):
             x = 40.0
-            got = anger_a_value(nu, x)
+            got, _ = anger_a_value(nu, x)
             ref = integrate_finite(lambda t: math.exp(-nu * t - x * math.sinh(t)) / math.pi, 0.0, 4.0, tol=1e-13).value
             assert got == pytest.approx(ref, rel=1e-10)
 
@@ -504,6 +515,52 @@ class TestAsymptoticPieces:
         cs = watson_a_coeffs(1.25)
         assert cs[0] == pytest.approx(1.0, rel=1e-15)
         assert cs[1] == pytest.approx(-1.25, rel=1e-13)
+
+    def test_hankel_early_stop_keeps_the_bits(self):
+        # the full smallest-term truncation, 60 terms at most
+        def reference(nu, x):
+            mu4 = 4.0 * nu * nu
+            P = Q = 0.0
+            term = 1.0
+            prev = math.inf
+            for k in range(60):
+                if k > 0:
+                    term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+                mag = abs(term)
+                if mag == 0.0 or (mag > prev and k > 2):
+                    break
+                prev = mag
+                j, r = divmod(k, 2)
+                sign = -1.0 if j % 2 else 1.0
+                if r == 0:
+                    P += sign * term
+                else:
+                    Q += sign * term
+            return P, Q, prev
+
+        for nu in (0.0, 0.25, 1.0, 2.0, 5.0, 7.5):
+            for x in (15.0, 25.0, 40.0, 60.0, 90.0, 150.0):
+                P, Q, floor = hankel_pq(nu, x)
+                rP, rQ, smallest = reference(nu, x)
+                assert (P.hex(), Q.hex()) == (rP.hex(), rQ.hex()), (nu, x)
+                # the early floor is a kept-or-later term: never below the smallest
+                assert floor >= smallest or floor == 0.0, (nu, x)
+
+    def test_watson_floors_leave_the_far_paths_alone(self):
+        # beyond extended_x the S-series certify against _ASYM_FLOOR; the
+        # Watson floors counted there are far below it, so the Hankel
+        # floor alone still decides the path
+        for nu in (0.0, 0.5, 1.0135, 1.5, 2.0037, 3.0, 7.5, 20.0):
+            for x in (DEFAULT_POLICY.extended_x + 1e-9, 70.0, 100.0, 150.0):
+                watson = anger_a_value(nu, x)[1] + anger_a_value(-nu, x)[1]
+                assert watson <= 1e-6 * _ASYM_FLOOR, (nu, x)
+                asym = hankel_pq(nu, x)[2] <= _ASYM_FLOOR
+                for f in (s1, s2):
+                    try:
+                        path = f(nu, x).path
+                    except ConvergenceError:
+                        path = None
+                    assert (path == "asymptotic") == asym, (f.__name__, nu, x)
 
 
 class TestConvergenceGuards:
@@ -629,3 +686,68 @@ class TestRandomizedConsistency:
         floor = 1e-15 * math.exp(min(x, 25.0)) / (2.0 * math.pi * max(x, 1.0)) + 1e-14
         assert abs(s1(nu, x).value - s1(-nu, x).value) <= floor + 1e-12 * abs(s1(nu, x).value)
         assert abs(s2(nu, x).value - s2(-nu, x).value) <= floor + 1e-12 * abs(s2(nu, x).value)
+
+
+class TestBandOracle:
+    """The double-double band (crossover_x, extended_x] against mpmath at
+    40 digits: every band result, on either path, is within rel_tol of
+    the envelope sqrt(2/(pi x)) (for Struve, the larger of that and the
+    algebraic part), and every asymptotic result is within its
+    tail_estimate.  The points straddle both switches."""
+
+    XS = (
+        18.0 + 1e-9, 19.4, 22.2, 25.0 - 1e-9, 25.0 + 1e-9, 28.6, 33.3,
+        37.7, 42.1, 47.5, 53.9, 59.9, 60.0 - 1e-9, 60.0 + 1e-9,
+    )
+    POLICIES = (DEFAULT_POLICY, EvalPolicy(crossover_x=18.0))
+
+    def _check(self, f, orders, oracle, envelope):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for nu in orders:
+                for x in self.XS:
+                    want = oracle(mp, mp.mpf(nu), mp.mpf(x))
+                    for pol in self.POLICIES:
+                        r = f(nu, x, pol)
+                        err = abs(mp.mpf(r.value) - want)
+                        if pol.crossover_x < x <= pol.extended_x:
+                            assert err <= pol.rel_tol * envelope(nu, x), (nu, x, r.path, float(err))
+                        if r.path == "asymptotic":
+                            assert err <= r.tail_estimate, (nu, x, float(err), r.tail_estimate)
+
+    @staticmethod
+    def _env(nu, x):
+        return math.sqrt(2.0 / (math.pi * x))
+
+    @staticmethod
+    def _s_pair(mp, nu, x):
+        # the library's matrix [[c, s], [s, -c]] is its own inverse
+        a, w = mp.angerj(nu, x), mp.webere(nu, x)
+        c, s = mp.cos(nu * mp.pi / 2), mp.sin(nu * mp.pi / 2)
+        return c * a + s * w, s * a - c * w
+
+    def test_cylindrical(self):
+        self._check(cyl_j, (0.0, 0.3, 1.0, 1.3, 2.0, 3.0), lambda mp, nu, x: mp.besselj(nu, x), self._env)
+
+    def test_struve(self):
+        env = lambda alpha, x: max(self._env(alpha, x), abs(struve_algebraic(alpha, x)[0]))
+        self._check(struve_h, (-1.5, -1.0, -0.5, 0.0, 1.7, 3.0), lambda mp, a, x: mp.struveh(a, x), env)
+
+    def test_auxiliary_series(self):
+        orders = (0.0, 0.5, 1.0, 1.5, 3.0)
+        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
+        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
+
+    def test_near_integer_orders(self):
+        # every other Watson coefficient nearly vanishes here: a tiny term
+        # must not end the algebraic expansion early, in the band or beyond
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for nu in (0.98, 1.0135, 2.0037):
+                for x in (30.0, 45.0, 79.4, 96.2):
+                    a, b = self._s_pair(mp, mp.mpf(nu), mp.mpf(x))
+                    for r, want in ((s1(nu, x), a), (s2(nu, x), b)):
+                        err = abs(mp.mpf(r.value) - want)
+                        assert err <= DEFAULT_POLICY.rel_tol * self._env(nu, x), (nu, x, r.path, float(err))
+                        if r.path == "asymptotic":
+                            assert err <= r.tail_estimate, (nu, x, float(err), r.tail_estimate)
