@@ -589,19 +589,18 @@ def humbert3(mu, nu, rho, z, policy=None):
 def hyp1f2(gamma_p, a, b, z, policy=None):
     """Generalized hypergeometric 1F2(gamma_p; a, b; z) by its defining series."""
     policy = policy or DEFAULT_POLICY
-    terminates = _is_nonpositive_integer(gamma_p)
-    if not terminates:
-        for name, c in (("a", a), ("b", b)):
-            if _is_nonpositive_integer(c):
-                raise DomainError(f"hyp1f2: denominator parameter {name}={c} is a pole")
-    if terminates:
-        kmax = int(-gamma_p)
-        total = 0.0
-        term = 1.0
-        for k in range(kmax + 1):
-            total += term
+    # gamma_p = -m ends the series after m + 1 terms, which divide only by
+    # c, ..., c + m - 1: a pole at c + k matters only for k < m
+    m = int(-gamma_p) if _is_nonpositive_integer(gamma_p) else None
+    for name, c in (("a", a), ("b", b)):
+        if _is_nonpositive_integer(c) and (m is None or -c < m):
+            raise DomainError(f"hyp1f2: denominator parameter {name}={c} is a pole")
+    if m is not None:
+        total = term = 1.0
+        for k in range(m):
             term *= (gamma_p + k) * z / ((a + k) * (b + k) * (k + 1.0))
-        return SeriesResult(total, kmax + 1, 0.0, PATH_SERIES)
+            total += term
+        return SeriesResult(total, m + 1, 0.0, PATH_SERIES)
     v, n, tail = _sum_ratio_series(1.0, z, (gamma_p,), (1.0, a, b), policy)
     return SeriesResult(v, n, tail, PATH_SERIES)
 
@@ -755,7 +754,8 @@ def _s_eval(kind, nu, x, policy):
     # so the extended budget only stretches a little past extended_x
     if x <= policy.extended_x + 10.0:
         v, n, tail = _s_series(kind, nu, x, policy, use_dd=True)
-        return SeriesResult(v, n, tail, PATH_EXTENDED)
+        # report that order-free cancellation floor with the tail
+        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(_series_loss(0.0, x))), PATH_EXTENDED)
     raise ConvergenceError(
         f"S-series: no certified path for order {nu} at x={x}"
     )

@@ -15,7 +15,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "gamma",
     "rgamma",
-    "log_abs_gamma",
     "gamma_value",
     "GammaValue",
     "hermite2",
@@ -128,19 +127,6 @@ def rgamma(x):
         # magnitude exceeds binary64; keep IEEE totality with a signed inf
         return math.copysign(math.inf, _sin_pi(x))
     return _sin_pi(x) * _gamma_positive(1.0 - x) / math.pi
-
-
-def log_abs_gamma(x):
-    """log|Gamma(x)| for x not a nonpositive integer."""
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"log_abs_gamma: pole at x={x!r}")
-    if x >= 0.5:
-        g = _LANCZOS_G
-        t = x + g + 0.5 - 1.0
-        s = _lanczos_sum(x - 1.0)
-        return math.log(SQRT_TWO_PI * abs(s)) + (x - 0.5) * math.log(t) - t
-    return math.log(math.pi) - math.log(abs(_sin_pi(x))) - log_abs_gamma(1.0 - x)
 
 
 @dataclass(frozen=True)

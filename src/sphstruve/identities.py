@@ -326,26 +326,22 @@ def _spherical_ode_residual(n, x, policy):
     return residual / scale
 
 
-def _shift_relation_defect(family, direction, order, x, policy):
-    """Relative defect of the order shift relations; lhs applies
-    (order/x -/+ d/dx) numerically, rhs is the shifted member (plus the
-    power source term for the raising Struve relation)."""
+def _shift_operator(family, direction, order, x, policy):
+    """Lhs of the order shift relations: (order/x -/+ d/dx) applied
+    numerically to the family member of the given order."""
+    fn = cyl_j if family == "bessel" else struve_h
+    f = lambda t: fn(order, t, policy).value
+    return order / x * f(x) - direction * fd.deriv1(f, x)
+
+
+def _shifted_member(family, direction, order, x, policy):
+    """Rhs of the order shift relations: the shifted member, plus the
+    power source term for the raising Struve relation."""
     if family == "bessel":
-        f = lambda t: cyl_j(order, t, policy).value
-        val = f(x)
-        d1 = fd.deriv1(f, x)
-        lhs = order / x * val - direction * d1
-        rhs = cyl_j(order + direction, x, policy).value
-    else:
-        f = lambda t: struve_h(order, t, policy).value
-        val = f(x)
-        d1 = fd.deriv1(f, x)
-        lhs = order / x * val - direction * d1
-        if direction == 1:
-            rhs = struve_h(order + 1, x, policy).value - _struve_source(order, x)
-        else:
-            rhs = struve_h(order - 1, x, policy).value
-    return lhs, rhs
+        return cyl_j(order + direction, x, policy).value
+    if direction == 1:
+        return struve_h(order + 1, x, policy).value - _struve_source(order, x)
+    return struve_h(order - 1, x, policy).value
 
 
 def _deriv_n_sinc(n, x):
@@ -944,12 +940,12 @@ def _build_catalog():
         },
         grid=_product_grid(family=("bessel", "struve"), direction=(1, -1), order=(0.5, 1.7), x=(0.8, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: _shift_relation_defect(p["family"], p["direction"], p["order"], p["x"], pol)[0],
+            lambda p, pol: _shift_operator(p["family"], p["direction"], p["order"], p["x"], pol),
             {"cyl_j", "struve_h", "fd"},
             "fd-shift-operator",
         ),
         rhs=_binding(
-            lambda p, pol: _shift_relation_defect(p["family"], p["direction"], p["order"], p["x"], pol)[1],
+            lambda p, pol: _shifted_member(p["family"], p["direction"], p["order"], p["x"], pol),
             {"cyl_j", "struve_h", "gamma"},
             "order-shift",
         ),

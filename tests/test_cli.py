@@ -35,6 +35,15 @@ class TestEval:
         assert code == 2
         assert "singular" in err
 
+    def test_terminating_hyp1f2_pole_exit_code(self, run):
+        code, out, err = run(
+            "eval", "hyp1f2", "--gamma", "-3", "--a", "-1", "--b", "1", "--z", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "pole" in err
+        assert "Traceback" not in err
+
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2

@@ -6,6 +6,8 @@ from sphstruve.errors import ConvergenceError, DomainError
 from sphstruve import fd
 from sphstruve.functions import (
     DEFAULT_POLICY,
+    PATH_ASYMPTOTIC,
+    PATH_EXTENDED,
     EvalPolicy,
     anger,
     bessel_j_asym,
@@ -346,6 +348,17 @@ class TestHypergeometric:
     def test_denominator_pole_rejected(self):
         with pytest.raises(DomainError):
             hyp1f2(1.5, -2.0, 1.0, 0.4)
+
+    def test_terminating_before_denominator_pole(self):
+        # gamma_p = -1 keeps two terms and divides only by a = -1, b = 1;
+        # the pole of a + 1 lies past the last term
+        z = 0.37
+        assert hyp1f2(-1.0, -1.0, 1.0, z).value == 1.0 + z
+
+    def test_terminating_past_denominator_pole_rejected(self):
+        # gamma_p = -3 needs a + 1 = 0 as a denominator
+        with pytest.raises(DomainError):
+            hyp1f2(-3.0, -1.0, 1.0, 0.5)
 
     def test_cross_check_delta(self):
         assert delta_fn(0.0, 0.0, 1.0, 1.0) == pytest.approx(0.7651976865579666, rel=1e-13)
@@ -701,7 +714,7 @@ class TestBandOracle:
     )
     POLICIES = (DEFAULT_POLICY, EvalPolicy(crossover_x=18.0))
 
-    def _check(self, f, orders, oracle, envelope):
+    def _check(self, f, orders, oracle, envelope, bounded=(PATH_ASYMPTOTIC,)):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             for nu in orders:
@@ -712,8 +725,8 @@ class TestBandOracle:
                         err = abs(mp.mpf(r.value) - want)
                         if pol.crossover_x < x <= pol.extended_x:
                             assert err <= pol.rel_tol * envelope(nu, x), (nu, x, r.path, float(err))
-                        if r.path == "asymptotic":
-                            assert err <= r.tail_estimate, (nu, x, float(err), r.tail_estimate)
+                        if r.path in bounded:
+                            assert err <= r.tail_estimate, (nu, x, r.path, float(err), r.tail_estimate)
 
     @staticmethod
     def _env(nu, x):
@@ -734,9 +747,21 @@ class TestBandOracle:
         self._check(struve_h, (-1.5, -1.0, -0.5, 0.0, 1.7, 3.0), lambda mp, a, x: mp.struveh(a, x), env)
 
     def test_auxiliary_series(self):
+        # the double-double S series reports its cancellation floor too
         orders = (0.0, 0.5, 1.0, 1.5, 3.0)
-        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
-        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
+        paths = (PATH_ASYMPTOTIC, PATH_EXTENDED)
+        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env, paths)
+        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env, paths)
+
+    def test_auxiliary_series_floor_at_large_order(self):
+        # a large order keeps x = 55 on the double-double path, whose
+        # cancellation (like e^x at any order) dwarfs the series tail
+        mp = pytest.importorskip("mpmath")
+        r = s1(19.7, 55.0)
+        assert r.path == PATH_EXTENDED
+        with mp.workdps(40):
+            err = abs(mp.mpf(r.value) - self._s_pair(mp, mp.mpf(19.7), mp.mpf(55.0))[0])
+        assert err <= r.tail_estimate, (float(err), r.tail_estimate)
 
     def test_near_integer_orders(self):
         # every other Watson coefficient nearly vanishes here: a tiny term

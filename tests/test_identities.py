@@ -240,54 +240,73 @@ class TestLaguerreMultiIndex:
         assert len(calls) == 3
 
 
+class TestShiftRelations:
+    def test_each_side_evaluates_only_itself(self, monkeypatch):
+        # I24: the lhs stencil takes five values at the check's order and
+        # the rhs one at the shifted order, six evaluator calls in all
+        calls = []
+        for name in ("cyl_j", "struve_h"):
+            def counted(nu, x, policy=None, _fn=getattr(identities, name)):
+                calls.append(nu)
+                return _fn(nu, x, policy)
+
+            monkeypatch.setattr(identities, name, counted)
+        for params in get_identity("I24").grid:
+            calls.clear()
+            assert verify("I24", params).status == "pass"
+            assert len(calls) == 6, params
+            assert calls[5] == params["order"] + params["direction"]
+
+
 class TestRegularizedJitteredGrids:
     # I12/I13 lhs bits of `verify_all(ids=["I12", "I13"], seed=...)` taken
-    # while the [0, 16] finite part was still a Gauss-Legendre quadrature.
-    # Summing it term by term moved the five flagged I13 values; each must
-    # be no farther from the 50-digit closed form than before.  The other
-    # fifteen keep their bits.
+    # while the tail was still a nested sum of per-coefficient asymptotic
+    # series at T = 16.  The single antiderivative recurrence at T = 24
+    # moves every value; each must be no farther from the 50-digit closed
+    # form than before.
     _PARENT_BITS = {
         7: (
-            ("0x1.20dd7504317f7p-1", False),
-            ("0x1.0000000008b36p+1", False),
-            ("0x1.812746b03912ap+0", False),
-            ("0x1.c5bf891b5e1f3p+0", False),
-            ("0x1.812746b03912ap+0", False),
-            ("0x1.2bd4d91a91a01p-1", False),
-            ("0x1.2609f94e2d8c5p+2", True),
-            ("0x1.303f9f63b11cep+0", False),
-            ("0x1.29817e9169c54p+1", False),
-            ("0x1.18bc4d3679450p+2", True),
+            "0x1.20dd7504317f7p-1", "0x1.0000000008b36p+1", "0x1.812746b03912ap+0",
+            "0x1.c5bf891b5e1f3p+0", "0x1.812746b03912ap+0", "0x1.2bd4d91a91a01p-1",
+            "0x1.2609f94e7b519p+2", "0x1.303f9f63b11cep+0", "0x1.29817e9169c54p+1",
+            "0x1.18bc4d36764c7p+2",
         ),
         102: (
-            ("0x1.20dd7504317f7p-1", False),
-            ("0x1.0000000008b36p+1", False),
-            ("0x1.812746b03912ap+0", False),
-            ("0x1.c5bf891b5e1f3p+0", False),
-            ("0x1.812746b03912ap+0", False),
-            ("0x1.371f918b36a1fp-1", True),
-            ("0x1.11bb0f1d7ce2cp+2", True),
-            ("0x1.34314ca83a121p+0", False),
-            ("0x1.1cbe0f4c3b57cp+1", False),
-            ("0x1.1560e10f7b72bp+2", True),
+            "0x1.20dd7504317f7p-1", "0x1.0000000008b36p+1", "0x1.812746b03912ap+0",
+            "0x1.c5bf891b5e1f3p+0", "0x1.812746b03912ap+0", "0x1.371f918b36a1ep-1",
+            "0x1.11bb0f1d76313p+2", "0x1.34314ca83a121p+0", "0x1.1cbe0f4c3b57cp+1",
+            "0x1.1560e10f74402p+2",
         ),
     }
+
+    @staticmethod
+    def _closed_forms(mp, seed):
+        reports = verify_all(ids=["I12", "I13"], seed=seed)
+        assert [r.identity_id for r in reports] == ["I12"] * 5 + ["I13"] * 5
+        assert all(r.status == "pass" for r in reports)
+        for r in reports:
+            mu, nu = mp.mpf(r.params["mu"]), mp.mpf(r.params["nu"])
+            if r.identity_id == "I12":
+                want = mp.sqrt(mp.pi) / (mp.gamma(mu + 0.5) * mp.gamma(nu + 0.5))
+            else:
+                a = mp.mpf(r.params["alpha"])
+                want = mp.gamma(a) / (mp.gamma(mu - a + 1) * mp.gamma(nu - a + 1))
+            yield r, want
 
     @pytest.mark.parametrize("seed", [7, 102])
     def test_no_farther_from_closed_form(self, seed):
         mp = pytest.importorskip("mpmath")
-        reports = verify_all(ids=["I12", "I13"], seed=seed)
-        assert [r.identity_id for r in reports] == ["I12"] * 5 + ["I13"] * 5
-        assert all(r.status == "pass" for r in reports)
         with mp.workdps(50):
-            for r, (bits, moved) in zip(reports, self._PARENT_BITS[seed]):
-                if not moved:
-                    assert r.lhs.hex() == bits, r.params
-                    continue
-                a, mu, nu = (mp.mpf(r.params[k]) for k in ("alpha", "mu", "nu"))
-                want = mp.gamma(a) / (mp.gamma(mu - a + 1) * mp.gamma(nu - a + 1))
+            for (r, want), bits in zip(self._closed_forms(mp, seed), self._PARENT_BITS[seed]):
                 old = mp.mpf(float.fromhex(bits))
                 assert abs(mp.mpf(r.lhs) - want) <= abs(old - want), r.params
+
+    @pytest.mark.parametrize("seed", [0, 7, 102])
+    def test_within_1e14_of_closed_form(self, seed):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for r, want in self._closed_forms(mp, seed):
+                assert abs((mp.mpf(r.lhs) - want) / want) <= 1e-14, r.params
 
 
 class TestVerifyAll:
