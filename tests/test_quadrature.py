@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sphstruve import quadrature
 from sphstruve.errors import DomainError
 from sphstruve.gammakit import gamma
 from sphstruve.quadrature import (
@@ -86,6 +87,55 @@ class TestLaguerre:
     def test_sigma_window(self):
         with pytest.raises(DomainError):
             integrate_laguerre(lambda s: 1.0, -1.0, 16)
+
+    @staticmethod
+    def _rule_sizes(monkeypatch):
+        sizes = []
+        build = quadrature.gauss_laguerre_nodes
+
+        def counted(sigma, n):
+            sizes.append(n)
+            return build(sigma, n)
+
+        monkeypatch.setattr(quadrature, "gauss_laguerre_nodes", counted)
+        return sizes
+
+    def test_smooth_integrand_stops_at_first_pair(self, monkeypatch):
+        sizes = self._rule_sizes(monkeypatch)
+        r = integrate_laguerre(lambda s: math.exp(-0.5 * s), 0.0)
+        assert r.status == "converged"
+        assert r.cells_or_nodes == 48
+        assert sizes == [16, 32]
+        assert r.value == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+    def test_algebraic_integrand_reaches_the_cap(self, monkeypatch):
+        # sqrt(s) is not smooth at 0, so the rules converge only
+        # algebraically and every doubling up to the cap is spent
+        sizes = self._rule_sizes(monkeypatch)
+        r = integrate_laguerre(math.sqrt, 0.0)
+        assert r.status == "max_refinement"
+        assert sizes == [16, 32, 64, 128, 256]
+        assert max(sizes) <= 2 * 200
+        assert r.cells_or_nodes == sum(sizes)
+        assert abs(r.value - gamma(1.5)) <= r.error_estimate
+
+    def test_cap_below_start_runs_one_pair(self, monkeypatch):
+        sizes = self._rule_sizes(monkeypatch)
+        r = integrate_laguerre(math.sqrt, 0.0, 8)
+        assert sizes == [8, 16]
+        assert r.cells_or_nodes == 24
+        assert r.status == "max_refinement"
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 200, 400])
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_far_weights_bounded_and_total_kept(self, sigma, n):
+        # sizes the doubling loop builds (16 .. 64) and the cap's pair
+        # (200/400); from 64 nodes on, eigh's far-node weights are noise
+        # above the physical bound and must have been zeroed
+        xs, ws = gauss_laguerre_nodes(sigma, n)
+        for x, w in zip(xs, ws):
+            assert w <= math.exp(min(-x + sigma * math.log(x) + 30.0, 700.0)), (x, w)
+        assert math.fsum(ws) == pytest.approx(gamma(sigma + 1.0), rel=1e-13)
 
     def test_nodes_cached_and_positive(self):
         xs, ws = gauss_laguerre_nodes(0.5, 32)
