@@ -49,9 +49,8 @@ __all__ = [
     "bessel_j_asym",
     "bessel_y_asym",
     "hankel_pq",
-    "hankel_coeff_arrays",
+    "hankel_amplitude_coeffs",
     "struve_algebraic",
-    "struve_algebraic_tail",
     "watson_a_coeffs",
     "anger_a_value",
 ]
@@ -263,28 +262,17 @@ _NEGLIGIBLE = 2.0**-55
 _ROUNDING = 4.0 * 2.0**-53
 
 
-def hankel_coeff_arrays(nu, kmax=30):
-    """Coefficient arrays (p, q) of the phase/amplitude expansions.
-
-    P(x) = sum_m p[m] x**-m (even m only), Q(x) = sum_m q[m] x**-m (odd m
-    only); both arrays are indexed by m with zeros interleaved, which is
-    the convenient layout for forming products of two expansions.
-    """
+def hankel_amplitude_coeffs(nu, kmax=30):
+    """Coefficients c_0..c_kmax of P + iQ = sum_m c_m x**-m, the amplitude in
+    J_nu + i Y_nu = sqrt(2/(pi x)) e^{i(x - (nu/2 + 1/4) pi)} (P + iQ):
+    c_m = i**m prod_{k<=m} (4 nu^2 - (2k-1)^2)/(8k), the terms of `hankel_pq`."""
     mu4 = 4.0 * nu * nu
-    c = 1.0
-    cs = [1.0]
+    c = 1.0 + 0.0j
+    cs = [c]
     for k in range(1, kmax + 1):
-        c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k)
+        c *= 1j * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k))
         cs.append(c)
-    p = [0.0] * (kmax + 1)
-    q = [0.0] * (kmax + 1)
-    sign = 1.0
-    for j in range(0, kmax + 1, 2):
-        p[j] = sign * cs[j]
-        if j + 1 <= kmax:
-            q[j + 1] = sign * cs[j + 1]
-        sign = -sign
-    return p, q
+    return cs
 
 
 def hankel_pq(nu, x, policy=None):
@@ -523,26 +511,6 @@ def struve_algebraic(alpha, x, policy=None):
         prev = mag
         term *= (k + 0.5) * (alpha - 0.5 - k) * (2.0 / x) ** 2
     return total, abs(term)
-
-
-def struve_algebraic_tail(alpha, T):
-    """Exact integral over [T, inf) of the algebraic Struve part; needs alpha < 0
-    so every power x**(alpha-2k-1) is integrable at infinity."""
-    if alpha >= 0.0:
-        raise DomainError("struve_algebraic_tail: requires alpha < 0")
-    coeff = SQRT_PI * rgamma(alpha + 0.5) / math.pi
-    total = 0.0
-    prev = math.inf
-    for k in range(0, 60):
-        # integral of (x/2)^(alpha-2k-1): 2*(T/2)^(alpha-2k)/(2k-alpha)
-        term = coeff * 2.0 * (T / 2.0) ** (alpha - 2 * k) / (2 * k - alpha)
-        mag = abs(term)
-        if mag > prev and k > 1:
-            break
-        total += term
-        prev = mag
-        coeff *= (k + 0.5) * (alpha - 0.5 - k)
-    return total
 
 
 # ---------------------------------------------------------------------------

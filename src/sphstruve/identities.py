@@ -18,6 +18,7 @@ those entries are flagged `shared_family` and the audit instead requires
 the two strategies to differ.
 """
 
+import cmath
 import math
 import os
 import time
@@ -29,12 +30,10 @@ from . import fd
 from .functions import (
     DEFAULT_POLICY,
     _humbert_family,
-    _jy_asym,
     anger,
-    bessel_y_asym,
     cyl_j,
     delta_fn,
-    hankel_coeff_arrays,
+    hankel_amplitude_coeffs,
     humbert2,
     mod_i0,
     rayleigh_jn,
@@ -43,12 +42,11 @@ from .functions import (
     sinc_sqrt,
     sph_j,
     sph_j_deriv,
-    struve_algebraic_tail,
     struve_h,
     watson_a_coeffs,
     weber,
 )
-from .quadrature import integrate_finite, integrate_laguerre, integrate_oscillatory, integrate_real_line
+from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre, integrate_real_line
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import laplace_reduce, reduce_shifts
 
@@ -63,8 +61,8 @@ __all__ = [
     "catalog_json",
 ]
 
-# where finite adaptive integration hands over to tail machinery
-_TAIL_SPLIT = 50.0
+# where finite adaptive integration hands over to the closed-form tails
+_TAIL_SPLIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -158,39 +156,32 @@ def _struve_source(alpha, x):
     return (x / 2.0) ** alpha * rgamma(alpha + 1.5) / SQRT_PI
 
 
+def _hankel_tail(nu, T, phase, extra_power):
+    """integral over [T, inf) of sqrt(2/pi) e^{i(x - phase)} (P + iQ)(nu, x)
+    x^(-1/2-extra_power), with P + iQ the Hankel amplitude of order nu."""
+    lead = math.sqrt(2.0 / math.pi) * cmath.exp(-1j * phase)
+    value, _ = _exp_power_tail([lead * c for c in hankel_amplitude_coeffs(nu)], -0.5 - extra_power, 1j, T)
+    return value
+
+
 def _struve_line_integral(alpha, policy):
     """integral over [0, inf) of H_alpha, for alpha in (-2, 0): finite
-    adaptive part plus an oscillatory-accelerated second-kind tail plus
-    the exact algebraic tail."""
+    adaptive part plus the closed-form tails of Y_alpha and of the
+    algebraic part H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2)
+    (x/2)^(alpha-2k-1) / Gamma(alpha+1/2-k)."""
     T = _TAIL_SPLIT
     policy = replace(policy, crossover_x=18.0)
     head = integrate_finite(lambda u: 2.0 * u * struve_h(alpha, u * u, policy).value, 0.0, 1.0)
     mid = integrate_finite(lambda x: struve_h(alpha, x, policy).value, 1.0, T, tol=3e-9, max_cells=4000)
-    osc = integrate_oscillatory(lambda x: bessel_y_asym(alpha, x), T, math.pi, tol=1e-9)
-    return head.value + mid.value + osc.value + struve_algebraic_tail(alpha, T)
-
-
-def _watson_combo_coeffs(nu, sign):
-    """Coefficient array of A_nu + sign*A_{-nu} over k (to pair with k!/x^{k+1})."""
-    a = watson_a_coeffs(nu)
-    b = watson_a_coeffs(-nu)
-    return [ai + sign * bi for ai, bi in zip(a, b)]
-
-
-def _watson_tail(coeffs, T, extra_power):
-    """integral over [T, inf) of (1/pi) sum_k c_k k!/x^{k+1} * x^{-extra_power}."""
-    total = 0.0
-    kfac = 1.0
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            kfac *= k
-        p = k + extra_power
-        if p <= 0:
-            if c != 0.0:
-                raise DomainError("watson tail: non-integrable monotone component")
-            continue
-        total += c * kfac * T ** (-p) / p
-    return total / math.pi
+    y_tail = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0).imag
+    # coefficients of x^(alpha-1-n): the k-th term at n = 2k, zeros between
+    alg = [0.0] * 120
+    c = SQRT_PI * rgamma(alpha + 0.5) * 2.0 ** (1.0 - alpha) / math.pi
+    for k in range(60):
+        alg[2 * k] = c
+        c *= 4.0 * (k + 0.5) * (alpha - 0.5 - k)
+    alg_tail, _ = _exp_power_tail(alg, alpha - 1.0, 0.0, T)
+    return head.value + mid.value + y_tail + alg_tail
 
 
 def _s_line_integral(nu, kind, extra_power, policy):
@@ -200,80 +191,45 @@ def _s_line_integral(nu, kind, extra_power, policy):
     # x**0 is exactly 1.0: with extra_power == 0 the division changes no bit
     sk = s1 if kind == 1 else s2
     head = integrate_finite(lambda x: sk(nu, x, policy).value / x**extra_power, 0.0, T, tol=3e-9, max_cells=6000)
-    c = math.cos(0.5 * nu * math.pi)
-    s = math.sin(0.5 * nu * math.pi)
+    # with c + is = e^{i nu pi/2}, (c + is)(J_nu + i Y_nu) = (cJ - sY) + i(sJ + cY)
+    # holds the oscillatory parts of S1 and S2, and its phase no longer nu
+    w = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
     if kind == 1:
-        combo = [s * v for v in _watson_combo_coeffs(nu, -1.0)]
+        tail_osc, scale, sign = w.real, math.sin(0.5 * nu * math.pi), -1.0
     else:
-        combo = [c * v for v in _watson_combo_coeffs(nu, +1.0)]
-
-    def osc(x):
-        # both kinds of the first phase/amplitude pair from one (P, Q)
-        J, Y, _ = _jy_asym(nu, x)
-        return (c * J - s * Y if kind == 1 else s * J + c * Y) / x**extra_power
-
-    tail_osc = integrate_oscillatory(osc, T, math.pi, tol=1e-9)
-    tail_alg = _watson_tail(combo, T, extra_power)
-    return head.value + tail_osc.value + tail_alg
-
-
-def _product_series_arrays(mu, nu, kmax=12):
-    """Convolution arrays of the two phase/amplitude expansions:
-    PP+QQ, PQ-QP (constant-phase part) and PP-QQ, PQ+QP (fast part)."""
-    pm, qm = hankel_coeff_arrays(mu, kmax)
-    pn, qn = hankel_coeff_arrays(nu, kmax)
-
-    def conv(a, b):
-        out = [0.0] * (kmax + 1)
-        for i in range(kmax + 1):
-            if a[i] == 0.0:
-                continue
-            for j in range(kmax + 1 - i):
-                out[i + j] += a[i] * b[j]
-        return out
-
-    pp = conv(pm, pn)
-    qq = conv(qm, qn)
-    pq = conv(pm, qn)
-    qp = conv(qm, pn)
-    sum_pp_qq = [a + b for a, b in zip(pp, qq)]
-    dif_pq_qp = [a - b for a, b in zip(pq, qp)]
-    dif_pp_qq = [a - b for a, b in zip(pp, qq)]
-    sum_pq_qp = [a + b for a, b in zip(pq, qp)]
-    return sum_pp_qq, dif_pq_qp, dif_pp_qq, sum_pq_qp
+        tail_osc, scale, sign = w.imag, math.cos(0.5 * nu * math.pi), 1.0
+    # the Watson part (scale/pi) sum_k (A_nu + sign A_-nu)_k k! x^(-1-k-extra_power)
+    pairs = enumerate(zip(watson_a_coeffs(nu), watson_a_coeffs(-nu)))
+    a = [scale / math.pi * math.factorial(k) * (u + sign * v) for k, (u, v) in pairs]
+    tail_alg, _ = _exp_power_tail(a, -1.0 - extra_power, 0.0, T)
+    return head.value + tail_osc + tail_alg
 
 
 def _j_product_integral(mu, nu, policy):
-    """integral over [0, inf) of (x/2)^{-(mu+nu)} J_mu(x) J_nu(x) dx."""
+    """integral over [0, inf) of (x/2)^{-(mu+nu)} J_mu(x) J_nu(x) dx.
+
+    Past the split, with A = P + iQ the Hankel amplitudes, the integrand
+    is 2^{mu+nu}/pi x^{-(mu+nu)-1} Re[e^{i(2x - (mu+nu+1) pi/2)} A_mu A_nu
+    + e^{i(nu-mu) pi/2} A_mu conj(A_nu)]: a fast and a constant-phase part."""
     T = _TAIL_SPLIT
     policy = replace(policy, crossover_x=18.0)
     g = lambda x: (x / 2.0) ** (-(mu + nu)) * cyl_j(mu, x, policy).value * cyl_j(nu, x, policy).value
     head = integrate_finite(g, 0.0, T, tol=3e-9, max_cells=6000)
-    spp_qq, dpq_qp, dpp_qq, spq_qp = _product_series_arrays(mu, nu)
-    delta = 0.5 * (nu - mu) * math.pi
-    cd, sd = math.cos(delta), math.sin(delta)
-    scale = 2.0**(mu + nu)
+    am = hankel_amplitude_coeffs(mu, 12)
+    an = hankel_amplitude_coeffs(nu, 12)
+    scale = 2.0 ** (mu + nu) / math.pi
 
-    def osc(x):
-        # fast part: phase 2x - (mu+nu+1) pi/2
-        sig = 2.0 * x - 0.5 * (mu + nu + 1.0) * math.pi
-        pp = 0.0
-        pq = 0.0
-        u = 1.0
-        for m in range(len(spp_qq)):
-            pp += dpp_qq[m] * u
-            pq += spq_qp[m] * u
-            u /= x
-        return scale * x ** (-(mu + nu) - 1.0) / math.pi * (pp * math.cos(sig) - pq * math.sin(sig))
+    def product(b, phase):
+        # coefficients of lead * A_mu * B, cut where the factors are
+        lead = scale * cmath.exp(1j * phase)
+        return [lead * sum(am[i] * b[m - i] for i in range(m + 1)) for m in range(len(am))]
 
-    tail_osc = integrate_oscillatory(osc, T, math.pi / 2.0, tol=1e-9, max_cells=80)
-    # constant-phase part integrates in closed form
-    tail_mono = 0.0
-    for m in range(len(spp_qq)):
-        cm = (spp_qq[m] * cd + dpq_qp[m] * sd) * scale / math.pi
-        p = mu + nu + m
-        tail_mono += cm * T ** (-p) / p
-    return head.value + tail_osc.value + tail_mono
+    beta0 = -(mu + nu) - 1.0
+    fast = product(an, -0.5 * (mu + nu + 1.0) * math.pi)
+    slow = product([c.conjugate() for c in an], 0.5 * (nu - mu) * math.pi)
+    tail_fast, _ = _exp_power_tail(fast, beta0, 2j, T)
+    tail_slow, _ = _exp_power_tail(slow, beta0, 0.0, T)
+    return head.value + (tail_fast + tail_slow).real
 
 
 def _generating_sum(x, t, policy, nmax=25):
@@ -680,7 +636,7 @@ def _build_catalog():
         grid=_product_grid(alpha=(-1.5, -1.0, -0.5)),
         lhs=_binding(
             lambda p, pol: _struve_line_integral(p["alpha"], pol),
-            {"struve_h", "integrate_finite", "integrate_oscillatory", "hankel"},
+            {"struve_h", "integrate_finite", "exp_power_tail", "hankel"},
             "split-tail-quadrature",
         ),
         rhs=_binding(
@@ -690,7 +646,7 @@ def _build_catalog():
         ),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="conditionally convergent; oscillatory tail accelerated from x=50",
+        window_note="conditionally convergent; tail from x=30 integrated in closed form",
     ))
 
     ids.append(Identity(
@@ -832,7 +788,7 @@ def _build_catalog():
         ),
         lhs=_binding(
             lambda p, pol: _j_product_integral(p["mu"], p["nu"], pol),
-            {"cyl_j", "integrate_finite", "integrate_oscillatory", "hankel"},
+            {"cyl_j", "integrate_finite", "exp_power_tail", "hankel"},
             "split-tail-quadrature",
         ),
         rhs=_binding(
@@ -884,13 +840,13 @@ def _build_catalog():
         grid=_product_grid(nu=(0.0, 0.5, 1.0, 1.5)),
         lhs=_binding(
             lambda p, pol: _s_line_integral(p["nu"], 1, 0, pol),
-            {"s1", "integrate_finite", "integrate_oscillatory", "hankel", "anger_a"},
+            {"s1", "integrate_finite", "exp_power_tail", "hankel", "anger_a"},
             "split-tail-quadrature",
         ),
         rhs=_binding(lambda p, pol: math.cos(0.5 * p["nu"] * math.pi), set(), "closed-form"),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="window |nu| <= 1.5; tail accelerated from x=50",
+        window_note="window |nu| <= 1.5; tail from x=30 integrated in closed form",
     ))
 
     ids.append(Identity(
@@ -901,7 +857,7 @@ def _build_catalog():
         grid=_product_grid(nu=(0.5, 1.0, 1.5)),
         lhs=_binding(
             lambda p, pol: _s_line_integral(p["nu"], 2, 1, pol),
-            {"s2", "integrate_finite", "integrate_oscillatory", "hankel", "anger_a"},
+            {"s2", "integrate_finite", "exp_power_tail", "hankel", "anger_a"},
             "split-tail-quadrature",
         ),
         rhs=_binding(
@@ -911,7 +867,7 @@ def _build_catalog():
         ),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="window 0 < |nu| <= 1.5; tail accelerated from x=50",
+        window_note="window 0 < |nu| <= 1.5; tail from x=30 integrated in closed form",
     ))
 
     ids.append(Identity(

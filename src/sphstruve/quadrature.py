@@ -1,6 +1,7 @@
 """Certified numerical integration.
 
-Three kernels cover every integral the identity catalog needs:
+Three kernels and one closed form cover every integral the identity
+catalog needs:
 
 * adaptive finite-interval quadrature with an embedded Gauss/Kronrod
   pair (free per-cell error estimate, greedy refinement),
@@ -8,14 +9,15 @@ Three kernels cover every integral the identity catalog needs:
   [0, inf), doubled from 16 nodes until a rule pair agrees,
 * oscillatory semi-infinite integration: fixed cells between estimated
   zeros, nonlinear acceleration (Levin u-transform, iterated-averaging
-  fallback) of the partial-sum sequence.
-
-The oscillatory kernel expects a decaying, asymptotically alternating
-cell sequence; integrands that mix an algebraic monotone tail into the
-oscillation should be split by the caller (the identity registry does
-this with the function-family asymptotics).
+  fallback) of the partial-sum sequence; the real-line integrals use
+  it past a fixed split,
+* the tail past a split of an expansion e^{px} sum_n a_n x^(beta0-n)
+  (Hankel, Struve-algebraic, Watson) in closed form, by one
+  antiderivative recurrence summed to its smallest term, with a floor;
+  the half-line identities use it.
 """
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -220,6 +222,65 @@ def integrate_laguerre(f, sigma, nodes=200):
         if converged or 2 * n > nodes:
             return QuadratureResult(v2, err, used, "converged" if converged else "max_refinement")
         n *= 2
+
+
+_TAIL_TOL = 1e-9
+
+
+def _exp_power_tail(a, beta0, p, T):
+    """(value, floor) of the integral over [T, inf) of
+    e^{px} sum_n a[n] x^(beta0-n), summed to its smallest term.
+
+    For p != 0 the antiderivative is e^{px} sum_n b_n x^(beta0-n) with
+    p b_n = a_n - (beta0-n+1) b_{n-1} (the incomplete-gamma expansion,
+    DLMF 8.11(ii)), and the integral is minus its value at T.  For p = 0
+    each power integrates to T^(beta0-n+1)/(n-beta0-1).  The smallest
+    term is found on the envelope max(|t_n|, |t_{n-1}|): Struve and
+    Watson coefficient lists interleave zeros, and a tiny term is no
+    sign that the expansion turns.
+
+    `floor` is the first dropped term.  For p != 0 it also carries the
+    integral of |a_N| x^(beta0-N), the first dropped term of the list
+    `a`, itself a cut asymptotic series; for p = 0 that is the same
+    term.  A list that runs out before the turn stands its last
+    envelope in for the dropped terms, so an exact list ends in two
+    zeros.  A floor above 1e-9 raises ConvergenceError: at this T the
+    expansion turns too early."""
+    total = 0.0
+    b = 0.0
+    t_pow = T**beta0  # T^(beta0-n)
+    last = 0.0
+    prev = math.inf
+    for n, an in enumerate(a):
+        k = n - beta0 - 1.0
+        r = abs(an) * t_pow * T / k if k > 0.0 else 0.0
+        if p:
+            b = (an + k * b) / p
+            t = b * t_pow
+        elif an == 0.0:
+            t = 0.0
+        elif k > 0.0:
+            t = an * t_pow * T / k
+        else:
+            raise DomainError("_exp_power_tail: a power is not integrable at infinity")
+        mag = abs(t)
+        env = max(mag, last)
+        if env > prev and n > 2:
+            floor = mag + r if p else mag
+            break
+        total += t
+        last = mag
+        prev = env
+        t_pow /= T
+    else:
+        floor = prev + r if p else prev
+    if p:
+        lead = cmath.exp(p * T)
+        total = -lead * total
+        floor *= abs(lead)
+    if not floor <= _TAIL_TOL:
+        raise ConvergenceError(f"_exp_power_tail: floor {floor:.3g} at T={T}")
+    return total, floor
 
 
 def levin_u(terms, beta=1.0):

@@ -155,7 +155,7 @@ def test_criterion_09_auxiliary_series_integrals():
         worst = max(worst, abs(r.lhs - r.rhs))
     r = verify("I21", {"nu": 0.0})
     assert abs(r.lhs - 1.0) <= 1e-6
-    _report(9, "I21/I22 accelerated tails", f"worst abs={worst:.2e}, nu=0 abs={abs(r.lhs-1):.2e}")
+    _report(9, "I21/I22 closed-form tails", f"worst abs={worst:.2e}, nu=0 abs={abs(r.lhs-1):.2e}")
 
 
 def test_criterion_10_umbral_equivalence():

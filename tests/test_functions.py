@@ -35,6 +35,7 @@ from sphstruve.functions import (
     _s_series,
     _struve_series,
     _sum_ratio_series,
+    hankel_amplitude_coeffs,
     hankel_pq,
 )
 from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
@@ -558,6 +559,16 @@ class TestAsymptoticPieces:
                 assert (P.hex(), Q.hex()) == (rP.hex(), rQ.hex()), (nu, x)
                 # the early floor is a kept-or-later term: never below the smallest
                 assert floor >= smallest or floor == 0.0, (nu, x)
+
+    def test_hankel_amplitude_coeffs_sum_to_p_plus_iq(self):
+        # P + iQ = sum_m c_m x^-m, with P and Q interleaved through i**m
+        for nu in (0.0, 0.25, 1.3, 2.0):
+            cs = hankel_amplitude_coeffs(nu)
+            for x in (30.0, 60.0):
+                P, Q, _ = hankel_pq(nu, x)
+                got = sum(c * x**-m for m, c in enumerate(cs))
+                assert got.real == pytest.approx(P, rel=1e-15)
+                assert got.imag == pytest.approx(Q, rel=1e-14, abs=1e-300)
 
     def test_watson_floors_leave_the_far_paths_alone(self):
         # beyond extended_x the S-series certify against _ASYM_FLOOR; the

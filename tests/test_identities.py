@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sphstruve import identities
+from sphstruve import identities, quadrature
 from sphstruve.errors import DomainError, UnknownIdentityError
 from sphstruve.identities import (
     catalog_json,
@@ -484,6 +484,34 @@ class TestSkippedPropagation:
         rep = verify("I15", get_identity("I15").grid[0])
         assert rep.status == "skipped"
         assert "max_refinement" in rep.reason
+
+
+class TestClosedFormTails:
+    SPLIT_TAIL = ("I14", "I19", "I21", "I22")
+
+    def test_no_levin_cells(self, monkeypatch):
+        def levin(*args, **kwargs):
+            raise AssertionError("Levin cells reached")
+
+        monkeypatch.setattr(quadrature, "integrate_oscillatory", levin)
+        monkeypatch.setattr(identities, "integrate_oscillatory", levin, raising=False)
+        # the patch bites: the real-line identities still take Levin tails
+        with pytest.raises(AssertionError):
+            verify("I01", get_identity("I01").grid[0])
+        reports = verify_all(ids=list(self.SPLIT_TAIL))
+        assert len(reports) == 15
+        assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
+        for iid in self.SPLIT_TAIL:
+            ops = get_identity(iid).lhs.operations
+            assert "exp_power_tail" in ops and "integrate_oscillatory" not in ops
+
+    def test_unturned_tail_becomes_skip(self, monkeypatch):
+        # split at 2, the tail expansions turn with floors far above 1e-9
+        monkeypatch.setattr(identities, "_TAIL_SPLIT", 2.0)
+        for iid in self.SPLIT_TAIL:
+            rep = verify(iid, get_identity(iid).grid[0])
+            assert rep.status == "skipped", iid
+            assert "_exp_power_tail" in rep.reason
 
 
 class TestLaguerreOracle:

@@ -3,9 +3,11 @@ import math
 import pytest
 
 from sphstruve import quadrature
-from sphstruve.errors import DomainError
+from sphstruve.errors import ConvergenceError, DomainError
+from sphstruve.functions import hankel_amplitude_coeffs
 from sphstruve.gammakit import gamma
 from sphstruve.quadrature import (
+    _exp_power_tail,
     gauss_laguerre_nodes,
     integrate_finite,
     integrate_laguerre,
@@ -216,6 +218,73 @@ class TestOscillatory:
     def test_period_validation(self):
         with pytest.raises(DomainError):
             integrate_oscillatory(math.sin, 0.0, -1.0)
+
+
+class TestExpPowerTail:
+    # integral over [T, inf) of e^{px} sum_n a_n x^(beta0-n): each value
+    # must sit within its floor plus a few rounding units of the oracle
+    U = 2.0**-53
+
+    @staticmethod
+    def _gamma_oracle(mp, a, beta0, p, T):
+        """sum_n a_n (-p)^(n-beta0-1) Gamma(beta0-n+1, -pT), at 30 digits."""
+        with mp.workdps(30):
+            q = -mp.mpc(p)
+            return complex(
+                mp.fsum(c * q ** (n - beta0 - 1) * mp.gammainc(beta0 - n + 1, q * T) for n, c in enumerate(a) if c)
+            )
+
+    @pytest.mark.parametrize("p", [1j, 2j])
+    def test_incomplete_gamma_oracle(self, p):
+        mp = pytest.importorskip("mpmath")
+        for beta0 in (-0.5, -1.0, -1.5, -2.0, -2.5, -3.5):
+            for T in (25.0, 30.0, 40.0, 50.0):
+                # trailing zeros: the list is exact, the expansion is not
+                for head in ([1.0], [0.7 - 0.2j, 0.3j, -0.05, 0.0, 0.01 + 0.01j]):
+                    a = head + [0.0] * 100
+                    value, floor = _exp_power_tail(a, beta0, p, T)
+                    err = abs(value - self._gamma_oracle(mp, head, beta0, p, T))
+                    assert err <= floor + 8 * self.U * abs(value), (p, beta0, T, head, err, floor)
+
+    def test_exact_powers(self):
+        # p = 0, a finite list with interleaved zeros: every power exactly;
+        # two closing zeros mark the list exact, so the floor is zero
+        mp = pytest.importorskip("mpmath")
+        a = [0.8, 0.0, -1.3, 0.0, 2.1, 0.0, -0.4, 0.0, 0.0]
+        for beta0 in (-1.5, -2.0, -3.25):
+            for T in (2.0, 7.5, 30.0):
+                value, floor = _exp_power_tail(a, beta0, 0.0, T)
+                with mp.workdps(30):
+                    exact = mp.fsum(c * mp.mpf(T) ** (beta0 - n + 1) / (n - beta0 - 1) for n, c in enumerate(a))
+                assert floor == 0.0
+                assert abs(value - exact) <= 8 * self.U * abs(value)
+
+    def test_cut_series_with_zeros(self):
+        # e^{x^2} E1(x^2) ~ sum_k (-1)^k k! x^(-2k-2): a divergent list with
+        # zeros at odd n, summed to its smallest term
+        mp = pytest.importorskip("mpmath")
+        a = [0.0] * 160
+        for k in range(80):
+            a[2 * k] = (-1) ** k * math.factorial(k)
+        for T in (5.0, 6.0, 8.0):
+            value, floor = _exp_power_tail(a, -2.0, 0.0, T)
+            with mp.workdps(30):
+                want = mp.quad(lambda x: mp.exp(x * x) * mp.e1(x * x), [T, 2 * T, mp.inf])
+            assert abs(value - want) <= floor + 8 * self.U * abs(value)
+
+    def test_unturned_expansion_raises(self):
+        # at T = 2 the Hankel expansion turns after a few terms, far above 1e-9
+        a = hankel_amplitude_coeffs(1.3)
+        value, floor = _exp_power_tail(a, -0.5, 1j, 30.0)
+        assert floor <= 1e-13
+        with pytest.raises(ConvergenceError):
+            _exp_power_tail(a, -0.5, 1j, 2.0)
+
+    def test_non_integrable_power(self):
+        with pytest.raises(DomainError):
+            _exp_power_tail([1.0, 0.5, 0.0, 0.0], -1.0, 0.0, 30.0)
+        # a zero coefficient on that power is no obstacle
+        assert _exp_power_tail([0.0, 0.5, 0.0, 0.0], -1.0, 0.0, 30.0) == (0.5 / 30.0, 0.0)
 
 
 class TestRealLine:
