@@ -164,6 +164,14 @@ def _hankel_tail(nu, T, phase, extra_power):
     return value
 
 
+def _certified(res, name):
+    """The value of a quadrature result; an uncertified one raises
+    ConvergenceError, so the check is skipped, not passed."""
+    if res.status != "converged":
+        raise ConvergenceError(f"{name}: {res.status}, error {res.error_estimate:.3g}")
+    return res.value
+
+
 def _struve_line_integral(alpha, policy):
     """integral over [0, inf) of H_alpha, for alpha in (-2, 0): finite
     adaptive part plus the closed-form tails of Y_alpha and of the
@@ -181,7 +189,7 @@ def _struve_line_integral(alpha, policy):
         alg[2 * k] = c
         c *= 4.0 * (k + 0.5) * (alpha - 0.5 - k)
     alg_tail, _ = _exp_power_tail(alg, alpha - 1.0, 0.0, T)
-    return head.value + mid.value + y_tail + alg_tail
+    return _certified(head, "integrate_finite") + _certified(mid, "integrate_finite") + y_tail + alg_tail
 
 
 def _s_line_integral(nu, kind, extra_power, policy):
@@ -202,7 +210,7 @@ def _s_line_integral(nu, kind, extra_power, policy):
     pairs = enumerate(zip(watson_a_coeffs(nu), watson_a_coeffs(-nu)))
     a = [scale / math.pi * math.factorial(k) * (u + sign * v) for k, (u, v) in pairs]
     tail_alg, _ = _exp_power_tail(a, -1.0 - extra_power, 0.0, T)
-    return head.value + tail_osc + tail_alg
+    return _certified(head, "integrate_finite") + tail_osc + tail_alg
 
 
 def _j_product_integral(mu, nu, policy):
@@ -229,7 +237,7 @@ def _j_product_integral(mu, nu, policy):
     slow = product([c.conjugate() for c in an], 0.5 * (nu - mu) * math.pi)
     tail_fast, _ = _exp_power_tail(fast, beta0, 2j, T)
     tail_slow, _ = _exp_power_tail(slow, beta0, 0.0, T)
-    return head.value + (tail_fast + tail_slow).real
+    return _certified(head, "integrate_finite") + (tail_fast + tail_slow).real
 
 
 def _generating_sum(x, t, policy, nmax=25):
@@ -248,10 +256,7 @@ def _humbert_laguerre(indices, z_of_s, sigma, policy):
     serves every node of every rule.  An uncertified result raises
     ConvergenceError, so the check is skipped, not passed."""
     series = _humbert_family(indices, policy)
-    res = integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma)
-    if res.status != "converged":
-        raise ConvergenceError(f"integrate_laguerre: {res.status}, error {res.error_estimate:.3g}")
-    return res.value
+    return _certified(integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma), "integrate_laguerre")
 
 
 def _i16_lhs(u, v, x, policy, m_cut=14):

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sphstruve
 from sphstruve.cli import main
 
 
@@ -258,3 +262,18 @@ class TestFullCatalogRun:
         recs = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["rel_err"] is None for r in recs)  # rhs is exactly zero
         assert all(r["status"] == "pass" for r in recs)
+
+
+class TestWithoutNumpy:
+    def test_laguerre_identities_with_numpy_blocked(self):
+        # numpy is a test-only import: with it blocked, a fresh process
+        # builds the Gauss-Laguerre rules and verifies I11, I15 and I18
+        src = str(Path(sphstruve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys; sys.modules['numpy'] = None; from sphstruve.cli import main; "
+            "sys.exit(main(['verify', 'I11', 'I15', 'I18', '--seed', '7']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" not in proc.stderr

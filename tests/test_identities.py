@@ -183,34 +183,34 @@ class TestLaguerreMultiIndex:
     # must serve every node of both rules bitwise
     _BITS = {
         "I11": (
-            "0x1.3cfc39c5aeb0ep-2", "0x1.2326f61fa6f24p-1", "0x1.94eb737cc7675p-1", "-0x1.7b52f43370e2bp-3",
-            "0x1.1ae59fec267b2p-3", "0x1.7796ab2c99affp-2", "0x1.99134a2bb05a2p-1", "0x1.05bddf0dccf01p-2",
-            "0x1.ab6845a762159p-5", "0x1.9670ccc51be90p-3", "0x1.4b249d8a6f116p-1", "0x1.9d99870101dc2p-1",
+            "0x1.3cfc39c5aeb0cp-2", "0x1.2326f61fa6f22p-1", "0x1.94eb737cc766fp-1", "-0x1.7b52f43370e11p-3",
+            "0x1.1ae59fec267b0p-3", "0x1.7796ab2c99afdp-2", "0x1.99134a2bb059cp-1", "0x1.05bddf0dcceebp-2",
+            "0x1.ab6845a762156p-5", "0x1.9670ccc51be8dp-3", "0x1.4b249d8a6f112p-1", "0x1.9d99870101db4p-1",
         ),
         "I15": (
-            "0x1.b7bbd7f90f21fp+0", "0x1.8fa0ac9ab72a4p+0", "0x1.09ae9a3774c8fp+0", "0x1.0feda478c9751p-8",
-            "0x1.e07f1d54c3f35p-1", "0x1.87c7fdbd7b8f0p-1", "0x1.ca873fb24cf02p-3", "-0x1.6bb7db255cb9dp-3",
-            "0x1.f56ece862246cp+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3ba2p+0", "0x1.24fde41551c53p-2",
-            "0x1.14fa843f86215p+0", "0x1.e624a51d1674ep-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367553p-3",
-            "0x1.beb6a93cdb698p+0", "0x1.aa428aec1dad1p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d60p-2",
-            "0x1.f02a71f4870d7p-1", "0x1.c29c9ee970c6dp-1", "0x1.27487958371f1p-1", "-0x1.0c5a5308fbae4p-3",
-            "0x1.f56ece862246cp+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3ba2p+0", "0x1.24fde41551c53p-2",
-            "0x1.14fa843f86215p+0", "0x1.e624a51d1674ep-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367553p-3",
-            "0x1.1ce20d3cb1dc2p+1", "0x1.114a5454e1faap+1", "0x1.cfbf6b05288a0p+0", "0x1.662d426010238p-1",
-            "0x1.3cfc39c5aeb0ep+0", "0x1.2326f61fa6f24p+0", "0x1.94eb737cc7675p-1", "-0x1.2f759029271bcp-4",
-            "0x1.fab32b17bd807p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190554p+0", "0x1.ab2b0d99cf9a9p-1",
-            "0x1.1ae59fec267b2p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a2p-1", "0x1.08dd2ca3ec1aep-4",
-            "0x1.beb6a93cdb698p+0", "0x1.aa428aec1dad1p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d60p-2",
-            "0x1.f02a71f4870d7p-1", "0x1.c29c9ee970c6dp-1", "0x1.27487958371f1p-1", "-0x1.0c5a5308fbae4p-3",
-            "0x1.fab32b17bd807p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190554p+0", "0x1.ab2b0d99cf9a9p-1",
-            "0x1.1ae59fec267b2p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a2p-1", "0x1.08dd2ca3ec1aep-4",
-            "0x1.c238c019bac74p+0", "0x1.b7dc32dab7445p+0", "0x1.9184b844e6094p+0", "0x1.d6330a435f09fp-1",
-            "0x1.f80e2ab3c0cbap-1", "0x1.e0e0090a11c43p-1", "0x1.8d5e30136cc43p-1", "0x1.81dffa1a753c9p-3",
+            "0x1.b7bbd7f90f220p+0", "0x1.8fa0ac9ab72a4p+0", "0x1.09ae9a3774c8cp+0", "0x1.0feda478c9010p-8",
+            "0x1.e07f1d54c3f31p-1", "0x1.87c7fdbd7b8ecp-1", "0x1.ca873fb24ceebp-3", "-0x1.6bb7db255cb6fp-3",
+            "0x1.f56ece862246dp+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3ba0p+0", "0x1.24fde41551c38p-2",
+            "0x1.14fa843f86212p+0", "0x1.e624a51d16748p-1", "0x1.06aa0d11b4e63p-1", "-0x1.bb33165367531p-3",
+            "0x1.beb6a93cdb699p+0", "0x1.aa428aec1dad1p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d49p-2",
+            "0x1.f02a71f4870d4p-1", "0x1.c29c9ee970c69p-1", "0x1.27487958371edp-1", "-0x1.0c5a5308fbadfp-3",
+            "0x1.f56ece862246dp+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3ba0p+0", "0x1.24fde41551c38p-2",
+            "0x1.14fa843f86212p+0", "0x1.e624a51d16748p-1", "0x1.06aa0d11b4e63p-1", "-0x1.bb33165367531p-3",
+            "0x1.1ce20d3cb1dc2p+1", "0x1.114a5454e1faap+1", "0x1.cfbf6b052889ep+0", "0x1.662d42601022cp-1",
+            "0x1.3cfc39c5aeb0cp+0", "0x1.2326f61fa6f22p+0", "0x1.94eb737cc766fp-1", "-0x1.2f759029271a7p-4",
+            "0x1.fab32b17bd807p+0", "0x1.eb31301872be7p+0", "0x1.b2b6170190554p+0", "0x1.ab2b0d99cf99fp-1",
+            "0x1.1ae59fec267b0p+0", "0x1.0994ca317b72fp+0", "0x1.99134a2bb059cp-1", "0x1.08dd2ca3ec197p-4",
+            "0x1.beb6a93cdb699p+0", "0x1.aa428aec1dad1p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d49p-2",
+            "0x1.f02a71f4870d4p-1", "0x1.c29c9ee970c69p-1", "0x1.27487958371edp-1", "-0x1.0c5a5308fbadfp-3",
+            "0x1.fab32b17bd807p+0", "0x1.eb31301872be7p+0", "0x1.b2b6170190554p+0", "0x1.ab2b0d99cf99fp-1",
+            "0x1.1ae59fec267b0p+0", "0x1.0994ca317b72fp+0", "0x1.99134a2bb059cp-1", "0x1.08dd2ca3ec197p-4",
+            "0x1.c238c019bac74p+0", "0x1.b7dc32dab7446p+0", "0x1.9184b844e6094p+0", "0x1.d6330a435f09ap-1",
+            "0x1.f80e2ab3c0cb7p-1", "0x1.e0e0090a11c3fp-1", "0x1.8d5e30136cc3fp-1", "0x1.81dffa1a753bdp-3",
         ),
         "I18": (
-            "0x1.c2ee768dfe239p-1", "0x1.2bca42aaa3c2ap-1", "0x1.150011bff5b0fp-4", "0x1.2bad224f899b0p-2",
-            "0x1.cd979414a5f7ap-2", "0x1.14f595fced08ep-8", "0x1.e5e8d0b042405p-8", "0x1.9e37059973008p-5",
-            "0x1.5189ca7963261p-3",
+            "0x1.c2ee768dfe235p-1", "0x1.2bca42aaa3c22p-1", "0x1.150011bff5b5ap-4", "0x1.2bad224f899b4p-2",
+            "0x1.cd979414a5f83p-2", "0x1.14f595fceccadp-8", "0x1.e5e8d0b042402p-8", "0x1.9e37059973007p-5",
+            "0x1.5189ca7963271p-3",
         ),
     }
     _SIDE = {"I11": "lhs", "I15": "lhs", "I18": "rhs"}
@@ -327,7 +327,8 @@ class TestVerifyAll:
 
     def test_process_pool_is_bitwise_serial(self, monkeypatch):
         # a jittered subset that touches every lazily built per-process
-        # table (Golub-Welsch nodes, the regularized expansion coefficients)
+        # table (the Gauss-Laguerre rules, which each worker builds by the
+        # same pure-Python QL, and the regularized expansion coefficients)
         monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
         ids = ["I07", "I12", "I17", "I18"]
         pooled = verify_all(ids=ids, seed=7, parallelism=2)
@@ -484,6 +485,17 @@ class TestSkippedPropagation:
         rep = verify("I15", get_identity("I15").grid[0])
         assert rep.status == "skipped"
         assert "max_refinement" in rep.reason
+
+    def test_uncertified_head_becomes_skip(self, monkeypatch):
+        # a finite head that ran out of cells must not pass as a check
+        def uncertified(f, a, b, *, tol=1e-10, max_cells=2000):
+            return QuadratureResult(f(0.5 * (a + b)), 1.0, max_cells, "max_refinement")
+
+        monkeypatch.setattr(identities, "integrate_finite", uncertified)
+        for iid in ("I14", "I19", "I21", "I22"):
+            rep = verify(iid, get_identity(iid).grid[0])
+            assert rep.status == "skipped", iid
+            assert "integrate_finite: max_refinement" in rep.reason
 
 
 class TestClosedFormTails:

@@ -132,8 +132,8 @@ class TestLaguerre:
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
     def test_far_weights_bounded_and_total_kept(self, sigma, n):
         # sizes the doubling loop builds (16 .. 64) and the cap's pair
-        # (200/400); from 64 nodes on, eigh's far-node weights are noise
-        # above the physical bound and must have been zeroed
+        # (200/400); the QL's far-node weights stay under the physical
+        # bound unaided, with nothing zeroed, and keep the total
         xs, ws = gauss_laguerre_nodes(sigma, n)
         for x, w in zip(xs, ws):
             assert w <= math.exp(min(-x + sigma * math.log(x) + 30.0, 700.0)), (x, w)
@@ -158,6 +158,44 @@ class TestLaguerre:
         with pytest.raises(TypeError):
             ws[0] = 0.0
         assert gauss_laguerre_nodes(0.25, 24)[0][0] == first
+
+
+class TestLaguerreRuleOracle:
+    # each rule against the roots of the generalized Laguerre polynomial
+    # L_n^(sigma), Newton-polished at 40 digits from the float nodes, with
+    # the Christoffel weights Gamma(n+sigma+1) / (n! x L_n'(x)^2); n
+    # distinct roots of a degree-n polynomial are all of its roots
+
+    @staticmethod
+    def _laguerre(n, sigma, x):
+        """(L_n, L_n') of L_n^(sigma) at x, by the three-term recurrence."""
+        prev, cur = 1, 1 + sigma - x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1 + sigma - x) * cur - (k + sigma) * prev) / (k + 1)
+        return cur, (n * cur - (n + sigma) * prev) / x
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 3.0])
+    def test_against_polished_roots(self, sigma, n):
+        mp = pytest.importorskip("mpmath")
+        xs, ws = gauss_laguerre_nodes(sigma, n)
+        with mp.workdps(40):
+            s = mp.mpf(sigma)
+            scale = mp.gamma(n + s + 1) / mp.factorial(n)
+            roots = []
+            for x0, w0 in zip(xs, ws):
+                x = mp.mpf(x0)
+                for _ in range(4):
+                    value, slope = self._laguerre(n, s, x)
+                    x -= value / slope
+                value, slope = self._laguerre(n, s, x)
+                assert abs(value / slope) <= 1e-30 * x
+                assert abs(x0 - x) <= 1e-12 * x, (x0, x)
+                w = scale / (x * slope**2)
+                if w > 1e-300:
+                    assert abs(w0 - w) <= 1e-12 * w, (x0, w0, w)
+                roots.append(x)
+            assert all(a < b for a, b in zip(roots, roots[1:]))
 
 
 class TestLevin:
@@ -193,8 +231,7 @@ class TestOscillatory:
         # envelope x^-1.5: acceleration matches 1e4 summed cells
         f = lambda x: math.cos(x) * x**-1.5
         r = integrate_oscillatory(f, 3.0, math.pi)
-        import numpy as np
-
+        np = pytest.importorskip("numpy")
         xs, ws = np.polynomial.legendre.leggauss(20)
         brute = 0.0
         for k in range(10000):
