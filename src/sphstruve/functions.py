@@ -5,8 +5,9 @@ Every family follows the same three-path scheme:
 * plain power series up to `crossover_x` (alternating series lose about
   x/ln10 digits to cancellation, so plain binary64 is only trusted there),
 * large-argument asymptotics (Hankel phase/amplitude pairs for the
-  cylindrical kinds, plus the algebraic correction series for the Struve
-  and Anger/Weber auxiliaries) past `crossover_x` wherever their
+  cylindrical kinds, plus the algebraic correction series for Struve and
+  one parity of the Watson expansion for each Anger/Weber auxiliary)
+  past `crossover_x` wherever their
   certified floor (first neglected terms plus the phase rounding) meets
   rel_tol against the envelope sqrt(2/(pi x)), and beyond `extended_x`
   wherever it meets the looser absolute `_ASYM_FLOOR`,
@@ -51,8 +52,8 @@ __all__ = [
     "hankel_pq",
     "hankel_amplitude_coeffs",
     "struve_algebraic",
-    "watson_a_coeffs",
-    "anger_a_value",
+    "watson_parity_coeffs",
+    "watson_parity",
 ]
 
 
@@ -275,7 +276,7 @@ def hankel_amplitude_coeffs(nu, kmax=30):
     return cs
 
 
-def hankel_pq(nu, x, policy=None):
+def hankel_pq(nu, x):
     """Evaluate the amplitude sums P(nu,x), Q(nu,x) at the smallest-term
     truncation.
 
@@ -329,9 +330,9 @@ def _envelope(x):
     return math.sqrt(2.0 / (math.pi * x))
 
 
-def _jy_asym(nu, x, policy=None):
+def _jy_asym(nu, x):
     """(J_nu, Y_nu, floor) from one phase/amplitude pair."""
-    P, Q, floor = hankel_pq(nu, x, policy)
+    P, Q, floor = hankel_pq(nu, x)
     c = _chi(nu, x)
     cc = math.cos(c)
     sc = math.sin(c)
@@ -339,14 +340,14 @@ def _jy_asym(nu, x, policy=None):
     return a * (P * cc - Q * sc), a * (P * sc + Q * cc), floor
 
 
-def bessel_j_asym(nu, x, policy=None):
+def bessel_j_asym(nu, x):
     """Large-argument first-kind cylindrical value via the phase/amplitude pair."""
-    return _jy_asym(nu, x, policy)[0]
+    return _jy_asym(nu, x)[0]
 
 
-def bessel_y_asym(nu, x, policy=None):
+def bessel_y_asym(nu, x):
     """Large-argument second-kind cylindrical value via the phase/amplitude pair."""
-    return _jy_asym(nu, x, policy)[1]
+    return _jy_asym(nu, x)[1]
 
 
 def _series_loss(nu, x):
@@ -406,7 +407,7 @@ def cyl_j(nu, x, policy=None):
     if x <= policy.crossover_x:
         v, n, tail = _cyl_j_series(nu, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    v, _, floor = _jy_asym(nu, x, policy)
+    v, _, floor = _jy_asym(nu, x)
     env = _envelope(x)
     if _asym_certified(floor, env, x, policy):
         return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
@@ -463,8 +464,8 @@ def struve_h(alpha, x, policy=None):
     if x <= policy.crossover_x:
         v, n, tail = _struve_series(alpha, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    _, y, floor = _jy_asym(alpha, x, policy)
-    alg, alg_tail = struve_algebraic(alpha, x, policy)
+    _, y, floor = _jy_asym(alpha, x)
+    alg, alg_tail = struve_algebraic(alpha, x)
     floor += alg_tail
     env = max(_envelope(x), abs(alg))
     if _asym_certified(floor, env, x, policy, scale=max(1.0, abs(alg))):
@@ -491,13 +492,12 @@ def _struve_series(alpha, x, policy, use_dd):
     return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), (1.5, g), policy, k0=k0)
 
 
-def struve_algebraic(alpha, x, policy=None):
+def struve_algebraic(alpha, x):
     """Algebraic part of the large-argument Struve expansion.
 
     H_alpha(x) - Y_alpha(x) ~ (1/pi) sum_k Gamma(k+1/2) (x/2)**(alpha-2k-1)
     / Gamma(alpha+1/2-k); returns (value, magnitude of first neglected term).
     """
-    policy = policy or DEFAULT_POLICY
     term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
     total = 0.0
     prev = math.inf
@@ -598,78 +598,48 @@ def delta_fn(alpha, beta, gamma_p, x, policy=None):
 # Anger/Weber auxiliaries S1, S2 and their combinations.
 
 
-def _watson_g_series(nu, K):
-    """Power-series coefficients of exp(-nu asinh u)/sqrt(1+u^2) up to u^K."""
-    # asinh u = sum_m (-1)^m (2m)! / (4^m (m!)^2 (2m+1)) u^(2m+1)
-    asinh = [0.0] * (K + 1)
-    c = 1.0
-    for m in range(0, (K + 1) // 2):
-        asinh_idx = 2 * m + 1
-        if asinh_idx > K:
-            break
-        asinh[asinh_idx] = c / (2 * m + 1)
-        c *= -(2.0 * m + 1.0) / (2.0 * m + 2.0)
-    a = [-nu * v for v in asinh]
-    # exp of a power series with zero constant term
-    e = [0.0] * (K + 1)
-    e[0] = 1.0
-    for n in range(1, K + 1):
-        s = 0.0
-        for j in range(1, n + 1):
-            s += j * a[j] * e[n - j]
-        e[n] = s / n
-    # (1+u^2)^(-1/2) = sum_m (-1)^m (2m)!/(4^m (m!)^2) u^(2m)
-    inv = [0.0] * (K + 1)
-    c = 1.0
-    for m in range(0, K // 2 + 1):
-        if 2 * m > K:
-            break
-        inv[2 * m] = c
-        c *= -(2.0 * m + 1.0) / (2.0 * m + 2.0)
-    out = [0.0] * (K + 1)
-    for n in range(K + 1):
-        s = 0.0
-        for j in range(n + 1):
-            s += e[j] * inv[n - j]
-        out[n] = s
-    return out
+def watson_parity_coeffs(nu, odd):
+    """Watson coefficients a_0..a_26 of one parity, zeros on the other.
+
+    (1/pi) int_0^inf e^{-nu t - x sinh t} dt = A_nu(x) ~ (1/pi) sum_k a_k
+    / x^(k+1), with a_k = k! [u^k] e^{-nu asinh u}/sqrt(1 + u^2).  That
+    function solves (1 + u^2) f'' + u f' - nu^2 f = 0, so a_0 = 1,
+    a_1 = -nu and a_{k+2} = (nu - k - 1)(nu + k + 1) a_k, the factored
+    form keeping near-integer orders accurate.  Since a_k(-nu) =
+    (-1)^k a_k(nu), A_nu - A_{-nu} is twice the odd part (odd=True) and
+    A_nu + A_{-nu} twice the even part."""
+    a = [0.0] * 27
+    c = -nu if odd else 1.0
+    for k in range(1 if odd else 0, 27, 2):
+        a[k] = c
+        c *= (nu - (k + 1)) * (nu + (k + 1))
+    return a
 
 
-@lru_cache(maxsize=256)
-def watson_a_coeffs(nu, K=26):
-    """Watson-lemma coefficients of the algebraic Anger/Weber integral:
-    (1/pi) * integral_0^inf exp(-nu t - x sinh t) dt
-    ~ (1/pi) * sum_k coeffs[k] * k! / x^(k+1)."""
-    return tuple(_watson_g_series(float(nu), K))
+def watson_parity(nu, x, odd):
+    """A_nu(x) - A_{-nu}(x) (odd=True) or A_nu(x) + A_{-nu}(x) (odd=False):
+    (2/pi) sum of a_k / x^(k+1) over k of that parity (see
+    `watson_parity_coeffs`).
 
-
-def anger_a_value(nu, x, policy=None):
-    """Algebraic Anger/Weber integral (1/pi) int_0^inf e^{-nu t - x sinh t} dt
-    via its large-x expansion, truncated at the smallest term.
-
-    The smallest term is found on the envelope max(|t_k|, |t_{k-1}|):
-    near integer orders every other coefficient nearly vanishes (exactly,
-    at integers), and a tiny term is no sign that the expansion turns.
-
-    Returns (value, floor): `floor` is the magnitude of the first
-    neglected term, or the envelope of the last two terms kept when the
-    coefficients run out first."""
-    cs = watson_a_coeffs(nu)
+    The sum runs to its smallest term past k = |nu| + 1 (up to there
+    |a_{k+2}/a_k| = |nu^2 - (k+1)^2| shrinks with k, so the terms of a
+    large order may rise before they fall), or stops at a term below
+    _NEGLIGIBLE of the sum.  Returns (value, floor), `floor` being the
+    first term dropped (times 2/pi).  An exactly zero term ends the sum
+    with floor 0: at integer orders one parity terminates."""
+    x2 = x * x
+    k = 1 if odd else 0
+    term = -nu / x2 if odd else 1.0 / x
     total = 0.0
-    term = 1.0 / x
-    last = 0.0
     prev = math.inf
-    for k, c in enumerate(cs):
-        t = c * term
-        mag = abs(t)
-        env = max(mag, last)
-        if env > prev and k > 2:
-            return total / math.pi, mag / math.pi
-        total += t
-        last = mag
-        prev = env
-        term *= (k + 1.0) / x
-    return total / math.pi, prev / math.pi
+    while True:
+        mag = abs(term)
+        if mag <= _NEGLIGIBLE * abs(total) or (k > abs(nu) + 1.0 and not mag < prev):
+            return 2.0 / math.pi * total, 2.0 / math.pi * mag
+        total += term
+        prev = mag
+        term *= (nu - (k + 1)) * (nu + (k + 1)) / x2
+        k += 2
 
 
 def _s_series(kind, nu, x, policy, use_dd):
@@ -685,19 +655,19 @@ def _s_series(kind, nu, x, policy, use_dd):
     return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), ga, policy, k0=k0)
 
 
-def _s_asym(kind, nu, x, policy):
+def _s_asym(kind, nu, x):
     """S1 (kind=1) or S2 (kind=2) from the large-argument decomposition
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
-    with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor)."""
+    with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor).
+    S1 sums the odd part of the Watson expansion, S2 the even part."""
     c = math.cos(0.5 * nu * math.pi)
     s = math.sin(0.5 * nu * math.pi)
-    J, Y, floor = _jy_asym(nu, x, policy)
-    ap, floor_p = anger_a_value(nu, x, policy)
-    am, floor_m = anger_a_value(-nu, x, policy)
+    J, Y, floor = _jy_asym(nu, x)
+    a, a_floor = watson_parity(nu, x, odd=kind == 1)
     if kind == 1:
-        return c * J - s * Y + s * (ap - am), floor + abs(s) * (floor_p + floor_m)
-    return s * J + c * Y + c * (ap + am), floor + abs(c) * (floor_p + floor_m)
+        return c * J - s * Y + s * a, floor + abs(s) * a_floor
+    return s * J + c * Y + c * a, floor + abs(c) * a_floor
 
 
 def _s_eval(kind, nu, x, policy):
@@ -714,7 +684,7 @@ def _s_eval(kind, nu, x, policy):
     if x <= policy.crossover_x:
         v, n, tail = _s_series(kind, nu, x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    v, floor = _s_asym(kind, nu, x, policy)
+    v, floor = _s_asym(kind, nu, x)
     env = _envelope(x)
     if _asym_certified(floor, env, x, policy):
         return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
@@ -815,8 +785,9 @@ def sph_j(n, x, policy=None):
     return _closed(here)
 
 
+@lru_cache(maxsize=64)
 def _rayleigh_tables(n):
-    """Coefficient arrays (S, C) over u = 1/x with
+    """Coefficient tuples (S, C) over u = 1/x with
     (u d/dx applied n times to sin x / x) = sin x * sum S_i u^i + cos x * sum C_i u^i."""
     S = [0.0, 1.0]
     C = [0.0]
@@ -832,12 +803,6 @@ def _rayleigh_tables(n):
                 nC[i + 2] += -i * c
                 nS[i + 1] -= c
         S, C = nS, nC
-    return S, C
-
-
-@lru_cache(maxsize=64)
-def _rayleigh_tables_cached(n):
-    S, C = _rayleigh_tables(n)
     return tuple(S), tuple(C)
 
 
@@ -855,7 +820,7 @@ def rayleigh_jn(n, x):
     x = float(x)
     if x <= 0.0:
         raise DomainError("rayleigh_jn: requires x > 0")
-    S, C = _rayleigh_tables_cached(n)
+    S, C = _rayleigh_tables(n)
     u = 1.0 / x
     spart = 0.0
     for c in reversed(S):

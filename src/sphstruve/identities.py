@@ -43,7 +43,7 @@ from .functions import (
     sph_j,
     sph_j_deriv,
     struve_h,
-    watson_a_coeffs,
+    watson_parity_coeffs,
     weber,
 )
 from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre, integrate_real_line
@@ -203,12 +203,12 @@ def _s_line_integral(nu, kind, extra_power, policy):
     # holds the oscillatory parts of S1 and S2, and its phase no longer nu
     w = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
     if kind == 1:
-        tail_osc, scale, sign = w.real, math.sin(0.5 * nu * math.pi), -1.0
+        tail_osc, scale = w.real, math.sin(0.5 * nu * math.pi)
     else:
-        tail_osc, scale, sign = w.imag, math.cos(0.5 * nu * math.pi), 1.0
-    # the Watson part (scale/pi) sum_k (A_nu + sign A_-nu)_k k! x^(-1-k-extra_power)
-    pairs = enumerate(zip(watson_a_coeffs(nu), watson_a_coeffs(-nu)))
-    a = [scale / math.pi * math.factorial(k) * (u + sign * v) for k, (u, v) in pairs]
+        tail_osc, scale = w.imag, math.cos(0.5 * nu * math.pi)
+    # the Watson part scale * (A_nu -/+ A_-nu) of S1/S2: (2 scale/pi)
+    # sum_k a_k x^(-1-k-extra_power) over odd k for S1, even k for S2
+    a = [2.0 * scale / math.pi * c for c in watson_parity_coeffs(nu, odd=kind == 1)]
     tail_alg, _ = _exp_power_tail(a, -1.0 - extra_power, 0.0, T)
     return _certified(head, "integrate_finite") + tail_osc + tail_alg
 

@@ -26,8 +26,8 @@ from sphstruve.functions import (
     sph_j_deriv,
     struve_h,
     struve_algebraic,
-    watson_a_coeffs,
-    anger_a_value,
+    watson_parity,
+    watson_parity_coeffs,
     weber,
     _ASYM_FLOOR,
     _cyl_j_series,
@@ -518,17 +518,58 @@ class TestAsymptoticPieces:
             assert full - bessel_y_asym(alpha, x) == pytest.approx(alg, abs=5e-8)
 
     def test_watson_series_against_quadrature(self):
-        # (1/pi) integral_0^inf exp(-nu t - x sinh t) dt at x = 40
+        # A_nu +/- A_-nu = (1/pi) integral_0^inf exp(-x sinh t) (e^{-nu t} +/- e^{nu t}) dt at x = 40
         for nu in (-1.5, 0.0, 0.5, 2.0):
             x = 40.0
-            got, _ = anger_a_value(nu, x)
-            ref = integrate_finite(lambda t: math.exp(-nu * t - x * math.sinh(t)) / math.pi, 0.0, 4.0, tol=1e-13).value
-            assert got == pytest.approx(ref, rel=1e-10)
+            for odd, part in ((False, math.cosh), (True, lambda s: -math.sinh(s))):
+                got, _ = watson_parity(nu, x, odd)
+                ref = integrate_finite(lambda t: 2.0 * math.exp(-x * math.sinh(t)) * part(nu * t) / math.pi, 0.0, 4.0, tol=1e-13).value
+                assert got == pytest.approx(ref, rel=1e-10), (nu, odd)
 
     def test_watson_leading_coefficients(self):
-        cs = watson_a_coeffs(1.25)
-        assert cs[0] == pytest.approx(1.0, rel=1e-15)
-        assert cs[1] == pytest.approx(-1.25, rel=1e-13)
+        even = watson_parity_coeffs(1.25, odd=False)
+        odd = watson_parity_coeffs(1.25, odd=True)
+        assert even[0] == pytest.approx(1.0, rel=1e-15)
+        assert odd[1] == pytest.approx(-1.25, rel=1e-13)
+        assert even[1] == odd[0] == 0.0
+
+    def test_watson_coefficients_against_taylor(self):
+        # a_k = k! [u^k] exp(-nu asinh u)/sqrt(1 + u^2), 30-digit Taylor
+        # coefficients; at integer orders one parity vanishes exactly
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for nu in (-1.5, 0.0, 0.5, 1.0135, 2.0037, 5.0, 7.5, 20.0):
+                g = lambda u: mp.exp(-nu * mp.asinh(u)) / mp.sqrt(1 + u * u)
+                want = [mp.factorial(k) * c for k, c in enumerate(mp.taylor(g, 0, 26))]
+                got = [e + o for e, o in zip(watson_parity_coeffs(nu, False), watson_parity_coeffs(nu, True))]
+                for k, (a, b) in enumerate(zip(got, want)):
+                    if nu == int(nu) and (k + int(nu)) % 2 == 1 and k > abs(nu):
+                        assert a == 0.0, (nu, k, a)
+                    else:
+                        assert abs(a - b) <= 1e-15 * abs(b), (nu, k, a, float(b))
+
+    def test_watson_parity_within_its_floor(self):
+        # against 20-digit quadrature of (2/pi) integral_0^4 exp(-x sinh t)
+        # (cosh nu t or -sinh nu t) dt, whose part past t = 4 is below
+        # e^-490: every sum is within its floor plus a few ulps, also at
+        # nu = 20, x = 18, where the terms rise before they fall
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            for nu in (-0.7, 0.0, 1.0135, 2.0037, 7.5, 20.0):
+                for x in (18.0, 25.0, 60.0, 150.0):
+                    for odd, part in ((False, mp.cosh), (True, lambda s: -mp.sinh(s))):
+                        got, floor = watson_parity(nu, x, odd)
+                        want = 2 / mp.pi * mp.quad(lambda t: mp.exp(-x * mp.sinh(t)) * part(nu * t), [0, 0.05, 0.2, 0.6, 1.5, 4])
+                        err = abs(mp.mpf(got) - want)
+                        assert err <= floor + 4.0 * 2.0**-53 * abs(got), (nu, x, odd, float(err), floor)
+
+    def test_terminating_parities_are_closed_forms(self):
+        # A_1 + A_-1 = 2/(pi x) and A_2 - A_-2 = -4/(pi x^2) exactly
+        for x in (18.0, 30.0, 60.0, 150.0):
+            for (nu, odd), want in (((1.0, False), 2.0 / (math.pi * x)), ((2.0, True), -4.0 / (math.pi * x * x))):
+                got, floor = watson_parity(nu, x, odd)
+                assert floor == 0.0, (nu, x, floor)
+                assert abs(got - want) <= 2.0 * math.ulp(want), (nu, x, got, want)
 
     def test_hankel_early_stop_keeps_the_bits(self):
         # the full smallest-term truncation, 60 terms at most
@@ -576,7 +617,7 @@ class TestAsymptoticPieces:
         # floor alone still decides the path
         for nu in (0.0, 0.5, 1.0135, 1.5, 2.0037, 3.0, 7.5, 20.0):
             for x in (DEFAULT_POLICY.extended_x + 1e-9, 70.0, 100.0, 150.0):
-                watson = anger_a_value(nu, x)[1] + anger_a_value(-nu, x)[1]
+                watson = watson_parity(nu, x, False)[1] + watson_parity(nu, x, True)[1]
                 assert watson <= 1e-6 * _ASYM_FLOOR, (nu, x)
                 asym = hankel_pq(nu, x)[2] <= _ASYM_FLOOR
                 for f in (s1, s2):
@@ -763,6 +804,15 @@ class TestBandOracle:
         paths = (PATH_ASYMPTOTIC, PATH_EXTENDED)
         self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env, paths)
         self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env, paths)
+
+    def test_auxiliary_series_off_the_plain_orders(self):
+        # negative, near-integer, integer and large orders; only the
+        # asymptotic results must lie within their tail_estimate: the
+        # double-double estimate leaves out the rounding of the series'
+        # inputs and misses by up to 3% at some of these points
+        orders = (-0.7, 1.0135, 2.0037, 4.0, 7.5)
+        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
+        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
 
     def test_auxiliary_series_floor_at_large_order(self):
         # a large order keeps x = 55 on the double-double path, whose
