@@ -130,15 +130,16 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     comp = 0.0
     term = t0
     small = 0
-    k = k0
+    k = float(k0)  # k + a has the bits it has with an int k, and costs less
     for i in range(policy.max_terms):
         y = term - comp
         s = total + y
         comp = (s - total) - y
         total = s
         num = z
-        for a in num_offsets:
-            num *= k + a
+        if num_offsets:
+            for a in num_offsets:
+                num *= k + a
         if i < known:
             den = dens[i]
         else:
@@ -147,14 +148,14 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
                 den *= k + a
             dens.append(den)
         term = term * num / den
-        k += 1
+        k += 1.0
         bound = rel_tol * abs(total)
         if bound < abs_tol:
             bound = abs_tol
         if abs(term) <= bound:
             small += 1
             if small >= 2:
-                return total, k - k0, abs(term)
+                return total, i + 1, abs(term)
         else:
             small = 0
     raise ConvergenceError(

@@ -1031,8 +1031,9 @@ def verify_all(policy=None, parallelism=1, ids=None, seed=0):
     # GIL.  Imported here because the import costs every CLI start ~20 ms.
     from concurrent.futures import ProcessPoolExecutor
 
+    chunksize = max(1, len(jobs) // (8 * workers))  # ~8 per worker: fewer round trips
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_job, jobs, [policy] * len(jobs)))
+        return list(pool.map(_verify_job, jobs, [policy] * len(jobs), chunksize=chunksize))
 
 
 def _available_cpus():

@@ -18,7 +18,9 @@ symbol monomial factor only shifts exponents, so one image reduces at a
 whole family of shifts in one pass (`reduce_shifts`).
 """
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .gammakit import gamma, rgamma
@@ -121,10 +123,11 @@ def expand(series):
 def reduce_expr(expr, check_tail_rel=None):
     """Apply symbol**a -> 1/Gamma(1+a) to every term and sum.
 
-    The sum is Kahan-compensated.  With `check_tail_rel` set, the last
-    two reduced terms must each be below check_tail_rel * |partial sum|,
-    certifying the truncation of an expanded exponential; otherwise a
-    ConvergenceError is raised.
+    The sum is correctly rounded by `math.fsum`, or, where fsum meets
+    inf - inf or overflows, is the plain IEEE sum (nan or inf).  With
+    `check_tail_rel` set, the last two reduced terms must each be below
+    check_tail_rel * |sum|, certifying the truncation of an expanded
+    exponential; otherwise a ConvergenceError is raised.
     """
     return reduce_shifts(expr, ((0.0,) * expr.symbol_count,), check_tail_rel)[0]
 
@@ -138,51 +141,49 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
     symbol is a shift of the gamma argument.  Returns one sum per shift,
     each formed exactly as `reduce_expr` forms its sum and certified by
     the same tail check.  Within the call each distinct rgamma argument
-    is evaluated once.
+    is evaluated once, and (coeff * g_1) * ... * g_(m-1) once per leading
+    shift prefix; the last symbol's factors go straight into the sum.
     """
     m = expr.symbol_count
     coeffs = [t.coeff for t in expr.terms]
     exponent_columns = list(zip(*(t.exponents for t in expr.terms)))
     rgammas = {}  # argument -> rgamma(argument)
     columns = {}  # (symbol, shift) -> reduced factor of that symbol, term by term
+    heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)
 
     def column(i, s):
         col = columns.get((i, s))
         if col is None:
-            col = []
-            for e in exponent_columns[i]:
-                a = 1.0 + (s + e)
-                g = rgammas.get(a)
-                if g is None:
-                    g = rgammas[a] = rgamma(a)
-                col.append(g)
-            columns[(i, s)] = col
+            args = [1.0 + (s + e) for e in exponent_columns[i]]
+            for a in args:
+                if a not in rgammas:
+                    rgammas[a] = rgamma(a)
+            col = columns[(i, s)] = [rgammas[a] for a in args]
         return col
 
     sums = []
     for shift in shifts:
         if len(shift) != m:
             raise DomainError(f"reduce_shifts: shift length {len(shift)} != symbol_count {m}")
-        factors = zip(*(column(i, s) for i, s in enumerate(shift)))
-        total = 0.0
-        comp = 0.0
-        prev = last = 0.0
-        for coeff, gs in zip(coeffs, factors):
-            r = coeff
-            for g in gs:
-                r *= g
-            prev, last = last, r
-            y = r - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        if check_tail_rel is not None and coeffs:
+        prefix = tuple(shift[:-1])
+        first = heads.get(prefix)
+        if first is None:
+            first = coeffs
+            for i, s in enumerate(prefix):
+                first = list(map(mul, first, column(i, s)))
+            heads[prefix] = first
+        last = column(m - 1, shift[-1])
+        try:
+            total = math.fsum(map(mul, first, last))
+        except (ValueError, OverflowError):  # inf - inf, or a finite overflow
+            total = sum(map(mul, first, last))
+        if check_tail_rel is not None and first:
             bound = check_tail_rel * max(abs(total), 1e-300)
-            tail = (prev, last) if len(coeffs) > 1 else (last,)
+            tail = list(map(mul, first[-2:], last[-2:]))
             if any(abs(r) > bound for r in tail):
                 raise ConvergenceError(
                     f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "
-                    f"last terms {list(tail)} exceed {bound}"
+                    f"last terms {tail} exceed {bound}"
                 )
         sums.append(total)
     return sums

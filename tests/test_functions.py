@@ -326,6 +326,38 @@ class TestHumbertFamily:
             family(30.0)
 
 
+class TestRatioSeriesKernel:
+    # (value, terms_used, tail_estimate) of the catalog's call shapes, as
+    # the kernel gave them with an integer k and an unconditional
+    # numerator loop; any change in operation order shows here
+    @pytest.mark.parametrize(
+        "args,kwargs,bits",
+        [
+            ((0.5, -14.0625, (), (1.0, 2.3)), {}, ("0x1.be7adddab488ap-10", 21, "0x1.7a14fddb5a600p-58")),
+            ((1.0, -9.0, (0.5,), (1.0, 1.5, 2.0)), {}, ("0x1.4f7f8e7bd69f4p-2", 16, "0x1.0fd95d2615f7ep-47")),
+            ((1.0, -300.0, (), (1.0, 1.0, 1.5, 3.0)), {}, ("-0x1.04edf3f167de6p+5", 15, "0x1.2246370de7adep-47")),
+            ((-0.1875, -6.25, (), (1.5, -2.0)), {"k0": 3}, ("-0x1.288614c45e884p-5", 15, "0x1.e14131a0c05aap-55")),
+        ],
+        ids=["0-2", "1-3", "0-4", "0-2-k0"],
+    )
+    def test_pinned_bits(self, args, kwargs, bits):
+        got = _sum_ratio_series(*args, DEFAULT_POLICY, **kwargs)
+        assert _bits(got) == bits
+        assert type(got[1]) is int
+
+    def test_pinned_bits_with_a_shared_table(self):
+        # the second z extends the table, the third reads only part of it
+        dens = []
+        want = [
+            (-3.0, ("0x1.f8e0135f920a3p-3", 10, "0x1.45c173970eeedp-57"), 10),
+            (-40.0, ("0x1.2bfe0a5e038ecp-1", 15, "0x1.d68137254bdb4p-50"), 15),
+            (-1.0, ("0x1.1f542e6200d21p-1", 8, "0x1.75c495769d55ap-53"), 15),
+        ]
+        for z, bits, table in want:
+            assert _bits(_sum_ratio_series(0.75, z, (), (1.0, 1.5, 2.5), DEFAULT_POLICY, dens=dens)) == bits
+            assert len(dens) == table
+
+
 class TestHypergeometric:
     def test_unit_at_origin(self):
         assert hyp1f2(3.3, 1.1, 0.7, 0.0).value == 1.0

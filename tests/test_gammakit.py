@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from sphstruve.errors import DomainError, PoleError
 from sphstruve.gammakit import (
     GAMMA_OVERFLOW_X,
     GammaValue,
+    _lanczos_sum,
     gamma,
     gamma_value,
     hermite2,
@@ -71,6 +73,39 @@ class TestRgamma:
     def test_reciprocal_on_negative_axis(self):
         for x in (-0.5, -2.5, -17.3):
             assert rgamma(x) * gamma(x) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_sum_matches_the_loop_bitwise():
+    # the g = 607/128 coefficients, summed by the loop the written-out
+    # expression replaced
+    c = (
+        0.99999999999999709182,
+        57.156235665862923517,
+        -59.597960355475491248,
+        14.136097974741747174,
+        -0.49191381609762019978,
+        0.33994649984811888699e-4,
+        0.46523628927048575665e-4,
+        -0.98374475304879564677e-4,
+        0.15808870322491248884e-3,
+        -0.21026444172410488319e-3,
+        0.21743961811521264320e-3,
+        -0.16431810653676389022e-3,
+        0.84418223983852743293e-4,
+        -0.26190838401581408670e-4,
+        0.36899182659531622704e-5,
+    )
+
+    def loop(x):
+        s = c[0]
+        for i in range(1, len(c)):
+            s += c[i] / (x + i)
+        return s
+
+    # _gamma_positive reaches _lanczos_sum at x - 1 for x in [0.5, 171.6]
+    rng = random.Random(15)
+    xs = [-0.5, 0.0, 1.0, 170.0, 171.0] + [rng.uniform(-0.5, 171.0) for _ in range(10000)]
+    assert [_lanczos_sum(x).hex() for x in xs] == [loop(x).hex() for x in xs]
 
 
 class TestDuplication:

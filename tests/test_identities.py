@@ -310,6 +310,30 @@ class TestRegularizedJitteredGrids:
                 assert abs((mp.mpf(r.lhs) - want) / want) <= 1e-14, r.params
 
 
+@pytest.fixture
+def stub_pool(monkeypatch):
+    """Replaces the process pool by one that records its size and chunk
+    size and runs the jobs in this process, in order."""
+    record = []
+
+    class StubExecutor:
+        def __init__(self, max_workers):
+            record.append({"workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            record[-1]["chunksize"] = chunksize
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    return record
+
+
 class TestVerifyAll:
     def test_subset_run_and_ordering(self):
         reports = verify_all(ids=["I02", "I09"])
@@ -367,32 +391,24 @@ class TestVerifyAll:
             (2, None, None, None),  # unknown CPU count counts as one
         ],
     )
-    def test_worker_cap(self, monkeypatch, parallelism, affinity, cpu_count, workers):
-        started = []
-
-        class StubExecutor:
-            # records the pool size and runs the jobs in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    def test_worker_cap(self, monkeypatch, stub_pool, parallelism, affinity, cpu_count, workers):
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         reports = verify_all(ids=["I02"], parallelism=parallelism)
-        assert started == ([] if workers is None else [workers])
+        # 12 jobs make fewer than 8 chunks per worker: one job per chunk
+        assert stub_pool == ([] if workers is None else [{"workers": workers, "chunksize": 1}])
         assert [r.status for r in reports] == ["pass"] * 12
+
+    def test_pool_maps_about_eight_chunks_per_worker(self, monkeypatch, stub_pool):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(identities, "verify", lambda identity_id, params, policy: (identity_id, params))
+        jobs = verify_all(parallelism=2)
+        # 269 jobs // (8 chunks * 2 workers)
+        assert stub_pool == [{"workers": 2, "chunksize": 16}]
+        assert jobs == [(iden.id, pt) for iden in list_identities() for pt in iden.grid]
 
     def test_jitter_is_seeded_and_in_window(self):
         a = verify_all(ids=["I02"], seed=3)

@@ -215,6 +215,82 @@ class TestReduceShifts:
             with pytest.raises(ConvergenceError):
                 reduce_shifts(image, shifts, check_tail_rel=1e-12)
 
+    @staticmethod
+    def _shifted(expr, shift):
+        return UmbralExpr(
+            expr.symbol_count,
+            tuple(UmbralTerm(t.coeff, tuple(e + s for e, s in zip(t.exponents, shift))) for t in expr.terms),
+        )
+
+    @staticmethod
+    def _products(expr, shift):
+        # coeff * g_1 * ... * g_m, multiplied left to right
+        out = []
+        for t in expr.terms:
+            r = t.coeff
+            for e, s in zip(t.exponents, shift):
+                r *= rgamma(1.0 + (s + e))
+            out.append(r)
+        return out
+
+    @pytest.mark.parametrize(
+        "expr,shifts",
+        [
+            (
+                expand(UmbralExpSeries((0.5,), (1,), 2.25, -1, 40)),
+                [(3.0,), (-1.5,), (3.0,), (0.0,), (-7.0,), (-1.5,)],
+            ),
+            (
+                expand(UmbralExpSeries((0.0, 0.5, 1.5), (1, 1, 1), 6.0, -1, 60)),
+                [
+                    (1.0, 0.0, 2.0),
+                    (-2.0, 1.0, 0.0),
+                    (1.0, 0.0, 2.0),
+                    (0.0, -1.0, 1.0),
+                    (-2.0, 1.0, 3.0),
+                    (1.0, -3.5, 2.0),
+                    (-2.0, 0.5, 0.0),
+                ],
+            ),
+        ],
+        ids=["one-symbol", "three-symbol"],
+    )
+    def test_family_beyond_two_symbols(self, expr, shifts):
+        # out of order and repeated, and in the three-symbol family some
+        # shifts share their leading prefix: each sum is the shifted
+        # image's, and the correctly rounded sum of its products
+        got = reduce_shifts(expr, shifts, check_tail_rel=1e-12)
+        assert [v.hex() for v in got] == [reduce_expr(self._shifted(expr, sh)).hex() for sh in shifts]
+        assert [v.hex() for v in got] == [math.fsum(self._products(expr, sh)).hex() for sh in shifts]
+
+    def test_i17_sums_are_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        orders = [float(m) for m in range(-14, 15)]
+        shifts = [(m, n) for m in orders for n in orders]
+        with mpmath.workdps(50):
+            for gamma_p, x in ((1.0, 0.5), (2.0, 0.5), (1.0, 0.6)):
+                image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=60)
+                for shift, got in zip(shifts, reduce_shifts(image, shifts)):
+                    exact = mpmath.fsum(mpmath.mpf(r) for r in self._products(image, shift))
+                    assert got.hex() == float(exact).hex(), shift
+
+    def test_inf_minus_inf_is_nan(self):
+        # rgamma(-171.5) = +inf and rgamma(-172.5) = -inf
+        e = UmbralExpr(1, (UmbralTerm(1.0, (-172.5,)), UmbralTerm(1.0, (-173.5,))))
+        assert math.isnan(reduce_expr(e))
+        assert math.isnan(reduce_shifts(e, [(0.0,), (0.0,)])[1])
+
+    def test_finite_overflow_is_inf(self):
+        e = UmbralExpr(1, (UmbralTerm(1e308, (0.0,)), UmbralTerm(1e308, (0.0,))))
+        assert reduce_expr(e) == math.inf
+        assert reduce_expr(e.scaled(-1.0)) == -math.inf
+
+    def test_lone_infinite_term_is_inf(self):
+        # one infinite term among finite ones sums to that infinity
+        e = UmbralExpr(1, (UmbralTerm(1.0, (-172.5,)), UmbralTerm(1.0, (0.0,))))
+        assert reduce_expr(e) == math.inf
+        assert reduce_expr(e.scaled(-1.0)) == -math.inf
+
     def test_distinct_gamma_arguments_evaluated_once(self, monkeypatch):
         calls = []
 
