@@ -21,7 +21,7 @@ a row, which guards against even/odd-term flatlines in alternating sums.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
@@ -246,6 +246,28 @@ def _half_x_squared_dd(x):
     """(x/2)**2 as an exact double-double."""
     h = x / 2.0
     return two_prod(h, h)
+
+
+def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets=()):
+    """(value, bound) of the integral over [0, T] of a ratio series in the
+    double-double z whose term k is proportional to x^(2k+a-1), term k0
+    being t0 at x = T.  Integration divides term k by (2k+a)/T, adding the
+    numerator offset a/2 and the denominator offset a/2 + 1.  The sum stops
+    at a term below 2^-60 of it; the bound is twice that term, plus
+    16 n 2^-104 sum|term| for the double-double rounding of n terms, plus
+    32 u |value| for the binary64 rounding of t0 and the offsets (u = 2^-53)."""
+    nums, dens = num_offsets + (0.5 * a,), den_offsets + (0.5 * a + 1.0,)
+    first = t0 * T / (2 * k0 + a)
+    v, n, tail = _sum_ratio_series_dd(first, *z, nums, dens, replace(policy, rel_tol=2.0**-60), k0)
+    mag, t = 0.0, abs(first)
+    for k in range(k0, k0 + n):
+        mag += t
+        t *= abs(z[0])
+        for o in nums:
+            t *= abs(k + o)
+        for o in dens:
+            t /= abs(k + o)
+    return v, 2.0 * tail + 16.0 * n * 2.0**-104 * mag + 32.0 * 2.0**-53 * abs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +502,23 @@ def struve_h(alpha, x, policy=None):
     )
 
 
-def _struve_series(alpha, x, policy, use_dd):
-    """Ascending series of H_alpha(x) in binary64 or double-double, with
-    term-killing applied: (value, terms_used, tail_estimate)."""
+def _struve_terms(alpha, x):
+    """(t0, den_offsets, k0) of the ascending series of H_alpha(x), whose
+    term k is proportional to x^(2k+alpha+1), with term-killing applied."""
     g = alpha + 1.5
     k0 = _kill_start((g,))
     sign = -1.0 if k0 % 2 else 1.0
-    t0 = sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g)
+    return sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g), (1.5, g), k0
+
+
+def _struve_series(alpha, x, policy, use_dd):
+    """Ascending series of H_alpha(x) in binary64 or double-double:
+    (value, terms_used, tail_estimate)."""
+    t0, dens, k0 = _struve_terms(alpha, x)
     if use_dd:
         zh, zl = _half_x_squared_dd(x)
-        return _sum_ratio_series_dd(t0, -zh, -zl, (), (1.5, g), policy, k0=k0)
-    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), (1.5, g), policy, k0=k0)
+        return _sum_ratio_series_dd(t0, -zh, -zl, (), dens, policy, k0=k0)
+    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
 
 
 def struve_algebraic(alpha, x):
@@ -643,13 +671,19 @@ def watson_parity(nu, x, odd):
         k += 2
 
 
-def _s_series(kind, nu, x, policy, use_dd):
-    """Series path shared by S1 (kind=1) and S2 (kind=2)."""
+def _s_terms(kind, nu, x):
+    """(t0, den_offsets, k0) of the series of S1 (kind=1) or S2 (kind=2),
+    whose term k is proportional to x^(2k+kind-1)."""
     h = 0.0 if kind == 1 else 0.5
     ga = (1.0 + h + nu / 2.0, 1.0 + h - nu / 2.0)
     k0 = _kill_start(ga)
     sign = -1.0 if k0 % 2 else 1.0
-    t0 = sign * (x / 2.0) ** (2 * k0 + 2 * h) * rgamma(k0 + ga[0]) * rgamma(k0 + ga[1])
+    return sign * (x / 2.0) ** (2 * k0 + 2 * h) * rgamma(k0 + ga[0]) * rgamma(k0 + ga[1]), ga, k0
+
+
+def _s_series(kind, nu, x, policy, use_dd):
+    """Series path shared by S1 (kind=1) and S2 (kind=2)."""
+    t0, ga, k0 = _s_terms(kind, nu, x)
     if use_dd:
         zh, zl = _half_x_squared_dd(x)
         return _sum_ratio_series_dd(t0, -zh, -zl, (), ga, policy, k0=k0)

@@ -22,14 +22,18 @@ import cmath
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, ConvergenceError, UnknownIdentityError
 from .gammakit import SQRT_PI, gamma, rgamma
 from . import fd
+from .ddouble import two_prod
 from .functions import (
     DEFAULT_POLICY,
     _humbert_family,
+    _integrate_ratio_series_dd,
+    _s_terms,
+    _struve_terms,
     anger,
     cyl_j,
     delta_fn,
@@ -37,8 +41,6 @@ from .functions import (
     humbert2,
     mod_i0,
     rayleigh_jn,
-    s1,
-    s2,
     sinc_sqrt,
     sph_j,
     sph_j_deriv,
@@ -46,7 +48,7 @@ from .functions import (
     watson_parity_coeffs,
     weber,
 )
-from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre, integrate_real_line
+from .quadrature import _exp_power_tail, integrate_laguerre, integrate_real_line
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import laplace_reduce, reduce_shifts
 
@@ -61,8 +63,10 @@ __all__ = [
     "catalog_json",
 ]
 
-# where finite adaptive integration hands over to the closed-form tails
+# where the heads integrated term by term hand over to the closed-form
+# tails: the product series of I19 cancels like e^{2x}, the others like e^x
 _TAIL_SPLIT = 30.0
+_PRODUCT_SPLIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -157,51 +161,44 @@ def _struve_source(alpha, x):
 
 
 def _hankel_tail(nu, T, phase, extra_power):
-    """integral over [T, inf) of sqrt(2/pi) e^{i(x - phase)} (P + iQ)(nu, x)
-    x^(-1/2-extra_power), with P + iQ the Hankel amplitude of order nu."""
+    """(value, floor) of the integral over [T, inf) of sqrt(2/pi)
+    e^{i(x - phase)} (P + iQ)(nu, x) x^(-1/2-extra_power), with P + iQ
+    the Hankel amplitude of order nu."""
     lead = math.sqrt(2.0 / math.pi) * cmath.exp(-1j * phase)
-    value, _ = _exp_power_tail([lead * c for c in hankel_amplitude_coeffs(nu)], -0.5 - extra_power, 1j, T)
-    return value
-
-
-def _certified(res, name):
-    """The value of a quadrature result; an uncertified one raises
-    ConvergenceError, so the check is skipped, not passed."""
-    if res.status != "converged":
-        raise ConvergenceError(f"{name}: {res.status}, error {res.error_estimate:.3g}")
-    return res.value
+    return _exp_power_tail([lead * c for c in hankel_amplitude_coeffs(nu)], -0.5 - extra_power, 1j, T)
 
 
 def _struve_line_integral(alpha, policy):
-    """integral over [0, inf) of H_alpha, for alpha in (-2, 0): finite
-    adaptive part plus the closed-form tails of Y_alpha and of the
-    algebraic part H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2)
-    (x/2)^(alpha-2k-1) / Gamma(alpha+1/2-k)."""
+    """(value, bound) of the integral over [0, inf) of H_alpha, for alpha
+    in (-2, 0): the ascending series integrated term by term over [0, T]
+    plus the closed-form tails of Y_alpha and of the algebraic part
+    H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2) (x/2)^(alpha-2k-1)
+    / Gamma(alpha+1/2-k).  The bound adds the head's to the tails' floors."""
     T = _TAIL_SPLIT
-    policy = replace(policy, crossover_x=18.0)
-    head = integrate_finite(lambda u: 2.0 * u * struve_h(alpha, u * u, policy).value, 0.0, 1.0)
-    mid = integrate_finite(lambda x: struve_h(alpha, x, policy).value, 1.0, T, tol=3e-9, max_cells=4000)
-    y_tail = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0).imag
+    z = two_prod(-T / 2.0, T / 2.0)
+    head, bound = _integrate_ratio_series_dd(*_struve_terms(alpha, T), alpha + 2.0, T, z, policy)
+    y_tail, y_floor = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0)
     # coefficients of x^(alpha-1-n): the k-th term at n = 2k, zeros between
     alg = [0.0] * 120
     c = SQRT_PI * rgamma(alpha + 0.5) * 2.0 ** (1.0 - alpha) / math.pi
     for k in range(60):
         alg[2 * k] = c
         c *= 4.0 * (k + 0.5) * (alpha - 0.5 - k)
-    alg_tail, _ = _exp_power_tail(alg, alpha - 1.0, 0.0, T)
-    return _certified(head, "integrate_finite") + _certified(mid, "integrate_finite") + y_tail + alg_tail
+    alg_tail, alg_floor = _exp_power_tail(alg, alpha - 1.0, 0.0, T)
+    return head + y_tail.imag + alg_tail, bound + y_floor + alg_floor
 
 
 def _s_line_integral(nu, kind, extra_power, policy):
-    """integral over [0, inf) of S_kind(nu, x)/x**extra_power."""
+    """(value, bound) of the integral over [0, inf) of S_kind(nu, x)/x**extra_power:
+    the series integrated term by term up to T, its large-argument parts past T."""
     T = _TAIL_SPLIT
-    policy = replace(policy, crossover_x=18.0)
-    # x**0 is exactly 1.0: with extra_power == 0 the division changes no bit
-    sk = s1 if kind == 1 else s2
-    head = integrate_finite(lambda x: sk(nu, x, policy).value / x**extra_power, 0.0, T, tol=3e-9, max_cells=6000)
+    t0, dens, k0 = _s_terms(kind, nu, T)
+    # term k is proportional to x^(2k+kind-1-extra_power); T**0 is exactly 1.0
+    z = two_prod(-T / 2.0, T / 2.0)
+    head, bound = _integrate_ratio_series_dd(t0 / T**extra_power, dens, k0, kind - extra_power, T, z, policy)
     # with c + is = e^{i nu pi/2}, (c + is)(J_nu + i Y_nu) = (cJ - sY) + i(sJ + cY)
     # holds the oscillatory parts of S1 and S2, and its phase no longer nu
-    w = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
+    w, w_floor = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
     if kind == 1:
         tail_osc, scale = w.real, math.sin(0.5 * nu * math.pi)
     else:
@@ -209,22 +206,27 @@ def _s_line_integral(nu, kind, extra_power, policy):
     # the Watson part scale * (A_nu -/+ A_-nu) of S1/S2: (2 scale/pi)
     # sum_k a_k x^(-1-k-extra_power) over odd k for S1, even k for S2
     a = [2.0 * scale / math.pi * c for c in watson_parity_coeffs(nu, odd=kind == 1)]
-    tail_alg, _ = _exp_power_tail(a, -1.0 - extra_power, 0.0, T)
-    return _certified(head, "integrate_finite") + tail_osc + tail_alg
+    tail_alg, alg_floor = _exp_power_tail(a, -1.0 - extra_power, 0.0, T)
+    return head + tail_osc + tail_alg, bound + w_floor + alg_floor
 
 
 def _j_product_integral(mu, nu, policy):
-    """integral over [0, inf) of (x/2)^{-(mu+nu)} J_mu(x) J_nu(x) dx.
+    """(value, bound) of the integral over [0, inf) of
+    (x/2)^{-(mu+nu)} J_mu(x) J_nu(x) dx.
 
-    Past the split, with A = P + iQ the Hankel amplitudes, the integrand
-    is 2^{mu+nu}/pi x^{-(mu+nu)-1} Re[e^{i(2x - (mu+nu+1) pi/2)} A_mu A_nu
+    Up to the split the integrand is the product series (DLMF 10.8.3), from
+    1/(Gamma(mu+1) Gamma(nu+1)) in ratios -x^2 (k + (s+1)/2)(k + (s+2)/2)
+    / ((k+1)(k+mu+1)(k+nu+1)(k+s+1)), s = mu + nu.  Past the split, with
+    A = P + iQ the Hankel amplitudes, the integrand is 2^{mu+nu}/pi
+    x^{-(mu+nu)-1} Re[e^{i(2x - (mu+nu+1) pi/2)} A_mu A_nu
     + e^{i(nu-mu) pi/2} A_mu conj(A_nu)]: a fast and a constant-phase part."""
-    T = _TAIL_SPLIT
-    policy = replace(policy, crossover_x=18.0)
-    g = lambda x: (x / 2.0) ** (-(mu + nu)) * cyl_j(mu, x, policy).value * cyl_j(nu, x, policy).value
-    head = integrate_finite(g, 0.0, T, tol=3e-9, max_cells=6000)
-    am = hankel_amplitude_coeffs(mu, 12)
-    an = hankel_amplitude_coeffs(nu, 12)
+    T = _PRODUCT_SPLIT
+    s = mu + nu
+    head, bound = _integrate_ratio_series_dd(
+        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, 1.0, T, two_prod(-T, T), policy,
+        num_offsets=(0.5 * (s + 1.0), 0.5 * (s + 2.0)),
+    )
+    am, an = hankel_amplitude_coeffs(mu, 20), hankel_amplitude_coeffs(nu, 20)
     scale = 2.0 ** (mu + nu) / math.pi
 
     def product(b, phase):
@@ -235,9 +237,9 @@ def _j_product_integral(mu, nu, policy):
     beta0 = -(mu + nu) - 1.0
     fast = product(an, -0.5 * (mu + nu + 1.0) * math.pi)
     slow = product([c.conjugate() for c in an], 0.5 * (nu - mu) * math.pi)
-    tail_fast, _ = _exp_power_tail(fast, beta0, 2j, T)
-    tail_slow, _ = _exp_power_tail(slow, beta0, 0.0, T)
-    return _certified(head, "integrate_finite") + (tail_fast + tail_slow).real
+    tail_fast, fast_floor = _exp_power_tail(fast, beta0, 2j, T)
+    tail_slow, slow_floor = _exp_power_tail(slow, beta0, 0.0, T)
+    return head + (tail_fast + tail_slow).real, bound + fast_floor + slow_floor
 
 
 def _generating_sum(x, t, policy, nmax=25):
@@ -256,7 +258,11 @@ def _humbert_laguerre(indices, z_of_s, sigma, policy):
     serves every node of every rule.  An uncertified result raises
     ConvergenceError, so the check is skipped, not passed."""
     series = _humbert_family(indices, policy)
-    return _certified(integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma), "integrate_laguerre")
+    res = integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma)
+    # an uncertified rule pair raises, so the check is skipped, not passed
+    if res.status != "converged":
+        raise ConvergenceError(f"integrate_laguerre: {res.status}, error {res.error_estimate:.3g}")
+    return res.value
 
 
 def _i16_lhs(u, v, x, policy, m_cut=14):
@@ -328,8 +334,9 @@ def _binding(fn, ops, strategy):
     return EvaluatorBinding(fn=fn, operations=frozenset(ops), strategy=strategy)
 
 
-def _grid(*dicts):
-    return tuple(dicts)
+def _grid(names, *rows):
+    """One parameter dict per row of values for the space-separated names."""
+    return tuple(dict(zip(names.split(), row)) for row in rows)
 
 
 def _product_grid(**axes):
@@ -348,7 +355,7 @@ def _build_catalog():
         description="Real-line integral of the zeroth spherical function equals pi",
         reference="integral over R of j_0(x) dx = pi",
         params={},
-        grid=_grid({}),
+        grid=_grid("", ()),
         lhs=_binding(
             lambda p, pol: integrate_real_line(lambda x: _j_parity(0, x), tol=1e-9).value,
             {"integrate_real_line", "rayleigh_jn", "sph_j"},
@@ -456,13 +463,7 @@ def _build_catalog():
         description="Quadratic-argument real-line integral as a modified-function image",
         reference="integral over R of j_0(sqrt(a x^2 + b x)) dx = (pi/sqrt(a)) I_0(b/(2 sqrt(a)))",
         params={"a": ("range", 0.25, 4.0), "b": ("range", 0.0, 4.0)},
-        grid=_grid(
-            {"a": 1.0, "b": 0.5},
-            {"a": 0.5, "b": 1.0},
-            {"a": 2.0, "b": 1.5},
-            {"a": 1.0, "b": 2.0},
-            {"a": 1.5, "b": 0.8},
-        ),
+        grid=_grid("a b", (1.0, 0.5), (0.5, 1.0), (2.0, 1.5), (1.0, 2.0), (1.5, 0.8)),
         lhs=_binding(
             lambda p, pol: integrate_real_line(
                 lambda x, a=p["a"], b=p["b"]: sinc_sqrt(a * x * x + b * x),
@@ -577,13 +578,7 @@ def _build_catalog():
         description="Real-line integral of the squared-argument two-index series",
         reference="integral over R of J_{mu,nu}(x^2) dx = sqrt(pi)/(Gamma(mu+1/2)Gamma(nu+1/2))",
         params={"mu": ("choice", (0.0, 0.5, 1.0, 1.5, 2.0)), "nu": ("choice", (0.0, 0.5, 1.0, 1.5, 2.0))},
-        grid=_grid(
-            {"mu": 0.0, "nu": 0.0},
-            {"mu": 0.5, "nu": 1.0},
-            {"mu": 1.0, "nu": 2.0},
-            {"mu": 0.5, "nu": 0.5},
-            {"mu": 2.0, "nu": 1.0},
-        ),
+        grid=_grid("mu nu", (0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (0.5, 0.5), (2.0, 1.0)),
         lhs=_binding(
             lambda p, pol: real_line_squared_integral(p["mu"], p["nu"]),
             {"regularized"},
@@ -612,11 +607,7 @@ def _build_catalog():
             "nu": ("choice", (0.0, 0.5, 1.0, 1.5, 2.0)),
         },
         grid=_grid(
-            {"alpha": 0.5, "mu": 0.0, "nu": 0.0},
-            {"alpha": 0.25, "mu": 1.0, "nu": 0.5},
-            {"alpha": 0.75, "mu": 2.0, "nu": 1.0},
-            {"alpha": 0.5, "mu": 1.0, "nu": 1.0},
-            {"alpha": 0.25, "mu": 0.5, "nu": 0.5},
+            "alpha mu nu", (0.5, 0.0, 0.0), (0.25, 1.0, 0.5), (0.75, 2.0, 1.0), (0.5, 1.0, 1.0), (0.25, 0.5, 0.5)
         ),
         lhs=_binding(
             lambda p, pol: power_moment_integral(p["alpha"], p["mu"], p["nu"]),
@@ -640,9 +631,9 @@ def _build_catalog():
         params={"alpha": ("range", -1.9, -0.1)},
         grid=_product_grid(alpha=(-1.5, -1.0, -0.5)),
         lhs=_binding(
-            lambda p, pol: _struve_line_integral(p["alpha"], pol),
-            {"struve_h", "integrate_finite", "exp_power_tail", "hankel"},
-            "split-tail-quadrature",
+            lambda p, pol: _struve_line_integral(p["alpha"], pol)[0],
+            {"struve_h", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(
             lambda p, pol: -math.cos(0.5 * p["alpha"] * math.pi) / math.sin(0.5 * p["alpha"] * math.pi),
@@ -651,7 +642,7 @@ def _build_catalog():
         ),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="conditionally convergent; tail from x=30 integrated in closed form",
+        window_note="conditionally convergent; series integrated term by term to x=30, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -686,11 +677,7 @@ def _build_catalog():
         description="Bilateral double generating function of the two-index family",
         reference="sum_{m,n in Z} u^m v^n J_{m,n}(x) = exp(u + v - x/(uv))",
         params={"u": ("range", 0.5, 1.5), "v": ("range", 0.5, 1.5), "x": ("range", 0.1, 1.0)},
-        grid=_grid(
-            {"u": 1.0, "v": 1.0, "x": 0.5},
-            {"u": 0.8, "v": 1.2, "x": 0.6},
-            {"u": 1.1, "v": 0.9, "x": 0.3},
-        ),
+        grid=_grid("u v x", (1.0, 1.0, 0.5), (0.8, 1.2, 0.6), (1.1, 0.9, 0.3)),
         lhs=_binding(
             lambda p, pol: _i16_lhs(p["u"], p["v"], p["x"], pol),
             {"humbert2"},
@@ -717,10 +704,7 @@ def _build_catalog():
             "gamma_p": ("choice", (1.0, 2.0)),
         },
         grid=_grid(
-            {"u": 1.0, "v": 1.0, "x": 0.5, "gamma_p": 1.0},
-            {"u": 1.0, "v": 1.0, "x": 0.5, "gamma_p": 2.0},
-            {"u": 0.8, "v": 1.2, "x": 0.6, "gamma_p": 1.0},
-            {"u": 0.8, "v": 1.2, "x": 0.6, "gamma_p": 2.0},
+            "u v x gamma_p", (1.0, 1.0, 0.5, 1.0), (1.0, 1.0, 0.5, 2.0), (0.8, 1.2, 0.6, 1.0), (0.8, 1.2, 0.6, 2.0)
         ),
         lhs=_binding(
             lambda p, pol: _i17_lhs(p["u"], p["v"], p["x"], p["gamma_p"], pol),
@@ -748,17 +732,7 @@ def _build_catalog():
             "nu": ("choice", (0.0, 0.5, 2.0)),
             "x": ("range", 0.25, 4.0),
         },
-        grid=_grid(
-            {"mu": 0.0, "nu": 0.0, "x": 0.5},
-            {"mu": 0.0, "nu": 0.0, "x": 1.0},
-            {"mu": 0.0, "nu": 0.0, "x": 3.0},
-            {"mu": 0.5, "nu": 0.5, "x": 0.5},
-            {"mu": 0.5, "nu": 0.5, "x": 1.0},
-            {"mu": 0.5, "nu": 0.5, "x": 3.0},
-            {"mu": 1.0, "nu": 2.0, "x": 0.5},
-            {"mu": 1.0, "nu": 2.0, "x": 1.0},
-            {"mu": 1.0, "nu": 2.0, "x": 3.0},
-        ),
+        grid=_grid("mu nu x", *((m, n, x) for m, n in ((0.0, 0.0), (0.5, 0.5), (1.0, 2.0)) for x in (0.5, 1.0, 3.0))),
         lhs=_binding(
             lambda p, pol: cyl_j(p["mu"], p["x"], pol).value * cyl_j(p["nu"], p["x"], pol).value,
             {"cyl_j"},
@@ -784,17 +758,11 @@ def _build_catalog():
         description="Weighted half-line integral of a product of two first-kind cylindrical functions",
         reference="integral_0^inf (x/2)^(-mu-nu) J_mu J_nu dx = sqrt(pi) Gamma(mu+nu)/(Gamma(mu+1/2)Gamma(nu+1/2)Gamma(mu+nu+1/2))",
         params={"mu": ("range", 0.1, 2.0), "nu": ("range", 0.1, 2.0)},
-        grid=_grid(
-            {"mu": 0.5, "nu": 0.5},
-            {"mu": 0.5, "nu": 1.0},
-            {"mu": 1.0, "nu": 1.0},
-            {"mu": 0.25, "nu": 0.75},
-            {"mu": 1.0, "nu": 2.0},
-        ),
+        grid=_grid("mu nu", (0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (0.25, 0.75), (1.0, 2.0)),
         lhs=_binding(
-            lambda p, pol: _j_product_integral(p["mu"], p["nu"], pol),
-            {"cyl_j", "integrate_finite", "exp_power_tail", "hankel"},
-            "split-tail-quadrature",
+            lambda p, pol: _j_product_integral(p["mu"], p["nu"], pol)[0],
+            {"integrate_ratio_series", "exp_power_tail", "hankel"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(
             lambda p, pol: SQRT_PI
@@ -807,7 +775,7 @@ def _build_catalog():
         ),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="window mu+nu in (0.5, 3); conditionally convergent oscillatory part",
+        window_note="window mu+nu in (0.5, 3); series integrated term by term to x=20, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -844,14 +812,14 @@ def _build_catalog():
         params={"nu": ("range", 0.0, 1.5)},
         grid=_product_grid(nu=(0.0, 0.5, 1.0, 1.5)),
         lhs=_binding(
-            lambda p, pol: _s_line_integral(p["nu"], 1, 0, pol),
-            {"s1", "integrate_finite", "exp_power_tail", "hankel", "anger_a"},
-            "split-tail-quadrature",
+            lambda p, pol: _s_line_integral(p["nu"], 1, 0, pol)[0],
+            {"s1", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(lambda p, pol: math.cos(0.5 * p["nu"] * math.pi), set(), "closed-form"),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="window |nu| <= 1.5; tail from x=30 integrated in closed form",
+        window_note="window |nu| <= 1.5; series integrated term by term to x=30, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -861,9 +829,9 @@ def _build_catalog():
         params={"nu": ("range", 0.1, 1.5)},
         grid=_product_grid(nu=(0.5, 1.0, 1.5)),
         lhs=_binding(
-            lambda p, pol: _s_line_integral(p["nu"], 2, 1, pol),
-            {"s2", "integrate_finite", "exp_power_tail", "hankel", "anger_a"},
-            "split-tail-quadrature",
+            lambda p, pol: _s_line_integral(p["nu"], 2, 1, pol)[0],
+            {"s2", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(
             lambda p, pol: math.sin(0.5 * p["nu"] * math.pi) / p["nu"],
@@ -872,7 +840,7 @@ def _build_catalog():
         ),
         tol_abs=1e-6,
         tol_rel=1e-6,
-        window_note="window 0 < |nu| <= 1.5; tail from x=30 integrated in closed form",
+        window_note="window 0 < |nu| <= 1.5; series integrated term by term to x=30, tail in closed form",
     ))
 
     ids.append(Identity(

@@ -146,7 +146,8 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
     """
     m = expr.symbol_count
     coeffs = [t.coeff for t in expr.terms]
-    exponent_columns = list(zip(*(t.exponents for t in expr.terms)))
+    # with no terms, m empty columns: every sum is then 0.0
+    exponent_columns = list(zip(*(t.exponents for t in expr.terms))) or [()] * m
     rgammas = {}  # argument -> rgamma(argument)
     columns = {}  # (symbol, shift) -> reduced factor of that symbol, term by term
     heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)

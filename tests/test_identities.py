@@ -7,6 +7,7 @@ import pytest
 
 from sphstruve import identities, quadrature
 from sphstruve.errors import DomainError, UnknownIdentityError
+from sphstruve.functions import DEFAULT_POLICY, EvalPolicy
 from sphstruve.identities import (
     catalog_json,
     get_identity,
@@ -502,16 +503,15 @@ class TestSkippedPropagation:
         assert rep.status == "skipped"
         assert "max_refinement" in rep.reason
 
-    def test_uncertified_head_becomes_skip(self, monkeypatch):
-        # a finite head that ran out of cells must not pass as a check
-        def uncertified(f, a, b, *, tol=1e-10, max_cells=2000):
-            return QuadratureResult(f(0.5 * (a + b)), 1.0, max_cells, "max_refinement")
-
-        monkeypatch.setattr(identities, "integrate_finite", uncertified)
+    def test_uncertified_head_becomes_skip(self):
+        # a termwise head that runs out of terms must not pass as a check;
+        # each head needs 50 to 70 terms
+        policy = EvalPolicy(max_terms=40)
         for iid in ("I14", "I19", "I21", "I22"):
-            rep = verify(iid, get_identity(iid).grid[0])
+            assert verify(iid, get_identity(iid).grid[0]).status == "pass", iid
+            rep = verify(iid, get_identity(iid).grid[0], policy)
             assert rep.status == "skipped", iid
-            assert "integrate_finite: max_refinement" in rep.reason
+            assert "extended-precision series did not certify within 40 terms" in rep.reason
 
 
 class TestClosedFormTails:
@@ -533,13 +533,117 @@ class TestClosedFormTails:
             ops = get_identity(iid).lhs.operations
             assert "exp_power_tail" in ops and "integrate_oscillatory" not in ops
 
+    def test_no_finite_quadrature(self, monkeypatch):
+        def finite(*args, **kwargs):
+            raise AssertionError("finite quadrature reached")
+
+        monkeypatch.setattr(quadrature, "integrate_finite", finite)
+        monkeypatch.setattr(identities, "integrate_finite", finite, raising=False)
+        # the patch bites: the real-line identities still take finite heads
+        with pytest.raises(AssertionError):
+            verify("I01", get_identity("I01").grid[0])
+        reports = verify_all(ids=list(self.SPLIT_TAIL))
+        assert len(reports) == 15
+        assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
+        for iid in self.SPLIT_TAIL:
+            ops = get_identity(iid).lhs.operations
+            assert "integrate_ratio_series" in ops and "integrate_finite" not in ops
+
     def test_unturned_tail_becomes_skip(self, monkeypatch):
         # split at 2, the tail expansions turn with floors far above 1e-9
         monkeypatch.setattr(identities, "_TAIL_SPLIT", 2.0)
+        monkeypatch.setattr(identities, "_PRODUCT_SPLIT", 2.0)
         for iid in self.SPLIT_TAIL:
             rep = verify(iid, get_identity(iid).grid[0])
             assert rep.status == "skipped", iid
             assert "_exp_power_tail" in rep.reason
+
+
+class TestTermwiseHeadOracle:
+    # each head integrated term by term against a 40-digit termwise sum
+    # of the same integral, and each whole half-line integral against its
+    # 40-digit closed form; every returned bound must hold
+    U = 2.0**-53
+    FNS = {
+        "I14": lambda p: identities._struve_line_integral(p["alpha"], DEFAULT_POLICY),
+        "I19": lambda p: identities._j_product_integral(p["mu"], p["nu"], DEFAULT_POLICY),
+        "I21": lambda p: identities._s_line_integral(p["nu"], 1, 0, DEFAULT_POLICY),
+        "I22": lambda p: identities._s_line_integral(p["nu"], 2, 1, DEFAULT_POLICY),
+    }
+    POINTS = [("I14", {"alpha": a}) for a in (-1.9, -0.1, -1.5, -1.5 - 1e-9, -1.5 + 1e-9)] + [
+        ("I19", {"mu": m, "nu": n}) for m, n in ((0.1, 0.1), (2.0, 2.0), (0.1, 2.0), (2.0, 0.1))
+    ] + [("I21", {"nu": n}) for n in (0.0, 1.5)] + [("I22", {"nu": n}) for n in (0.1, 1.5)]
+
+    @staticmethod
+    def _termwise(mp, iid, p, T):
+        """40-digit sum of the integrals over [0, T] of the ascending
+        series' terms; a term at a pole of Gamma vanishes."""
+        T = mp.mpf(T)
+        total = mp.mpf(0)
+        for k in range(400):
+            if iid == "I14":
+                a = mp.mpf(p["alpha"])
+                e = 2 * k + a + 1  # term k: (-1)^k (x/2)^e / (Gamma(k+3/2) Gamma(k+a+3/2))
+                c = mp.rgamma(k + mp.mpf(1.5)) * mp.rgamma(k + a + mp.mpf(1.5)) * 2**-e
+            elif iid == "I19":
+                m, n = mp.mpf(p["mu"]), mp.mpf(p["nu"])
+                e = 2 * k  # DLMF 10.8.3 divided by (x/2)^(mu+nu)
+                c = mp.gamma(2 * k + m + n + 1) / (
+                    mp.factorial(k) * mp.gamma(k + m + 1) * mp.gamma(k + n + 1) * mp.gamma(k + m + n + 1)
+                ) * 2**-e
+            else:
+                n, h = mp.mpf(p["nu"]), (0 if iid == "I21" else mp.mpf(0.5))
+                e = 2 * k  # S1 term k: (x/2)^(2k)/(...); S2 term k over x: (x/2)^(2k+1)/x
+                c = mp.rgamma(k + 1 + h + n / 2) * mp.rgamma(k + 1 + h - n / 2) * 2 ** -(2 * k + 2 * h)
+            term = (-1) ** k * c * T ** (e + 1) / (e + 1)
+            total += term
+            if k > 10 and abs(term) < mp.mpf(10) ** -45 * abs(total):
+                return total
+        raise AssertionError("oracle did not converge")
+
+    @staticmethod
+    def _closed_form(mp, iid, p):
+        if iid == "I14":
+            return -mp.cot(mp.mpf(p["alpha"]) * mp.pi / 2)
+        if iid == "I19":
+            m, n = mp.mpf(p["mu"]), mp.mpf(p["nu"])
+            return mp.sqrt(mp.pi) * mp.gamma(m + n) / (mp.gamma(m + 0.5) * mp.gamma(n + 0.5) * mp.gamma(m + n + 0.5))
+        n = mp.mpf(p["nu"])
+        return mp.cos(n * mp.pi / 2) if iid == "I21" else mp.sin(n * mp.pi / 2) / n
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("iid,params", POINTS)
+    def test_head_bound(self, iid, params, step, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        split = "_PRODUCT_SPLIT" if iid == "I19" else "_TAIL_SPLIT"
+        T = getattr(identities, split) + step
+        monkeypatch.setattr(identities, split, T)
+        heads = []
+        helper = identities._integrate_ratio_series_dd
+
+        def recording(*args, **kwargs):
+            heads.append(helper(*args, **kwargs))
+            return heads[-1]
+
+        monkeypatch.setattr(identities, "_integrate_ratio_series_dd", recording)
+        assert verify(iid, params).status == "pass"
+        assert len(heads) == 1
+        value, bound = heads[0]
+        with mp.workdps(40):
+            err = float(abs(mp.mpf(value) - self._termwise(mp, iid, params, T)))
+        assert err <= bound <= 1e3 * max(err, self.U * abs(value)), (err, bound)
+
+    @pytest.mark.parametrize("seed", [0, 7, 102])
+    def test_whole_integral_bound(self, seed):
+        mp = pytest.importorskip("mpmath")
+        reports = verify_all(ids=list(self.FNS), seed=seed)
+        assert len(reports) == 15
+        with mp.workdps(40):
+            for r in reports:
+                value, bound = self.FNS[r.identity_id](r.params)
+                assert value == r.lhs
+                err = abs(mp.mpf(value) - self._closed_form(mp, r.identity_id, r.params))
+                assert err <= bound, (r.identity_id, r.params, float(err), bound)
 
 
 class TestLaguerreOracle:

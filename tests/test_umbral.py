@@ -202,6 +202,17 @@ class TestReduceShifts:
     def test_empty_family(self):
         assert reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), []) == []
 
+    @pytest.mark.parametrize("symbols", [1, 2, 3])
+    def test_empty_expression_sums_to_zero(self, symbols):
+        empty = UmbralExpr(symbols, ())
+        assert reduce_expr(empty) == 0.0
+        assert reduce_expr(empty, check_tail_rel=1e-12) == 0.0
+        shifts = [(float(i),) * symbols for i in range(3)]
+        assert reduce_shifts(empty, shifts, check_tail_rel=1e-12) == [0.0, 0.0, 0.0]
+        # the shift length is still checked first
+        with pytest.raises(DomainError):
+            reduce_shifts(empty, [(0.0,) * (symbols + 1)])
+
     def test_rejects_wrong_shift_length(self):
         with pytest.raises(DomainError):
             reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [(1.0,)])
