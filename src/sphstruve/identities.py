@@ -4,7 +4,8 @@ Each catalog entry binds a left-side evaluator (series, quadrature or
 umbral pipeline) and a right-side closed form, a parameter window with a
 default sample grid, and tolerances matched to the evaluator class:
 
-* 1e-10 .. 1e-12 for pure series/umbral identities,
+* 1e-10 .. 1e-12 for pure series/umbral identities, and 1e-12 for the
+  real-line integrals, whose heads and closed-form tails carry bounds,
 * 1e-8 for absolutely convergent quadrature,
 * 1e-6 for finite-difference relations and conditionally convergent or
   regularized integrals.
@@ -32,6 +33,7 @@ from .functions import (
     DEFAULT_POLICY,
     _humbert_family,
     _integrate_ratio_series_dd,
+    _rayleigh_tables,
     _s_terms,
     _struve_terms,
     anger,
@@ -40,7 +42,6 @@ from .functions import (
     hankel_amplitude_coeffs,
     humbert2,
     mod_i0,
-    rayleigh_jn,
     sinc_sqrt,
     sph_j,
     sph_j_deriv,
@@ -48,7 +49,7 @@ from .functions import (
     watson_parity_coeffs,
     weber,
 )
-from .quadrature import _exp_power_tail, integrate_laguerre, integrate_real_line
+from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import laplace_reduce, reduce_shifts
 
@@ -67,6 +68,8 @@ __all__ = [
 # tails: the product series of I19 cancels like e^{2x}, the others like e^x
 _TAIL_SPLIT = 30.0
 _PRODUCT_SPLIT = 20.0
+# I06/I07's GK15 head ends at 40, where the tail's floor is 1e-17, not 1e-13
+_SQUARE_SPLIT = 40.0
 
 
 @dataclass(frozen=True)
@@ -135,24 +138,6 @@ class VerificationReport:
 
 def _sinc(x):
     return math.sin(x) / x if x != 0.0 else 1.0
-
-
-def _j_parity(n, x):
-    """j_n over the whole real line through |x| and parity, bitwise odd/even.
-
-    The series and the trigonometric closed form have complementary
-    conditioning (the latter cancels catastrophically for x below ~2n),
-    so the integrand switches representation at x = 2n."""
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    ax = abs(x)
-    if ax < max(2.0, 2.0 * n):
-        v = sph_j(n, ax).value
-    else:
-        v = rayleigh_jn(n, ax)
-    if n % 2 == 1 and x < 0.0:
-        return -v
-    return v
 
 
 def _struve_source(alpha, x):
@@ -240,6 +225,48 @@ def _j_product_integral(mu, nu, policy):
     tail_fast, fast_floor = _exp_power_tail(fast, beta0, 2j, T)
     tail_slow, slow_floor = _exp_power_tail(slow, beta0, 0.0, T)
     return head + (tail_fast + tail_slow).real, bound + fast_floor + slow_floor
+
+
+def _j_line_integral(m, policy):
+    """(value, bound) of the integral over R of j_m: 0.0 for odd m, by
+    parity; for even m twice the series (sqrt(pi)/2) (x/2)^m sum_k
+    (-x^2/4)^k / (k! Gamma(k+m+3/2)) integrated term by term over [0, T]
+    plus the closed-form tail of j_m = Im[e^{ix} sum_i (S_i + i C_i) x^(m-i)]."""
+    if m % 2:
+        return 0.0, 0.0
+    T = _TAIL_SPLIT
+    t0 = 0.5 * SQRT_PI * (T / 2.0) ** m * rgamma(m + 1.5)
+    head, bound = _integrate_ratio_series_dd(t0, (1.0, m + 1.5), 0, m + 1.0, T, two_prod(-T / 2.0, T / 2.0), policy)
+    S, C = _rayleigh_tables(m)
+    # x^(-1-n) takes i = m + 1 + n (C is one shorter for m = 0); the exact
+    # list is zero-padded past the tail's turn near n = T
+    a = [complex(s, c) for s, c in zip(S[m + 1:], C[m + 1:] + (0.0,))]
+    tail, floor = _exp_power_tail(a + [0.0] * (int(T) + 10 - len(a)), -1.0, 1j, T)
+    return 2.0 * (head + tail.imag), 2.0 * (bound + floor)
+
+
+def _quadratic_line_integral(a, b):
+    """(value, bound) of the integral over R of j_0(sqrt(a x^2 + b x)), a > 0:
+    with y = sqrt(a) (x + b/(2a)), a^(-1/2) times that of the even
+    f(y) = sinc_sqrt(y^2 - c), c = b^2/(4a), which is twice GK15 over [0, T]
+    plus the closed-form tail of e^{iw}/w, w = sqrt(y^2 - c).  The bound adds
+    16 u T f(0) for the rounding of samples and cell sums (f(0) is the
+    largest |f|); a head that does not converge raises ConvergenceError."""
+    T = _SQUARE_SPLIT
+    c = b * b / (4.0 * a)
+    f = lambda y: sinc_sqrt(y * y - c)
+    head = integrate_finite(f, 0.0, T, tol=1e-15)
+    if head.status != "converged":
+        raise ConvergenceError(f"integrate_finite: {head.status}, error {head.error_estimate:.3g}")
+    # g = e^{iw}/w solves y (y^2 - c) g'' + (2y^2 + c) g' + y^3 g = 0, the
+    # order-0 spherical Bessel equation in w; so g = e^{iy} sum_n i^n r_n
+    # y^(-1-n), 2n r_n = -(n(n-1) + c) r_{n-1} - c(2n-1) r_{n-2} - cn(n-2) r_{n-3}
+    r = [0.0, 0.0, 1.0]
+    for n in range(1, int(T) + 10):
+        r.append(-((n * (n - 1) + c) * r[-1] + c * (2 * n - 1) * r[-2] + c * n * (n - 2) * r[-3]) / (2 * n))
+    tail, floor = _exp_power_tail([(1, 1j, -1, -1j)[n % 4] * v for n, v in enumerate(r[2:])], -1.0, 1j, T)
+    bound = head.error_estimate + floor + 16.0 * 2.0**-53 * T * f(0.0)
+    return 2.0 / math.sqrt(a) * (head.value + tail.imag), 2.0 / math.sqrt(a) * bound
 
 
 def _generating_sum(x, t, policy, nmax=25):
@@ -357,13 +384,14 @@ def _build_catalog():
         params={},
         grid=_grid("", ()),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(lambda x: _j_parity(0, x), tol=1e-9).value,
-            {"integrate_real_line", "rayleigh_jn", "sph_j"},
-            "oscillatory-quadrature",
+            lambda p, pol: _j_line_integral(0, pol)[0],
+            {"integrate_ratio_series", "exp_power_tail", "rayleigh_jn"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(lambda p, pol: math.pi, set(), "constant"),
-        tol_abs=1e-8,
-        tol_rel=1e-8,
+        tol_abs=1e-12,
+        tol_rel=1e-12,
+        window_note="series integrated term by term to x=30, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -426,9 +454,9 @@ def _build_catalog():
         params={"m": ("choice", (0, 1, 2, 3, 4, 5, 6, 7))},
         grid=_product_grid(m=(0, 1, 2, 3, 4, 5, 6, 7)),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(lambda x, m=p["m"]: _j_parity(m, x), tol=1e-9).value,
-            {"integrate_real_line", "rayleigh_jn", "sph_j"},
-            "oscillatory-quadrature",
+            lambda p, pol: _j_line_integral(p["m"], pol)[0],
+            {"integrate_ratio_series", "exp_power_tail", "rayleigh_jn"},
+            "termwise-head-closed-tail",
         ),
         rhs=_binding(
             lambda p, pol: SQRT_PI * gamma(p["m"] // 2 + 0.5) / math.factorial(p["m"] // 2)
@@ -437,9 +465,9 @@ def _build_catalog():
             {"gamma"},
             "closed-form",
         ),
-        tol_abs=1e-10,
-        tol_rel=1e-6,
-        window_note="odd orders integrate to exactly zero by parity detection",
+        tol_abs=1e-12,
+        tol_rel=1e-12,
+        window_note="odd orders vanish by parity; even: series integrated term by term to x=30, closed-form tail",
     ))
 
     ids.append(Identity(
@@ -449,13 +477,14 @@ def _build_catalog():
         params={"t": ("range", 0.0, 3.0)},
         grid=_product_grid(t=(0.5, 1.0, 2.0)),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(lambda x, t=p["t"]: sinc_sqrt(x * x - 2.0 * x * t), tol=1e-9).value,
-            {"integrate_real_line"},
-            "oscillatory-quadrature",
+            lambda p, pol: _quadratic_line_integral(1.0, -2.0 * p["t"])[0],
+            {"integrate_finite", "sinc_sqrt", "exp_power_tail"},
+            "finite-head-closed-tail",
         ),
         rhs=_binding(lambda p, pol: math.pi * mod_i0(p["t"], pol), {"mod_i0"}, "series"),
-        tol_abs=1e-8,
-        tol_rel=1e-8,
+        tol_abs=1e-12,
+        tol_rel=1e-12,
+        window_note="square completed, y = x - t; GK15 head to y=40, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -465,21 +494,18 @@ def _build_catalog():
         params={"a": ("range", 0.25, 4.0), "b": ("range", 0.0, 4.0)},
         grid=_grid("a b", (1.0, 0.5), (0.5, 1.0), (2.0, 1.5), (1.0, 2.0), (1.5, 0.8)),
         lhs=_binding(
-            lambda p, pol: integrate_real_line(
-                lambda x, a=p["a"], b=p["b"]: sinc_sqrt(a * x * x + b * x),
-                period_hint=math.pi / math.sqrt(p["a"]),
-                tol=1e-9,
-            ).value,
-            {"integrate_real_line"},
-            "oscillatory-quadrature",
+            lambda p, pol: _quadratic_line_integral(p["a"], p["b"])[0],
+            {"integrate_finite", "sinc_sqrt", "exp_power_tail"},
+            "finite-head-closed-tail",
         ),
         rhs=_binding(
             lambda p, pol: math.pi / math.sqrt(p["a"]) * mod_i0(p["b"] / (2.0 * math.sqrt(p["a"])), pol),
             {"mod_i0"},
             "series",
         ),
-        tol_abs=1e-8,
-        tol_rel=1e-8,
+        tol_abs=1e-12,
+        tol_rel=1e-12,
+        window_note="square completed, y = sqrt(a) (x + b/(2a)); GK15 head to y=40, tail in closed form",
     ))
 
     struve_axes = dict(alpha=(0.5, 1.0, 1.7), x=(0.8, 2.0, 5.0))

@@ -9,12 +9,12 @@ catalog needs:
   [0, inf), doubled from 16 nodes until a rule pair agrees,
 * oscillatory semi-infinite integration: fixed cells between estimated
   zeros, nonlinear acceleration (Levin u-transform, iterated-averaging
-  fallback) of the partial-sum sequence; the real-line integrals use
-  it past a fixed split,
+  fallback) of the partial-sum sequence; public API only, no catalog
+  identity calls it,
 * the tail past a split of an expansion e^{px} sum_n a_n x^(beta0-n)
-  (Hankel, Struve-algebraic, Watson) in closed form, by one
+  (Hankel, Struve-algebraic, Watson, Rayleigh) in closed form, by one
   antiderivative recurrence summed to its smallest term, with a floor;
-  the half-line identities use it.
+  the half-line and real-line identities use it.
 """
 
 import cmath
@@ -266,10 +266,11 @@ def _exp_power_tail(a, beta0, p, T):
     `floor` is the first dropped term.  For p != 0 it also carries the
     integral of |a_N| x^(beta0-N), the first dropped term of the list
     `a`, itself a cut asymptotic series; for p = 0 that is the same
-    term.  A list that runs out before the turn stands its last
-    envelope in for the dropped terms, so an exact list ends in two
-    zeros.  A floor above 1e-9 raises ConvergenceError: at this T the
-    expansion turns too early."""
+    term.  A list that runs out before the turn stands its last envelope
+    in for the dropped terms.  An exact list ends in two zeros for p = 0;
+    for p != 0, where the recurrence runs on past the list's end, it is
+    zero-padded past the turn, about |p| T terms.  A floor above 1e-9
+    raises ConvergenceError: at this T the expansion turns too early."""
     total = 0.0
     b = 0.0
     t_pow = T**beta0  # T^(beta0-n)

@@ -424,9 +424,9 @@ class TestVerifyAll:
 
 
 class TestOscillatoryJitteredGrids:
-    # jittered I07 points whose half-period cells used to start near a lobe
-    # peak, cancel, regrow and trip the growth guard (CLI seeds 80, 98,
-    # 102, 122, 211)
+    # jittered I07 points whose Levin cells once started near a lobe peak
+    # and tripped the growth guard (CLI seeds 80, 98, 102, 122, 211); kept
+    # as regression points for the GK15 head and closed-form tail
     @pytest.mark.parametrize(
         "a,b",
         [
@@ -444,9 +444,9 @@ class TestOscillatoryJitteredGrids:
 
     def test_i07_seed_scan(self):
         bad = [
-            (seed, r.params, r.reason)
+            (seed, r.identity_id, r.params, r.reason)
             for seed in range(1, 121)
-            for r in verify_all(ids=["I07"], seed=seed)
+            for r in verify_all(ids=["I06", "I07"], seed=seed)
             if r.status != "pass"
         ]
         assert bad == []
@@ -507,31 +507,46 @@ class TestSkippedPropagation:
         # a termwise head that runs out of terms must not pass as a check;
         # each head needs 50 to 70 terms
         policy = EvalPolicy(max_terms=40)
-        for iid in ("I14", "I19", "I21", "I22"):
+        for iid in ("I01", "I05", "I14", "I19", "I21", "I22"):
             assert verify(iid, get_identity(iid).grid[0]).status == "pass", iid
             rep = verify(iid, get_identity(iid).grid[0], policy)
             assert rep.status == "skipped", iid
             assert "extended-precision series did not certify within 40 terms" in rep.reason
 
+    def test_uncertified_square_head_becomes_skip(self, monkeypatch):
+        # a GK15 head that ran out of cells must not pass as a check
+        def uncertified(f, a, b, **kwargs):
+            return QuadratureResult(f(a) * (b - a), 1.0, 2000, "max_refinement")
+
+        monkeypatch.setattr(identities, "integrate_finite", uncertified)
+        for iid in ("I06", "I07"):
+            rep = verify(iid, get_identity(iid).grid[0])
+            assert rep.status == "skipped", iid
+            assert "max_refinement" in rep.reason
+
 
 class TestClosedFormTails:
     SPLIT_TAIL = ("I14", "I19", "I21", "I22")
+    REAL_LINE = ("I01", "I05", "I06", "I07")
 
     def test_no_levin_cells(self, monkeypatch):
         def levin(*args, **kwargs):
             raise AssertionError("Levin cells reached")
 
-        monkeypatch.setattr(quadrature, "integrate_oscillatory", levin)
-        monkeypatch.setattr(identities, "integrate_oscillatory", levin, raising=False)
-        # the patch bites: the real-line identities still take Levin tails
+        for name in ("integrate_oscillatory", "integrate_real_line"):
+            monkeypatch.setattr(quadrature, name, levin)
+            monkeypatch.setattr(identities, name, levin, raising=False)
+        # the patch bites: the patched names raise
         with pytest.raises(AssertionError):
-            verify("I01", get_identity("I01").grid[0])
-        reports = verify_all(ids=list(self.SPLIT_TAIL))
-        assert len(reports) == 15
+            quadrature.integrate_real_line(math.cos)
+        with pytest.raises(AssertionError):
+            quadrature.integrate_oscillatory(math.cos, 0.0, math.pi)
+        reports = verify_all()
+        assert len(reports) == 269
         assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
-        for iid in self.SPLIT_TAIL:
+        for iid in self.SPLIT_TAIL + self.REAL_LINE:
             ops = get_identity(iid).lhs.operations
-            assert "exp_power_tail" in ops and "integrate_oscillatory" not in ops
+            assert "exp_power_tail" in ops and not ops & {"integrate_oscillatory", "integrate_real_line"}
 
     def test_no_finite_quadrature(self, monkeypatch):
         def finite(*args, **kwargs):
@@ -539,13 +554,14 @@ class TestClosedFormTails:
 
         monkeypatch.setattr(quadrature, "integrate_finite", finite)
         monkeypatch.setattr(identities, "integrate_finite", finite, raising=False)
-        # the patch bites: the real-line identities still take finite heads
+        # the patch bites: I06 and I07 still take GK15 heads
         with pytest.raises(AssertionError):
-            verify("I01", get_identity("I01").grid[0])
-        reports = verify_all(ids=list(self.SPLIT_TAIL))
-        assert len(reports) == 15
+            verify("I06", get_identity("I06").grid[0])
+        termwise = self.SPLIT_TAIL + ("I01", "I05")
+        reports = verify_all(ids=list(termwise))
+        assert len(reports) == 24
         assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
-        for iid in self.SPLIT_TAIL:
+        for iid in termwise:
             ops = get_identity(iid).lhs.operations
             assert "integrate_ratio_series" in ops and "integrate_finite" not in ops
 
@@ -553,7 +569,8 @@ class TestClosedFormTails:
         # split at 2, the tail expansions turn with floors far above 1e-9
         monkeypatch.setattr(identities, "_TAIL_SPLIT", 2.0)
         monkeypatch.setattr(identities, "_PRODUCT_SPLIT", 2.0)
-        for iid in self.SPLIT_TAIL:
+        monkeypatch.setattr(identities, "_SQUARE_SPLIT", 2.0)
+        for iid in self.SPLIT_TAIL + self.REAL_LINE:
             rep = verify(iid, get_identity(iid).grid[0])
             assert rep.status == "skipped", iid
             assert "_exp_power_tail" in rep.reason
@@ -644,6 +661,90 @@ class TestTermwiseHeadOracle:
                 assert value == r.lhs
                 err = abs(mp.mpf(value) - self._closed_form(mp, r.identity_id, r.params))
                 assert err <= bound, (r.identity_id, r.params, float(err), bound)
+
+
+class TestRealLineOracle:
+    # the real-line integrals of I01, I05, I06 and I07 against mpmath: every
+    # returned bound must hold and lie within 1e3 times the larger of the
+    # error and u |value|
+    U = 2.0**-53
+    FNS = {
+        "I01": lambda p: identities._j_line_integral(0, DEFAULT_POLICY),
+        "I05": lambda p: identities._j_line_integral(p["m"], DEFAULT_POLICY),
+        "I06": lambda p: identities._quadratic_line_integral(1.0, -2.0 * p["t"]),
+        "I07": lambda p: identities._quadratic_line_integral(p["a"], p["b"]),
+    }
+
+    def _check(self, mp, value, bound, want, label):
+        err = float(abs(mp.mpf(value) - want))
+        assert err <= bound <= 1e3 * max(err, self.U * abs(value)), (label, err, bound)
+
+    @staticmethod
+    def _closed_form(mp, iid, p):
+        if iid in ("I01", "I05"):
+            m = p.get("m", 0)
+            if m % 2:
+                return mp.mpf(0)
+            return mp.sqrt(mp.pi) * mp.gamma(m // 2 + mp.mpf(0.5)) / mp.factorial(m // 2)
+        if iid == "I06":
+            return mp.pi * mp.besseli(0, mp.mpf(p["t"]))
+        a, b = mp.mpf(p["a"]), mp.mpf(p["b"])
+        return mp.pi / mp.sqrt(a) * mp.besseli(0, b / (2 * mp.sqrt(a)))
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("m", [0, 2, 4, 6])
+    def test_half_line_j(self, m, step, monkeypatch):
+        # the helper returns twice the integral of j_m over [0, inf), whose
+        # head ends at the split
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(identities, "_TAIL_SPLIT", identities._TAIL_SPLIT + step)
+        value, bound = identities._j_line_integral(m, DEFAULT_POLICY)
+        with mp.workdps(30):
+            self._check(mp, value / 2.0, bound / 2.0, self._closed_form(mp, "I05", {"m": m}) / 2, (m, step))
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 4.0, 16.0])
+    def test_square_tail(self, c, monkeypatch):
+        # with the head replaced by its 20-digit value, the helper is off by
+        # its closed-form tail's error against quadosc
+        mp = pytest.importorskip("mpmath")
+        T = identities._SQUARE_SPLIT
+        with mp.workdps(20):
+            cm = mp.mpf(c)
+
+            def f(y):
+                u = y * y - cm
+                return mp.sinc(mp.sqrt(u)) if u >= 0 else mp.sinh(mp.sqrt(-u)) / mp.sqrt(-u)
+
+            head = mp.quad(f, mp.linspace(0, T, 11))
+            tail = mp.quadosc(f, [T, mp.inf], omega=1)
+            assert abs(2 * (head + tail) - mp.pi * mp.besseli(0, mp.sqrt(cm))) < 1e-17
+            exact_head = QuadratureResult(float(head), 0.0, 1, "converged")
+            monkeypatch.setattr(identities, "integrate_finite", lambda *args, **kwargs: exact_head)
+            value, bound = identities._quadratic_line_integral(1.0, 2.0 * math.sqrt(c))
+            self._check(mp, value, bound, 2 * (head + tail), c)
+
+    @pytest.mark.parametrize("seed", [0, 7, 102])
+    def test_grid_points(self, seed):
+        mp = pytest.importorskip("mpmath")
+        reports = verify_all(ids=list(self.FNS), seed=seed)
+        assert len(reports) == 17
+        with mp.workdps(30):
+            for r in reports:
+                value, bound = self.FNS[r.identity_id](r.params)
+                assert value == r.lhs
+                self._check(mp, value, bound, self._closed_form(mp, r.identity_id, r.params), r.params)
+
+    def test_i07_window_corners(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for a in (0.25, 4.0):
+                for b in (0.0, 4.0):
+                    p = {"a": a, "b": b}
+                    r = verify("I07", p)
+                    assert r.status == "pass", p
+                    value, bound = self.FNS["I07"](p)
+                    assert value == r.lhs
+                    self._check(mp, value, bound, self._closed_form(mp, "I07", p), p)
 
 
 class TestLaguerreOracle:
