@@ -546,22 +546,35 @@ def struve_algebraic(alpha, x):
 # Humbert-type multi-index families.
 
 
-def _humbert_family(indices, policy):
+def _humbert_family(indices, policy, rgammas=None):
     """Prepare sum_k (-z)^k / (k! prod_i Gamma(k + index_i + 1)) for many z.
 
     Returns z -> (value, terms_used, tail_estimate).  What depends only
     on the indices is done here once: the kill start, the reciprocal
     gammas of the first surviving term, and a denominator table that
     every later z reads and extends.
+
+    `rgammas` is an optional caller-owned dict from gamma argument to its
+    rgamma value: a caller preparing many index sets shares one, so each
+    argument is evaluated once across all of them.
     """
     gamma_args = (1.0,) + tuple(i + 1.0 for i in indices)
     k0 = _kill_start(gamma_args)
-    rgammas = [rgamma(k0 + g) for g in gamma_args]
+    if rgammas is None:
+        factors = [rgamma(k0 + g) for g in gamma_args]
+    else:
+        factors = []
+        for g in gamma_args:
+            a = k0 + g
+            r = rgammas.get(a)
+            if r is None:
+                r = rgammas[a] = rgamma(a)
+            factors.append(r)
     dens = []
 
     def evaluate(z):
         t0 = (-z) ** k0 if k0 else 1.0
-        for r in rgammas:
+        for r in factors:
             t0 *= r
         return _sum_ratio_series(t0, -z, (), gamma_args, policy, k0=k0, dens=dens)
 
@@ -846,7 +859,11 @@ def rayleigh_jn(n, x):
     j_n = (-x)^n (x^{-1} d/dx)^n (sin x / x).
 
     Exact trigonometric closed form; serves as the independent oracle for
-    the series evaluator."""
+    the series evaluator.  Below x ~ 2n its terms cancel like x^(-2n):
+    where their rounding, u * sum |term|, exceeds the default rel_tol
+    times the envelope min(x^n/(2n+1)!!, 1/x) of |j_n|, it raises
+    ConvergenceError.  The envelope, unlike |j_n|, does not vanish at
+    the zeros of j_n, so points near a zero still return."""
     if n != int(n) or n < 0:
         raise DomainError("rayleigh_jn: order must be a nonnegative integer")
     n = int(n)
@@ -857,15 +874,23 @@ def rayleigh_jn(n, x):
         raise DomainError("rayleigh_jn: requires x > 0")
     S, C = _rayleigh_tables(n)
     u = 1.0 / x
-    spart = 0.0
+    spart = smag = 0.0
     for c in reversed(S):
         spart = spart * u + c
-    cpart = 0.0
+        smag = smag * u + abs(c)
+    cpart = cmag = 0.0
     for c in reversed(C):
         cpart = cpart * u + c
+        cmag = cmag * u + abs(c)
+    sin_x, cos_x = math.sin(x), math.cos(x)
+    scale = u ** (-n)
+    envelope = min(scale / math.prod(range(1, 2 * n + 2, 2)), u)
+    # written so that a nan prediction (0 * inf at tiny x) raises too
+    if not 2.0**-53 * scale * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
+        raise ConvergenceError(f"rayleigh_jn: the closed form cancels at n={n}, x={x!r}")
     sign = 1.0 if n % 2 == 0 else -1.0
     # multiply by (-x)^n = (-1)^n u^{-n}
-    return sign * u ** (-n) * (spart * math.sin(x) + cpart * math.cos(x))
+    return sign * scale * (spart * sin_x + cpart * cos_x)
 
 
 def sph_j_deriv(n, x, policy=None):

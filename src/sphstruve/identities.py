@@ -40,7 +40,6 @@ from .functions import (
     cyl_j,
     delta_fn,
     hankel_amplitude_coeffs,
-    humbert2,
     mod_i0,
     sinc_sqrt,
     sph_j,
@@ -293,20 +292,29 @@ def _humbert_laguerre(indices, z_of_s, sigma, policy):
 
 
 def _i16_lhs(u, v, x, policy, m_cut=14):
+    # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
+    # a gamma argument, so one rgamma table serves every (m, n) pair, and
+    # each value keeps the bits of humbert2(m, n, x)
+    x = float(x)
+    rgammas = {}
     total = 0.0
     for m in range(-m_cut, m_cut + 1):
         for n in range(-m_cut, m_cut + 1):
-            total += u**m * v**n * humbert2(float(m), float(n), x, policy).value
+            total += u**m * v**n * _humbert_family((float(m), float(n)), policy, rgammas)(x)[0]
     return total
 
 
 def _i17_lhs(u, v, x, gamma_p, policy, m_cut=14):
     # Delta_{m,n,g} is the Laplace image times c1**m c2**n: one expansion,
-    # reduced at every (m, n) shift
+    # reduced at every (m, n) shift.  A shift's terms start at its kill
+    # start, at most m_cut, so order m_cut + 16 leaves each shift at least
+    # 16 surviving terms, and the tail check certifies every shift's cut:
+    # a shift whose last two terms are not below 2^-60 of its sum raises
     w = (x / 2.0) ** 2
     orders = range(-m_cut, m_cut + 1)
-    image = laplace_reduce(gamma_p, w, 0.0, 0.0, order=60)
-    values = iter(reduce_shifts(image, [(float(m), float(n)) for m in orders for n in orders]))
+    image = laplace_reduce(gamma_p, w, 0.0, 0.0, order=m_cut + 16)
+    shifts = [(float(m), float(n)) for m in orders for n in orders]
+    values = iter(reduce_shifts(image, shifts, check_tail_rel=2.0**-60))
     total = 0.0
     for m in orders:
         for n in orders:

@@ -151,6 +151,8 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
     rgammas = {}  # argument -> rgamma(argument)
     columns = {}  # (symbol, shift) -> reduced factor of that symbol, term by term
     heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)
+    # index of the second-to-last term; a one-term expression checks its term twice
+    before_last = -2 if len(coeffs) > 1 else -1
 
     def column(i, s):
         col = columns.get((i, s))
@@ -180,8 +182,8 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
             total = sum(map(mul, first, last))
         if check_tail_rel is not None and first:
             bound = check_tail_rel * max(abs(total), 1e-300)
-            tail = list(map(mul, first[-2:], last[-2:]))
-            if any(abs(r) > bound for r in tail):
+            if abs(first[-1] * last[-1]) > bound or abs(first[before_last] * last[before_last]) > bound:
+                tail = list(map(mul, first[-2:], last[-2:]))
                 raise ConvergenceError(
                     f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "
                     f"last terms {tail} exceed {bound}"

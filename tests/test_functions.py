@@ -116,6 +116,25 @@ class TestRayleigh:
     def test_second_order(self):
         assert rayleigh_jn(2, 1.0) == pytest.approx(0.06203505201137386, rel=1e-12)
 
+    @pytest.mark.parametrize("n,x", [(6, 0.125), (6, 1.0), (4, 0.5), (6, 1e-60)])
+    def test_cancelling_points_raise(self, n, x):
+        # the closed form cancels like x^(-2n) below x ~ 2n: at (6, 0.125)
+        # it gave 4.77e-7 for j_6 = 2.82e-11, at (6, 1) and (4, 0.5) it was
+        # 8.8e-8 and 7.0e-10 off in relative terms; at 1e-60 its rounding
+        # prediction is 0 * inf
+        with pytest.raises(ConvergenceError):
+            rayleigh_jn(n, x)
+
+    def test_points_near_zeros_return(self):
+        # the rounding is measured against the envelope, not |j_n|, so
+        # a point next to a zero of j_n still returns, and is accurate
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n, k in ((0, 1), (0, 7), (3, 1), (3, 4), (6, 2)):
+                x = float(mp.besseljzero(n + 0.5, k)) * (1.0 + 1e-12)
+                want = mp.sqrt(mp.pi / (2 * x)) * mp.besselj(n + 0.5, x)
+                assert abs(rayleigh_jn(n, x) - want) <= 1e-15 / x, (n, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             rayleigh_jn(2, 0.0)
@@ -312,6 +331,24 @@ class TestHumbertFamily:
             assert _bits(got) == _bits(_humbert_by_loop(indices, z, DEFAULT_POLICY)), z
             res = pointwise(*indices, z)
             assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), z
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shared_gamma_table_is_bitwise_pointwise(self, seed):
+        # I16's 841 integer pairs at its three default x values (seed 0)
+        # or its seed-7 jittered ones, all through one shared table
+        from sphstruve.identities import verify_all
+
+        rgammas = {}
+        xs = [r.params["x"] for r in verify_all(ids=["I16"], seed=seed)]
+        assert len(set(xs)) == 3
+        for x in xs:
+            for m in range(-14, 15):
+                for n in range(-14, 15):
+                    got = _humbert_family((float(m), float(n)), DEFAULT_POLICY, rgammas)(x)
+                    res = humbert2(float(m), float(n), x)
+                    assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), (m, n, x)
+        # one entry per distinct gamma argument k0 + index + 1, k0 <= 14
+        assert sorted(rgammas) == [float(a) for a in range(1, 30)]
 
     def test_max_terms_holds_on_a_grown_table(self):
         dens = []

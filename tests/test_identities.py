@@ -178,6 +178,51 @@ class TestI17ShiftFamily:
             assert r.lhs.hex() == want.hex()
 
 
+class TestI17CertifiedImage:
+    # the image runs to order m_cut + 16 = 30, and every shift's cut is
+    # certified: its sums are those of the order-60 image, bit for bit
+
+    @staticmethod
+    def _assert_certified(x, gamma_p):
+        from sphstruve.umbral import laplace_reduce, reduce_shifts
+
+        w = (x / 2.0) ** 2
+        shifts = [(float(m), float(n)) for m in range(-14, 15) for n in range(-14, 15)]
+        got = reduce_shifts(laplace_reduce(gamma_p, w, 0.0, 0.0, order=30), shifts, check_tail_rel=2.0**-60)
+        want = reduce_shifts(laplace_reduce(gamma_p, w, 0.0, 0.0, order=60), shifts)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (x, gamma_p)
+
+    def test_window_corners(self):
+        # the image depends on x and gamma_p only; u and v weight its sums
+        for x in (0.1, 1.0):
+            for gamma_p in (1.0, 2.0):
+                self._assert_certified(x, gamma_p)
+                for u in (0.5, 1.5):
+                    for v in (0.5, 1.5):
+                        params = {"u": u, "v": v, "x": x, "gamma_p": gamma_p}
+                        assert verify("I17", params).status != "skipped", params
+
+    def test_hypothesis_points(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.floats(min_value=0.1, max_value=1.0), st.sampled_from((1.0, 2.0)))
+        @settings(max_examples=25, deadline=None)
+        def run(x, gamma_p):
+            self._assert_certified(x, gamma_p)
+
+        run()
+
+    def test_short_image_becomes_skip(self, monkeypatch):
+        # an image cut at order 16 leaves shift (-14, -14) three terms, the
+        # last two far above 2^-60 of its sum: the check must not pass
+        reduce = identities.laplace_reduce
+        monkeypatch.setattr(identities, "laplace_reduce", lambda g, w, a, b, order: reduce(g, w, a, b, order=16))
+        rep = verify("I17", get_identity("I17").grid[0])
+        assert rep.status == "skipped"
+        assert "truncation not certified at shift (-14.0, -14.0)" in rep.reason
+
+
 class TestLaguerreMultiIndex:
     # the Laguerre side of every default I11/I15/I18 point, where the
     # doubling loop stops at its first 16/32 pair; the prepared series

@@ -226,6 +226,25 @@ class TestReduceShifts:
             with pytest.raises(ConvergenceError):
                 reduce_shifts(image, shifts, check_tail_rel=1e-12)
 
+    @pytest.mark.parametrize("order", ["last", "second-to-last"])
+    def test_either_tail_term_alone_raises(self, order):
+        big, small = UmbralTerm(1e-3, (0.0,)), UmbralTerm(1e-20, (0.0,))
+        tail = (small, big) if order == "last" else (big, small)
+        e = UmbralExpr(1, (UmbralTerm(1.0, (0.0,)),) + tail)
+        assert reduce_shifts(e, [(0.0,)], check_tail_rel=1e-2) == [math.fsum([1.0, 1e-3, 1e-20])]
+        with pytest.raises(ConvergenceError, match=r"last terms \[.*\] exceed"):
+            reduce_shifts(e, [(0.0,)], check_tail_rel=1e-12)
+
+    def test_one_term_expression(self):
+        # its one term is its whole sum: a check below 1 cannot certify it
+        e = UmbralExpr(2, (UmbralTerm(2.0, (0.5, 1.0)),))
+        want = 2.0 * rgamma(1.5) * rgamma(2.0)
+        assert reduce_shifts(e, [(0.0, 0.0)]) == [want]
+        assert reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=1.0) == [want]
+        with pytest.raises(ConvergenceError, match=r"last terms \[.*\] exceed"):
+            reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=0.5)
+        assert reduce_shifts(e.scaled(0.0), [(0.0, 0.0)], check_tail_rel=1e-12) == [0.0]
+
     @staticmethod
     def _shifted(expr, shift):
         return UmbralExpr(
