@@ -561,15 +561,14 @@ def _humbert_family(indices, policy, rgammas=None):
     gamma_args = (1.0,) + tuple(i + 1.0 for i in indices)
     k0 = _kill_start(gamma_args)
     if rgammas is None:
-        factors = [rgamma(k0 + g) for g in gamma_args]
-    else:
-        factors = []
-        for g in gamma_args:
-            a = k0 + g
-            r = rgammas.get(a)
-            if r is None:
-                r = rgammas[a] = rgamma(a)
-            factors.append(r)
+        rgammas = {}
+    factors = []
+    for g in gamma_args:
+        a = k0 + g
+        r = rgammas.get(a)
+        if r is None:
+            r = rgammas[a] = rgamma(a)
+        factors.append(r)
     dens = []
 
     def evaluate(z):
@@ -860,10 +859,11 @@ def rayleigh_jn(n, x):
 
     Exact trigonometric closed form; serves as the independent oracle for
     the series evaluator.  Below x ~ 2n its terms cancel like x^(-2n):
-    where their rounding, u * sum |term|, exceeds the default rel_tol
-    times the envelope min(x^n/(2n+1)!!, 1/x) of |j_n|, it raises
-    ConvergenceError.  The envelope, unlike |j_n|, does not vanish at
-    the zeros of j_n, so points near a zero still return."""
+    where the worst-case bound on their rounding, (5n + 9) u sum |term|
+    for its Horner evaluation of degree 2n + 1 in 1/x, exceeds the
+    default rel_tol times the envelope min(x^n/(2n+1)!!, 1/x) of |j_n|,
+    it raises ConvergenceError.  The envelope, unlike |j_n|, does not
+    vanish at the zeros of j_n, so points near a zero still return."""
     if n != int(n) or n < 0:
         raise DomainError("rayleigh_jn: order must be a nonnegative integer")
     n = int(n)
@@ -885,8 +885,12 @@ def rayleigh_jn(n, x):
     sin_x, cos_x = math.sin(x), math.cos(x)
     scale = u ** (-n)
     envelope = min(scale / math.prod(range(1, 2 * n + 2, 2)), u)
-    # written so that a nan prediction (0 * inf at tiny x) raises too
-    if not 2.0**-53 * scale * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
+    # worst-case roundings per term: 2 per Horner step, up to n + 1 from
+    # carrying the rounded 1/x into x^(n-i), and a few for the products
+    # and libm calls that follow
+    unit = (2 * len(S) + n + 5) * 2.0**-53
+    # written so that a nan bound (0 * inf at tiny x) raises too
+    if not unit * scale * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
         raise ConvergenceError(f"rayleigh_jn: the closed form cancels at n={n}, x={x!r}")
     sign = 1.0 if n % 2 == 0 else -1.0
     # multiply by (-x)^n = (-1)^n u^{-n}

@@ -125,6 +125,19 @@ class TestRayleigh:
         with pytest.raises(ConvergenceError):
             rayleigh_jn(n, x)
 
+    @pytest.mark.parametrize("n,x_fail,x_pass", [(3, 1.35, 1.36), (6, 4.2, 4.22)])
+    def test_rounding_bound_threshold(self, n, x_fail, x_pass):
+        # either side of where the rounding bound meets rel_tol times the
+        # envelope: below it raises, just above it returns a value that
+        # is within that tolerance of the 40-digit reference
+        mp = pytest.importorskip("mpmath")
+        with pytest.raises(ConvergenceError):
+            rayleigh_jn(n, x_fail)
+        envelope = min(x_pass**n / math.prod(range(1, 2 * n + 2, 2)), 1.0 / x_pass)
+        with mp.workdps(40):
+            want = mp.sqrt(mp.pi / (2 * x_pass)) * mp.besselj(n + 0.5, x_pass)
+            assert abs(rayleigh_jn(n, x_pass) - want) <= 1e-12 * envelope
+
     def test_points_near_zeros_return(self):
         # the rounding is measured against the envelope, not |j_n|, so
         # a point next to a zero of j_n still returns, and is accurate
