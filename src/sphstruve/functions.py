@@ -304,9 +304,17 @@ def hankel_pq(nu, x):
     truncation.
 
     Returns (P, Q, floor) where `floor` is the magnitude of the first
-    neglected term: the expansion's certified absolute accuracy.  It is
-    exactly zero for half-integer orders (the expansion terminates) and
-    grows useless once the order is large compared to sqrt(x).
+    neglected term plus the rounding of the sums: the expansion's
+    certified absolute accuracy.  The truncation part is exactly zero for
+    half-integer orders (the expansion terminates), and the floor grows
+    useless once the order is large compared to sqrt(x).
+
+    A growing term ends the sum only past k = max(2, |nu| + 1): until
+    4nu^2 < 8kx the terms of a large order rise before they fall, and a
+    term before the hump bounds nothing.  Term k carries about 4k
+    roundings of its k ratio steps, and each addition one, so the
+    rounding part is 4ku times the sum of |term| past the exact first
+    term; it matters only where the hump is high.
 
     The sum stops early at the first term, past k = |nu| - 1/2 (where
     the terms start to fall; DLMF 10.17(iii)), below 2**-55 of both |P|
@@ -315,11 +323,13 @@ def hankel_pq(nu, x):
     smallest-term truncation."""
     mu4 = 4.0 * nu * nu
     k_bound = abs(nu) - 0.5
+    hump = max(2.0, abs(nu) + 1.0)
     P = 0.0
     Q = 0.0
     term = 1.0
     prev = math.inf
     floor = math.inf
+    absum = -1.0  # sum of |term| past the exact term 0, which is 1.0
     for k in range(0, 60):
         if k > 0:
             term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
@@ -327,7 +337,7 @@ def hankel_pq(nu, x):
         if mag == 0.0:
             floor = 0.0
             break
-        if mag > prev and k > 2:
+        if mag > prev and k > hump:
             floor = prev
             break
         if k >= k_bound and mag < _NEGLIGIBLE * abs(P) and mag < _NEGLIGIBLE * abs(Q):
@@ -335,13 +345,14 @@ def hankel_pq(nu, x):
             break
         prev = mag
         floor = mag
+        absum += mag
         j, r = divmod(k, 2)
         sign = -1.0 if j % 2 else 1.0
         if r == 0:
             P += sign * term
         else:
             Q += sign * term
-    return P, Q, floor
+    return P, Q, floor + 4.0 * k * 2.0**-53 * absum
 
 
 def _chi(nu, x):

@@ -281,7 +281,8 @@ def _generating_sum(x, t, policy, nmax=25):
 def _humbert_laguerre(indices, z_of_s, sigma, policy):
     """integral over [0, inf) of s**sigma exp(-s) J_indices(z_of_s(s)) ds by
     `integrate_laguerre`; the multi-index series is prepared once and
-    serves every node of every rule.  An uncertified result raises
+    serves every node of every rule.  The integrands are entire, so most
+    checks stop at the first 8/16 pair.  An uncertified result raises
     ConvergenceError, so the check is skipped, not passed."""
     series = _humbert_family(indices, policy)
     res = integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma)
@@ -291,35 +292,48 @@ def _humbert_laguerre(indices, z_of_s, sigma, policy):
     return res.value
 
 
+def _symmetric_double_sum(u, v, m_cut, evaluate):
+    """sum over m, n in [-m_cut, m_cut] of u**m v**n F(m, n), F symmetric:
+    `evaluate(pairs)` returns F at the pairs with n >= m, in their order,
+    and each term of the sum reads F(min, max)."""
+    orders = range(-m_cut, m_cut + 1)
+    pairs = [(m, n) for m in orders for n in orders if n >= m]
+    values = dict(zip(pairs, evaluate(pairs)))
+    total = 0.0
+    for m in orders:
+        for n in orders:
+            total += u**m * v**n * values[min(m, n), max(m, n)]
+    return total
+
+
 def _i16_lhs(u, v, x, policy, m_cut=14):
     # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
     # a gamma argument, so one rgamma table serves every (m, n) pair, and
-    # each value keeps the bits of humbert2(m, n, x)
+    # each value keeps the bits of humbert2(m, n, x).  Those bits are
+    # symmetric (the denominators are exact integers, and at most two
+    # first-term gammas differ from 1), so only n >= m is evaluated
     x = float(x)
     rgammas = {}
-    total = 0.0
-    for m in range(-m_cut, m_cut + 1):
-        for n in range(-m_cut, m_cut + 1):
-            total += u**m * v**n * _humbert_family((float(m), float(n)), policy, rgammas)(x)[0]
-    return total
+
+    def values(pairs):
+        return [_humbert_family((float(m), float(n)), policy, rgammas)(x)[0] for m, n in pairs]
+
+    return _symmetric_double_sum(u, v, m_cut, values)
 
 
 def _i17_lhs(u, v, x, gamma_p, policy, m_cut=14):
     # Delta_{m,n,g} is the Laplace image times c1**m c2**n: one expansion,
-    # reduced at every (m, n) shift.  A shift's terms start at its kill
-    # start, at most m_cut, so order m_cut + 16 leaves each shift at least
-    # 16 surviving terms, and the tail check certifies every shift's cut:
-    # a shift whose last two terms are not below 2^-60 of its sum raises
-    w = (x / 2.0) ** 2
-    orders = range(-m_cut, m_cut + 1)
-    image = laplace_reduce(gamma_p, w, 0.0, 0.0, order=m_cut + 16)
-    shifts = [(float(m), float(n)) for m in orders for n in orders]
-    values = iter(reduce_shifts(image, shifts, check_tail_rel=2.0**-60))
-    total = 0.0
-    for m in orders:
-        for n in orders:
-            total += u**m * v**n * next(values)
-    return total
+    # reduced at every shift with n >= m (the image is symmetric in its two
+    # symbols).  A shift's terms start at its kill start, at most m_cut, so
+    # order m_cut + 16 leaves each shift at least 16 surviving terms, and
+    # the tail check certifies every shift's cut: a shift whose last two
+    # terms are not below 2^-60 of its sum raises
+    image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=m_cut + 16)
+
+    def values(pairs):
+        return reduce_shifts(image, [(float(m), float(n)) for m, n in pairs], check_tail_rel=2.0**-60)
+
+    return _symmetric_double_sum(u, v, m_cut, values)
 
 
 def _spherical_ode_residual(n, x, policy):

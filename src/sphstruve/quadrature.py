@@ -6,7 +6,7 @@ catalog needs:
 * adaptive finite-interval quadrature with an embedded Gauss/Kronrod
   pair (free per-cell error estimate, greedy refinement),
 * generalized Gauss-Laguerre rules for exp(-s) s^sigma kernels on
-  [0, inf), doubled from 16 nodes until a rule pair agrees,
+  [0, inf), doubled from 8 nodes until a rule pair agrees,
 * oscillatory semi-infinite integration: fixed cells between estimated
   zeros, nonlinear acceleration (Levin u-transform, iterated-averaging
   fallback) of the partial-sum sequence; public API only, no catalog
@@ -220,12 +220,12 @@ def gauss_laguerre_nodes(sigma, n):
 def integrate_laguerre(f, sigma, nodes=200):
     """integral over [0, inf) of s**sigma exp(-s) f(s) ds.
 
-    Rule pairs n/2n from n = min(16, nodes), doubling while n <= nodes,
-    until the error is at most max(1e-10, 1e-10 * |v2|) ('converged',
-    else 'max_refinement').  The error is |v2 - v1| plus the larger
-    rule's rounding floor 2n * u * sum|w f|, for the Golub-Welsch errors
-    of order n * u that the pair cannot see.  The value is v2; the node
-    count sums every rule evaluated."""
+    Rule pairs n/2n from n = 8, the smallest rule `nodes` allows, doubling
+    while n <= nodes, until the error is at most max(1e-10, 1e-10 * |v2|)
+    ('converged', else 'max_refinement').  The error is |v2 - v1| plus
+    the larger rule's rounding floor 2n * u * sum|w f|, for the
+    Golub-Welsch errors of order n * u that the pair cannot see.  The
+    value is v2; the node count sums every rule evaluated."""
     if not sigma > -1.0:
         raise DomainError("integrate_laguerre: sigma must exceed -1")
     if not 8 <= nodes <= 200:
@@ -236,7 +236,7 @@ def integrate_laguerre(f, sigma, nodes=200):
         terms = [w * f(x) for x, w in zip(xs, ws)]
         return math.fsum(terms), n * _UNIT_ROUNDOFF * math.fsum(map(abs, terms))
 
-    n = used = min(16, nodes)
+    n = used = 8
     v2, _ = rule(n)
     while True:
         v1, (v2, floor) = v2, rule(2 * n)

@@ -32,6 +32,7 @@ from sphstruve.functions import (
     _ASYM_FLOOR,
     _cyl_j_series,
     _humbert_family,
+    _jy_asym,
     _s_series,
     _struve_series,
     _sum_ratio_series,
@@ -363,6 +364,25 @@ class TestHumbertFamily:
         # one entry per distinct gamma argument k0 + index + 1, k0 <= 14
         assert sorted(rgammas) == [float(a) for a in range(1, 30)]
 
+    def test_integer_pairs_are_symmetric_bitwise(self):
+        # I16 evaluates only n >= m and reads (m, n) for (n, m): the
+        # denominators are exact integer products, and at most two
+        # first-term gammas differ from 1, so both orders give the same bits
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.floats(min_value=0.1, max_value=1.0))
+        @settings(max_examples=10, deadline=None)
+        def run(x):
+            for m in range(-14, 15):
+                for n in range(m + 1, 15):
+                    a, b = humbert2(float(m), float(n), x), humbert2(float(n), float(m), x)
+                    assert _bits((a.value, a.terms_used, a.tail_estimate)) == _bits(
+                        (b.value, b.terms_used, b.tail_estimate)
+                    ), (m, n, x)
+
+        run()
+
     def test_max_terms_holds_on_a_grown_table(self):
         dens = []
         _, terms, _ = _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), DEFAULT_POLICY, dens=dens)
@@ -654,7 +674,8 @@ class TestAsymptoticPieces:
                 assert abs(got - want) <= 2.0 * math.ulp(want), (nu, x, got, want)
 
     def test_hankel_early_stop_keeps_the_bits(self):
-        # the full smallest-term truncation, 60 terms at most
+        # the full smallest-term truncation, 60 terms at most, where a
+        # growing term ends the sum only past the hump, k > |nu| + 1
         def reference(nu, x):
             mu4 = 4.0 * nu * nu
             P = Q = 0.0
@@ -664,7 +685,9 @@ class TestAsymptoticPieces:
                 if k > 0:
                     term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
                 mag = abs(term)
-                if mag == 0.0 or (mag > prev and k > 2):
+                if mag == 0.0:
+                    return P, Q, 0.0
+                if mag > prev and k > max(2, abs(nu) + 1):
                     break
                 prev = mag
                 j, r = divmod(k, 2)
@@ -680,8 +703,23 @@ class TestAsymptoticPieces:
                 P, Q, floor = hankel_pq(nu, x)
                 rP, rQ, smallest = reference(nu, x)
                 assert (P.hex(), Q.hex()) == (rP.hex(), rQ.hex()), (nu, x)
-                # the early floor is a kept-or-later term: never below the smallest
-                assert floor >= smallest or floor == 0.0, (nu, x)
+                # the early floor is a kept-or-later term plus rounding: never
+                # below the smallest term, which is 0 where the sum terminates
+                assert floor >= smallest, (nu, x)
+
+    @pytest.mark.parametrize("nu,x", [(20.0, 18.0), (12.7, 15.0), (25.0, 15.0), (64.5, 88.24)])
+    def test_large_order_floor_bounds_the_hump(self, nu, x):
+        # the terms rise until 4nu^2 < 8kx; a growing term before
+        # k = |nu| + 1 is no floor (at (20, 18) Y was 11.7 off against a
+        # floor times envelope of 11.5), so the sum runs past the hump.
+        # At (64.5, 88.24) the hump reaches 6e8, and the floor's rounding
+        # part, not its last term (2e-10), covers the 4.6e-9 error
+        mp = pytest.importorskip("mpmath")
+        J, Y, floor = _jy_asym(nu, x)
+        bound = floor * math.sqrt(2.0 / (math.pi * x))
+        with mp.workdps(40):
+            assert abs(mp.besselj(nu, x) - J) <= bound, (float(mp.besselj(nu, x) - J), bound)
+            assert abs(mp.bessely(nu, x) - Y) <= bound, (float(mp.bessely(nu, x) - Y), bound)
 
     def test_hankel_amplitude_coeffs_sum_to_p_plus_iq(self):
         # P + iQ = sum_m c_m x^-m, with P and Q interleaved through i**m
