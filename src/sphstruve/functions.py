@@ -346,12 +346,11 @@ def hankel_pq(nu, x):
         prev = mag
         floor = mag
         absum += mag
-        j, r = divmod(k, 2)
-        sign = -1.0 if j % 2 else 1.0
-        if r == 0:
-            P += sign * term
+        # term k joins P (even k) or Q (odd k) with sign (-1)^(k // 2)
+        if k & 1:
+            Q += -term if k & 2 else term
         else:
-            Q += sign * term
+            P += -term if k & 2 else term
     return P, Q, floor + 4.0 * k * 2.0**-53 * absum
 
 
