@@ -127,24 +127,31 @@ def _emit(args, text):
         print(text)
 
 
-def _cmd_eval(args):
+def _bind(args, swept):
+    """Gather the flags of all but the last `swept` arguments of
+    args.function: (names, call, run), where run(*rest) evaluates it at
+    call + rest and returns (value, SeriesResult or None)."""
     if args.function not in _FUNCTIONS:
         raise _UsageError(f"unknown function {args.function!r}; choose from {sorted(_FUNCTIONS)}")
     fn, names = _FUNCTIONS[args.function]
     call = []
-    for name in names:
+    for name in names[: len(names) - swept]:
         v = getattr(args, name if name != "gamma" else "gamma_p", None)
         if v is None:
             raise _UsageError(f"{args.function} requires --{name}")
         call.append(int(v) if name in _INT_ARGS else v)
-    if args.function in _POLICY_FREE:
-        res = fn(*call)
-    else:
-        res = fn(*call, _build_policy(args))
-    if isinstance(res, SeriesResult):
-        value, meta = res.value, res
-    else:
-        value, meta = res, None
+    policy = () if args.function in _POLICY_FREE else (_build_policy(args),)
+
+    def run(*rest):
+        res = fn(*call, *rest, *policy)
+        return (res.value, res) if isinstance(res, SeriesResult) else (res, None)
+
+    return names, call, run
+
+
+def _cmd_eval(args):
+    names, call, run = _bind(args, 0)
+    value, meta = run()
     if args.format == "json":
         rec = {"function": args.function, "args": dict(zip(names, call)), "value": value}
         if args.verbose and meta is not None:
@@ -244,25 +251,11 @@ def _parse_sweep(spec):
 
 
 def _cmd_table(args):
-    if args.function not in _FUNCTIONS:
-        raise _UsageError(f"unknown function {args.function!r}")
-    fn, names = _FUNCTIONS[args.function]
-    xs = _parse_sweep(args.x)
-    fixed = []
-    for name in names[:-1]:
-        v = getattr(args, name if name != "gamma" else "gamma_p", None)
-        if v is None:
-            raise _UsageError(f"{args.function} requires --{name}")
-        fixed.append(int(v) if name in _INT_ARGS else v)
-    policy = _build_policy(args)
+    _, _, run = _bind(args, 1)
     rows = []
-    for x in xs:
-        call = fixed + [x]
-        res = fn(*call) if args.function in _POLICY_FREE else fn(*call, policy)
-        if isinstance(res, SeriesResult):
-            rows.append((x, res.value, res.path, res.terms_used))
-        else:
-            rows.append((x, res, "value", 0))
+    for x in _parse_sweep(args.x):
+        value, meta = run(x)
+        rows.append((x, value, meta.path, meta.terms_used) if meta is not None else (x, value, "value", 0))
     if args.format == "json":
         for x, v, path, terms in rows:
             _emit(args, json.dumps({"x": x, "value": v, "path": path, "terms_used": terms}))

@@ -1,19 +1,22 @@
 """Direct numerical evaluators for the function families.
 
-Every family follows the same three-path scheme:
+`cyl_j`, `struve_h` and the Anger/Weber auxiliaries S1/S2 follow one
+three-path scheme, decided in one place, `_route`:
 
 * plain power series up to `crossover_x` (alternating series lose about
   x/ln10 digits to cancellation, so plain binary64 is only trusted there),
 * large-argument asymptotics (Hankel phase/amplitude pairs for the
   cylindrical kinds, plus the algebraic correction series for Struve and
   one parity of the Watson expansion for each Anger/Weber auxiliary)
-  past `crossover_x` wherever their
-  certified floor (first neglected terms plus the phase rounding) meets
+  past `crossover_x` wherever their certified floor (first neglected
+  terms past the hump of a large order, plus the rounding) meets
   rel_tol against the envelope sqrt(2/(pi x)), and beyond `extended_x`
   wherever it meets the looser absolute `_ASYM_FLOOR`,
 * otherwise the power series accumulated in double-double: up to
   `extended_x` (large orders, whose Hankel terms grow), and beyond it
-  while its cancellation stays within the extended budget.
+  while its cancellation exponent stays within `_DD_LOSS_LIMIT`.  It
+  reports that cancellation floor with its tail, plus 32u|value| for
+  the rounding of its binary64 inputs.
 
 Series are certified by a tail bound: a result counts as converged only
 when the first neglected term is below rel_tol * |partial sum| twice in
@@ -242,12 +245,6 @@ def _sum_ratio_series_dd(t0, z_hi, z_lo, num_offsets, den_offsets, policy, k0=0)
     )
 
 
-def _half_x_squared_dd(x):
-    """(x/2)**2 as an exact double-double."""
-    h = x / 2.0
-    return two_prod(h, h)
-
-
 def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets=()):
     """(value, bound) of the integral over [0, T] of a ratio series in the
     double-double z whose term k is proportional to x^(2k+a-1), term k0
@@ -281,9 +278,6 @@ _ASYM_FLOOR = 1e-9
 _DD_LOSS_LIMIT = 62.0
 # a term below this fraction of a binary64 sum is under half its ulp
 _NEGLIGIBLE = 2.0**-55
-# c*u of the rounding bound c*u*(1 + x)*envelope of an asymptotic value:
-# its phase x - (nu/2 + 1/4) pi is rounded at ulp(x)
-_ROUNDING = 4.0 * 2.0**-53
 
 
 def hankel_amplitude_coeffs(nu, kmax=30):
@@ -395,23 +389,42 @@ def _series_loss(nu, x):
     return max(L - math.log(math.pi * max(x, 1.0)), 0.0)
 
 
-def _rounding(x, env):
-    """Rounding bound of a large-argument value of size `env`."""
-    return _ROUNDING * (1.0 + x) * env
+def _ascending(terms, x, policy, use_dd):
+    """Sum the ascending series in -(x/2)^2 whose (t0, den_offsets, k0)
+    are `terms`, in binary64 or double-double:
+    (value, terms_used, tail_estimate)."""
+    t0, dens, k0 = terms
+    if use_dd:
+        zh, zl = two_prod(x / 2.0, x / 2.0)
+        return _sum_ratio_series_dd(t0, -zh, -zl, (), dens, policy, k0)
+    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
 
 
-def _asym_certified(floor, env, x, policy, scale=1.0):
-    """Whether a large-argument value whose truncation floor is `floor`
-    is taken over the ascending series past crossover_x.
-
-    Up to extended_x the double-double series is good to about 1e-32
-    times its cancellation, so the asymptotic value must meet rel_tol
-    against the envelope `env`, rounding included.  Beyond extended_x
-    the series loses digits, and the absolute _ASYM_FLOOR (times
-    `scale`) is enough."""
-    if x <= policy.extended_x:
-        return floor + _rounding(x, env) <= policy.rel_tol * env
-    return floor <= _ASYM_FLOOR * scale
+def _route(x, order, policy, terms, asym, *args):
+    """Evaluate a family on the first path of the module's scheme that
+    certifies at x.  `terms(*args)` gives the (t0, den_offsets, k0) of
+    its ascending series, `asym(*args)` its large-argument (value,
+    floor, envelope, scale), and `order` the order in its cancellation
+    exponent `_series_loss(order, x)`.  u = 2^-53 below."""
+    if x <= policy.crossover_x:
+        v, n, tail = _ascending(terms(*args), x, policy, use_dd=False)
+        return SeriesResult(v, n, tail, PATH_SERIES)
+    v, floor, env, scale = asym(*args)
+    # the phase is rounded at ulp(x).  Up to extended_x the double-double
+    # series is good to about 1e-32 times its cancellation, so the value
+    # must meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
+    rounding = 4.0 * 2.0**-53 * (1.0 + x) * env
+    if (floor + rounding <= policy.rel_tol * env) if x <= policy.extended_x else (floor <= _ASYM_FLOOR * scale):
+        return SeriesResult(v, 0, floor + rounding, PATH_ASYMPTOTIC)
+    loss = _series_loss(order, x)
+    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
+        v, n, tail = _ascending(terms(*args), x, policy, use_dd=True)
+        # 32u|v| covers the binary64 rounding of t0 and the offsets
+        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)) + 32.0 * 2.0**-53 * abs(v), PATH_EXTENDED)
+    raise ConvergenceError(
+        f"no certified path for arguments {args}: the asymptotics diverge and "
+        "the series cancellation exceeds the extended budget"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +450,17 @@ def cyl_j(nu, x, policy=None):
         if nu > 0.0:
             return _closed(0.0)
         raise DomainError("cyl_j: x=0 is singular for negative order")
-    if x <= policy.crossover_x:
-        v, n, tail = _cyl_j_series(nu, x, policy, use_dd=False)
-        return SeriesResult(v, n, tail, PATH_SERIES)
+    return _route(x, nu, policy, _cyl_j_terms, _cyl_j_asym, nu, x)
+
+
+def _cyl_j_terms(nu, x):
+    """(t0, den_offsets, k0) of the ascending series of J_nu(x)."""
+    return (x / 2.0) ** nu * rgamma(nu + 1.0), (1.0, nu + 1.0), 0
+
+
+def _cyl_j_asym(nu, x):
     v, _, floor = _jy_asym(nu, x)
-    env = _envelope(x)
-    if _asym_certified(floor, env, x, policy):
-        return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
-    loss = _series_loss(nu, x)
-    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
-        v, n, tail = _cyl_j_series(nu, x, policy, use_dd=True)
-        # report the cancellation floor with the tail
-        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)), PATH_EXTENDED)
-    raise ConvergenceError(
-        f"cyl_j: no certified path for order {nu} at x={x} "
-        "(asymptotics diverge, series cancellation exceeds the extended budget)"
-    )
-
-
-def _cyl_j_series(nu, x, policy, use_dd):
-    """Ascending series of J_nu(x) in binary64 or double-double:
-    (value, terms_used, tail_estimate)."""
-    t0 = (x / 2.0) ** nu * rgamma(nu + 1.0)
-    if use_dd:
-        zh, zl = _half_x_squared_dd(x)
-        return _sum_ratio_series_dd(t0, -zh, -zl, (), (1.0, nu + 1.0), policy)
-    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), (1.0, nu + 1.0), policy)
+    return v, floor, _envelope(x), 1.0
 
 
 def mod_i0(t, policy=None):
@@ -494,22 +492,7 @@ def struve_h(alpha, x, policy=None):
         if alpha == -1.0:
             return _closed(2.0 / math.pi)
         raise DomainError("struve_h: x=0 is singular for alpha < -1")
-    if x <= policy.crossover_x:
-        v, n, tail = _struve_series(alpha, x, policy, use_dd=False)
-        return SeriesResult(v, n, tail, PATH_SERIES)
-    _, y, floor = _jy_asym(alpha, x)
-    alg, alg_tail = struve_algebraic(alpha, x)
-    floor += alg_tail
-    env = max(_envelope(x), abs(alg))
-    if _asym_certified(floor, env, x, policy, scale=max(1.0, abs(alg))):
-        return SeriesResult(y + alg, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
-    loss = _series_loss(alpha, x)
-    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
-        v, n, tail = _struve_series(alpha, x, policy, use_dd=True)
-        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)), PATH_EXTENDED)
-    raise ConvergenceError(
-        f"struve_h: no certified path for order {alpha} at x={x}"
-    )
+    return _route(x, alpha, policy, _struve_terms, _struve_asym, alpha, x)
 
 
 def _struve_terms(alpha, x):
@@ -521,35 +504,40 @@ def _struve_terms(alpha, x):
     return sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g), (1.5, g), k0
 
 
-def _struve_series(alpha, x, policy, use_dd):
-    """Ascending series of H_alpha(x) in binary64 or double-double:
-    (value, terms_used, tail_estimate)."""
-    t0, dens, k0 = _struve_terms(alpha, x)
-    if use_dd:
-        zh, zl = _half_x_squared_dd(x)
-        return _sum_ratio_series_dd(t0, -zh, -zl, (), dens, policy, k0=k0)
-    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
+def _struve_asym(alpha, x):
+    """Y_alpha plus the algebraic part: (value, floor, envelope, scale),
+    the envelope and the scale of _ASYM_FLOOR growing with that part."""
+    _, y, floor = _jy_asym(alpha, x)
+    alg, alg_floor = struve_algebraic(alpha, x)
+    return y + alg, floor + alg_floor, max(_envelope(x), abs(alg)), max(1.0, abs(alg))
 
 
 def struve_algebraic(alpha, x):
     """Algebraic part of the large-argument Struve expansion.
 
     H_alpha(x) - Y_alpha(x) ~ (1/pi) sum_k Gamma(k+1/2) (x/2)**(alpha-2k-1)
-    / Gamma(alpha+1/2-k); returns (value, magnitude of first neglected term).
+    / Gamma(alpha+1/2-k); returns (value, floor), the floor being the
+    magnitude of the first neglected term plus the rounding of the sum.
+
+    A growing term ends the sum only past k = max(1, alpha - 1/2): up to
+    there the ratio (k + 1/2)(alpha - 1/2 - k)(2/x)^2 of a large order
+    may rise above 1, and a term before that hump bounds nothing.  As in
+    `hankel_pq`, term k carries about 4k roundings, so the rounding part
+    is 4ku times the sum of |term| (u = 2^-53).
     """
     term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
-    total = 0.0
+    total = absum = 0.0
     prev = math.inf
+    hump = max(1.0, alpha - 0.5)
     for k in range(0, 60):
         mag = abs(term)
-        if mag > prev and k > 1:
-            return total, mag
-        if mag == 0.0:
-            return total, 0.0
+        if (mag > prev and k > hump) or mag == 0.0:
+            break
         total += term
+        absum += mag
         prev = mag
         term *= (k + 0.5) * (alpha - 0.5 - k) * (2.0 / x) ** 2
-    return total, abs(term)
+    return total, abs(term) + 4.0 * k * 2.0**-53 * absum
 
 
 # ---------------------------------------------------------------------------
@@ -703,28 +691,20 @@ def _s_terms(kind, nu, x):
     return sign * (x / 2.0) ** (2 * k0 + 2 * h) * rgamma(k0 + ga[0]) * rgamma(k0 + ga[1]), ga, k0
 
 
-def _s_series(kind, nu, x, policy, use_dd):
-    """Series path shared by S1 (kind=1) and S2 (kind=2)."""
-    t0, ga, k0 = _s_terms(kind, nu, x)
-    if use_dd:
-        zh, zl = _half_x_squared_dd(x)
-        return _sum_ratio_series_dd(t0, -zh, -zl, (), ga, policy, k0=k0)
-    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), ga, policy, k0=k0)
-
-
 def _s_asym(kind, nu, x):
     """S1 (kind=1) or S2 (kind=2) from the large-argument decomposition
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
-    with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor).
-    S1 sums the odd part of the Watson expansion, S2 the even part."""
+    with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor,
+    envelope, scale).  S1 sums the odd part of the Watson expansion, S2
+    the even part."""
     c = math.cos(0.5 * nu * math.pi)
     s = math.sin(0.5 * nu * math.pi)
     J, Y, floor = _jy_asym(nu, x)
     a, a_floor = watson_parity(nu, x, odd=kind == 1)
     if kind == 1:
-        return c * J - s * Y + s * a, floor + abs(s) * a_floor
-    return s * J + c * Y + c * a, floor + abs(c) * a_floor
+        return c * J - s * Y + s * a, floor + abs(s) * a_floor, _envelope(x), 1.0
+    return s * J + c * Y + c * a, floor + abs(c) * a_floor, _envelope(x), 1.0
 
 
 def _s_eval(kind, nu, x, policy):
@@ -738,22 +718,8 @@ def _s_eval(kind, nu, x, policy):
         if kind == 2:
             return _closed(0.0)
         return _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0))
-    if x <= policy.crossover_x:
-        v, n, tail = _s_series(kind, nu, x, policy, use_dd=False)
-        return SeriesResult(v, n, tail, PATH_SERIES)
-    v, floor = _s_asym(kind, nu, x)
-    env = _envelope(x)
-    if _asym_certified(floor, env, x, policy):
-        return SeriesResult(v, 0, floor + _rounding(x, env), PATH_ASYMPTOTIC)
-    # the auxiliary series cancels like exp(x) independent of the order,
-    # so the extended budget only stretches a little past extended_x
-    if x <= policy.extended_x + 10.0:
-        v, n, tail = _s_series(kind, nu, x, policy, use_dd=True)
-        # report that order-free cancellation floor with the tail
-        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(_series_loss(0.0, x))), PATH_EXTENDED)
-    raise ConvergenceError(
-        f"S-series: no certified path for order {nu} at x={x}"
-    )
+    # the auxiliary series cancels like exp(x) whatever the order
+    return _route(x, 0.0, policy, _s_terms, _s_asym, kind, nu, x)
 
 
 def s1(nu, x, policy=None):

@@ -181,6 +181,32 @@ class TestTable:
         code, _, err = run("table", "sph_j", "--n", "2", "--x", "1:10")
         assert code == 2
 
+    def test_unknown_function_lists_the_choices(self, run):
+        for argv in (("eval", "frob", "--x", "1"), ("table", "frob", "--x", "1:2:2")):
+            code, _, err = run(*argv)
+            assert code == 2
+            assert "unknown function 'frob'; choose from ['anger', 'cyl_j'," in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cyl_j", "--nu", "30.7", "--x", "18:120:103"),
+            ("struve_h", "--alpha", "30", "--x", "18:120:103"),
+            ("s1", "--nu", "19.7", "--x", "18:70:53"),
+        ],
+    )
+    def test_routed_rows_take_all_three_paths(self, run, argv):
+        code, out, _ = run("table", *argv, "--format", "json")
+        assert code == 0
+        paths = {json.loads(line)["path"] for line in out.splitlines()}
+        assert paths == {"series", "extended-precision-series", "asymptotic"}
+
+    def test_policy_free_rows(self, run):
+        code, out, _ = run("table", "rayleigh_jn", "--n", "1", "--x", "2:4:3", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(r["path"], r["terms_used"]) for r in rows] == [("value", 0)] * 3
+
 
 class TestConfigFile:
     def test_flags_override_file(self, run, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -30,11 +31,12 @@ from sphstruve.functions import (
     watson_parity_coeffs,
     weber,
     _ASYM_FLOOR,
-    _cyl_j_series,
+    _ascending,
+    _cyl_j_terms,
     _humbert_family,
     _jy_asym,
-    _s_series,
-    _struve_series,
+    _s_terms,
+    _struve_terms,
     _sum_ratio_series,
     hankel_amplitude_coeffs,
     hankel_pq,
@@ -43,7 +45,7 @@ from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from sphstruve.quadrature import integrate_finite
 
 # forced-path policy for consistency checks; the double-double series is
-# reached through the private series helpers, since inside the band the
+# reached through `_ascending`, since inside the band the
 # evaluators take the asymptotic value wherever it meets rel_tol
 POL_ASYM = EvalPolicy(crossover_x=0.4, extended_x=0.5)
 
@@ -571,18 +573,18 @@ class TestPathConsistency:
         pol = DEFAULT_POLICY
         for nu in (0.0, 0.5, 1.0, 2.0):
             for x in xs:
-                a = _cyl_j_series(nu, x, pol, use_dd=True)[0]
+                a = _ascending(_cyl_j_terms(nu, x), x, pol, use_dd=True)[0]
                 b = cyl_j(nu, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for alpha in (-1.5, -0.5, 0.0, 1.7):
             for x in xs:
-                a = _struve_series(alpha, x, pol, use_dd=True)[0]
+                a = _ascending(_struve_terms(alpha, x), x, pol, use_dd=True)[0]
                 b = struve_h(alpha, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for nu in (0.0, 0.5, 1.5):
             for x in xs:
-                dd1 = _s_series(1, nu, x, pol, use_dd=True)[0]
-                dd2 = _s_series(2, nu, x, pol, use_dd=True)[0]
+                dd1 = _ascending(_s_terms(1, nu, x), x, pol, use_dd=True)[0]
+                dd2 = _ascending(_s_terms(2, nu, x), x, pol, use_dd=True)[0]
                 assert abs(dd1 - s1(nu, x, POL_ASYM).value) <= 1e-7
                 assert abs(dd2 - s2(nu, x, POL_ASYM).value) <= 1e-7
 
@@ -615,7 +617,7 @@ class TestAsymptoticPieces:
         # dd series minus second-kind asymptotics must equal the algebraic series
         for alpha in (-0.5, 0.0, 1.0):
             x = 55.0
-            full = _struve_series(alpha, x, DEFAULT_POLICY, use_dd=True)[0]
+            full = _ascending(_struve_terms(alpha, x), x, DEFAULT_POLICY, use_dd=True)[0]
             alg, _ = struve_algebraic(alpha, x)
             assert full - bessel_y_asym(alpha, x) == pytest.approx(alg, abs=5e-8)
 
@@ -721,6 +723,21 @@ class TestAsymptoticPieces:
             assert abs(mp.besselj(nu, x) - J) <= bound, (float(mp.besselj(nu, x) - J), bound)
             assert abs(mp.bessely(nu, x) - Y) <= bound, (float(mp.bessely(nu, x) - Y), bound)
 
+    def test_struve_algebraic_floor_bounds_its_error(self):
+        # against 60-digit H - Y: a large order's terms rise to a hump
+        # before k = alpha - 1/2, so a growing term ends the sum only past
+        # it (at (30, 26) the sum stopped 0.95 off against a floor of
+        # 0.0061), and the rounding part covers the rest (5e-12 off against
+        # a last term of 1.9e-12 at (20.3, 30))
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(0)
+        with mp.workdps(60):
+            for _ in range(300):
+                alpha, x = rng.uniform(-5.0, 45.0), rng.uniform(25.5, 150.0)
+                got, floor = struve_algebraic(alpha, x)
+                err = abs(mp.mpf(got) - (mp.struveh(alpha, x) - mp.bessely(alpha, x)))
+                assert err <= floor, (alpha, x, float(err), floor)
+
     def test_hankel_amplitude_coeffs_sum_to_p_plus_iq(self):
         # P + iQ = sum_m c_m x^-m, with P and Q interleaved through i**m
         for nu in (0.0, 0.25, 1.3, 2.0):
@@ -817,6 +834,16 @@ class TestLargeOrderLargeArgumentRouting:
         with pytest.raises(ConvergenceError):
             cyl_j(95.7, 111.0)
 
+    def test_one_double_double_reach(self):
+        # every routed family takes the double-double series past
+        # extended_x while its cancellation exponent stays within 62
+        from sphstruve.functions import _series_loss
+
+        assert _series_loss(45.0, 75.0) <= 62.0 < _series_loss(45.0, 80.0)
+        assert cyl_j(45.0, 75.0).path == PATH_EXTENDED
+        with pytest.raises(ConvergenceError):
+            cyl_j(45.0, 80.0)
+
     def test_dd_fallback_reports_its_floor(self):
         from sphstruve.functions import _series_loss
 
@@ -877,8 +904,8 @@ class TestBandOracle:
     """The double-double band (crossover_x, extended_x] against mpmath at
     40 digits: every band result, on either path, is within rel_tol of
     the envelope sqrt(2/(pi x)) (for Struve, the larger of that and the
-    algebraic part), and every asymptotic result is within its
-    tail_estimate.  The points straddle both switches."""
+    algebraic part), and every asymptotic or double-double result is
+    within its tail_estimate.  The points straddle both switches."""
 
     XS = (
         18.0 + 1e-9, 19.4, 22.2, 25.0 - 1e-9, 25.0 + 1e-9, 28.6, 33.3,
@@ -886,7 +913,7 @@ class TestBandOracle:
     )
     POLICIES = (DEFAULT_POLICY, EvalPolicy(crossover_x=18.0))
 
-    def _check(self, f, orders, oracle, envelope, bounded=(PATH_ASYMPTOTIC,)):
+    def _check(self, f, orders, oracle, envelope):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             for nu in orders:
@@ -897,7 +924,7 @@ class TestBandOracle:
                         err = abs(mp.mpf(r.value) - want)
                         if pol.crossover_x < x <= pol.extended_x:
                             assert err <= pol.rel_tol * envelope(nu, x), (nu, x, r.path, float(err))
-                        if r.path in bounded:
+                        if r.path in (PATH_ASYMPTOTIC, PATH_EXTENDED):
                             assert err <= r.tail_estimate, (nu, x, r.path, float(err), r.tail_estimate)
 
     @staticmethod
@@ -919,17 +946,13 @@ class TestBandOracle:
         self._check(struve_h, (-1.5, -1.0, -0.5, 0.0, 1.7, 3.0), lambda mp, a, x: mp.struveh(a, x), env)
 
     def test_auxiliary_series(self):
-        # the double-double S series reports its cancellation floor too
         orders = (0.0, 0.5, 1.0, 1.5, 3.0)
-        paths = (PATH_ASYMPTOTIC, PATH_EXTENDED)
-        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env, paths)
-        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env, paths)
+        self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
+        self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
 
     def test_auxiliary_series_off_the_plain_orders(self):
-        # negative, near-integer, integer and large orders; only the
-        # asymptotic results must lie within their tail_estimate: the
-        # double-double estimate leaves out the rounding of the series'
-        # inputs and misses by up to 3% at some of these points
+        # negative, near-integer, integer and large orders; the
+        # double-double estimate covers the rounding of the series' inputs
         orders = (-0.7, 1.0135, 2.0037, 4.0, 7.5)
         self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
         self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
@@ -942,6 +965,16 @@ class TestBandOracle:
         assert r.path == PATH_EXTENDED
         with mp.workdps(40):
             err = abs(mp.mpf(r.value) - self._s_pair(mp, mp.mpf(19.7), mp.mpf(55.0))[0])
+        assert err <= r.tail_estimate, (float(err), r.tail_estimate)
+
+    def test_auxiliary_series_reach_under_a_forced_policy(self):
+        # past extended_x the S series keeps the shared reach: its loss
+        # at x = 11, 7.5, is far within the extended budget
+        mp = pytest.importorskip("mpmath")
+        r = s1(19.7, 11.0, POL_ASYM)
+        assert r.path == PATH_EXTENDED
+        with mp.workdps(40):
+            err = abs(mp.mpf(r.value) - self._s_pair(mp, mp.mpf(19.7), mp.mpf(11.0))[0])
         assert err <= r.tail_estimate, (float(err), r.tail_estimate)
 
     def test_near_integer_orders(self):
