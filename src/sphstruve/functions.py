@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
+from .gammakit import GAMMA_OVERFLOW_X, SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from .ddouble import _SPLITTER, two_prod
 
 __all__ = [
@@ -108,8 +108,8 @@ def _kill_start(gamma_args):
     k + g a nonpositive integer."""
     k0 = 0
     for g in gamma_args:
-        if _is_nonpositive_integer(g):
-            k0 = max(k0, int(1.0 - g))
+        if g <= 0.0 and g == math.floor(g) and 1.0 - g > k0:
+            k0 = int(1.0 - g)
     return k0
 
 
@@ -152,10 +152,11 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
             dens.append(den)
         term = term * num / den
         k += 1.0
-        bound = rel_tol * abs(total)
+        # rel_tol * |total|, at least abs_tol, without an abs call
+        bound = rel_tol * total
         if bound < abs_tol:
-            bound = abs_tol
-        if abs(term) <= bound:
+            bound = -bound if bound < -abs_tol else abs_tol
+        if -bound <= term <= bound:
             small += 1
             if small >= 2:
                 return total, i + 1, abs(term)
@@ -501,7 +502,25 @@ def _struve_terms(alpha, x):
     g = alpha + 1.5
     k0 = _kill_start((g,))
     sign = -1.0 if k0 % 2 else 1.0
-    return sign * (x / 2.0) ** (2 * k0 + alpha + 1.0) * rgamma(k0 + 1.5) * rgamma(k0 + g), (1.5, g), k0
+    p = 2 * k0 + alpha + 1.0
+    try:
+        t0 = sign * (x / 2.0) ** p * rgamma(k0 + 1.5) * rgamma(k0 + g)
+    except OverflowError:
+        t0 = 0.0
+    if t0 == 0.0 and k0 + g > 0.0:  # the power overflowed, or rgamma(k0 + g) underflowed
+        t0 = sign * rgamma(k0 + 1.5) * _power_rgamma(x / 2.0, p, k0 + g)
+    return t0, (1.5, g), k0
+
+
+def _power_rgamma(base, p, a):
+    """base**p / Gamma(a), a > 0, where base**p overflows or 1/Gamma(a)
+    underflows: the power in two halves around 1/Gamma(a), split past
+    GAMMA_OVERFLOW_X by Gamma(a) = Gamma(a/2) Gamma(a/2 + 1/2) 2**(a-1) / sqrt(pi).
+    Each factor is good to a few ulps, as in the direct form."""
+    half = base ** (0.5 * p)
+    if a <= GAMMA_OVERFLOW_X:
+        return half * rgamma(a) * half
+    return half * 2.0 ** (1.0 - a) * rgamma(0.5 * a) * half * rgamma(0.5 * a + 0.5) * SQRT_PI
 
 
 def _struve_asym(alpha, x):
@@ -525,7 +544,12 @@ def struve_algebraic(alpha, x):
     `hankel_pq`, term k carries about 4k roundings, so the rounding part
     is 4ku times the sum of |term| (u = 2^-53).
     """
-    term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
+    try:
+        term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
+    except OverflowError:
+        term = 0.0
+    if term == 0.0 and alpha + 0.5 > 0.0:  # the power overflowed, or the rgamma underflowed
+        term = _power_rgamma(x / 2.0, alpha - 1.0, alpha + 0.5) / SQRT_PI
     total = absum = 0.0
     prev = math.inf
     hump = max(1.0, alpha - 0.5)
@@ -556,23 +580,27 @@ def _humbert_family(indices, policy, rgammas=None):
     rgamma value: a caller preparing many index sets shares one, so each
     argument is evaluated once across all of them.
     """
-    gamma_args = (1.0,) + tuple(i + 1.0 for i in indices)
+    gamma_args = (1.0, *[i + 1.0 for i in indices])
     k0 = _kill_start(gamma_args)
     if rgammas is None:
         rgammas = {}
     factors = []
+    first = 1.0  # the first term where k0 = 0
     for g in gamma_args:
         a = k0 + g
         r = rgammas.get(a)
         if r is None:
             r = rgammas[a] = rgamma(a)
         factors.append(r)
+        first *= r
     dens = []
 
     def evaluate(z):
-        t0 = (-z) ** k0 if k0 else 1.0
-        for r in factors:
-            t0 *= r
+        t0 = first
+        if k0:  # the first term depends on z
+            t0 = (-z) ** k0
+            for r in factors:
+                t0 *= r
         return _sum_ratio_series(t0, -z, (), gamma_args, policy, k0=k0, dens=dens)
 
     return evaluate

@@ -295,14 +295,19 @@ def _humbert_laguerre(indices, z_of_s, sigma, policy):
 def _symmetric_double_sum(u, v, m_cut, evaluate):
     """sum over m, n in [-m_cut, m_cut] of u**m v**n F(m, n), F symmetric:
     `evaluate(pairs)` returns F at the pairs with n >= m, in their order,
-    and each term of the sum reads F(min, max)."""
+    which fill both halves of a table.  The terms are added m by m, then
+    n by n, each as (u**m * v**n) * F(m, n)."""
     orders = range(-m_cut, m_cut + 1)
     pairs = [(m, n) for m in orders for n in orders if n >= m]
-    values = dict(zip(pairs, evaluate(pairs)))
+    table = [[0.0] * len(orders) for _ in orders]
+    for (m, n), f in zip(pairs, evaluate(pairs)):
+        table[m + m_cut][n + m_cut] = table[n + m_cut][m + m_cut] = f
+    v_powers = [v**n for n in orders]
     total = 0.0
-    for m in orders:
-        for n in orders:
-            total += u**m * v**n * values[min(m, n), max(m, n)]
+    for m, row in zip(orders, table):
+        pm = u**m
+        for pn, f in zip(v_powers, row):
+            total += pm * pn * f
     return total
 
 
@@ -612,7 +617,7 @@ def _build_catalog():
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
-            * _humbert_laguerre((0.5, p["alpha"] + 0.5), lambda s, x=p["x"]: s * (x / 2.0) ** 2, 0.0, pol),
+            * _humbert_laguerre((0.5, p["alpha"] + 0.5), lambda s, w=(p["x"] / 2.0) ** 2: s * w, 0.0, pol),
             {"integrate_laguerre", "humbert2"},
             "laguerre-quadrature",
         ),
@@ -706,7 +711,7 @@ def _build_catalog():
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), beta=(0.0, 0.5, 1.0), gamma_p=(0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: _humbert_laguerre(
-                (p["alpha"], p["beta"]), lambda s, x=p["x"]: s * (x / 2.0) ** 2, p["gamma_p"] - 1.0, pol
+                (p["alpha"], p["beta"]), lambda s, w=(p["x"] / 2.0) ** 2: s * w, p["gamma_p"] - 1.0, pol
             ),
             {"integrate_laguerre", "humbert2"},
             "laguerre-quadrature",
@@ -790,7 +795,7 @@ def _build_catalog():
             lambda p, pol: (p["x"] / 2.0) ** (p["mu"] + p["nu"])
             * _humbert_laguerre(
                 (p["mu"], p["nu"], p["mu"] + p["nu"]),
-                lambda s, x=p["x"]: (s * s) * (x * x) / 4.0,
+                lambda s, xx=p["x"] * p["x"]: (s * s) * xx / 4.0,
                 p["mu"] + p["nu"],
                 pol,
             ),

@@ -24,9 +24,9 @@ is what this module computes, to a few ulps of the returned float:
 The expansion, the amplitude and the tail are all validated against the
 60-digit series in the test suite.
 
-Each power of T comes from a single exp/ln per call: the finite part
-steps T**(gam+1) by -T**3 from term to term, and the tail steps
-T**(q+gam) by 1/T.
+ln T and e^{3 omega T} are computed once per cut T, and each power of T
+from a single exp per call: the finite part steps T**(gam+1) by -T**3
+from term to term, and the tail steps T**(q+gam) by 1/T.
 """
 
 import math
@@ -121,10 +121,18 @@ def _rpow(base, expo):
 def _saddle_constants():
     sqrt3 = D(3).sqrt()
     omega = (D("0.5"), sqrt3 / 2)  # exp(i pi/3)
-    return sqrt3, omega, (3 * omega[0], 3 * omega[1])  # exponent rate 3*omega
+    p = (3 * omega[0], 3 * omega[1])  # exponent rate 3*omega
+    return sqrt3, omega, p, _cdiv((D(1), D(0)), p)
 
 
-_SQRT3, _OMEGA, _P_RATE = _saddle_constants()
+_SQRT3, _OMEGA, _P_RATE, _INV_P_RATE = _saddle_constants()
+
+
+@lru_cache(maxsize=4)
+@_with_precision
+def _cut_constants(T):
+    """ln T and e^{pT}, p = 3 omega: the constants of a tail cut T."""
+    return T.ln(), _cexp((_P_RATE[0] * T, _P_RATE[1] * T))
 
 
 def _halfint(x):
@@ -295,11 +303,11 @@ def _tail_regularized(T, gam, mu, nu):
     the windows) and is dropped.
     """
     q, acoef = _asym_coeffs(mu, nu)
-    p = _P_RATE
-    inv_p = _cdiv((D(1), D(0)), p)
+    inv_p = _INV_P_RATE
+    ln_T, exp_pT = _cut_constants(T)
     b = q + D(str(gam))
     inv_T = 1 / T
-    tb = _rpow(T, b)
+    tb = (b * ln_T).exp()
     c = (D(0), D(0))
     terms = []
     for n, an in enumerate(acoef):
@@ -307,7 +315,7 @@ def _tail_regularized(T, gam, mu, nu):
         c = _cmul((an[0] - step * c[0], an[1] - step * c[1]), inv_p)
         terms.append((c[0] * tb, c[1] * tb))
         tb *= inv_T
-    v = _cmul(stokes_amplitude(mu, nu), _cmul(_cexp((p[0] * T, p[1] * T)), _sum_to_min(terms)))
+    v = _cmul(stokes_amplitude(mu, nu), _cmul(exp_pT, _sum_to_min(terms)))
     return -2 * v[0]
 
 
@@ -317,7 +325,7 @@ def _finite_part(T, gam, mu, nu):
     mu_d = D(str(mu))
     nu_d = D(str(nu))
     e = D(str(gam)) + 1
-    t = _series_prefactor(mu, nu) * _rpow(T, e)
+    t = _series_prefactor(mu, nu) * (e * _cut_constants(T)[0]).exp()
     neg_T3 = -(T**3)
     s = D(0)
     k = 0

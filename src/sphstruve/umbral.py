@@ -175,7 +175,9 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
             for i, s in enumerate(prefix):
                 first = list(map(mul, first, column(i, s)))
             heads[prefix] = first
-        last = column(m - 1, shift[-1])
+        last = columns.get((m - 1, shift[-1]))
+        if last is None:
+            last = column(m - 1, shift[-1])
         try:
             total = math.fsum(map(mul, first, last))
         except (ValueError, OverflowError):  # inf - inf, or a finite overflow

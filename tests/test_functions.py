@@ -263,6 +263,33 @@ class TestStruve:
                 rhs = 4.0 * (x / 2.0) ** (alpha + 1.0) * rgamma(alpha + 0.5) / SQRT_PI
                 assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), abs(x * x * fd.deriv2(f, x)))
 
+    def test_large_orders_do_not_overflow(self):
+        # alpha in [50.3, 200.3], x in [25.5, 300.5]: (x/2)**(alpha - 1)
+        # alone can exceed binary64, and 1/Gamma past 171.6 underflows to
+        # 0.  Each point comes back within its tail of 40-digit mpmath, or
+        # raises ConvergenceError/DomainError; none raises OverflowError
+        mp = pytest.importorskip("mpmath")
+        values = 0
+        with mp.workdps(40):
+            for alpha in (50.3 + 5.0 * i for i in range(31)):
+                for x in (25.5 + 12.5 * j for j in range(23)):
+                    try:
+                        r = struve_h(alpha, x)
+                    except (ConvergenceError, DomainError):
+                        continue
+                    values += 1
+                    assert abs(mp.mpf(r.value) - mp.struveh(alpha, x)) <= r.tail_estimate, (alpha, x, r)
+        assert values >= 600
+
+    def test_algebraic_part_where_the_power_overflows(self):
+        # (150.15)**149.3 overflows; the sum is H - Y, within its floor
+        mp = pytest.importorskip("mpmath")
+        alpha, x = 150.3, 300.3
+        v, floor = struve_algebraic(alpha, x)
+        with mp.workdps(40):
+            want = mp.struveh(alpha, x) - mp.bessely(alpha, x)
+            assert abs(mp.mpf(v) - want) <= floor + 4.0 * 2.0**-53 * abs(v)
+
 
 class TestHumbert:
     def test_two_index_at_zero(self):

@@ -284,6 +284,33 @@ class TestSymmetricDoubleSums:
 
         run()
 
+    @pytest.mark.parametrize("m_cut", [0, 1, 14])
+    def test_table_sum_matches_the_dict_loop(self, m_cut):
+        # reference: the n >= m values in a dict, and every term of the full
+        # loop formed as u**m * v**n * F(min, max); the table sum must keep
+        # its bits, for a random symmetric F at random (u, v)
+        import random
+
+        from sphstruve.identities import _symmetric_double_sum
+
+        rng = random.Random(m_cut)
+        orders = range(-m_cut, m_cut + 1)
+        for _ in range(20):
+            u, v = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+            F = {(m, n): rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-30, 5) for m in orders for n in orders if n >= m}
+            calls = []
+
+            def evaluate(pairs):
+                calls.append(list(pairs))
+                return [F[p] for p in pairs]
+
+            want = 0.0
+            for m in orders:
+                for n in orders:
+                    want += u**m * v**n * F[min(m, n), max(m, n)]
+            assert _symmetric_double_sum(u, v, m_cut, evaluate).hex() == want.hex()
+            assert calls == [[(m, n) for m in orders for n in orders if n >= m]]
+
 
 class TestLaguerreMultiIndex:
     # the Laguerre side of every default I11/I15/I18 point, where the

@@ -109,6 +109,45 @@ class TestFinitePart:
             assert abs((got - want) / want) <= D("1e-30")
 
 
+class TestCutConstants:
+    # ln T and e^{pT} come from a per-cut cache; the reference forms them
+    # per call, as _rpow and _cexp do, and must agree digit for digit
+    @pytest.mark.parametrize("gam,mu,nu", [(0.5, 0.0, 0.0), (-0.13, 2.0, 2.0), (1.25, 2.0, 1.0), (0.5, 0.5, 1.0)])
+    def test_equal_to_per_call_powers(self, gam, mu, nu):
+        r = regularized
+        T = r._TAIL_CUT
+        with localcontext() as ctx:
+            ctx.prec = 60
+            # finite part: T**(gam+1) from its own exp/ln
+            e = D(str(gam)) + 1
+            t = r._series_prefactor(mu, nu) * r._rpow(T, e)
+            mu_d, nu_d = D(str(mu)), D(str(nu))
+            neg_T3 = -(T**3)
+            s, k = D(0), 0
+            while True:
+                s += t / (e + 3 * k)
+                t = t * neg_T3 / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+                k += 1
+                if k > 8 and abs(t) < r._SERIES_EPS * (abs(s) + 1):
+                    break
+            assert r._finite_part(T, gam, mu, nu) == s
+            # tail: 1/p, T**b and e^{pT} formed in the call
+            q, acoef = r._asym_coeffs(mu, nu)
+            p = r._P_RATE
+            inv_p = r._cdiv((D(1), D(0)), p)
+            b = q + D(str(gam))
+            tb = r._rpow(T, b)
+            c = (D(0), D(0))
+            terms = []
+            for n, an in enumerate(acoef):
+                step = b - n + 1
+                c = r._cmul((an[0] - step * c[0], an[1] - step * c[1]), inv_p)
+                terms.append((c[0] * tb, c[1] * tb))
+                tb *= 1 / T
+            v = r._cmul(stokes_amplitude(mu, nu), r._cmul(r._cexp((p[0] * T, p[1] * T)), r._sum_to_min(terms)))
+            assert r._tail_regularized(T, gam, mu, nu) == -2 * v[0]
+
+
 class TestRegularizedIntegrals:
     def test_real_line_values(self):
         for mu, nu in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0)):

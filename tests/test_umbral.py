@@ -192,6 +192,18 @@ class TestReduceShifts:
         want = t.coeff * rgamma(1.0 + (3.0 + 5.0)) * rgamma(1.0 + (2.0 + 5.0))
         assert reduce_shifts(e, [(3.0, 2.0)])[0].hex() == want.hex()
 
+    def test_list_typed_shifts(self):
+        # shifts given as lists reduce bit for bit as the same tuples, with
+        # the leading-prefix products reused across shifts that share them
+        image = laplace_reduce(2.0, 0.3, 0.0, 0.0, order=40)
+        shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (1, -1, 3)]
+        want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
+        got = reduce_shifts(image, [list(s) for s in shifts], check_tail_rel=2.0**-40)
+        assert [v.hex() for v in got] == want
+        three = UmbralExpr(3, tuple(UmbralTerm(0.5 * k, (k, 0.5 * k, 1.0)) for k in range(6)))
+        triples = [(0.0, 1.0, 2.0), (0.0, 1.0, -0.5), (1.5, 1.0, 2.0)]
+        assert reduce_shifts(three, [list(t) for t in triples]) == reduce_shifts(three, triples)
+
     def test_zero_shift_is_reduce_expr(self):
         ser = UmbralExpSeries((0.5,), (1,), 2.25, -1, 40)
         ex = expand(ser)
