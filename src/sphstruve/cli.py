@@ -12,7 +12,6 @@ Exit codes: 0 success / all verified, 1 a check failed or was skipped,
 """
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -211,6 +210,8 @@ def _cmd_verify(args):
                 rec[k] = _finite_or_none(rec[k])
             _emit(args, json.dumps(rec))
     elif args.format == "csv":
+        import csv  # here, not at the top: only the csv writers need it
+
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=_REPORT_FIELDS, lineterminator="\n")
         w.writeheader()
@@ -260,6 +261,8 @@ def _cmd_table(args):
         for x, v, path, terms in rows:
             _emit(args, json.dumps({"x": x, "value": v, "path": path, "terms_used": terms}))
     else:
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(("x", "value", "path", "terms_used"))

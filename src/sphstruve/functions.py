@@ -24,7 +24,7 @@ a row, which guards against even/odd-term flatlines in alternating sums.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
@@ -60,21 +60,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
+class EvalPolicy(namedtuple("EvalPolicy", "rel_tol abs_tol max_terms crossover_x extended_x",
+                            defaults=(1e-12, 1e-300, 500, 25.0, 60.0))):
     """Tolerances, term limits and path crossovers shared by all series."""
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    max_terms: int = 500
-    crossover_x: float = 25.0
-    extended_x: float = 60.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("EvalPolicy: rel_tol must lie in (0, 1)")
         if not self.crossover_x < self.extended_x:
             raise DomainError("EvalPolicy: crossover_x must be below extended_x")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -85,14 +85,10 @@ PATH_ASYMPTOTIC = "asymptotic"
 PATH_CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(namedtuple("SeriesResult", "value terms_used tail_estimate path")):
     """Value plus convergence metadata for one evaluation."""
 
-    value: float
-    terms_used: int
-    tail_estimate: float
-    path: str
+    __slots__ = ()
 
     def __float__(self):
         return self.value
@@ -256,7 +252,7 @@ def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets
     32 u |value| for the binary64 rounding of t0 and the offsets (u = 2^-53)."""
     nums, dens = num_offsets + (0.5 * a,), den_offsets + (0.5 * a + 1.0,)
     first = t0 * T / (2 * k0 + a)
-    v, n, tail = _sum_ratio_series_dd(first, *z, nums, dens, replace(policy, rel_tol=2.0**-60), k0)
+    v, n, tail = _sum_ratio_series_dd(first, *z, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
     mag, t = 0.0, abs(first)
     for k in range(k0, k0 + n):
         mag += t
@@ -456,7 +452,13 @@ def cyl_j(nu, x, policy=None):
 
 def _cyl_j_terms(nu, x):
     """(t0, den_offsets, k0) of the ascending series of J_nu(x)."""
-    return (x / 2.0) ** nu * rgamma(nu + 1.0), (1.0, nu + 1.0), 0
+    try:
+        t0 = (x / 2.0) ** nu * rgamma(nu + 1.0)
+    except OverflowError:
+        t0 = 0.0
+    if t0 == 0.0:  # the power overflowed or underflowed, or rgamma(nu + 1) underflowed
+        t0 = _power_rgamma(x / 2.0, nu, nu + 1.0)
+    return t0, (1.0, nu + 1.0), 0
 
 
 def _cyl_j_asym(nu, x):
@@ -507,20 +509,45 @@ def _struve_terms(alpha, x):
         t0 = sign * (x / 2.0) ** p * rgamma(k0 + 1.5) * rgamma(k0 + g)
     except OverflowError:
         t0 = 0.0
-    if t0 == 0.0 and k0 + g > 0.0:  # the power overflowed, or rgamma(k0 + g) underflowed
+    if t0 == 0.0:  # the power overflowed or underflowed, or rgamma(k0 + g) underflowed
         t0 = sign * rgamma(k0 + 1.5) * _power_rgamma(x / 2.0, p, k0 + g)
     return t0, (1.5, g), k0
 
 
 def _power_rgamma(base, p, a):
-    """base**p / Gamma(a), a > 0, where base**p overflows or 1/Gamma(a)
-    underflows: the power in two halves around 1/Gamma(a), split past
-    GAMMA_OVERFLOW_X by Gamma(a) = Gamma(a/2) Gamma(a/2 + 1/2) 2**(a-1) / sqrt(pi).
-    Each factor is good to a few ulps, as in the direct form."""
-    half = base ** (0.5 * p)
-    if a <= GAMMA_OVERFLOW_X:
-        return half * rgamma(a) * half
-    return half * 2.0 ** (1.0 - a) * rgamma(0.5 * a) * half * rgamma(0.5 * a + 0.5) * SQRT_PI
+    """base**p / Gamma(a), a not a pole, where base**p overflows or 1/Gamma(a)
+    underflows, as a product of factors that each stay in range.  The power
+    is taken in n = 2, 4, 8, ... equal factors base**(p/n), halving being
+    exact in binary64; past GAMMA_OVERFLOW_X every argument t of Gamma is
+    split by Gamma(t) = Gamma(t/2) Gamma(t/2 + 1/2) 2**(t-1) / sqrt(pi) until
+    all are in range.  The running product is kept as a mantissa and a binary
+    exponent, which changes no rounding: where the plain product in the same
+    order stays in range, this has its bits.  Each of its F factors is good
+    to a few ulps, so the product is good to about F times that (F = 14 at
+    a = 400); past 64 power or gamma factors it raises OverflowError."""
+    log_power = p * math.log(base) if base else -math.inf  # x = 5e-324 halves to 0
+    if log_power - math.lgamma(a) < -760.0:
+        return 0.0  # below the least subnormal, e^-744.4
+    n = 2
+    while log_power / n > 709.78:  # ln of the largest binary64 is 709.7827
+        n *= 2
+    if n > 64 or a > 64 * GAMMA_OVERFLOW_X:
+        raise OverflowError(f"base**p / Gamma(a) at p = {p!r}, a = {a!r} exceeds the supported range")
+    h = base ** (p / n)
+    args, scales, e = [a], [], 0
+    while max(args) > GAMMA_OVERFLOW_X:
+        for t in args:
+            k = 1000 * int(t // 1000)  # keeps 2**(1 - t + k) normal; k = 0 below t = 1000
+            scales.append(2.0 ** (1.0 - t + k))
+            e -= k
+        args = [s for t in args for s in (0.5 * t, 0.5 * t + 0.5)]
+    rs = [rgamma(t) for t in args]
+    m = 1.0
+    for f in [h, *scales, rs[0], *[h] * (n - 1), *rs[1:], *[SQRT_PI] * len(scales)]:
+        f, fe = math.frexp(f)
+        m, me = math.frexp(m * f)
+        e += fe + me
+    return math.ldexp(m, e)
 
 
 def _struve_asym(alpha, x):

@@ -8,7 +8,7 @@ polynomials that encode derivatives of Gaussians.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, PoleError
 
@@ -126,18 +126,12 @@ def rgamma(x):
     return _sin_pi(x) * _gamma_positive(1.0 - x) / math.pi
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Gamma evaluated at one point, with pole bookkeeping.
+GammaValue = namedtuple("GammaValue", "argument value is_pole reciprocal")
+GammaValue.__doc__ = """Gamma evaluated at one point, with pole bookkeeping.
 
-    `reciprocal` is 1/Gamma at the same argument and is exactly 0.0
-    whenever `is_pole` is set.
-    """
-
-    argument: float
-    value: float
-    is_pole: bool
-    reciprocal: float
+`reciprocal` is 1/Gamma at the same argument and is exactly 0.0
+whenever `is_pole` is set.
+"""
 
 
 def gamma_value(x):
@@ -151,15 +145,11 @@ def gamma_value(x):
 _HERMITE2_MAX_DEGREE = 200
 
 
-@dataclass(frozen=True)
-class Hermite2Coeffs:
-    """Coefficient table of the finite two-variable Hermite sum.
+Hermite2Coeffs = namedtuple("Hermite2Coeffs", "degree coefficients")
+Hermite2Coeffs.__doc__ = """Coefficient table of the finite two-variable Hermite sum.
 
-    Entry k multiplies y**(n-2k) z**k and equals n!/(k!(n-2k)!).
-    """
-
-    degree: int
-    coefficients: tuple
+Entry k multiplies y**(n-2k) z**k and equals n!/(k!(n-2k)!).
+"""
 
 
 def hermite2_coeffs(n):

@@ -23,7 +23,7 @@ import cmath
 import math
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ConvergenceError, UnknownIdentityError
 from .gammakit import SQRT_PI, gamma, rgamma
@@ -71,34 +71,25 @@ _PRODUCT_SPLIT = 20.0
 _SQUARE_SPLIT = 40.0
 
 
-@dataclass(frozen=True)
-class EvaluatorBinding:
-    """One side of an identity: callable plus audit metadata."""
-
-    fn: object
-    operations: frozenset
-    strategy: str
+EvaluatorBinding = namedtuple("EvaluatorBinding", "fn operations strategy")
+EvaluatorBinding.__doc__ = """One side of an identity: callable plus audit metadata."""
 
 
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    description: str
-    reference: str  # statement of the verified claim
-    params: dict  # name -> ("range", lo, hi) | ("choice", values)
-    grid: tuple  # tuple of param dicts
-    lhs: EvaluatorBinding
-    rhs: EvaluatorBinding
-    tol_abs: float
-    tol_rel: float
-    window_note: str = ""
-    shared_family: bool = False
+# reference states the verified claim; params maps each name to
+# ("range", lo, hi) or ("choice", values); grid is a tuple of param dicts
+class Identity(namedtuple("Identity", "id description reference params grid lhs rhs tol_abs tol_rel "
+                                      "window_note shared_family", defaults=("", False))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tol_abs <= 0 or self.tol_rel <= 0:
             raise DomainError(f"{self.id}: tolerances must be positive")
         for pt in self.grid:
             self.check_params(pt)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def check_params(self, params):
         for name, spec in self.params.items():
@@ -118,17 +109,10 @@ class Identity:
                 raise DomainError(f"{self.id}: unknown parameter {name!r}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity_id: str
-    params: dict
-    lhs: float
-    rhs: float
-    abs_err: float
-    rel_err: float
-    status: str  # pass | fail | skipped
-    seconds: float
-    reason: str = ""
+# status is one of pass | fail | skipped
+VerificationReport = namedtuple(
+    "VerificationReport", "identity_id params lhs rhs abs_err rel_err status seconds reason", defaults=("",)
+)
 
 
 # ---------------------------------------------------------------------------

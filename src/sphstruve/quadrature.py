@@ -20,7 +20,7 @@ catalog needs:
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError
 from .gammakit import gamma
@@ -65,12 +65,8 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    cells_or_nodes: int
-    status: str  # converged | max_refinement | accelerated
+# status is one of converged | max_refinement | accelerated
+QuadratureResult = namedtuple("QuadratureResult", "value error_estimate cells_or_nodes status")
 
 
 def _gk15(f, a, b):

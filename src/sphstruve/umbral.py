@@ -19,7 +19,7 @@ whole family of shifts in one pass (`reduce_shifts`).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
@@ -39,22 +39,17 @@ __all__ = [
 _MAX_ORDER = 500
 
 
-@dataclass(frozen=True)
-class UmbralTerm:
-    """coeff * symbol_1**e_1 * ... * symbol_m**e_m."""
-
-    coeff: float
-    exponents: tuple
+UmbralTerm = namedtuple("UmbralTerm", "coeff exponents")
+UmbralTerm.__doc__ = """coeff * symbol_1**e_1 * ... * symbol_m**e_m."""
 
 
-@dataclass(frozen=True)
-class UmbralExpr:
+class UmbralExpr(namedtuple("UmbralExpr", "symbol_count terms")):
     """Finite sum of umbral monomials over `symbol_count` symbols."""
 
-    symbol_count: int
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.symbol_count not in (1, 2, 3):
             raise DomainError("UmbralExpr: symbol_count must be 1, 2 or 3")
         for t in self.terms:
@@ -63,6 +58,9 @@ class UmbralExpr:
                     "UmbralExpr: term exponent vector length "
                     f"{len(t.exponents)} != symbol_count {self.symbol_count}"
                 )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def scaled(self, factor):
         return UmbralExpr(
@@ -76,8 +74,7 @@ class UmbralExpr:
         return UmbralExpr(self.symbol_count, self.terms + other.terms)
 
 
-@dataclass(frozen=True)
-class UmbralExpSeries:
+class UmbralExpSeries(namedtuple("UmbralExpSeries", "prefactor_exponents step_degrees scale sign order")):
     """Truncated exponential image.
 
     Expanding to order N produces N+1 terms; term k carries coefficient
@@ -85,13 +82,10 @@ class UmbralExpSeries:
     prefactor_exponents + k*step_degrees.
     """
 
-    prefactor_exponents: tuple
-    step_degrees: tuple
-    scale: float
-    sign: int
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign not in (1, -1):
             raise DomainError("UmbralExpSeries: sign must be +1 or -1")
         if len(self.prefactor_exponents) != len(self.step_degrees):
@@ -100,6 +94,9 @@ class UmbralExpSeries:
             raise DomainError("UmbralExpSeries: step degrees must be nonnegative integers")
         if self.order < 0:
             raise DomainError("UmbralExpSeries: order must be nonnegative")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 def expand(series):

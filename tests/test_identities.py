@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import pickle
 
 import pytest
 
@@ -9,6 +10,8 @@ from sphstruve import identities, quadrature
 from sphstruve.errors import DomainError, UnknownIdentityError
 from sphstruve.functions import DEFAULT_POLICY, EvalPolicy
 from sphstruve.identities import (
+    EvaluatorBinding,
+    Identity,
     catalog_json,
     get_identity,
     list_identities,
@@ -42,6 +45,29 @@ class TestCatalogShape:
         for iden in list_identities():
             for pt in iden.grid:
                 iden.check_params(pt)  # raises on violation
+
+    def test_record_validates_on_every_path(self, rejects_on_every_path):
+        good = Identity(
+            id="T01",
+            description="test record",
+            reference="none",
+            params={"nu": ("range", 0.0, 1.0), "n": ("choice", (0, 1))},
+            grid=({"nu": 0.5, "n": 1},),
+            lhs=EvaluatorBinding(None, frozenset({"a"}), "left"),
+            rhs=EvaluatorBinding(None, frozenset({"b"}), "right"),
+            tol_abs=1e-12,
+            tol_rel=1e-12,
+        )
+        assert (good.window_note, good.shared_family) == ("", False)
+        for bad in (
+            {"tol_abs": 0.0},
+            {"tol_rel": -1e-12},
+            {"grid": ({"nu": 2.0, "n": 1},)},
+            {"grid": ({"nu": 0.5, "n": 2},)},
+            {"grid": ({"nu": 0.5},)},
+            {"grid": ({"nu": 0.5, "n": 1, "mu": 0.0},)},
+        ):
+            rejects_on_every_path(good, **bad)
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIdentityError):
@@ -508,6 +534,13 @@ class TestVerifyAll:
         assert [key(r) for r in pooled] == [key(r) for r in serial]
         assert all(r.status == "pass" for r in pooled)
 
+    def test_records_the_pool_sends_survive_pickle(self):
+        policy = EvalPolicy(rel_tol=1e-10, max_terms=300)
+        for rec in (policy, verify("I02", policy=policy), verify("I15", get_identity("I15").grid[0])):
+            back = pickle.loads(pickle.dumps(rec))
+            assert type(back) is type(rec)
+            assert back == rec
+
     def test_process_pool_survives_wrapped_verify(self, monkeypatch):
         # a tracer replaces the module's `verify` with a closure, which
         # cannot be pickled; the pool must still run it
@@ -619,22 +652,18 @@ class TestCatalogExport:
 
 
 class TestSkippedPropagation:
-    def test_evaluator_domain_error_becomes_skip(self):
+    def test_evaluator_domain_error_becomes_skip(self, monkeypatch):
         # every catalog grid point is evaluable, so exercise verify's
         # skip path by temporarily breaking one binding
-        iden = get_identity("I22")
+        iden = get_identity("I22")  # fills the catalog
 
         def boom(p, pol):
             raise DomainError("synthetic")
 
-        orig = iden.lhs.fn
-        object.__setattr__(iden.lhs, "fn", boom)
-        try:
-            rep = verify("I22", {"nu": 1.0})
-            assert rep.status == "skipped"
-            assert "synthetic" in rep.reason
-        finally:
-            object.__setattr__(iden.lhs, "fn", orig)
+        monkeypatch.setitem(identities._CATALOG, "I22", iden._replace(lhs=iden.lhs._replace(fn=boom)))
+        rep = verify("I22", {"nu": 1.0})
+        assert rep.status == "skipped"
+        assert "synthetic" in rep.reason
 
     def test_uncertified_laguerre_becomes_skip(self, monkeypatch):
         # a rule pair that never agreed must not pass as a check

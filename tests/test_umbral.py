@@ -35,9 +35,12 @@ class TestReduce:
         e = UmbralExpr(2, (UmbralTerm(1.0, (1.0, 2.0)),))
         assert reduce_expr(e) == pytest.approx(0.5, rel=1e-14)
 
-    def test_exponent_length_validated(self):
+    def test_exponent_length_validated(self, rejects_on_every_path):
         with pytest.raises(DomainError):
             UmbralExpr(2, (UmbralTerm(1.0, (1.0,)),))
+        good = UmbralExpr(2, (UmbralTerm(1.0, (1.0, 2.0)),))
+        rejects_on_every_path(good, terms=(UmbralTerm(1.0, (1.0,)),))
+        rejects_on_every_path(good, symbol_count=4)
 
     @given(
         st.lists(
@@ -82,6 +85,17 @@ class TestExpand:
     def test_order_limit(self):
         with pytest.raises(DomainError):
             expand(UmbralExpSeries((0.0,), (1,), 1.0, 1, 501))
+
+    def test_series_fields_validated(self, rejects_on_every_path):
+        good = UmbralExpSeries((0.5, 0.0), (1, 1), 2.0, -1, 6)
+        for bad in (
+            {"sign": 0},
+            {"step_degrees": (1,)},
+            {"step_degrees": (1, -1)},
+            {"step_degrees": (1, 0.5)},
+            {"order": -1},
+        ):
+            rejects_on_every_path(good, **bad)
 
     def test_spherical_pipeline(self):
         # j_0(x) image: x^{1/2}-weighted exponential image reduced at x=1
