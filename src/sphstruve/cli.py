@@ -7,11 +7,12 @@ Three subcommands:
 * ``table``  -- sweep a function over a start:stop:count grid.
 
 Exit codes: 0 success / all verified, 1 a check failed or was skipped,
-2 usage or domain error, 141 the reader closed the output pipe early
+2 a usage, config or domain error, 141 the reader closed the output pipe early
 (the code a shell reports for a process killed by SIGPIPE).
 """
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -71,7 +72,8 @@ _FUNCTIONS = {
 }
 
 _POLICY_FREE = {"rayleigh_jn"}
-_INT_ARGS = {"n"}
+# every function-argument flag; --n is the only integer one
+_ARG_NAMES = sorted({name for _, names in _FUNCTIONS.values() for name in names})
 
 
 class _UsageError(Exception):
@@ -79,16 +81,21 @@ class _UsageError(Exception):
 
 
 def _read_config_file(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise _UsageError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    """The `key = value` lines of a config file as `--key=value` arguments."""
+    out = []
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise _UsageError(f"cannot read config file: {exc}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"config line without '=': {line!r}")
+        key, val = line.split("=", 1)
+        out.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
     return out
 
 
@@ -100,30 +107,8 @@ def _build_policy(args):
     )
 
 
-def _apply_config_defaults(args, cfg):
-    casts = {
-        "rel_tol": float,
-        "abs_tol": float,
-        "max_terms": int,
-        "parallelism": int,
-        "seed": int,
-        "format": str,
-        "out": str,
-    }
-    for key, raw in cfg.items():
-        if key not in casts:
-            raise _UsageError(f"unknown config key {key!r}")
-        if getattr(args, "_explicit", None) and key in args._explicit:
-            continue  # flags override the file
-        setattr(args, key, casts[key](raw))
-
-
 def _emit(args, text):
-    if args.out:
-        with open(args.out, "a") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text, file=args.stream)
 
 
 def _bind(args, swept):
@@ -133,12 +118,16 @@ def _bind(args, swept):
     if args.function not in _FUNCTIONS:
         raise _UsageError(f"unknown function {args.function!r}; choose from {sorted(_FUNCTIONS)}")
     fn, names = _FUNCTIONS[args.function]
+    taken = names[: len(names) - swept]
+    for name in _ARG_NAMES:
+        if name not in taken and getattr(args, name, None) is not None:
+            raise _UsageError(f"--{name} does not apply to {args.function}")
     call = []
-    for name in names[: len(names) - swept]:
-        v = getattr(args, name if name != "gamma" else "gamma_p", None)
+    for name in taken:
+        v = getattr(args, name)
         if v is None:
             raise _UsageError(f"{args.function} requires --{name}")
-        call.append(int(v) if name in _INT_ARGS else v)
+        call.append(v)
     policy = () if args.function in _POLICY_FREE else (_build_policy(args),)
 
     def run(*rest):
@@ -185,6 +174,8 @@ def _finite_or_none(x):
 
 
 def _cmd_verify(args):
+    if args.parallelism < 1:
+        raise _UsageError("parallelism must be >= 1")
     known = {i.id: i for i in list_identities()}
     if args.ids == ["all"] or args.ids == []:
         ids = sorted(known)
@@ -254,7 +245,7 @@ def _parse_sweep(spec):
 def _cmd_table(args):
     _, _, run = _bind(args, 1)
     rows = []
-    for x in _parse_sweep(args.x):
+    for x in _parse_sweep(args.sweep):
         value, meta = run(x)
         rows.append((x, value, meta.path, meta.terms_used) if meta is not None else (x, value, "value", 0))
     if args.format == "json":
@@ -279,65 +270,65 @@ def _make_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", default=None, help="append output to this file instead of stdout")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-300)
-        p.add_argument("--max-terms", dest="max_terms", type=int, default=500)
-        p.add_argument(
-            "--parallelism",
-            type=int,
-            default=1,
-            help="verify in this many worker processes, capped at the available CPUs; "
-            "each worker fills its own lazy caches",
-        )
-        p.add_argument("--seed", type=int, default=0, help="nonzero jitters verification grids")
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument("--config", default=None, help="flat key=value file; flags override it")
+    def add_subcommand(name, func, formats, help):
+        """A subparser with the flags every subcommand reads; the last of
+        `formats` is the default --format."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--format", choices=formats, default=formats[-1])
+        p.add_argument("--out", help="append output to this file instead of stdout")
+        p.add_argument("--rel-tol", type=float, default=1e-12)
+        p.add_argument("--abs-tol", type=float, default=1e-300)
+        p.add_argument("--max-terms", type=int, default=500)
+        p.add_argument("--config", help="key = value lines, each a valued flag of this subcommand; flags win")
+        return p
 
-    pe = sub.add_parser("eval", help="evaluate one function at a point")
-    pe.add_argument("function")
-    for name in ("x", "t", "z", "nu", "mu", "rho", "alpha", "beta", "a", "b"):
-        pe.add_argument(f"--{name}", type=float, default=None)
-    pe.add_argument("--n", type=float, default=None)
-    pe.add_argument("--gamma", dest="gamma_p", type=float, default=None)
-    add_common(pe)
-    pe.set_defaults(func=_cmd_eval)
+    def add_function_args(p, skip=()):
+        p.add_argument("function", help=f"one of {', '.join(sorted(_FUNCTIONS))}")
+        for name in _ARG_NAMES:
+            if name not in skip:
+                p.add_argument(f"--{name}", type=int if name == "n" else float)
 
-    pv = sub.add_parser("verify", help="verify identities from the catalog")
+    pe = add_subcommand("eval", _cmd_eval, ("json", "text"), "evaluate one function at a point")
+    add_function_args(pe)
+    pe.add_argument("--verbose", action="store_true", help="add the path, terms and tail estimate")
+
+    pv = add_subcommand("verify", _cmd_verify, ("json", "csv", "text"), "verify identities from the catalog")
     pv.add_argument("ids", nargs="*", default=[], help="identity ids, or 'all'")
     pv.add_argument("--list-catalog", action="store_true", help="print the catalog as JSON and exit")
-    add_common(pv)
-    pv.set_defaults(func=_cmd_verify)
+    pv.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="verify in this many worker processes, capped at the available CPUs; "
+        "each worker fills its own lazy caches",
+    )
+    pv.add_argument("--seed", type=int, default=0, help="nonzero jitters verification grids")
 
-    pt = sub.add_parser("table", help="sweep a function over start:stop:count")
-    pt.add_argument("function")
-    pt.add_argument("--x", required=True, help="sweep spec start:stop:count (inclusive)")
-    for name in ("t", "z", "nu", "mu", "rho", "alpha", "beta", "a", "b"):
-        pt.add_argument(f"--{name}", type=float, default=None)
-    pt.add_argument("--n", type=float, default=None)
-    pt.add_argument("--gamma", dest="gamma_p", type=float, default=None)
-    add_common(pt)
-    pt.set_defaults(func=_cmd_table)
-
+    pt = add_subcommand("table", _cmd_table, ("json", "csv"), "sweep a function over start:stop:count")
+    add_function_args(pt, skip=("x",))
+    pt.add_argument(
+        "--x", dest="sweep", required=True, help="sweep spec start:stop:count (inclusive) of the last argument"
+    )
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-        args._explicit = explicit
-        if getattr(args, "config", None):
-            _apply_config_defaults(args, _read_config_file(args.config))
-        if args.parallelism < 1:
-            raise _UsageError("parallelism must be >= 1")
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        # config lines go right after the subcommand, so any flag the user gives wins
+        pre = argparse.ArgumentParser(prog="sphstruve", add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv)[0].config
+        if config:
+            argv[1:1] = _read_config_file(config)
+        args = _make_parser().parse_args(argv)
+        with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as args.stream:
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
+    except SystemExit as exc:  # argparse: 2 for a usage or config error, 0 after --help
+        return exc.code
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's final flush of the
         # unwritten buffer cannot raise again

@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .gammakit import GAMMA_OVERFLOW_X, SQRT_PI, _is_nonpositive_integer, gamma, rgamma
+from .gammakit import GAMMA_OVERFLOW_X, SQRT_PI, _is_nonpositive_integer, gamma, hermite2_coeffs, rgamma
 from .ddouble import _SPLITTER, two_prod
 
 __all__ = [
@@ -940,8 +940,6 @@ def sph_j_deriv(n, x, policy=None):
     x = float(x)
     if x <= 0.0:
         raise DomainError("sph_j_deriv: requires x > 0")
-    from .gammakit import hermite2_coeffs
-
     table = hermite2_coeffs(n).coefficients
     total = 0.0
     for k, c in enumerate(table):

@@ -236,6 +236,76 @@ class TestConfigFile:
         code, _, err = run("eval", "sph_j", "--n", "0", "--x", "1", "--config", str(cfg))
         assert code == 2
 
+    def test_abbreviated_flag_beats_file(self, run, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max-terms = 5\n")
+        code, out, err = run("eval", "cyl_j", "--nu", "0", "--x", "10", "--config", str(cfg), "--max-t", "500")
+        assert code == 0, err
+        assert float(out) == pytest.approx(-0.2459357644513483, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("seed = abc\n", ("verify", "I01")),  # not an int
+            ("format = xml\n", ("verify", "I01")),  # not a choice
+            ("format = csv\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # not an eval choice
+            ("seed = 3\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # eval takes no --seed
+            ("verbose = 1\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # a switch takes no value
+        ],
+    )
+    def test_bad_config_exits_2(self, run, tmp_path, text, argv):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        code, out, err = run(*argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
+
+    def test_missing_file_exits_2(self, run, tmp_path):
+        code, out, err = run("verify", "I01", "--config", str(tmp_path / "absent.txt"))
+        assert code == 2
+        assert out == ""
+        assert "cannot read config file" in err
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "sph_j", "--n", "2.5", "--x", "1"),  # --n is an integer
+            ("eval", "sph_j", "--n", "0", "--x", "1", "--seed", "3"),
+            ("eval", "sph_j", "--n", "0", "--x", "1", "--parallelism", "2"),
+            ("eval", "sph_j", "--n", "0", "--x", "1", "--format", "csv"),
+            ("table", "sph_j", "--n", "0", "--x", "1:2:2", "--verbose"),
+            ("table", "sph_j", "--n", "0", "--x", "1:2:2", "--seed", "3"),
+            ("table", "sph_j", "--n", "0", "--x", "1:2:2", "--format", "text"),
+            ("verify", "I01", "--verbose"),
+        ],
+    )
+    def test_flag_not_read_exits_2(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("eval", "sph_j", "--n", "2", "--x", "1", "--mu", "4"), "--mu"),
+            (("table", "mod_i0", "--t", "2", "--x", "1:2:2"), "--t"),  # the sweep sets t
+        ],
+    )
+    def test_function_flag_not_taken_exits_2(self, run, argv, flag):
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} does not apply" in err
+
+    def test_help_exits_0(self, run):
+        code, out, _ = run("verify", "--help")
+        assert code == 0
+        assert "--parallelism" in out and "--verbose" not in out
+
 
 class TestOutFile:
     def test_output_redirect(self, run, tmp_path):
@@ -245,6 +315,26 @@ class TestOutFile:
         assert out == ""
         rec = json.loads(target.read_text().strip())
         assert rec["id"] == "I01"
+
+    def test_file_opened_once_and_appended(self, run, tmp_path, monkeypatch):
+        from sphstruve import cli
+
+        target = tmp_path / "report.jsonl"
+        target.write_text("kept\n")
+        opened = []
+
+        def counting_open(path, *a, **kw):
+            opened.append(path)
+            return open(path, *a, **kw)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, out, _ = run("verify", "I02", "I05", "--format", "json", "--out", str(target))
+        assert code == 0 and out == ""
+        assert opened == [str(target)]
+        lines = target.read_text().splitlines()
+        assert lines[0] == "kept"
+        assert len(lines) > 3
+        assert {json.loads(line)["id"] for line in lines[1:]} == {"I02", "I05"}
 
 
 class _ClosedPipe:
