@@ -300,8 +300,8 @@ def _make_parser():
         "--parallelism",
         type=int,
         default=1,
-        help="verify in this many worker processes, capped at the available CPUs; "
-        "each worker fills its own lazy caches",
+        help="verify in this process and N - 1 forked children, capped at the available CPUs; "
+        "each fills its own lazy caches",
     )
     pv.add_argument("--seed", type=int, default=0, help="nonzero jitters verification grids")
 
@@ -323,7 +323,11 @@ def main(argv=None):
         if config:
             argv[1:1] = _read_config_file(config)
         args = _make_parser().parse_args(argv)
-        with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as args.stream:
+        try:
+            stream = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:
+            raise _UsageError(f"cannot open --out file: {exc}") from None
+        with stream as args.stream:
             code = args.func(args)
             sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

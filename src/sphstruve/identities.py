@@ -1008,12 +1008,18 @@ def verify_all(policy=None, parallelism=1, ids=None, seed=0):
     """Run every identity over its default grid.
 
     Reports come back ordered by (identity id, grid index) regardless of
-    the execution schedule.  With parallelism > 1 the checks run in a pool
-    of worker processes, at most one per CPU available to this process;
-    each worker builds its own lazy caches.  A nonzero seed jitters every
-    range-valued grid coordinate by up to +/-2% of its window width
-    (clipped to the interior), which is how the catalog windows get
-    exercised off their default points.
+    the execution schedule.  With parallelism > 1 the checks split into
+    `workers` interleaved shares, at most one per CPU available to this
+    process (`forkmap.fork_map`): this process runs one share, and a child
+    made by `os.fork()` runs each other share and sends its reports back
+    through a pipe.  Every process fills its own lazy caches, so the
+    reports are bit for bit those of a serial run.  An exception raised
+    in a child is raised here; a child that ends without sending its
+    result raises `ChildProcessError`; no child outlives the call.
+    Where `os.fork` does not exist the run is serial.  A nonzero seed
+    jitters every range-valued grid coordinate by up to +/-2% of its
+    window width (clipped to the interior), which is how the catalog
+    windows get exercised off their default points.
     """
     policy = policy or DEFAULT_POLICY
     identities = list_identities() if ids is None else [get_identity(i) for i in ids]
@@ -1030,15 +1036,13 @@ def verify_all(policy=None, parallelism=1, ids=None, seed=0):
             for pt in iden.grid:
                 jobs.append((iden.id, dict(pt)))
     workers = min(parallelism, len(jobs), _available_cpus())
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [verify(i, p, policy) for i, p in jobs]
     # processes, not threads: the checks are CPU-bound Python under the
-    # GIL.  Imported here because the import costs every CLI start ~20 ms.
-    from concurrent.futures import ProcessPoolExecutor
+    # GIL.  Imported here, so that `import sphstruve` does not compile it.
+    from .forkmap import fork_map
 
-    chunksize = max(1, len(jobs) // (8 * workers))  # ~8 per worker: fewer round trips
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_job, jobs, [policy] * len(jobs), chunksize=chunksize))
+    return fork_map(lambda job: verify(*job, policy), jobs, workers)
 
 
 def _available_cpus():
@@ -1046,14 +1050,6 @@ def _available_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _verify_job(job, policy):
-    # looks `verify` up as a module global at call time, so a wrapper
-    # installed over it (a tracer, say) still runs; a closure passed to the
-    # pool could not be pickled
-    identity_id, params = job
-    return verify(identity_id, params, policy)
 
 
 def catalog_json():

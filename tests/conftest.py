@@ -9,9 +9,9 @@ from sphstruve.errors import DomainError
 
 def _rejects_on_every_path(good, **bad):
     """Each bad field raises DomainError through the constructor, keyword
-    construction, `_replace`, `_make` and a pickle round trip; the process
-    pool sends records by pickle, and a plain named tuple's `_make` (and so
-    `_replace`) would skip the checks."""
+    construction, `_replace`, `_make` and a pickle round trip; a forked
+    `verify_all` worker sends its reports back by pickle, and a plain named
+    tuple's `_make` (and so `_replace`) would skip the checks."""
     cls = type(good)
     fields = {**good._asdict(), **bad}
     values = list(fields.values())

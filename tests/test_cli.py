@@ -336,6 +336,15 @@ class TestOutFile:
         assert len(lines) > 3
         assert {json.loads(line)["id"] for line in lines[1:]} == {"I02", "I05"}
 
+    def test_unopenable_file_exits_2(self, run, tmp_path):
+        target = tmp_path / "absent" / "f.txt"
+        code, out, err = run("eval", "sph_j", "--n", "1", "--x", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot open --out file") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class _ClosedPipe:
     """A stdout whose reader has gone away: every write raises."""

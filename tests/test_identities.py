@@ -1,8 +1,9 @@
-import concurrent.futures
 import json
 import math
 import os
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -481,27 +482,26 @@ class TestRegularizedJitteredGrids:
 
 
 @pytest.fixture
-def stub_pool(monkeypatch):
-    """Replaces the process pool by one that records its size and chunk
-    size and runs the jobs in this process, in order."""
-    record = []
+def forks(monkeypatch):
+    """Counts this process's `os.fork` calls; each call still forks."""
+    calls = []
+    real_fork = os.fork
 
-    class StubExecutor:
-        def __init__(self, max_workers):
-            record.append({"workers": max_workers})
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            record[-1]["chunksize"] = chunksize
-            return map(fn, *iterables)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
-    return record
+
+class _Boom(Exception):
+    pass
 
 
 class TestVerifyAll:
@@ -564,28 +564,113 @@ class TestVerifyAll:
             (500, 64, 64, 12),  # capped at the 12 I02 checks
             (2, 8, 8, 2),
             (4, None, 3, 3),  # no sched_getaffinity: os.cpu_count()
-            (2, 1, 8, None),  # one CPU: serial, no pool
+            (2, 1, 8, None),  # one CPU: serial, no fork
             (2, None, None, None),  # unknown CPU count counts as one
         ],
     )
-    def test_worker_cap(self, monkeypatch, stub_pool, parallelism, affinity, cpu_count, workers):
+    def test_worker_cap(self, monkeypatch, forks, parallelism, affinity, cpu_count, workers):
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         reports = verify_all(ids=["I02"], parallelism=parallelism)
-        # 12 jobs make fewer than 8 chunks per worker: one job per chunk
-        assert stub_pool == ([] if workers is None else [{"workers": workers, "chunksize": 1}])
+        # this process runs one share and forks a child for each other one
+        assert len(forks) == (0 if workers is None else workers - 1)
         assert [r.status for r in reports] == ["pass"] * 12
+        assert_no_child_left()
 
-    def test_pool_maps_about_eight_chunks_per_worker(self, monkeypatch, stub_pool):
+    def test_shares_are_interleaved_and_reports_in_catalog_order(self, monkeypatch):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(identities, "verify", lambda i, params, policy: (i, params, os.getpid()))
+        got = verify_all(parallelism=3)
+        assert [(i, p) for i, p, _ in got] == [(iden.id, pt) for iden in list_identities() for pt in iden.grid]
+        # share k is jobs[k::3]; this process runs share 0
+        shares = [{pid for _, _, pid in got[k::3]} for k in range(3)]
+        assert shares[0] == {os.getpid()}
+        assert [len(s) for s in shares] == [1, 1, 1] and len(set.union(*shares)) == 3
+        assert_no_child_left()
+
+    def test_serial_where_fork_is_missing(self, monkeypatch):
         monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
-        monkeypatch.setattr(identities, "verify", lambda identity_id, params, policy: (identity_id, params))
-        jobs = verify_all(parallelism=2)
-        # 269 jobs // (8 chunks * 2 workers)
-        assert stub_pool == [{"workers": 2, "chunksize": 16}]
-        assert jobs == [(iden.id, pt) for iden in list_identities() for pt in iden.grid]
+        monkeypatch.delattr(os, "fork")
+        inner = identities.verify
+        pids = []
+
+        def verify(*args):
+            pids.append(os.getpid())
+            return inner(*args)
+
+        monkeypatch.setattr(identities, "verify", verify)
+        reports = verify_all(ids=["I02"], parallelism=2)
+        assert [r.status for r in reports] == ["pass"] * 12
+        assert pids == [os.getpid()] * 12
+
+    @pytest.mark.parametrize("index", [0, 1])  # share 0 runs here, share 1 in the child
+    def test_exception_of_either_share_is_raised(self, monkeypatch, index):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        inner = identities.verify
+        bad = get_identity("I02").grid[index]
+
+        def verify(identity_id, params, policy):
+            if params == bad:
+                raise _Boom(index)
+            return inner(identity_id, params, policy)
+
+        monkeypatch.setattr(identities, "verify", verify)
+        with pytest.raises(_Boom):
+            verify_all(ids=["I02"], parallelism=2)
+        assert_no_child_left()
+
+    def test_unpicklable_child_exception_raises_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        inner, caller = identities.verify, os.getpid()
+
+        def verify(*args):
+            if os.getpid() != caller:
+                exc = ValueError("cannot travel")
+                exc.hook = lambda: None
+                raise exc
+            return inner(*args)
+
+        monkeypatch.setattr(identities, "verify", verify)
+        with pytest.raises(RuntimeError, match="ValueError: cannot travel"):
+            verify_all(ids=["I02"], parallelism=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "end,status",
+        [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL)],
+    )
+    def test_child_without_result_raises(self, monkeypatch, end, status):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        inner, caller = identities.verify, os.getpid()
+
+        def verify(*args):
+            if os.getpid() != caller:
+                end()
+            return inner(*args)
+
+        monkeypatch.setattr(identities, "verify", verify)
+        with pytest.raises(ChildProcessError, match=f"exit status {status}"):
+            verify_all(ids=["I02"], parallelism=2)
+        assert_no_child_left()
+
+    def test_interrupted_caller_kills_its_children(self, monkeypatch):
+        monkeypatch.setattr(identities, "_available_cpus", lambda: 2)
+        caller = os.getpid()
+
+        def verify(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(identities, "verify", verify)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify_all(ids=["I02"], parallelism=2)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
 
     def test_jitter_is_seeded_and_in_window(self):
         a = verify_all(ids=["I02"], seed=3)

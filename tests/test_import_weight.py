@@ -1,11 +1,12 @@
 """A fresh `import sphstruve` stays light.
 
 The library and its CLI must not pull in `dataclasses` (which imports
-`inspect`, `ast`, `dis` and `tokenize`), `inspect` itself, the process
-pool's `concurrent.futures` (imported only when a pool is started) or
-numpy (a test-only import); the CLI imports `csv` only on its csv path.
-Modules are compared before and after each import in one fresh
-interpreter, so what `site` loads on a given host does not count.
+`inspect`, `ast`, `dis` and `tokenize`), `inspect` itself,
+`concurrent.futures` or `multiprocessing` (a parallel `verify_all`
+forks its children itself, and imports neither) or numpy (a test-only
+import); the CLI imports `csv` only on its csv path. Modules are
+compared before and after each import in one fresh interpreter, so
+what `site` loads on a given host does not count.
 
 Run as a script for the same check outside pytest:
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import sphstruve
 
-HEAVY = {"dataclasses", "inspect", "concurrent.futures", "numpy"}
+HEAVY = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "numpy"}
 
 _PROBE = """
 import json, sys
@@ -33,13 +34,27 @@ print(json.dumps({"library": sorted(library - before), "cli": sorted(set(sys.mod
 """
 
 
-def added_modules():
-    """{"library": [...], "cli": [...]}: the modules each import adds."""
+_PARALLEL_PROBE = """
+import json, sys
+from sphstruve import identities
+identities._available_cpus = lambda: 2
+reports = identities.verify_all(ids=["I02"], parallelism=2)
+print(json.dumps({"statuses": [r.status for r in reports], "modules": sorted(sys.modules)}))
+"""
+
+
+def run_probe(code):
+    """The JSON line that `code` prints in a fresh interpreter."""
     src = str(Path(sphstruve.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def added_modules():
+    """{"library": [...], "cli": [...]}: the modules each import adds."""
+    return run_probe(_PROBE)
 
 
 def heavy_imports(added):
@@ -54,7 +69,15 @@ def test_fresh_imports_stay_light():
     added = added_modules()
     assert "sphstruve.identities" in added["library"]
     assert "sphstruve.cli" in added["cli"]
+    assert "sphstruve.forkmap" not in added["library"] + added["cli"]  # a parallel run imports it
     assert heavy_imports(added) == {"library": [], "cli": []}
+
+
+def test_parallel_run_imports_no_pool():
+    out = run_probe(_PARALLEL_PROBE)
+    assert out["statuses"] == ["pass"] * 12
+    assert "sphstruve.forkmap" in out["modules"]  # the run did fork
+    assert HEAVY & set(out["modules"]) == set()
 
 
 if __name__ == "__main__":
