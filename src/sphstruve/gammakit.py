@@ -3,8 +3,8 @@
 This is the arithmetic substrate for every series in the package: the
 gamma function on the real line, its reciprocal as a total function
 (exactly zero at the poles, which is what makes negative-integer-order
-series start at the right term), and the two-variable Hermite
-polynomials that encode derivatives of Gaussians.
+series start at the right term), and the coefficients of the
+two-variable Hermite polynomials that encode derivatives of Gaussians.
 """
 
 import math
@@ -15,9 +15,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "gamma",
     "rgamma",
-    "gamma_value",
-    "GammaValue",
-    "hermite2",
     "hermite2_coeffs",
     "Hermite2Coeffs",
     "GAMMA_OVERFLOW_X",
@@ -126,22 +123,6 @@ def rgamma(x):
     return _sin_pi(x) * _gamma_positive(1.0 - x) / math.pi
 
 
-GammaValue = namedtuple("GammaValue", "argument value is_pole reciprocal")
-GammaValue.__doc__ = """Gamma evaluated at one point, with pole bookkeeping.
-
-`reciprocal` is 1/Gamma at the same argument and is exactly 0.0
-whenever `is_pole` is set.
-"""
-
-
-def gamma_value(x):
-    """Evaluate Gamma and its reciprocal jointly, flagging poles."""
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        return GammaValue(argument=x, value=math.nan, is_pole=True, reciprocal=0.0)
-    return GammaValue(argument=x, value=gamma(x), is_pole=False, reciprocal=rgamma(x))
-
-
 _HERMITE2_MAX_DEGREE = 200
 
 
@@ -155,10 +136,10 @@ Entry k multiplies y**(n-2k) z**k and equals n!/(k!(n-2k)!).
 def hermite2_coeffs(n):
     """Coefficients n!/(k!(n-2k)!) for k = 0..floor(n/2)."""
     if n < 0 or n != int(n):
-        raise DomainError("hermite2: degree must be a nonnegative integer")
+        raise DomainError("hermite2_coeffs: degree must be a nonnegative integer")
     n = int(n)
     if n > _HERMITE2_MAX_DEGREE:
-        raise DomainError(f"hermite2: degree {n} exceeds limit {_HERMITE2_MAX_DEGREE}")
+        raise DomainError(f"hermite2_coeffs: degree {n} exceeds limit {_HERMITE2_MAX_DEGREE}")
     coeffs = [1.0]
     c = 1.0
     for k in range(n // 2):
@@ -166,22 +147,3 @@ def hermite2_coeffs(n):
         c *= (n - 2 * k) * (n - 2 * k - 1) / (k + 1)
         coeffs.append(c)
     return Hermite2Coeffs(degree=n, coefficients=tuple(coeffs))
-
-
-def hermite2(n, y, z):
-    """Two-variable Hermite polynomial H_n(y, z) = n! sum_k y^(n-2k) z^k / (k!(n-2k)!).
-
-    Alternating z < 0 cases cancel, so the finite sum is accumulated with
-    Kahan compensation.
-    """
-    table = hermite2_coeffs(n)
-    n = table.degree
-    total = 0.0
-    comp = 0.0
-    for k, c in enumerate(table.coefficients):
-        term = c * y ** (n - 2 * k) * z**k
-        t = term - comp
-        s = total + t
-        comp = (s - total) - t
-        total = s
-    return total

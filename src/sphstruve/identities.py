@@ -40,7 +40,6 @@ from .functions import (
     cyl_j,
     delta_fn,
     hankel_amplitude_coeffs,
-    mod_i0,
     sinc_sqrt,
     sph_j,
     sph_j_deriv,
@@ -50,7 +49,7 @@ from .functions import (
 )
 from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre
 from .regularized import power_moment_integral, real_line_squared_integral
-from .umbral import laplace_reduce, reduce_shifts
+from .umbral import expand, gaussian_reduce, laplace_reduce, reduce_expr, reduce_shifts
 
 __all__ = [
     "Identity",
@@ -69,6 +68,9 @@ _TAIL_SPLIT = 30.0
 _PRODUCT_SPLIT = 20.0
 # I06/I07's GK15 head ends at 40, where the tail's floor is 1e-17, not 1e-13
 _SQUARE_SPLIT = 40.0
+# order of I06/I07's Gaussian image: at the window corner b/(2 sqrt(a)) = 4
+# its last two terms are below 1e-32 of the sum, far under the 2^-60 check
+_GAUSSIAN_ORDER = 24
 
 
 EvaluatorBinding = namedtuple("EvaluatorBinding", "fn operations strategy")
@@ -250,6 +252,17 @@ def _quadratic_line_integral(a, b):
     tail, floor = _exp_power_tail([(1, 1j, -1, -1j)[n % 4] * v for n, v in enumerate(r[2:])], -1.0, 1j, T)
     bound = head.error_estimate + floor + 16.0 * 2.0**-53 * T * f(0.0)
     return 2.0 / math.sqrt(a) * (head.value + tail.imag), 2.0 / math.sqrt(a) * bound
+
+
+def _gaussian_line_integral(a, b):
+    """The integral over R of j_0(sqrt(a x^2 + b x)), a > 0, by the paper's
+    Gaussian rule: j_0(sqrt(w)) = (sqrt(pi)/2) c^(1/2) e^(-c w/4) with
+    c^s -> 1/Gamma(1+s), so the integrand is a Gaussian image with
+    q = a/4 and p = -b/4, and the integral is (sqrt(pi)/2) sqrt(4 pi/a)
+    times its reduction, (pi/sqrt(a)) I_0(b/(2 sqrt(a))).  The truncated
+    image is certified by the reduction's tail check."""
+    image = expand(gaussian_reduce(0.5, a / 4.0, -b / 4.0, order=_GAUSSIAN_ORDER))
+    return math.pi / math.sqrt(a) * reduce_expr(image, check_tail_rel=2.0**-60)
 
 
 def _generating_sum(x, t, policy, nmax=25):
@@ -492,7 +505,11 @@ def _build_catalog():
             {"integrate_finite", "sinc_sqrt", "exp_power_tail"},
             "finite-head-closed-tail",
         ),
-        rhs=_binding(lambda p, pol: math.pi * mod_i0(p["t"], pol), {"mod_i0"}, "series"),
+        rhs=_binding(
+            lambda p, pol: _gaussian_line_integral(1.0, -2.0 * p["t"]),
+            {"gaussian_reduce", "expand", "reduce_expr"},
+            "umbral-gaussian",
+        ),
         tol_abs=1e-12,
         tol_rel=1e-12,
         window_note="square completed, y = x - t; GK15 head to y=40, tail in closed form",
@@ -510,9 +527,9 @@ def _build_catalog():
             "finite-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: math.pi / math.sqrt(p["a"]) * mod_i0(p["b"] / (2.0 * math.sqrt(p["a"])), pol),
-            {"mod_i0"},
-            "series",
+            lambda p, pol: _gaussian_line_integral(p["a"], p["b"]),
+            {"gaussian_reduce", "expand", "reduce_expr"},
+            "umbral-gaussian",
         ),
         tol_abs=1e-12,
         tol_rel=1e-12,

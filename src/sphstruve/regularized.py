@@ -40,9 +40,7 @@ __all__ = [
     "real_line_squared_integral",
     "power_moment_integral",
     "humbert2_decimal",
-    "asym_saddle_value",
     "stokes_amplitude",
-    "fit_stokes_amplitude",
 ]
 
 _PREC = 60
@@ -110,11 +108,6 @@ def _cexp(a):
     m = a[0].exp()
     s, c = _sincos(a[1])
     return (m * c, m * s)
-
-
-def _rpow(base, expo):
-    """base**expo for positive Decimal base, Decimal exponent."""
-    return (expo * base.ln()).exp()
 
 
 @_with_precision
@@ -245,46 +238,6 @@ def stokes_amplitude(mu, nu):
     s, c = _sincos(phase)
     mag = 1 / (2 * _PI * _SQRT3)
     return (mag * c, mag * s)
-
-
-def _saddle_part(mu, nu, t):
-    """e^{3 omega t} t^q P(t), P the saddle expansion summed to its
-    smallest term: J_{mu,nu}(t**3) ~ 2 Re[C times this]."""
-    q, acoef = _asym_coeffs(mu, nu)
-    terms = []
-    tp = D(1)
-    for ai in acoef:
-        terms.append((ai[0] / tp, ai[1] / tp))
-        tp *= t
-    g = _cmul(_cexp((_P_RATE[0] * t, _P_RATE[1] * t)), _sum_to_min(terms))
-    tq = _rpow(t, q)
-    return (g[0] * tq, g[1] * tq)
-
-
-@_with_precision
-def asym_saddle_value(mu, nu, t):
-    """2 Re[C e^{3 omega t} t^q P(t)]: the growing-oscillation part of
-    J_{mu,nu}(t**3) for large t."""
-    C = stokes_amplitude(mu, nu)
-    g = _saddle_part(mu, nu, D(str(t)) if not isinstance(t, D) else t)
-    return 2 * (C[0] * g[0] - C[1] * g[1])
-
-
-@_with_precision
-def fit_stokes_amplitude(mu, nu, t_fit=D(14)):
-    """Numerically determine the saddle amplitude by matching the
-    decimal series at two quarter-period-separated points; used by the
-    test suite to validate the closed form."""
-    t1 = D(t_fit)
-    t2 = t1 + _PI / (2 * (3 * _SQRT3 / 2))
-    g1 = _saddle_part(mu, nu, t1)
-    g2 = _saddle_part(mu, nu, t2)
-    f1 = humbert2_decimal(mu, nu, t1**3)
-    f2 = humbert2_decimal(mu, nu, t2**3)
-    det = 4 * (g1[0] * (-g2[1]) - (-g1[1]) * g2[0])
-    re = (f1 * (-2 * g2[1]) - (-2 * g1[1]) * f2) / det
-    im = (2 * g1[0] * f2 - f1 * 2 * g2[0]) / det
-    return (re, im)
 
 
 def _tail_regularized(T, gam, mu, nu):

@@ -62,32 +62,19 @@ class UmbralExpr(namedtuple("UmbralExpr", "symbol_count terms")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def scaled(self, factor):
-        return UmbralExpr(
-            self.symbol_count,
-            tuple(UmbralTerm(factor * t.coeff, t.exponents) for t in self.terms),
-        )
 
-    def plus(self, other):
-        if other.symbol_count != self.symbol_count:
-            raise DomainError("UmbralExpr: symbol counts differ")
-        return UmbralExpr(self.symbol_count, self.terms + other.terms)
-
-
-class UmbralExpSeries(namedtuple("UmbralExpSeries", "prefactor_exponents step_degrees scale sign order")):
+class UmbralExpSeries(namedtuple("UmbralExpSeries", "prefactor_exponents step_degrees scale order")):
     """Truncated exponential image.
 
     Expanding to order N produces N+1 terms; term k carries coefficient
-    (sign*scale)**k / k! and exponent vector
-    prefactor_exponents + k*step_degrees.
+    scale**k / k! and exponent vector prefactor_exponents + k*step_degrees.
+    A negative scale gives the alternating series.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.sign not in (1, -1):
-            raise DomainError("UmbralExpSeries: sign must be +1 or -1")
         if len(self.prefactor_exponents) != len(self.step_degrees):
             raise DomainError("UmbralExpSeries: exponent/step length mismatch")
         if any(d < 0 or d != int(d) for d in self.step_degrees):
@@ -104,12 +91,11 @@ def expand(series):
     if series.order > _MAX_ORDER:
         raise DomainError(f"expand: order {series.order} exceeds limit {_MAX_ORDER}")
     m = len(series.prefactor_exponents)
-    z = series.sign * series.scale
     coeff = 1.0
     terms = []
     for k in range(series.order + 1):
         if k > 0:
-            coeff *= z / k
+            coeff *= series.scale / k
         exps = tuple(
             series.prefactor_exponents[i] + k * series.step_degrees[i] for i in range(m)
         )
@@ -122,9 +108,10 @@ def reduce_expr(expr, check_tail_rel=None):
 
     The sum is correctly rounded by `math.fsum`, or, where fsum meets
     inf - inf or overflows, is the plain IEEE sum (nan or inf).  With
-    `check_tail_rel` set, the last two reduced terms must each be below
-    check_tail_rel * |sum|, certifying the truncation of an expanded
-    exponential; otherwise a ConvergenceError is raised.
+    `check_tail_rel` set, the sum must be finite and the last two reduced
+    terms must each be below check_tail_rel * |sum|, certifying the
+    truncation of an expanded exponential; otherwise a ConvergenceError
+    is raised.
     """
     return reduce_shifts(expr, ((0.0,) * expr.symbol_count,), check_tail_rel)[0]
 
@@ -181,11 +168,13 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
             total = sum(map(mul, first, last))
         if check_tail_rel is not None and first:
             bound = check_tail_rel * max(abs(total), 1e-300)
-            if abs(first[-1] * last[-1]) > bound or abs(first[before_last] * last[before_last]) > bound:
+            tail_terms = abs(first[-1] * last[-1]), abs(first[before_last] * last[before_last])
+            # a nan or infinite sum certifies nothing, whatever its last terms
+            if not math.isfinite(total) or max(tail_terms) > bound:
                 tail = list(map(mul, first[-2:], last[-2:]))
                 raise ConvergenceError(
                     f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "
-                    f"last terms {tail} exceed {bound}"
+                    f"sum {total}, last terms {tail} exceed {bound}"
                 )
         sums.append(total)
     return sums
@@ -204,7 +193,6 @@ def gaussian_reduce(a, q, p, order=60):
         prefactor_exponents=(a - 0.5,),
         step_degrees=(1,),
         scale=p * p / (4.0 * q),
-        sign=1,
         order=order,
     )
 

@@ -166,7 +166,7 @@ def test_criterion_10_umbral_equivalence():
         if family == "spherical":
             n = rng.randint(0, 5)
             x = rng.uniform(0.2, 7.0)
-            ser = UmbralExpSeries((n + 0.5,), (1,), (x / 2.0) ** 2, -1, 60)
+            ser = UmbralExpSeries((n + 0.5,), (1,), -((x / 2.0) ** 2), 60)
             ex = expand(ser)
             coeff = 1.0
             for k, t in enumerate(ex.terms):
@@ -179,7 +179,7 @@ def test_criterion_10_umbral_equivalence():
         elif family == "two-index":
             mu, nu = rng.uniform(0, 2), rng.uniform(0, 2)
             z = rng.uniform(0.1, 25.0)
-            ser = UmbralExpSeries((mu, nu), (1, 1), z, -1, 60)
+            ser = UmbralExpSeries((mu, nu), (1, 1), -z, 60)
             ex = expand(ser)
             coeff = 1.0
             for k, t in enumerate(ex.terms):
@@ -192,7 +192,7 @@ def test_criterion_10_umbral_equivalence():
         else:
             mu, nu, rho = (rng.uniform(0, 2) for _ in range(3))
             z = rng.uniform(0.1, 25.0)
-            ser = UmbralExpSeries((mu, nu, rho), (1, 1, 1), z, -1, 60)
+            ser = UmbralExpSeries((mu, nu, rho), (1, 1, 1), -z, 60)
             ex = expand(ser)
             coeff = 1.0
             for k, t in enumerate(ex.terms):

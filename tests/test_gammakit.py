@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from sphstruve.errors import DomainError, PoleError
 from sphstruve.gammakit import (
     GAMMA_OVERFLOW_X,
-    GammaValue,
     _lanczos_sum,
     gamma,
-    gamma_value,
-    hermite2,
     hermite2_coeffs,
     rgamma,
 )
@@ -117,25 +114,6 @@ class TestDuplication:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-class TestGammaValue:
-    def test_pole_record(self):
-        gv = gamma_value(-3.0)
-        assert gv == GammaValue(argument=-3.0, value=gv.value, is_pole=True, reciprocal=0.0)
-        assert math.isnan(gv.value)
-        assert gv.reciprocal == 0.0
-
-    def test_regular_record(self):
-        gv = gamma_value(2.5)
-        assert not gv.is_pole
-        assert gv.value * gv.reciprocal == pytest.approx(1.0, rel=1e-13)
-
-    def test_pole_flag_iff_nonpositive_integer(self):
-        for x in (-2.0, 0.0, -11.0):
-            assert gamma_value(x).is_pole
-        for x in (-2.5, 0.3, 4.0, 1e-9):
-            assert not gamma_value(x).is_pole
-
-
 def _classical_hermite(n, x):
     """Physicists' polynomial by its three-term recurrence."""
     h0, h1 = 1.0, 2.0 * x
@@ -146,7 +124,14 @@ def _classical_hermite(n, x):
     return h1
 
 
+def hermite2(n, y, z):
+    """H_n(y, z) = sum_k c_k y^(n-2k) z^k over the library's coefficient table."""
+    return math.fsum(c * y ** (n - 2 * k) * z**k for k, c in enumerate(hermite2_coeffs(n).coefficients))
+
+
 class TestHermite2:
+    # the library keeps only the coefficient table (sph_j_deriv sums it);
+    # the polynomial identities below check the table through its sum
     def test_degree_zero(self):
         for y, z in ((0.0, 0.0), (3.7, -2.2), (-1.0, 9.0)):
             assert hermite2(0, y, z) == 1.0
@@ -168,14 +153,14 @@ class TestHermite2:
                 assert c == pytest.approx(exact, rel=1e-14)
 
     def test_degree_limit(self):
-        with pytest.raises(DomainError):
-            hermite2(201, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            hermite2(-1, 1.0, 1.0)
+        assert hermite2_coeffs(200).degree == 200
+        for bad in (201, -1, 2.5):
+            with pytest.raises(DomainError):
+                hermite2_coeffs(bad)
 
     def test_classical_reduction_sweep(self):
         # alternating z = -1 sums cancel; defects are measured against the
-        # conditioning scale (the absolute-term sum, itself a hermite2 value)
+        # conditioning scale (the absolute-term sum, itself an H_n value)
         for n in range(0, 31):
             for x in (-5.0, -1.3, 0.25, 2.0, 5.0):
                 got = hermite2(n, 2.0 * x, -1.0)

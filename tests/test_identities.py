@@ -21,7 +21,7 @@ from sphstruve.identities import (
 )
 from sphstruve.quadrature import QuadratureResult
 
-GAMMA_OPS = {"gamma", "rgamma", "hermite2"}
+GAMMA_OPS = {"gamma", "rgamma"}
 
 
 class TestCatalogShape:
@@ -1002,6 +1002,21 @@ class TestRealLineOracle:
                     value, bound = self.FNS["I07"](p)
                     assert value == r.lhs
                     self._check(mp, value, bound, self._closed_form(mp, "I07", p), p)
+
+    @pytest.mark.parametrize(
+        "iid,p",
+        [("I06", {"t": 0.0}), ("I06", {"t": 3.0})]
+        + [("I07", {"a": a, "b": b}) for a in (0.25, 4.0) for b in (0.0, 4.0)],
+    )
+    def test_gaussian_rhs_window_corners(self, iid, p):
+        # the rhs reduces the Gaussian image at its fixed order, and the
+        # tail check certifies that order at every corner of the window
+        mp = pytest.importorskip("mpmath")
+        r = verify(iid, p)
+        assert r.status == "pass", r.reason
+        with mp.workdps(40):
+            want = self._closed_form(mp, iid, p)
+            assert abs(mp.mpf(r.rhs) - want) <= 1e-15 * want, (p, r.rhs)
 
 
 class TestLaguerreOracle:

@@ -22,6 +22,10 @@ from sphstruve.umbral import (
 SQRT_PI = 1.7724538509055160273
 
 
+def _scaled(terms, factor):
+    return [UmbralTerm(factor * t.coeff, t.exponents) for t in terms]
+
+
 class TestReduce:
     def test_unit_exponent_zero(self):
         e = UmbralExpr(1, (UmbralTerm(1.0, (0.0,)),))
@@ -57,22 +61,22 @@ class TestReduce:
     )
     @settings(max_examples=150, deadline=None)
     def test_linearity(self, triples, a, b):
-        e = UmbralExpr(2, tuple(UmbralTerm(c, (p, q)) for c, p, q in triples))
-        f = UmbralExpr(2, (UmbralTerm(2.0, (0.5, 1.0)), UmbralTerm(-1.0, (0.0, 0.25))))
-        combo = e.scaled(a).plus(f.scaled(b))
-        want = a * reduce_expr(e) + b * reduce_expr(f)
+        e_terms = [UmbralTerm(c, (p, q)) for c, p, q in triples]
+        f_terms = [UmbralTerm(2.0, (0.5, 1.0)), UmbralTerm(-1.0, (0.0, 0.25))]
+        combo = UmbralExpr(2, tuple(_scaled(e_terms, a) + _scaled(f_terms, b)))
+        want = a * reduce_expr(UmbralExpr(2, tuple(e_terms))) + b * reduce_expr(UmbralExpr(2, tuple(f_terms)))
         assert reduce_expr(combo) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestExpand:
     def test_zeroth_order(self):
-        ser = UmbralExpSeries((0.7, -0.2), (1, 1), 3.3, -1, 0)
+        ser = UmbralExpSeries((0.7, -0.2), (1, 1), -3.3, 0)
         ex = expand(ser)
         assert len(ex.terms) == 1
         assert ex.terms[0] == UmbralTerm(1.0, (0.7, -0.2))
 
     def test_term_structure(self):
-        ser = UmbralExpSeries((0.5,), (1,), 2.0, -1, 6)
+        ser = UmbralExpSeries((0.5,), (1,), -2.0, 6)
         ex = expand(ser)
         assert len(ex.terms) == 7
         coeff = 1.0
@@ -84,12 +88,11 @@ class TestExpand:
 
     def test_order_limit(self):
         with pytest.raises(DomainError):
-            expand(UmbralExpSeries((0.0,), (1,), 1.0, 1, 501))
+            expand(UmbralExpSeries((0.0,), (1,), 1.0, 501))
 
     def test_series_fields_validated(self, rejects_on_every_path):
-        good = UmbralExpSeries((0.5, 0.0), (1, 1), 2.0, -1, 6)
+        good = UmbralExpSeries((0.5, 0.0), (1, 1), -2.0, 6)
         for bad in (
-            {"sign": 0},
             {"step_degrees": (1,)},
             {"step_degrees": (1, -1)},
             {"step_degrees": (1, 0.5)},
@@ -100,18 +103,18 @@ class TestExpand:
     def test_spherical_pipeline(self):
         # j_0(x) image: x^{1/2}-weighted exponential image reduced at x=1
         x = 1.0
-        ser = UmbralExpSeries((0.5,), (1,), (x / 2.0) ** 2, -1, 40)
+        ser = UmbralExpSeries((0.5,), (1,), -((x / 2.0) ** 2), 40)
         val = reduce_expr(expand(ser), check_tail_rel=1e-12)
         val *= math.sqrt(math.pi / (2.0 * x)) * (x / 2.0) ** 0.5
         assert val == pytest.approx(0.8414709848078965, rel=1e-13)
 
     def test_two_symbol_pipeline(self):
-        ser = UmbralExpSeries((0.0, 0.0), (1, 1), 1.0, -1, 30)
+        ser = UmbralExpSeries((0.0, 0.0), (1, 1), -1.0, 30)
         val = reduce_expr(expand(ser))
         assert val == pytest.approx(0.12044213230101765, rel=1e-13)
 
     def test_tail_certification_failure(self):
-        ser = UmbralExpSeries((0.0,), (1,), 30.0, -1, 5)  # truncated far too early
+        ser = UmbralExpSeries((0.0,), (1,), -30.0, 5)  # truncated far too early
         with pytest.raises(ConvergenceError):
             reduce_expr(expand(ser), check_tail_rel=1e-12)
 
@@ -148,7 +151,6 @@ class TestGaussianReduce:
         assert ser.scale == pytest.approx(0.49 / 1.2, rel=1e-15)
         assert ser.prefactor_exponents == (1.2 - 0.5,)
         assert ser.step_degrees == (1,)
-        assert ser.sign == 1
 
 
 class TestLaplaceReduce:
@@ -219,7 +221,7 @@ class TestReduceShifts:
         assert reduce_shifts(three, [list(t) for t in triples]) == reduce_shifts(three, triples)
 
     def test_zero_shift_is_reduce_expr(self):
-        ser = UmbralExpSeries((0.5,), (1,), 2.25, -1, 40)
+        ser = UmbralExpSeries((0.5,), (1,), -2.25, 40)
         ex = expand(ser)
         assert reduce_shifts(ex, [(0.0,)], check_tail_rel=1e-12)[0].hex() == reduce_expr(ex).hex()
         e = UmbralExpr(2, (UmbralTerm(1.5, (0.3, -0.0)), UmbralTerm(-0.25, (1.1, 2.0))))
@@ -269,7 +271,8 @@ class TestReduceShifts:
         assert reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=1.0) == [want]
         with pytest.raises(ConvergenceError, match=r"last terms \[.*\] exceed"):
             reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=0.5)
-        assert reduce_shifts(e.scaled(0.0), [(0.0, 0.0)], check_tail_rel=1e-12) == [0.0]
+        zero = UmbralExpr(2, tuple(_scaled(e.terms, 0.0)))
+        assert reduce_shifts(zero, [(0.0, 0.0)], check_tail_rel=1e-12) == [0.0]
 
     @staticmethod
     def _shifted(expr, shift):
@@ -293,11 +296,11 @@ class TestReduceShifts:
         "expr,shifts",
         [
             (
-                expand(UmbralExpSeries((0.5,), (1,), 2.25, -1, 40)),
+                expand(UmbralExpSeries((0.5,), (1,), -2.25, 40)),
                 [(3.0,), (-1.5,), (3.0,), (0.0,), (-7.0,), (-1.5,)],
             ),
             (
-                expand(UmbralExpSeries((0.0, 0.5, 1.5), (1, 1, 1), 6.0, -1, 60)),
+                expand(UmbralExpSeries((0.0, 0.5, 1.5), (1, 1, 1), -6.0, 60)),
                 [
                     (1.0, 0.0, 2.0),
                     (-2.0, 1.0, 0.0),
@@ -339,13 +342,26 @@ class TestReduceShifts:
     def test_finite_overflow_is_inf(self):
         e = UmbralExpr(1, (UmbralTerm(1e308, (0.0,)), UmbralTerm(1e308, (0.0,))))
         assert reduce_expr(e) == math.inf
-        assert reduce_expr(e.scaled(-1.0)) == -math.inf
+        assert reduce_expr(UmbralExpr(1, tuple(_scaled(e.terms, -1.0)))) == -math.inf
+
+    def test_non_finite_sum_is_not_certified(self):
+        # a nan or infinite sum has no finite tail bound to meet; unchecked,
+        # the sums stay nan and inf
+        nan_sum = UmbralExpr(1, (UmbralTerm(math.nan, (0.0,)), UmbralTerm(1.0, (1.0,))))
+        overflow = expand(gaussian_reduce(0.5, 1e-300, 1.0, order=10))
+        assert math.isnan(reduce_expr(nan_sum))
+        assert reduce_expr(overflow) == math.inf
+        for e in (nan_sum, overflow):
+            with pytest.raises(ConvergenceError, match="not certified"):
+                reduce_expr(e, check_tail_rel=1e-12)
+            with pytest.raises(ConvergenceError, match="not certified"):
+                reduce_shifts(e, [(0.0,), (1.0,)], check_tail_rel=1e-12)
 
     def test_lone_infinite_term_is_inf(self):
         # one infinite term among finite ones sums to that infinity
         e = UmbralExpr(1, (UmbralTerm(1.0, (-172.5,)), UmbralTerm(1.0, (0.0,))))
         assert reduce_expr(e) == math.inf
-        assert reduce_expr(e.scaled(-1.0)) == -math.inf
+        assert reduce_expr(UmbralExpr(1, tuple(_scaled(e.terms, -1.0)))) == -math.inf
 
     def test_distinct_gamma_arguments_evaluated_once(self, monkeypatch):
         calls = []
@@ -368,7 +384,7 @@ class TestSeriesEquivalence:
     def test_spherical_family_termwise(self):
         for n in range(0, 6):
             for x in (0.5, 1.0, 3.0, 7.0):
-                ser = UmbralExpSeries((n + 0.5,), (1,), (x / 2.0) ** 2, -1, 60)
+                ser = UmbralExpSeries((n + 0.5,), (1,), -((x / 2.0) ** 2), 60)
                 ex = expand(ser)
                 coeff = 1.0
                 for k, t in enumerate(ex.terms):
@@ -403,7 +419,7 @@ class TestSeriesEquivalence:
     def test_spherical_value_through_pipeline(self):
         for n in (0, 1, 3):
             for x in (0.5, 2.0):
-                ser = UmbralExpSeries((n + 0.5,), (1,), (x / 2.0) ** 2, -1, 60)
+                ser = UmbralExpSeries((n + 0.5,), (1,), -((x / 2.0) ** 2), 60)
                 val = reduce_expr(expand(ser), check_tail_rel=1e-12)
                 val *= math.sqrt(math.pi / (2.0 * x)) * (x / 2.0) ** (n + 0.5)
                 assert val == pytest.approx(sph_j(n, x).value, rel=1e-11)
