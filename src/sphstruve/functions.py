@@ -18,6 +18,9 @@ three-path scheme, decided in one place, `_route`:
   reports that cancellation floor with its tail, plus 32u|value| for
   the rounding of its binary64 inputs.
 
+`anger` and `weber` read one (S1, S2) evaluation, in which both kinds
+share one Hankel pair past the crossover and each takes its own path.
+
 Series are certified by a tail bound: a result counts as converged only
 when the first neglected term is below rel_tol * |partial sum| twice in
 a row, which guards against even/odd-term flatlines in alternating sums.
@@ -120,9 +123,8 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     Returns (value, terms_used, tail_estimate); certified when the first
     neglected term is below rel_tol*|sum| twice in a row.
     """
-    if dens is None:
-        dens = []
-    known = len(dens)
+    grow = dens is not None
+    known = len(dens) if grow else 0
     rel_tol = policy.rel_tol
     abs_tol = policy.abs_tol
     total = 0.0
@@ -145,7 +147,8 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
             den = 1.0
             for a in den_offsets:
                 den *= k + a
-            dens.append(den)
+            if grow:
+                dens.append(den)
         term = term * num / den
         k += 1.0
         # rel_tol * |total|, at least abs_tol, without an abs call
@@ -397,16 +400,18 @@ def _ascending(terms, x, policy, use_dd):
     return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
 
 
-def _route(x, order, policy, terms, asym, *args):
+def _route(x, order, policy, terms, asym, *args, asym_known=None):
     """Evaluate a family on the first path of the module's scheme that
     certifies at x.  `terms(*args)` gives the (t0, den_offsets, k0) of
     its ascending series, `asym(*args)` its large-argument (value,
     floor, envelope, scale), and `order` the order in its cancellation
-    exponent `_series_loss(order, x)`.  u = 2^-53 below."""
+    exponent `_series_loss(order, x)`.  A caller that has computed
+    `asym(*args)` already, past the crossover, passes it as `asym_known`.
+    u = 2^-53 below."""
     if x <= policy.crossover_x:
         v, n, tail = _ascending(terms(*args), x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    v, floor, env, scale = asym(*args)
+    v, floor, env, scale = asym_known or asym(*args)
     # the phase is rounded at ulp(x).  Up to extended_x the double-double
     # series is good to about 1e-32 times its cancellation, so the value
     # must meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
@@ -746,23 +751,31 @@ def _s_terms(kind, nu, x):
     return sign * (x / 2.0) ** (2 * k0 + 2 * h) * rgamma(k0 + ga[0]) * rgamma(k0 + ga[1]), ga, k0
 
 
-def _s_asym(kind, nu, x):
+def _s_asym(kind, nu, x, shared=None):
     """S1 (kind=1) or S2 (kind=2) from the large-argument decomposition
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
     with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor,
     envelope, scale).  S1 sums the odd part of the Watson expansion, S2
-    the even part."""
-    c = math.cos(0.5 * nu * math.pi)
-    s = math.sin(0.5 * nu * math.pi)
-    J, Y, floor = _jy_asym(nu, x)
+    the even part.  `shared` is the (c, s, J_nu, Y_nu, floor) that both
+    kinds read, computed here when not given."""
+    if shared is None:
+        c = math.cos(0.5 * nu * math.pi)
+        s = math.sin(0.5 * nu * math.pi)
+        J, Y, floor = _jy_asym(nu, x)
+    else:
+        c, s, J, Y, floor = shared
     a, a_floor = watson_parity(nu, x, odd=kind == 1)
     if kind == 1:
         return c * J - s * Y + s * a, floor + abs(s) * a_floor, _envelope(x), 1.0
     return s * J + c * Y + c * a, floor + abs(c) * a_floor, _envelope(x), 1.0
 
 
-def _s_eval(kind, nu, x, policy):
+def _s_eval(kind, nu, x, policy, cs=None):
+    """S1 (kind=1) or S2 (kind=2) as a SeriesResult, or with kind=0 the
+    pair (S1, S2).  Past the crossover the pair reads one `_jy_asym`,
+    with (c, s) = `cs`, the caller's cos(nu pi/2) and sin(nu pi/2), and
+    each kind still takes its own path in `_route`."""
     nu = float(nu)
     x = float(x)
     if abs(nu) > 20.0:
@@ -770,11 +783,18 @@ def _s_eval(kind, nu, x, policy):
     if x < 0.0:
         raise DomainError("S-series: requires x >= 0")
     if x == 0.0:
-        if kind == 2:
-            return _closed(0.0)
-        return _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0))
+        pair = _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0)), _closed(0.0)
+        return pair[kind - 1] if kind else pair
     # the auxiliary series cancels like exp(x) whatever the order
-    return _route(x, 0.0, policy, _s_terms, _s_asym, kind, nu, x)
+    if kind:
+        return _route(x, 0.0, policy, _s_terms, _s_asym, kind, nu, x)
+    if x <= policy.crossover_x:
+        return _route(x, 0.0, policy, _s_terms, None, 1, nu, x), _route(x, 0.0, policy, _s_terms, None, 2, nu, x)
+    shared = (*cs, *_jy_asym(nu, x))
+    return (
+        _route(x, 0.0, policy, _s_terms, None, 1, nu, x, asym_known=_s_asym(1, nu, x, shared)),
+        _route(x, 0.0, policy, _s_terms, None, 2, nu, x, asym_known=_s_asym(2, nu, x, shared)),
+    )
 
 
 def s1(nu, x, policy=None):
@@ -787,24 +807,50 @@ def s2(nu, x, policy=None):
     return _s_eval(2, nu, x, policy or DEFAULT_POLICY)
 
 
+def _s_matrix_row(weber_row, nu, x, policy):
+    """w1*S1 + w2*S2 for the Anger row (w1, w2) = (c, s) or the Weber row
+    (s, -c) of the trigonometric matrix, c = cos(nu pi/2), s = sin(nu pi/2),
+    as a SeriesResult over one (S1, S2) evaluation.
+
+    It uses the terms of both series, and their path where they agree,
+    `PATH_EXTENDED` where one kind certifies asymptotically and the other
+    does not.  The tail estimate is |w1| t1 + |w2| t2 over the S tails,
+    plus (ulp(nu pi/2) + 2u)(|S1| + |S2|) for c and s (their argument is
+    rounded once and times a rounded pi, and the libm result is good to an
+    ulp), plus 2u(|w1 S1| + |w2 S2|) for the two products and the sum,
+    u = 2^-53.  On the plain series path the S tails carry no rounding
+    term, so neither does this estimate there (ROADMAP item 3)."""
+    half_turn = 0.5 * float(nu) * math.pi
+    c = math.cos(half_turn)
+    s = math.sin(half_turn)
+    (v1, n1, t1, path1), (v2, n2, t2, path2) = _s_eval(0, nu, x, policy or DEFAULT_POLICY, (c, s))
+    w1, w2 = (s, -c) if weber_row else (c, s)
+    a = w1 * v1
+    b = w2 * v2
+    u = 2.0**-53
+    tail = (
+        abs(w1) * t1
+        + abs(w2) * t2
+        + (math.ulp(half_turn) + 2.0 * u) * (abs(v1) + abs(v2))
+        + 2.0 * u * (abs(a) + abs(b))
+    )
+    return SeriesResult(a + b, n1 + n2, tail, path1 if path1 == path2 else PATH_EXTENDED)
+
+
 def anger(nu, x, policy=None):
-    """Anger function: cos(nu pi/2) S1 + sin(nu pi/2) S2.
+    """Anger function: cos(nu pi/2) S1 + sin(nu pi/2) S2, as a SeriesResult
+    (see `_s_matrix_row`).
 
     The matrix angle is the half-pi multiple of the order; that choice is
     the one consistent with the auxiliary series' half-line integrals and
     with the integer-order collapse onto the first cylindrical kind."""
-    policy = policy or DEFAULT_POLICY
-    c = math.cos(0.5 * nu * math.pi)
-    s = math.sin(0.5 * nu * math.pi)
-    return c * s1(nu, x, policy).value + s * s2(nu, x, policy).value
+    return _s_matrix_row(False, nu, x, policy)
 
 
 def weber(nu, x, policy=None):
-    """Weber function: sin(nu pi/2) S1 - cos(nu pi/2) S2."""
-    policy = policy or DEFAULT_POLICY
-    c = math.cos(0.5 * nu * math.pi)
-    s = math.sin(0.5 * nu * math.pi)
-    return s * s1(nu, x, policy).value - c * s2(nu, x, policy).value
+    """Weber function: sin(nu pi/2) S1 - cos(nu pi/2) S2, as a SeriesResult
+    (see `_s_matrix_row`)."""
+    return _s_matrix_row(True, nu, x, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ def gamma(x):
     result exceeds the binary64 range.
     """
     x = float(x)
-    if math.isnan(x):
-        raise DomainError("gamma: argument is NaN")
+    if not x > -math.inf:  # NaN, or -inf, where Gamma has no limit
+        raise DomainError(f"gamma: argument {x!r} is NaN or -inf")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma: pole at x={x!r}")
     if x > GAMMA_OVERFLOW_X:
@@ -108,8 +108,8 @@ def rgamma(x):
     a huge Gamma value.
     """
     x = float(x)
-    if math.isnan(x):
-        raise DomainError("rgamma: argument is NaN")
+    if not x > -math.inf:  # NaN, or -inf, where Gamma has no limit
+        raise DomainError(f"rgamma: argument {x!r} is NaN or -inf")
     if _is_nonpositive_integer(x):
         return 0.0
     if x >= 0.5:

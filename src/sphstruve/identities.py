@@ -844,7 +844,9 @@ def _build_catalog():
         grid=_product_grid(mode=("anger",), n=(0, 1, 2, 3), x=(0.5, 1.0, 5.0, 20.0))
         + _product_grid(mode=("weber",), n=(0,), x=(0.1, 1.0, 5.0, 20.0)),
         lhs=_binding(
-            lambda p, pol: anger(float(p["n"]), p["x"], pol) if p["mode"] == "anger" else weber(0.0, p["x"], pol),
+            lambda p, pol: anger(float(p["n"]), p["x"], pol).value
+            if p["mode"] == "anger"
+            else weber(0.0, p["x"], pol).value,
             {"s1", "s2"},
             "auxiliary-series-matrix",
         ),

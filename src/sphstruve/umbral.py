@@ -39,6 +39,11 @@ __all__ = [
 _MAX_ORDER = 500
 
 
+def _is_order(order):
+    """A nonnegative integer value, such as 3 or 3.0; inf and nan are not."""
+    return order >= 0 and order % 1 == 0
+
+
 UmbralTerm = namedtuple("UmbralTerm", "coeff exponents")
 UmbralTerm.__doc__ = """coeff * symbol_1**e_1 * ... * symbol_m**e_m."""
 
@@ -79,8 +84,8 @@ class UmbralExpSeries(namedtuple("UmbralExpSeries", "prefactor_exponents step_de
             raise DomainError("UmbralExpSeries: exponent/step length mismatch")
         if any(d < 0 or d != int(d) for d in self.step_degrees):
             raise DomainError("UmbralExpSeries: step degrees must be nonnegative integers")
-        if self.order < 0:
-            raise DomainError("UmbralExpSeries: order must be nonnegative")
+        if not _is_order(self.order):
+            raise DomainError(f"UmbralExpSeries: order must be a nonnegative integer, not {self.order!r}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
@@ -93,7 +98,7 @@ def expand(series):
     m = len(series.prefactor_exponents)
     coeff = 1.0
     terms = []
-    for k in range(series.order + 1):
+    for k in range(int(series.order) + 1):
         if k > 0:
             coeff *= series.scale / k
         exps = tuple(
@@ -209,13 +214,13 @@ def laplace_reduce(gamma_exp, w, alpha, beta, order=60):
     """
     if not gamma_exp > 0:
         raise DomainError("laplace_reduce: exponent parameter must be positive")
-    if order < 0:
-        raise DomainError("laplace_reduce: order must be nonnegative")
+    if not _is_order(order):
+        raise DomainError(f"laplace_reduce: order must be a nonnegative integer, not {order!r}")
     if order > _MAX_ORDER:
         raise DomainError(f"laplace_reduce: order {order} exceeds limit {_MAX_ORDER}")
     coeff = gamma(gamma_exp)
     terms = []
-    for k in range(order + 1):
+    for k in range(int(order) + 1):
         if k > 0:
             # ratio Gamma(g+k)/Gamma(g+k-1) * (-w)/k
             coeff *= (gamma_exp + k - 1.0) * (-w) / k

@@ -68,6 +68,14 @@ class TestEval:
         assert rec["terms_used"] > 0
 
 
+    def test_verbose_anger_metadata(self, run):
+        code, out, _ = run("eval", "anger", "--nu", "1.3", "--x", "40", "--format", "json", "--verbose")
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["path"], rec["terms_used"]) == ("asymptotic", 0)
+        assert 0.0 < rec["tail_estimate"] < 1e-12
+
+
 class TestVerify:
     def test_single_identity_json(self, run):
         code, out, _ = run("verify", "I01", "--format", "json")
@@ -200,6 +208,14 @@ class TestTable:
         assert code == 0
         paths = {json.loads(line)["path"] for line in out.splitlines()}
         assert paths == {"series", "extended-precision-series", "asymptotic"}
+
+    @pytest.mark.parametrize("function", ["anger", "weber"])
+    def test_anger_weber_rows_report_their_path(self, run, function):
+        code, out, _ = run("table", function, "--nu", "2.0037", "--x", "0:150:151", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {r["path"] for r in rows} == {"closed-form", "series", "extended-precision-series", "asymptotic"}
+        assert all(r["terms_used"] > 0 for r in rows if r["path"].endswith("series"))
 
     def test_policy_free_rows(self, run):
         code, out, _ = run("table", "rayleigh_jn", "--n", "1", "--x", "2:4:3", "--format", "json")

@@ -528,16 +528,113 @@ class TestAuxiliarySeries:
     def test_anger_matches_integer_cylindrical(self):
         for n in (0, 1, 2, 3):
             for x in (0.1, 1.0, 7.0, 20.0):
-                assert anger(float(n), x) == pytest.approx(
+                assert anger(float(n), x).value == pytest.approx(
                     cyl_j(float(n), x).value, abs=1e-10, rel=1e-10
                 )
 
     def test_weber_zero_order(self):
         for x in (0.1, 1.0, 5.0):
-            assert weber(0.0, x) == pytest.approx(-struve_h(0.0, x).value, rel=1e-12)
+            assert weber(0.0, x).value == pytest.approx(-struve_h(0.0, x).value, rel=1e-12)
 
     def test_anger_at_origin(self):
-        assert anger(0.0, 0.0) == 1.0
+        assert anger(0.0, 0.0).value == 1.0
+
+
+class TestAngerWeberPair:
+    """`anger` and `weber` read one (S1, S2) evaluation, and each kind keeps
+    its own routing decision."""
+
+    # (nu, x, S1 bits, S1 path, S2 bits, S2 path, anger bits, weber bits)
+    # of independent s1 and s2 routes, so that the shared evaluation moves
+    # no bit: plain, asymptotic, double-double, mixed, beyond extended_x,
+    # and x = 0
+    PINNED = (
+        (1.3, 10.0, "-0x1.0835575c5ed6bp-2", "series", "0x1.7fc21205ef7a0p-8", "series",
+         "0x1.f529bc9db386cp-4", "-0x1.d160d82ebf3f7p-3"),
+        (1.3, 40.0, "0x1.16504cff79f46p-8", "asymptotic", "0x1.e6e2c1bb47bb4p-4", "asymptotic",
+         "0x1.a9ebe198efb1ep-4", "0x1.d91497abf5427p-5"),
+        (19.7, 55.0, "0x1.42484cdc946bfp-5", PATH_EXTENDED, "0x1.de45ad715ff2bp-4", PATH_EXTENDED,
+         "-0x1.26366e161aedap-6", "-0x1.f34cda8d3a075p-4"),
+        (-9.905675908806586, 26.060032807958606, "-0x1.3460d308bf312p-4", "asymptotic",
+         "0x1.ddea1d55d37efp-4", PATH_EXTENDED, "0x1.d4e5b6bccb025p-5", "0x1.0319d8912477bp-3"),
+        (2.5, 100.0, "0x1.70bb826de976bp-6", "asymptotic", "-0x1.4c2d7a115f604p-4", "asymptotic",
+         "0x1.53674cf44cc9fp-5", "-0x1.2c1180b373516p-4"),
+        (3.0, 0.0, "-0x1.b2995e7b7b5ffp-3", "closed-form", "0x0.0p+0", "closed-form",
+         "0x1.678afae35cdcdp-55", "0x1.b2995e7b7b5ffp-3"),
+    )
+
+    @staticmethod
+    def _points():
+        rng = random.Random(27)
+        pts = [(rng.uniform(-20.0, 20.0), rng.uniform(lo, hi)) for lo, hi in ((0.0, 25.0), (25.0, 60.0), (60.0, 150.0))
+               for _ in range(60)]
+        edges = (0.0, 0.5)
+        for x in (DEFAULT_POLICY.crossover_x, DEFAULT_POLICY.extended_x):
+            edges += (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+        pts += [(float(n), x) for n in range(-20, 21) for x in edges + (100.0, 150.0)]
+        return pts
+
+    @staticmethod
+    def _composed(nu, x, policy=None):
+        """(anger, weber) bits from the public s1 and s2."""
+        c = math.cos(0.5 * nu * math.pi)
+        s = math.sin(0.5 * nu * math.pi)
+        v1, v2 = s1(nu, x, policy).value, s2(nu, x, policy).value
+        return (c * v1 + s * v2).hex(), (s * v1 - c * v2).hex()
+
+    def _check(self, nu, x, policy=None):
+        a, w = anger(nu, x, policy), weber(nu, x, policy)
+        assert (a.value.hex(), w.value.hex()) == self._composed(nu, x, policy), (nu, x)
+        r1, r2 = s1(nu, x, policy), s2(nu, x, policy)
+        path = r1.path if r1.path == r2.path else PATH_EXTENDED
+        for r in (a, w):
+            assert (r.path, r.terms_used) == (path, r1.terms_used + r2.terms_used), (nu, x)
+            assert r.tail_estimate >= 0.0
+
+    def test_equal_to_the_composition_of_s1_and_s2(self):
+        for nu, x in self._points():
+            self._check(nu, x)
+        for nu, x in self._points()[::7]:
+            self._check(nu, x, EvalPolicy(crossover_x=18.0))
+
+    def test_equal_to_the_composition_on_the_i20_grids(self):
+        from sphstruve.identities import _jittered_grid, get_identity
+
+        iden = get_identity("I20")
+        for grid in (iden.grid, _jittered_grid(iden, random.Random(7)), _jittered_grid(iden, random.Random(102))):
+            for p in grid:
+                self._check(float(p["n"]) if p["mode"] == "anger" else 0.0, p["x"])
+
+    def test_pinned_bits_and_paths(self):
+        for nu, x, b1, p1, b2, p2, ba, bw in self.PINNED:
+            r1, r2 = s1(nu, x), s2(nu, x)
+            assert (r1.value.hex(), r1.path, r2.value.hex(), r2.path) == (b1, p1, b2, p2), (nu, x)
+            assert (anger(nu, x).value.hex(), weber(nu, x).value.hex()) == (ba, bw), (nu, x)
+
+    def test_mixed_paths_report_the_extended_series(self):
+        nu, x = -9.905675908806586, 26.060032807958606
+        assert (s1(nu, x).path, s2(nu, x).path) == (PATH_ASYMPTOTIC, PATH_EXTENDED)
+        for f in (anger, weber):
+            assert f(nu, x).path == PATH_EXTENDED
+
+    def test_guards_shared_with_s1_and_s2(self):
+        for f in (anger, weber, s1, s2):
+            with pytest.raises(DomainError):
+                f(20.5, 1.0)
+            with pytest.raises(DomainError):
+                f(1.0, -1.0)
+
+    def test_tail_estimate_bounds_the_oracle_error_past_the_crossover(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(2027)
+        with mp.workdps(30):
+            for _ in range(200):
+                nu, x = rng.uniform(-20.0, 20.0), rng.uniform(25.0, 150.0)
+                nu_mp, x_mp = mp.mpf(nu), mp.mpf(x)
+                for f, oracle in ((anger, mp.angerj), (weber, mp.webere)):
+                    r = f(nu, x)
+                    err = abs(mp.mpf(r.value) - oracle(nu_mp, x_mp))
+                    assert err <= r.tail_estimate, (f.__name__, nu, x, r.path, float(err), r.tail_estimate)
 
 
 class TestDerivativeClosedForm:

@@ -41,6 +41,12 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(float("nan"))
 
+    def test_minus_infinity_rejected(self):
+        for f in (gamma, rgamma):
+            with pytest.raises(DomainError, match="-inf"):
+                f(-math.inf)
+        assert rgamma(math.inf) == 0.0
+
     def test_against_math_gamma_sampled(self):
         for k in range(1, 300):
             x = 0.05 + 0.5671 * k % 169.0

@@ -97,8 +97,18 @@ class TestExpand:
             {"step_degrees": (1, -1)},
             {"step_degrees": (1, 0.5)},
             {"order": -1},
+            {"order": 2.5},
+            {"order": math.inf},
+            {"order": math.nan},
         ):
             rejects_on_every_path(good, **bad)
+
+    def test_integral_float_order_expands(self):
+        assert expand(UmbralExpSeries((0.5,), (1,), 1.0, 2.0)) == expand(UmbralExpSeries((0.5,), (1,), 1.0, 2))
+
+    def test_gaussian_reduce_rejects_a_non_integer_order(self):
+        with pytest.raises(DomainError):
+            gaussian_reduce(0.5, 1.0, 0.0, order=2.5)
 
     def test_spherical_pipeline(self):
         # j_0(x) image: x^{1/2}-weighted exponential image reduced at x=1
@@ -175,6 +185,12 @@ class TestLaplaceReduce:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             laplace_reduce(1.0, 0.25, 0.0, 0.0, order=-1)
+
+    def test_rejects_a_non_integer_order(self):
+        for order in (2.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                laplace_reduce(1.0, 0.5, 0.0, 0.0, order=order)
+        assert laplace_reduce(1.0, 0.5, 0.0, 0.0, order=3.0) == laplace_reduce(1.0, 0.5, 0.0, 0.0, order=3)
 
     def test_term_coefficients(self):
         g, w = 1.5, 0.3
