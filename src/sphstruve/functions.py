@@ -400,18 +400,16 @@ def _ascending(terms, x, policy, use_dd):
     return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
 
 
-def _route(x, order, policy, terms, asym, *args, asym_known=None):
+def _route(x, order, policy, terms, asym, *args):
     """Evaluate a family on the first path of the module's scheme that
     certifies at x.  `terms(*args)` gives the (t0, den_offsets, k0) of
     its ascending series, `asym(*args)` its large-argument (value,
     floor, envelope, scale), and `order` the order in its cancellation
-    exponent `_series_loss(order, x)`.  A caller that has computed
-    `asym(*args)` already, past the crossover, passes it as `asym_known`.
-    u = 2^-53 below."""
+    exponent `_series_loss(order, x)`.  u = 2^-53 below."""
     if x <= policy.crossover_x:
         v, n, tail = _ascending(terms(*args), x, policy, use_dd=False)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    v, floor, env, scale = asym_known or asym(*args)
+    v, floor, env, scale = asym(*args)
     # the phase is rounded at ulp(x).  Up to extended_x the double-double
     # series is good to about 1e-32 times its cancellation, so the value
     # must meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
@@ -741,9 +739,10 @@ def watson_parity(nu, x, odd):
         k += 2
 
 
-def _s_terms(kind, nu, x):
+def _s_terms(kind, nu, x, shared=None):
     """(t0, den_offsets, k0) of the series of S1 (kind=1) or S2 (kind=2),
-    whose term k is proportional to x^(2k+kind-1)."""
+    whose term k is proportional to x^(2k+kind-1).  `shared` is the
+    argument of `_s_asym`, which the series does not read."""
     h = 0.0 if kind == 1 else 0.5
     ga = (1.0 + h + nu / 2.0, 1.0 + h - nu / 2.0)
     k0 = _kill_start(ga)
@@ -751,60 +750,52 @@ def _s_terms(kind, nu, x):
     return sign * (x / 2.0) ** (2 * k0 + 2 * h) * rgamma(k0 + ga[0]) * rgamma(k0 + ga[1]), ga, k0
 
 
-def _s_asym(kind, nu, x, shared=None):
+def _s_asym(kind, nu, x, shared):
     """S1 (kind=1) or S2 (kind=2) from the large-argument decomposition
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
     with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor,
-    envelope, scale).  S1 sums the odd part of the Watson expansion, S2
-    the even part.  `shared` is the (c, s, J_nu, Y_nu, floor) that both
-    kinds read, computed here when not given."""
-    if shared is None:
-        c = math.cos(0.5 * nu * math.pi)
-        s = math.sin(0.5 * nu * math.pi)
-        J, Y, floor = _jy_asym(nu, x)
-    else:
-        c, s, J, Y, floor = shared
+    envelope, scale).  `shared` is the (c, s, J_nu, Y_nu, floor) that
+    both kinds read.  S1 sums the odd part of the Watson expansion, S2
+    the even part."""
+    c, s, J, Y, floor = shared
     a, a_floor = watson_parity(nu, x, odd=kind == 1)
     if kind == 1:
         return c * J - s * Y + s * a, floor + abs(s) * a_floor, _envelope(x), 1.0
     return s * J + c * Y + c * a, floor + abs(c) * a_floor, _envelope(x), 1.0
 
 
-def _s_eval(kind, nu, x, policy, cs=None):
-    """S1 (kind=1) or S2 (kind=2) as a SeriesResult, or with kind=0 the
-    pair (S1, S2).  Past the crossover the pair reads one `_jy_asym`,
-    with (c, s) = `cs`, the caller's cos(nu pi/2) and sin(nu pi/2), and
-    each kind still takes its own path in `_route`."""
+def _s_eval(kinds, nu, x, policy):
+    """(nu pi/2, c, s, S1, S2) with c = cos(nu pi/2), s = sin(nu pi/2),
+    and S1, S2 as SeriesResults; for x > 0, one whose kind (1 or 2) is
+    not in `kinds` is None.  Past the crossover the kinds read one
+    `_jy_asym`, and each still takes its own path in `_route`."""
     nu = float(nu)
     x = float(x)
     if abs(nu) > 20.0:
         raise DomainError("S-series: |nu| > 20 not supported")
     if x < 0.0:
         raise DomainError("S-series: requires x >= 0")
+    half_turn = 0.5 * nu * math.pi
+    c = math.cos(half_turn)
+    s = math.sin(half_turn)
     if x == 0.0:
-        pair = _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0)), _closed(0.0)
-        return pair[kind - 1] if kind else pair
+        return half_turn, c, s, _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0)), _closed(0.0)
+    shared = None if x <= policy.crossover_x else (c, s, *_jy_asym(nu, x))
     # the auxiliary series cancels like exp(x) whatever the order
-    if kind:
-        return _route(x, 0.0, policy, _s_terms, _s_asym, kind, nu, x)
-    if x <= policy.crossover_x:
-        return _route(x, 0.0, policy, _s_terms, None, 1, nu, x), _route(x, 0.0, policy, _s_terms, None, 2, nu, x)
-    shared = (*cs, *_jy_asym(nu, x))
-    return (
-        _route(x, 0.0, policy, _s_terms, None, 1, nu, x, asym_known=_s_asym(1, nu, x, shared)),
-        _route(x, 0.0, policy, _s_terms, None, 2, nu, x, asym_known=_s_asym(2, nu, x, shared)),
-    )
+    r1 = _route(x, 0.0, policy, _s_terms, _s_asym, 1, nu, x, shared) if 1 in kinds else None
+    r2 = _route(x, 0.0, policy, _s_terms, _s_asym, 2, nu, x, shared) if 2 in kinds else None
+    return half_turn, c, s, r1, r2
 
 
 def s1(nu, x, policy=None):
     """Even Anger/Weber auxiliary series S1(nu, x)."""
-    return _s_eval(1, nu, x, policy or DEFAULT_POLICY)
+    return _s_eval((1,), nu, x, policy or DEFAULT_POLICY)[3]
 
 
 def s2(nu, x, policy=None):
     """Odd Anger/Weber auxiliary series S2(nu, x)."""
-    return _s_eval(2, nu, x, policy or DEFAULT_POLICY)
+    return _s_eval((2,), nu, x, policy or DEFAULT_POLICY)[4]
 
 
 def _s_matrix_row(weber_row, nu, x, policy):
@@ -820,10 +811,7 @@ def _s_matrix_row(weber_row, nu, x, policy):
     ulp), plus 2u(|w1 S1| + |w2 S2|) for the two products and the sum,
     u = 2^-53.  On the plain series path the S tails carry no rounding
     term, so neither does this estimate there (ROADMAP item 3)."""
-    half_turn = 0.5 * float(nu) * math.pi
-    c = math.cos(half_turn)
-    s = math.sin(half_turn)
-    (v1, n1, t1, path1), (v2, n2, t2, path2) = _s_eval(0, nu, x, policy or DEFAULT_POLICY, (c, s))
+    half_turn, c, s, (v1, n1, t1, path1), (v2, n2, t2, path2) = _s_eval((1, 2), nu, x, policy or DEFAULT_POLICY)
     w1, w2 = (s, -c) if weber_row else (c, s)
     a = w1 * v1
     b = w2 * v2

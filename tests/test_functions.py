@@ -619,8 +619,9 @@ class TestAngerWeberPair:
 
     def test_guards_shared_with_s1_and_s2(self):
         for f in (anger, weber, s1, s2):
-            with pytest.raises(DomainError):
-                f(20.5, 1.0)
+            for nu in (20.5, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    f(nu, 1.0)
             with pytest.raises(DomainError):
                 f(1.0, -1.0)
 
