@@ -15,8 +15,9 @@ three-path scheme, decided in one place, `_route`:
 * otherwise the power series accumulated in double-double: up to
   `extended_x` (large orders, whose Hankel terms grow), and beyond it
   while its cancellation exponent stays within `_DD_LOSS_LIMIT`.  It
-  reports that cancellation floor with its tail, plus 32u|value| for
-  the rounding of its binary64 inputs.
+  reports its tail plus a rounding bound: 16n 2^-104 times the sum of
+  |term| over its n terms, n 2^-1074 for terms that underflow, and
+  32u|value| for the rounding of its binary64 inputs.
 
 `anger` and `weber` read one (S1, S2) evaluation, in which both kinds
 share one Hankel pair past the crossover and each takes its own path.
@@ -101,6 +102,13 @@ def _closed(value):
     return SeriesResult(value=value, terms_used=0, tail_estimate=0.0, path=PATH_CLOSED_FORM)
 
 
+def _not_finite(fn, values):
+    """The DomainError for a call with an infinite or NaN index, parameter
+    or argument: such an index has no integer part to kill terms at, and
+    any of them sums max_terms terms to no certificate."""
+    return DomainError(f"{fn}: every index, parameter and argument must be finite, got {values!r}")
+
+
 def _kill_start(gamma_args):
     """First surviving index of a series whose term k carries
     rgamma(k + g) factors: terms vanish while any integer g makes
@@ -173,9 +181,13 @@ def _sum_ratio_series_dd(t0, z_hi, z_lo, num_offsets, den_offsets, policy, k0=0)
     the alternating sum is resolved to ~1e-32 * (largest term).  The
     error-free transformations are inlined: this loop dominates every
     quadrature over the extended-precision window.
+
+    Returns (value, terms_used, tail_estimate, sum of |term| over the
+    terms used), the last for a caller's rounding bound.
     """
     th, tl = float(t0), 0.0
     sh, sl = 0.0, 0.0
+    mag = abs(th)
     small = 0
     k = k0
     rel_tol = policy.rel_tol
@@ -234,12 +246,14 @@ def _sum_ratio_series_dd(t0, z_hi, z_lo, num_offsets, den_offsets, policy, k0=0)
         bound = rel_tol * abs(sh)
         if bound < abs_tol:
             bound = abs_tol
-        if abs(th) <= bound:
+        at = abs(th)
+        if at <= bound:
             small += 1
             if small >= 2:
-                return sh + sl, k - k0, abs(th)
+                return sh + sl, k - k0, at, mag
         else:
             small = 0
+        mag += at
     raise ConvergenceError(
         f"extended-precision series did not certify within {policy.max_terms} terms"
     )
@@ -255,15 +269,7 @@ def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets
     32 u |value| for the binary64 rounding of t0 and the offsets (u = 2^-53)."""
     nums, dens = num_offsets + (0.5 * a,), den_offsets + (0.5 * a + 1.0,)
     first = t0 * T / (2 * k0 + a)
-    v, n, tail = _sum_ratio_series_dd(first, *z, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
-    mag, t = 0.0, abs(first)
-    for k in range(k0, k0 + n):
-        mag += t
-        t *= abs(z[0])
-        for o in nums:
-            t *= abs(k + o)
-        for o in dens:
-            t /= abs(k + o)
+    v, n, tail, mag = _sum_ratio_series_dd(first, *z, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
     return v, 2.0 * tail + 16.0 * n * 2.0**-104 * mag + 32.0 * 2.0**-53 * abs(v)
 
 
@@ -391,8 +397,8 @@ def _series_loss(nu, x):
 
 def _ascending(terms, x, policy, use_dd):
     """Sum the ascending series in -(x/2)^2 whose (t0, den_offsets, k0)
-    are `terms`, in binary64 or double-double:
-    (value, terms_used, tail_estimate)."""
+    are `terms`, in binary64 or double-double: (value, terms_used,
+    tail_estimate), and in double-double also the sum of |term|."""
     t0, dens, k0 = terms
     if use_dd:
         zh, zl = two_prod(x / 2.0, x / 2.0)
@@ -411,16 +417,18 @@ def _route(x, order, policy, terms, asym, *args):
         return SeriesResult(v, n, tail, PATH_SERIES)
     v, floor, env, scale = asym(*args)
     # the phase is rounded at ulp(x).  Up to extended_x the double-double
-    # series is good to about 1e-32 times its cancellation, so the value
-    # must meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
+    # series resolves about 1e-32 of its largest term, so the value must
+    # meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
     rounding = 4.0 * 2.0**-53 * (1.0 + x) * env
     if (floor + rounding <= policy.rel_tol * env) if x <= policy.extended_x else (floor <= _ASYM_FLOOR * scale):
         return SeriesResult(v, 0, floor + rounding, PATH_ASYMPTOTIC)
-    loss = _series_loss(order, x)
-    if x <= policy.extended_x or loss <= _DD_LOSS_LIMIT:
-        v, n, tail = _ascending(terms(*args), x, policy, use_dd=True)
-        # 32u|v| covers the binary64 rounding of t0 and the offsets
-        return SeriesResult(v, n, max(tail, 1e-32 * math.exp(loss)) + 32.0 * 2.0**-53 * abs(v), PATH_EXTENDED)
+    if x <= policy.extended_x or _series_loss(order, x) <= _DD_LOSS_LIMIT:
+        v, n, tail, mag = _ascending(terms(*args), x, policy, use_dd=True)
+        # 16n 2^-104 sum|term| bounds the double-double rounding of n terms,
+        # n 2^-1074 the terms that underflow, and 32u|v| the binary64
+        # rounding of t0 and the offsets
+        bound = tail + 16.0 * n * 2.0**-104 * mag + n * 2.0**-1074 + 32.0 * 2.0**-53 * abs(v)
+        return SeriesResult(v, n, bound, PATH_EXTENDED)
     raise ConvergenceError(
         f"no certified path for arguments {args}: the asymptotics diverge and "
         "the series cancellation exceeds the extended budget"
@@ -641,12 +649,16 @@ def humbert2(mu, nu, z, policy=None):
 
     Negative integer indices start the sum past the reciprocal-gamma zeros.
     """
+    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(z)):
+        raise _not_finite("humbert2", (mu, nu, z))
     v, n, tail = _humbert_family((mu, nu), policy or DEFAULT_POLICY)(float(z))
     return SeriesResult(v, n, tail, PATH_SERIES)
 
 
 def humbert3(mu, nu, rho, z, policy=None):
     """Three-index Bessel-like series with four reciprocal-gamma factors per term."""
+    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(rho) and math.isfinite(z)):
+        raise _not_finite("humbert3", (mu, nu, rho, z))
     v, n, tail = _humbert_family((mu, nu, rho), policy or DEFAULT_POLICY)(float(z))
     return SeriesResult(v, n, tail, PATH_SERIES)
 
@@ -654,6 +666,8 @@ def humbert3(mu, nu, rho, z, policy=None):
 def hyp1f2(gamma_p, a, b, z, policy=None):
     """Generalized hypergeometric 1F2(gamma_p; a, b; z) by its defining series."""
     policy = policy or DEFAULT_POLICY
+    if not (math.isfinite(gamma_p) and math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise _not_finite("hyp1f2", (gamma_p, a, b, z))
     # gamma_p = -m ends the series after m + 1 terms, which divide only by
     # c, ..., c + m - 1: a pole at c + k matters only for k < m
     m = int(-gamma_p) if _is_nonpositive_integer(gamma_p) else None
@@ -678,6 +692,8 @@ def delta_fn(alpha, beta, gamma_p, x, policy=None):
     combined form that stays finite at negative integer indices.
     """
     policy = policy or DEFAULT_POLICY
+    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma_p) and math.isfinite(x)):
+        raise _not_finite("delta_fn", (alpha, beta, gamma_p, x))
     if not gamma_p > 0:
         raise DomainError("delta_fn: exponent parameter must be positive")
     w = (x / 2.0) ** 2

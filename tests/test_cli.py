@@ -48,6 +48,20 @@ class TestEval:
         assert "pole" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hyp1f2", "--gamma=-inf", "--a", "1", "--b", "1", "--z", "0.5"),
+            ("hyp1f2", "--gamma=nan", "--a", "1", "--b", "1", "--z", "0.5"),
+            ("humbert2", "--mu=-inf", "--nu", "0", "--z", "1"),
+        ],
+    )
+    def test_non_finite_parameter_is_a_domain_error(self, run, argv):
+        code, out, err = run("eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and "must be finite" in err
+
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2

@@ -33,7 +33,9 @@ def test_cancellation_heavy_sum():
     # double-double kernel keeps full double accuracy.
     policy = EvalPolicy(rel_tol=1e-20)
     want = Decimal(-20).exp()
-    got, _, _ = _sum_ratio_series_dd(1.0, -20.0, 0.0, (), (1.0,), policy)
+    got, _, _, mag = _sum_ratio_series_dd(1.0, -20.0, 0.0, (), (1.0,), policy)
     assert abs(Decimal(got) - want) <= abs(want) * Decimal("1e-15")
+    # the sum of |term| the kernel returns for its rounding bound is e^20
+    assert abs(Decimal(mag) - Decimal(20).exp()) <= Decimal(20).exp() * Decimal("1e-14")
     plain, _, _ = _sum_ratio_series(1.0, -20.0, (), (1.0,), policy)
     assert abs(Decimal(plain) - want) > abs(want) * Decimal("1e-15")

@@ -6,15 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphstruve.errors import DomainError, PoleError
-from sphstruve.gammakit import (
-    GAMMA_OVERFLOW_X,
-    _lanczos_sum,
-    gamma,
-    hermite2_coeffs,
-    rgamma,
-)
+from sphstruve.gammakit import GAMMA_OVERFLOW_X, gamma, hermite2_coeffs, rgamma
 
 SQRT_PI = 1.7724538509055160273
+U = 2.0**-53
+
+# worst relative error of gamma and rgamma, in units of u, against 40-digit
+# mpmath: about 10.1u over 3.4 million random points on (-170, 171.62]
+# (math.gamma itself, 9.9u, plus the reciprocal's rounding); the
+# largest seen are pinned below
+_ULPS = 11.0
+_WORST_SEEN = (-6.348192633428733, -5.118384146744902, -5.799085559130617, 6.171694515021885, 4.39515479253428)
+
+
+def _worst_ulps(mp, xs):
+    """Largest relative error of gamma and of rgamma over xs, in units of u."""
+    worst = 0.0
+    with mp.workdps(40):
+        for x in xs:
+            g = mp.gamma(mp.mpf(x))
+            worst = max(worst, abs(mp.mpf(gamma(x)) / g - 1) / U, abs(mp.mpf(rgamma(x)) * g - 1) / U)
+    return float(worst)
 
 
 class TestGamma:
@@ -47,16 +59,41 @@ class TestGamma:
                 f(-math.inf)
         assert rgamma(math.inf) == 0.0
 
-    def test_against_math_gamma_sampled(self):
-        for k in range(1, 300):
-            x = 0.05 + 0.5671 * k % 169.0
-            if x < 0.05:
-                continue
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
+    def test_positive_axis_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(28)
+        xs = [rng.uniform(0.5, 171.62) for _ in range(1500)]
+        xs += [math.exp(rng.uniform(math.log(0.5), math.log(171.62))) for _ in range(1500)]
+        # 1/Gamma is subnormal from about 171.35 on
+        xs += [0.5, 1.0, 171.0, 171.5, math.nextafter(GAMMA_OVERFLOW_X, 0.0), GAMMA_OVERFLOW_X]
+        xs += [x for x in _WORST_SEEN if x > 0.5]
+        assert _worst_ulps(mp, xs) <= _ULPS
 
     def test_negative_axis(self):
-        for x in (-0.5, -1.5, -3.3, -10.7, -49.2):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        xs = [rng.uniform(-170.0, 0.5) for _ in range(1500)]
+        xs += [-math.exp(rng.uniform(-30.0, math.log(170.0))) for _ in range(1000)]
+        # near every pole, and 1 ulp either side of -170, where the
+        # reflection takes over
+        xs += [n + d for n in range(-169, 1) for d in (1e-9, -1e-9, 1e-3, -1e-3) if n + d < 0.5]
+        xs += [math.nextafter(-170.0, 0.0), math.nextafter(-170.0, -171.0), -170.25, -170.5]
+        xs += [x for x in _WORST_SEEN if x < 0.5]
+        assert _worst_ulps(mp, xs) <= _ULPS
+
+    def test_tiny_arguments(self):
+        # below 1/DBL_MAX, Gamma(x) ~ 1/x leaves binary64: gamma is a
+        # signed inf and rgamma is x
+        for x in (1e-310, -1e-310, 5e-324):
+            assert gamma(x) == math.copysign(math.inf, x)
+            assert rgamma(x) == x
+
+    def test_past_the_reflection_range(self):
+        # below -(GAMMA_OVERFLOW_X - 1), |Gamma| underflows and |1/Gamma|
+        # overflows; both keep the sign of sin(pi x)
+        assert gamma(-171.5) == 0.0 and math.copysign(1.0, gamma(-171.5)) == 1.0
+        assert rgamma(-171.5) == math.inf
+        assert rgamma(-180.5) == -math.inf
 
 
 class TestRgamma:
@@ -76,39 +113,6 @@ class TestRgamma:
     def test_reciprocal_on_negative_axis(self):
         for x in (-0.5, -2.5, -17.3):
             assert rgamma(x) * gamma(x) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lanczos_sum_matches_the_loop_bitwise():
-    # the g = 607/128 coefficients, summed by the loop the written-out
-    # expression replaced
-    c = (
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    )
-
-    def loop(x):
-        s = c[0]
-        for i in range(1, len(c)):
-            s += c[i] / (x + i)
-        return s
-
-    # _gamma_positive reaches _lanczos_sum at x - 1 for x in [0.5, 171.6]
-    rng = random.Random(15)
-    xs = [-0.5, 0.0, 1.0, 170.0, 171.0] + [rng.uniform(-0.5, 171.0) for _ in range(10000)]
-    assert [_lanczos_sum(x).hex() for x in xs] == [loop(x).hex() for x in xs]
 
 
 class TestDuplication:

@@ -174,14 +174,15 @@ class TestTruncationMonotonicity:
 class TestI17ShiftFamily:
     # lhs bits of the four default I17 points, taken from the
     # per-(m, n) laplace_reduce + reduce_expr loop before it was replaced
-    # by one expansion reduced at every shift
+    # by one expansion reduced at every shift; re-taken from that loop
+    # when rgamma moved onto math.gamma, which moved three by an ulp
     @pytest.mark.parametrize(
         "index,bits",
         [
-            (0, "0x1.bd14fbd0480f9p+2"),
-            (1, "0x1.a2e692a5e9676p+2"),
+            (0, "0x1.bd14fbd0480f8p+2"),
+            (1, "0x1.a2e692a5e9675p+2"),
             (2, "0x1.b05d86e78fe0dp+2"),
-            (3, "0x1.8b4e3232cc15bp+2"),
+            (3, "0x1.8b4e3232cc15ap+2"),
         ],
     )
     def test_default_grid_golden_bits(self, index, bits):
@@ -348,34 +349,34 @@ class TestLaguerreMultiIndex:
     # products w * f summed by math.fsum, for the pair's larger rule
     _BITS = {
         "I11": (
-            "0x1.3cfc39c5aeb11p-2", "0x1.2326f61fa6f27p-1", "0x1.94eb737cc7675p-1", "-0x1.7b52f43370df3p-3",
-            "0x1.1ae59fec267b4p-3", "0x1.7796ab2c99b01p-2", "0x1.99134a2bb05a7p-1", "0x1.05bddf0dccefcp-2",
-            "0x1.ab6845a76215cp-5", "0x1.9670ccc51be92p-3", "0x1.4b249d8a6f119p-1", "0x1.9d99870101db0p-1",
+            "0x1.3cfc39c5aeb0ep-2", "0x1.2326f61fa6f24p-1", "0x1.94eb737cc7672p-1", "-0x1.7b52f43370df2p-3",
+            "0x1.1ae59fec267b3p-3", "0x1.7796ab2c99affp-2", "0x1.99134a2bb05a5p-1", "0x1.05bddf0dccefbp-2",
+            "0x1.ab6845a76215dp-5", "0x1.9670ccc51be94p-3", "0x1.4b249d8a6f11ap-1", "0x1.9d99870101db4p-1",
         ),
         "I15": (
-            "0x1.b7bbd7f90f226p+0", "0x1.8fa0ac9ab72abp+0", "0x1.09ae9a3774c91p+0", "0x1.0feda478c9599p-8",
+            "0x1.b7bbd7f90f227p+0", "0x1.8fa0ac9ab72acp+0", "0x1.09ae9a3774c92p+0", "0x1.0feda478c967dp-8",
             "0x1.e07f1d54c3f3ap-1", "0x1.87c7fdbd7b8f3p-1", "0x1.ca873fb24cefap-3", "-0x1.6bb7db255cba9p-3",
-            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c4ap-2",
-            "0x1.14fa843f86217p+0", "0x1.e624a51d16751p-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367565p-3",
-            "0x1.beb6a93cdb69fp+0", "0x1.aa428aec1dad7p+0", "0x1.618c427ae149ep+0", "0x1.c4bcfb3e57d5ap-2",
+            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c48p-2",
+            "0x1.14fa843f86216p+0", "0x1.e624a51d16750p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367561p-3",
+            "0x1.beb6a93cdb6a1p+0", "0x1.aa428aec1dad9p+0", "0x1.618c427ae14a0p+0", "0x1.c4bcfb3e57d5dp-2",
             "0x1.f02a71f4870dbp-1", "0x1.c29c9ee970c71p-1", "0x1.27487958371f2p-1", "-0x1.0c5a5308fbad4p-3",
-            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c4ap-2",
-            "0x1.14fa843f86217p+0", "0x1.e624a51d16751p-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367565p-3",
-            "0x1.1ce20d3cb1dc6p+1", "0x1.114a5454e1faep+1", "0x1.cfbf6b05288a7p+0", "0x1.662d426010230p-1",
-            "0x1.3cfc39c5aeb11p+0", "0x1.2326f61fa6f27p+0", "0x1.94eb737cc7675p-1", "-0x1.2f7590292718fp-4",
-            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9afp-1",
-            "0x1.1ae59fec267b4p+0", "0x1.0994ca317b732p+0", "0x1.99134a2bb05a7p-1", "0x1.08dd2ca3ec1a9p-4",
-            "0x1.beb6a93cdb69fp+0", "0x1.aa428aec1dad7p+0", "0x1.618c427ae149ep+0", "0x1.c4bcfb3e57d5ap-2",
+            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c48p-2",
+            "0x1.14fa843f86216p+0", "0x1.e624a51d16750p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367561p-3",
+            "0x1.1ce20d3cb1dc5p+1", "0x1.114a5454e1facp+1", "0x1.cfbf6b05288a4p+0", "0x1.662d426010230p-1",
+            "0x1.3cfc39c5aeb0ep+0", "0x1.2326f61fa6f24p+0", "0x1.94eb737cc7672p-1", "-0x1.2f7590292718ep-4",
+            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9b0p-1",
+            "0x1.1ae59fec267b3p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a5p-1", "0x1.08dd2ca3ec1a8p-4",
+            "0x1.beb6a93cdb6a1p+0", "0x1.aa428aec1dad9p+0", "0x1.618c427ae14a0p+0", "0x1.c4bcfb3e57d5dp-2",
             "0x1.f02a71f4870dbp-1", "0x1.c29c9ee970c71p-1", "0x1.27487958371f2p-1", "-0x1.0c5a5308fbad4p-3",
-            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9afp-1",
-            "0x1.1ae59fec267b4p+0", "0x1.0994ca317b732p+0", "0x1.99134a2bb05a7p-1", "0x1.08dd2ca3ec1a9p-4",
-            "0x1.c238c019bac7cp+0", "0x1.b7dc32dab744cp+0", "0x1.9184b844e6099p+0", "0x1.d6330a435f0a4p-1",
+            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9b0p-1",
+            "0x1.1ae59fec267b3p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a5p-1", "0x1.08dd2ca3ec1a8p-4",
+            "0x1.c238c019bac7dp+0", "0x1.b7dc32dab744ep+0", "0x1.9184b844e609ap+0", "0x1.d6330a435f0a5p-1",
             "0x1.f80e2ab3c0cbep-1", "0x1.e0e0090a11c46p-1", "0x1.8d5e30136cc46p-1", "0x1.81dffa1a753bdp-3",
         ),
         "I18": (
-            "0x1.c2ee768dfe23dp-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b5ap-4", "0x1.2bad224f899b7p-2",
-            "0x1.cd979414a5f83p-2", "0x1.14f595fceccadp-8", "0x1.e5e8d0b042402p-8", "0x1.9e37059973008p-5",
-            "0x1.5189ca7963271p-3",
+            "0x1.c2ee768dfe23dp-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b5ap-4", "0x1.2bad224f899b4p-2",
+            "0x1.cd979414a5f7ep-2", "0x1.14f595fcecae2p-8", "0x1.e5e8d0b0423fep-8", "0x1.9e37059973004p-5",
+            "0x1.5189ca796326cp-3",
         ),
     }
     _SIDE = {"I11": "lhs", "I15": "lhs", "I18": "rhs"}
