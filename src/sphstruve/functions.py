@@ -120,8 +120,25 @@ def _kill_start(gamma_args):
     return k0
 
 
+# number of denominator offsets -> (zero padding to four, and whether the
+# second, third and fourth offsets are there)
+_DEN_SHAPES = {
+    1: ((0.0, 0.0, 0.0), False, False, False),
+    2: ((0.0, 0.0), True, False, False),
+    3: ((0.0,), True, True, False),
+    4: ((), True, True, True),
+}
+
+
 def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     """Sum t0 * prod ratios, term_{k+1} = term_k * z * prod(k+num)/prod(k+den).
+
+    The shape is a tuple of one to four denominator offsets and one of at
+    most one numerator offset, which covers every series of the module;
+    any other raises ValueError.  Each step multiplies the term by z or
+    z * (k + n0) and divides it by (k + d0)(k + d1)... taken in offset
+    order: the operations of a product over the offsets started at 1.0,
+    since 1.0 * y = y exactly.
 
     `dens` is an optional caller-owned list whose entry i holds the
     denominator prod(k0 + i + den): the loop reads it as far as it
@@ -131,6 +148,14 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     Returns (value, terms_used, tail_estimate); certified when the first
     neglected term is below rel_tol*|sum| twice in a row.
     """
+    try:
+        pad, two, three, four = _DEN_SHAPES[len(den_offsets)]
+        (n0,) = num_offsets or (0.0,)
+    except (KeyError, ValueError):
+        raise ValueError(f"ratio series: needs 1-4 denominator offsets and at most 1 numerator offset, got "
+                         f"{den_offsets!r} and {num_offsets!r}") from None
+    d0, d1, d2, d3 = den_offsets + pad
+    has_num = num_offsets != ()
     grow = dens is not None
     known = len(dens) if grow else 0
     rel_tol = policy.rel_tol
@@ -145,19 +170,19 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
         s = total + y
         comp = (s - total) - y
         total = s
-        num = z
-        if num_offsets:
-            for a in num_offsets:
-                num *= k + a
         if i < known:
             den = dens[i]
         else:
-            den = 1.0
-            for a in den_offsets:
-                den *= k + a
+            den = k + d0
+            if two:
+                den *= k + d1
+                if three:
+                    den *= k + d2
+                    if four:
+                        den *= k + d3
             if grow:
                 dens.append(den)
-        term = term * num / den
+        term = term * (z * (k + n0) if has_num else z) / den
         k += 1.0
         # rel_tol * |total|, at least abs_tol, without an abs call
         bound = rel_tol * total
@@ -284,6 +309,10 @@ _ASYM_FLOOR = 1e-9
 _DD_LOSS_LIMIT = 62.0
 # a term below this fraction of a binary64 sum is under half its ulp
 _NEGLIGIBLE = 2.0**-55
+# `not lo <= v < _INF` turns away +inf and NaN along with v below lo
+_INF = math.inf
+# (k, (2k - 1)^2, 8k) for the Hankel terms k = 1..59, every entry exact
+_HANKEL_STEPS = tuple((k, float((2 * k - 1) ** 2), 8.0 * k) for k in range(1, 60))
 
 
 def hankel_amplitude_coeffs(nu, kmax=30):
@@ -324,15 +353,16 @@ def hankel_pq(nu, x):
     mu4 = 4.0 * nu * nu
     k_bound = abs(nu) - 0.5
     hump = max(2.0, abs(nu) + 1.0)
-    P = 0.0
+    negligible = _NEGLIGIBLE
+    # term 0 is exactly 1.0 and joins P; it never ends the sum
+    P = 1.0
     Q = 0.0
     term = 1.0
-    prev = math.inf
-    floor = math.inf
-    absum = -1.0  # sum of |term| past the exact term 0, which is 1.0
-    for k in range(0, 60):
-        if k > 0:
-            term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+    prev = 1.0
+    floor = 1.0
+    absum = 0.0  # sum of |term| past the exact term 0
+    for k, sq, k8 in _HANKEL_STEPS:
+        term *= (mu4 - sq) / (k8 * x)
         mag = abs(term)
         if mag == 0.0:
             floor = 0.0
@@ -340,7 +370,7 @@ def hankel_pq(nu, x):
         if mag > prev and k > hump:
             floor = prev
             break
-        if k >= k_bound and mag < _NEGLIGIBLE * abs(P) and mag < _NEGLIGIBLE * abs(Q):
+        if k >= k_bound and mag < negligible * abs(P) and mag < negligible * abs(Q):
             floor = mag
             break
         prev = mag
@@ -444,10 +474,8 @@ def cyl_j(nu, x, policy=None):
     policy = policy or DEFAULT_POLICY
     nu = float(nu)
     x = float(x)
-    if nu < -50.0:
-        raise DomainError("cyl_j: order below -50 not supported")
-    if x < 0.0:
-        raise DomainError("cyl_j: requires x >= 0")
+    if not (-50.0 <= nu < _INF and 0.0 <= x < _INF):
+        raise DomainError(f"cyl_j: requires finite nu >= -50 and x >= 0, got {(nu, x)!r}")
     if nu < 0.0 and nu == math.floor(nu):
         inner = cyl_j(-nu, x, policy)
         sign = 1.0 if int(-nu) % 2 == 0 else -1.0
@@ -481,7 +509,9 @@ def mod_i0(t, policy=None):
     """Modified cylindrical function of order 0; even entire series."""
     policy = policy or DEFAULT_POLICY
     t = float(t)
-    if abs(t) > 300.0:
+    if not abs(t) <= 300.0:
+        if t != t:
+            raise _not_finite("mod_i0", (t,))
         raise OverflowError("mod_i0: |t| > 300 exceeds the supported range")
     v, _, _ = _sum_ratio_series(1.0, (t / 2.0) ** 2, (), (1.0, 1.0), policy)
     return v
@@ -496,10 +526,8 @@ def struve_h(alpha, x, policy=None):
     policy = policy or DEFAULT_POLICY
     alpha = float(alpha)
     x = float(x)
-    if alpha < -5.0:
-        raise DomainError("struve_h: order below -5 not supported")
-    if x < 0.0:
-        raise DomainError("struve_h: requires x >= 0")
+    if not (-5.0 <= alpha < _INF and 0.0 <= x < _INF):
+        raise DomainError(f"struve_h: requires finite alpha >= -5 and x >= 0, got {(alpha, x)!r}")
     if x == 0.0:
         if alpha > -1.0:
             return _closed(0.0)
@@ -580,7 +608,12 @@ def struve_algebraic(alpha, x):
     there the ratio (k + 1/2)(alpha - 1/2 - k)(2/x)^2 of a large order
     may rise above 1, and a term before that hump bounds nothing.  As in
     `hankel_pq`, term k carries about 4k roundings, so the rounding part
-    is 4ku times the sum of |term| (u = 2^-53).
+    is 4ku times the sum of |term| over the terms kept (u = 2^-53).
+
+    Past the hump the sum also stops at the first term below 2**-55 of
+    it: that term and every later one up to the smallest are under half
+    an ulp of the sum, so the value keeps the bits of the full
+    smallest-term truncation.
     """
     try:
         term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
@@ -590,15 +623,18 @@ def struve_algebraic(alpha, x):
         term = _power_rgamma(x / 2.0, alpha - 1.0, alpha + 0.5) / SQRT_PI
     total = absum = 0.0
     prev = math.inf
-    hump = max(1.0, alpha - 0.5)
+    a = alpha - 0.5
+    hump = max(1.0, a)
+    w = (2.0 / x) ** 2
+    negligible = _NEGLIGIBLE
     for k in range(0, 60):
         mag = abs(term)
-        if (mag > prev and k > hump) or mag == 0.0:
+        if mag == 0.0 or (k > hump and (mag > prev or mag < negligible * abs(total))):
             break
         total += term
         absum += mag
         prev = mag
-        term *= (k + 0.5) * (alpha - 0.5 - k) * (2.0 / x) ** 2
+        term *= (k + 0.5) * (a - k) * w
     return total, abs(term) + 4.0 * k * 2.0**-53 * absum
 
 
@@ -741,18 +777,20 @@ def watson_parity(nu, x, odd):
     first term dropped (times 2/pi).  An exactly zero term ends the sum
     with floor 0: at integer orders one parity terminates."""
     x2 = x * x
-    k = 1 if odd else 0
+    k = 1.0 if odd else 0.0  # k + 1.0 has the bits of an int k + 1
     term = -nu / x2 if odd else 1.0 / x
+    hump = abs(nu) + 1.0
+    negligible = _NEGLIGIBLE
     total = 0.0
     prev = math.inf
     while True:
         mag = abs(term)
-        if mag <= _NEGLIGIBLE * abs(total) or (k > abs(nu) + 1.0 and not mag < prev):
+        if mag <= negligible * abs(total) or (k > hump and not mag < prev):
             return 2.0 / math.pi * total, 2.0 / math.pi * mag
         total += term
         prev = mag
-        term *= (nu - (k + 1)) * (nu + (k + 1)) / x2
-        k += 2
+        term *= (nu - (k + 1.0)) * (nu + (k + 1.0)) / x2
+        k += 2.0
 
 
 def _s_terms(kind, nu, x, shared=None):
@@ -788,10 +826,8 @@ def _s_eval(kinds, nu, x, policy):
     `_jy_asym`, and each still takes its own path in `_route`."""
     nu = float(nu)
     x = float(x)
-    if abs(nu) > 20.0:
-        raise DomainError("S-series: |nu| > 20 not supported")
-    if x < 0.0:
-        raise DomainError("S-series: requires x >= 0")
+    if not (abs(nu) <= 20.0 and 0.0 <= x < _INF):
+        raise DomainError(f"S-series: requires |nu| <= 20 and finite x >= 0, got {(nu, x)!r}")
     half_turn = 0.5 * nu * math.pi
     c = math.cos(half_turn)
     s = math.sin(half_turn)
@@ -870,13 +906,13 @@ def sph_j(n, x, policy=None):
     Negative x is served by parity, j_n(-x) = (-1)^n j_n(x).
     """
     policy = policy or DEFAULT_POLICY
-    if n != int(n):
-        raise DomainError("sph_j: order must be an integer")
+    if not abs(n) <= 100 or n != int(n):
+        raise DomainError(f"sph_j: order must be an integer with |n| <= 100, got {n!r}")
     n = int(n)
-    if abs(n) > 100:
-        raise DomainError("sph_j: |n| > 100 not supported")
     x = float(x)
-    if x < 0.0:
+    if not 0.0 <= x < _INF:
+        if not -_INF < x:  # NaN or -inf
+            raise DomainError(f"sph_j: requires finite x, got {x!r}")
         inner = sph_j(n, -x, policy)
         sign = 1.0 if n % 2 == 0 else -1.0
         return SeriesResult(sign * inner.value, inner.terms_used, inner.tail_estimate, inner.path)
@@ -945,14 +981,11 @@ def rayleigh_jn(n, x):
     default rel_tol times the envelope min(x^n/(2n+1)!!, 1/x) of |j_n|,
     it raises ConvergenceError.  The envelope, unlike |j_n|, does not
     vanish at the zeros of j_n, so points near a zero still return."""
-    if n != int(n) or n < 0:
-        raise DomainError("rayleigh_jn: order must be a nonnegative integer")
-    n = int(n)
-    if n > 30:
-        raise DomainError("rayleigh_jn: order above 30 not supported")
     x = float(x)
-    if x <= 0.0:
-        raise DomainError("rayleigh_jn: requires x > 0")
+    # range tests first, so that int() never sees an infinite or NaN order
+    if not (0 <= n <= 30 and 0.0 < x < _INF) or n != int(n):
+        raise DomainError(f"rayleigh_jn: requires an integer n in [0, 30] and finite x > 0, got {(n, x)!r}")
+    n = int(n)
     S, C = _rayleigh_tables(n)
     u = 1.0 / x
     spart = smag = 0.0
@@ -982,14 +1015,10 @@ def sph_j_deriv(n, x, policy=None):
     """n-th derivative of j_0 via the closed finite sum
     n! sum_k (-1)^(n+k) (2x)^(-k) / (k!(n-2k)!) j_{n-k}(x)."""
     policy = policy or DEFAULT_POLICY
-    if n != int(n) or n < 0:
-        raise DomainError("sph_j_deriv: order must be a nonnegative integer")
-    n = int(n)
-    if n > 30:
-        raise DomainError("sph_j_deriv: order above 30 not supported")
     x = float(x)
-    if x <= 0.0:
-        raise DomainError("sph_j_deriv: requires x > 0")
+    if not (0 <= n <= 30 and 0.0 < x < _INF) or n != int(n):
+        raise DomainError(f"sph_j_deriv: requires an integer n in [0, 30] and finite x > 0, got {(n, x)!r}")
+    n = int(n)
     table = hermite2_coeffs(n).coefficients
     total = 0.0
     for k, c in enumerate(table):

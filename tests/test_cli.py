@@ -62,6 +62,25 @@ class TestEval:
         assert out == ""
         assert err.startswith("domain error:") and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an infinite argument once reached math.cos in the asymptotic
+            # path, and an infinite order summed max_terms terms
+            ("cyl_j", "--nu", "0", "--x", "inf"),
+            ("sph_j", "--n", "2", "--x=-inf"),
+            ("anger", "--nu", "1", "--x", "inf"),
+            ("struve_h", "--alpha", "inf", "--x", "3"),
+            ("mod_i0", "--t", "nan"),
+            ("rayleigh_jn", "--n", "2", "--x", "inf"),
+        ],
+    )
+    def test_non_finite_argument_is_a_domain_error(self, run, argv):
+        code, out, err = run("eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and "Traceback" not in err
+
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2

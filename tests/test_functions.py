@@ -441,13 +441,96 @@ class TestRatioSeriesKernel:
             ((1.0, -9.0, (0.5,), (1.0, 1.5, 2.0)), {}, ("0x1.4f7f8e7bd69f4p-2", 16, "0x1.0fd95d2615f7ep-47")),
             ((1.0, -300.0, (), (1.0, 1.0, 1.5, 3.0)), {}, ("-0x1.04edf3f167de6p+5", 15, "0x1.2246370de7adep-47")),
             ((-0.1875, -6.25, (), (1.5, -2.0)), {"k0": 3}, ("-0x1.288614c45e884p-5", 15, "0x1.e14131a0c05aap-55")),
+            ((0.25, 3.5, (), (2.5,)), {}, ("0x1.8f5685615b87ep+0", 24, "0x1.b243c28debfe4p-45")),
         ],
-        ids=["0-2", "1-3", "0-4", "0-2-k0"],
+        ids=["0-2", "1-3", "0-4", "0-2-k0", "0-1"],
     )
     def test_pinned_bits(self, args, kwargs, bits):
         got = _sum_ratio_series(*args, DEFAULT_POLICY, **kwargs)
         assert _bits(got) == bits
         assert type(got[1]) is int
+
+    @pytest.mark.parametrize("nums,dens", [((), ()), ((), (1.0,) * 5), ((0.5, 1.5), (1.0, 2.0))])
+    def test_unsupported_shapes_raise(self, nums, dens):
+        with pytest.raises(ValueError, match="denominator offsets"):
+            _sum_ratio_series(1.0, -1.0, nums, dens, DEFAULT_POLICY)
+
+    @staticmethod
+    def _generic(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
+        # the kernel's earlier loop over any number of offsets, as its oracle
+        grow = dens is not None
+        known = len(dens) if grow else 0
+        rel_tol = policy.rel_tol
+        abs_tol = policy.abs_tol
+        total = 0.0
+        comp = 0.0
+        term = t0
+        small = 0
+        k = float(k0)
+        for i in range(policy.max_terms):
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            num = z
+            if num_offsets:
+                for a in num_offsets:
+                    num *= k + a
+            if i < known:
+                den = dens[i]
+            else:
+                den = 1.0
+                for a in den_offsets:
+                    den *= k + a
+                if grow:
+                    dens.append(den)
+            term = term * num / den
+            k += 1.0
+            bound = rel_tol * total
+            if bound < abs_tol:
+                bound = -bound if bound < -abs_tol else abs_tol
+            if -bound <= term <= bound:
+                small += 1
+                if small >= 2:
+                    return total, i + 1, abs(term)
+            else:
+                small = 0
+        raise ConvergenceError("oracle did not certify")
+
+    @staticmethod
+    def _outcome(fn, *args, **kwargs):
+        try:
+            return _bits(fn(*args, **kwargs))
+        except ConvergenceError:
+            return "ConvergenceError"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_and_table_equal_the_generic_loop(self, seed):
+        # random shapes with 1-4 denominator and 0-1 numerator offsets,
+        # kill starts k0 > 0, an abs_tol that decides tiny sums, and a
+        # max_terms that runs out; each shape is summed at several z
+        # through one shared table, which is fresh at the first z and then
+        # full (a short series after a long one) or partly filled (a long
+        # series after a short one, which extends it)
+        rng = random.Random(seed)
+        offset = lambda: rng.choice((rng.uniform(-4.0, 6.0), 0.5 * rng.randint(1, 12), float(rng.randint(1, 6))))
+        for _ in range(60):
+            nums = tuple(offset() for _ in range(rng.randint(0, 1)))
+            dens = tuple(offset() for _ in range(rng.randint(1, 4)))
+            k0 = rng.choice((0, 0, 1, 3))
+            t0 = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, 2.0)
+            policy = EvalPolicy(
+                abs_tol=rng.choice((1e-300, 1e-300, 1e-9, 1e-3)),
+                max_terms=rng.choice((500, 500, 500, rng.randint(1, 12))),
+            )
+            table, oracle_table = [], []
+            for _ in range(4):
+                z = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 2.0)
+                want = self._outcome(self._generic, t0, z, nums, dens, policy, k0, oracle_table)
+                got = self._outcome(_sum_ratio_series, t0, z, nums, dens, policy, k0, table)
+                assert got == want, (nums, dens, k0, t0, z, policy)
+                assert [d.hex() for d in table] == [d.hex() for d in oracle_table]
+                assert self._outcome(_sum_ratio_series, t0, z, nums, dens, policy, k0) == want
 
     def test_pinned_bits_with_a_shared_table(self):
         # the second z extends the table, the third reads only part of it
@@ -861,6 +944,59 @@ class TestAsymptoticPieces:
                 # below the smallest term, which is 0 where the sum terminates
                 assert floor >= smallest, (nu, x)
 
+    def test_watson_parity_bits_equal_a_reference_loop(self):
+        # an integer k stepped by 2 and |nu| + 1 formed at every term
+        def reference(nu, x, odd):
+            x2 = x * x
+            k = 1 if odd else 0
+            term = -nu / x2 if odd else 1.0 / x
+            total = 0.0
+            prev = math.inf
+            while True:
+                mag = abs(term)
+                if mag <= 2.0**-55 * abs(total) or (k > abs(nu) + 1.0 and not mag < prev):
+                    return 2.0 / math.pi * total, 2.0 / math.pi * mag
+                total += term
+                prev = mag
+                term *= (nu - (k + 1)) * (nu + (k + 1)) / x2
+                k += 2
+
+        rng = random.Random(11)
+        points = [(nu, x) for nu in (-20.0, -1.5, 0.0, 1.0, 2.0037, 7.5, 20.0) for x in (12.0, 18.0, 25.0, 60.0, 150.0)]
+        points += [(rng.uniform(-20.0, 20.0), rng.uniform(10.0, 150.0)) for _ in range(400)]
+        for nu, x in points:
+            for odd in (False, True):
+                got, want = watson_parity(nu, x, odd), reference(nu, x, odd)
+                assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex()), (nu, x, odd)
+
+    def test_struve_algebraic_early_stop_keeps_the_bits(self):
+        # the full smallest-term truncation, 60 terms at most, where a
+        # growing term ends the sum only past the hump, k > max(1, alpha - 1/2)
+        def reference(alpha, x):
+            term = SQRT_PI * rgamma(alpha + 0.5) * (x / 2.0) ** (alpha - 1.0) / math.pi
+            total = 0.0
+            prev = smallest = math.inf
+            for k in range(60):
+                mag = abs(term)
+                smallest = min(smallest, mag)
+                if (mag > prev and k > max(1.0, alpha - 0.5)) or mag == 0.0:
+                    break
+                total += term
+                prev = mag
+                term *= (k + 0.5) * (alpha - 0.5 - k) * (2.0 / x) ** 2
+            return total, smallest
+
+        rng = random.Random(5)
+        points = [(a, x) for a in (-4.5, -0.5, 0.0, 1.0, 2.5, 17.3, 30.0, 45.0) for x in (25.5, 30.0, 60.0, 150.0)]
+        points += [(rng.uniform(-5.0, 45.0), rng.uniform(25.0, 150.0)) for _ in range(2000)]
+        for alpha, x in points:
+            if x == 25.0:
+                continue
+            got, floor = struve_algebraic(alpha, x)
+            want, smallest = reference(alpha, x)
+            assert got.hex() == want.hex(), (alpha, x)
+            assert floor >= smallest, (alpha, x, floor, smallest)
+
     @pytest.mark.parametrize("nu,x", [(20.0, 18.0), (12.7, 15.0), (25.0, 15.0), (64.5, 88.24)])
     def test_large_order_floor_bounds_the_hump(self, nu, x):
         # the terms rise until 4nu^2 < 8kx; a growing term before
@@ -915,6 +1051,40 @@ class TestAsymptoticPieces:
                     except ConvergenceError:
                         path = None
                     assert (path == "asymptotic") == asym, (f.__name__, nu, x)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+    def test_rejected_up_front(self, bad):
+        # an infinite argument once reached math.cos or math.sin
+        # (ValueError), and an infinite or NaN order or a NaN argument
+        # summed max_terms terms or found no certified path
+        calls = [
+            lambda: cyl_j(bad, 3.0),
+            lambda: cyl_j(0.0, bad),
+            lambda: cyl_j(2.5, bad),
+            lambda: struve_h(bad, 3.0),
+            lambda: struve_h(0.0, bad),
+            lambda: sph_j(bad, 1.0),
+            lambda: sph_j(2, bad),
+            lambda: sph_j(-3, bad),
+            lambda: sph_j_deriv(bad, 1.0),
+            lambda: sph_j_deriv(2, bad),
+            lambda: rayleigh_jn(bad, 2.0),
+            lambda: rayleigh_jn(2, bad),
+        ]
+        for f in (s1, s2, anger, weber):
+            calls += [lambda f=f: f(bad, 2.0), lambda f=f: f(1.0, bad), lambda f=f: f(0.5, bad)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_mod_i0(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            mod_i0(math.nan)
+        for t in (-math.inf, math.inf):
+            with pytest.raises(OverflowError):
+                mod_i0(t)
 
 
 class TestConvergenceGuards:
