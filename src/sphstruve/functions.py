@@ -448,9 +448,10 @@ def _route(x, order, policy, terms, asym, *args):
     v, floor, env, scale = asym(*args)
     # the phase is rounded at ulp(x).  Up to extended_x the double-double
     # series resolves about 1e-32 of its largest term, so the value must
-    # meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough
+    # meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough.  Either
+    # test takes the estimate it reports, rounding included
     rounding = 4.0 * 2.0**-53 * (1.0 + x) * env
-    if (floor + rounding <= policy.rel_tol * env) if x <= policy.extended_x else (floor <= _ASYM_FLOOR * scale):
+    if floor + rounding <= (policy.rel_tol * env if x <= policy.extended_x else _ASYM_FLOOR * scale):
         return SeriesResult(v, 0, floor + rounding, PATH_ASYMPTOTIC)
     if x <= policy.extended_x or _series_loss(order, x) <= _DD_LOSS_LIMIT:
         v, n, tail, mag = _ascending(terms(*args), x, policy, use_dd=True)
@@ -642,42 +643,28 @@ def struve_algebraic(alpha, x):
 # Humbert-type multi-index families.
 
 
-def _humbert_family(indices, policy, rgammas=None):
-    """Prepare sum_k (-z)^k / (k! prod_i Gamma(k + index_i + 1)) for many z.
-
-    Returns z -> (value, terms_used, tail_estimate).  What depends only
-    on the indices is done here once: the kill start, the reciprocal
-    gammas of the first surviving term, and a denominator table that
-    every later z reads and extends.
+def _humbert_terms(indices, z, rgammas=None):
+    """(t0, den_offsets, k0) of sum_k (-z)^k / (k! prod_i Gamma(k + index_i + 1)),
+    the series of `humbert2` and `humbert3`, summed by `_sum_ratio_series`
+    at ratio -z.  The first surviving term is (-z)^k0 times the reciprocal
+    gammas at k0, multiplied on in order (1.0 where k0 = 0).
 
     `rgammas` is an optional caller-owned dict from gamma argument to its
-    rgamma value: a caller preparing many index sets shares one, so each
-    argument is evaluated once across all of them.
+    rgamma value: a caller forming many index sets or many z shares one,
+    so each argument is evaluated once across all of them.
     """
     gamma_args = (1.0, *[i + 1.0 for i in indices])
     k0 = _kill_start(gamma_args)
     if rgammas is None:
         rgammas = {}
-    factors = []
-    first = 1.0  # the first term where k0 = 0
+    t0 = (-z) ** k0 if k0 else 1.0
     for g in gamma_args:
         a = k0 + g
         r = rgammas.get(a)
         if r is None:
             r = rgammas[a] = rgamma(a)
-        factors.append(r)
-        first *= r
-    dens = []
-
-    def evaluate(z):
-        t0 = first
-        if k0:  # the first term depends on z
-            t0 = (-z) ** k0
-            for r in factors:
-                t0 *= r
-        return _sum_ratio_series(t0, -z, (), gamma_args, policy, k0=k0, dens=dens)
-
-    return evaluate
+        t0 *= r
+    return t0, gamma_args, k0
 
 
 def humbert2(mu, nu, z, policy=None):
@@ -687,16 +674,18 @@ def humbert2(mu, nu, z, policy=None):
     """
     if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(z)):
         raise _not_finite("humbert2", (mu, nu, z))
-    v, n, tail = _humbert_family((mu, nu), policy or DEFAULT_POLICY)(float(z))
-    return SeriesResult(v, n, tail, PATH_SERIES)
+    z = float(z)
+    t0, offsets, k0 = _humbert_terms((mu, nu), z)
+    return SeriesResult(*_sum_ratio_series(t0, -z, (), offsets, policy or DEFAULT_POLICY, k0), PATH_SERIES)
 
 
 def humbert3(mu, nu, rho, z, policy=None):
     """Three-index Bessel-like series with four reciprocal-gamma factors per term."""
     if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(rho) and math.isfinite(z)):
         raise _not_finite("humbert3", (mu, nu, rho, z))
-    v, n, tail = _humbert_family((mu, nu, rho), policy or DEFAULT_POLICY)(float(z))
-    return SeriesResult(v, n, tail, PATH_SERIES)
+    z = float(z)
+    t0, offsets, k0 = _humbert_terms((mu, nu, rho), z)
+    return SeriesResult(*_sum_ratio_series(t0, -z, (), offsets, policy or DEFAULT_POLICY, k0), PATH_SERIES)
 
 
 def hyp1f2(gamma_p, a, b, z, policy=None):
@@ -951,10 +940,13 @@ def sph_j(n, x, policy=None):
 
 @lru_cache(maxsize=64)
 def _rayleigh_tables(n):
-    """Coefficient tuples (S, C) over u = 1/x with
-    (u d/dx applied n times to sin x / x) = sin x * sum S_i u^i + cos x * sum C_i u^i."""
+    """Coefficient tuples (S, C) of equal length n + 1 over u = 1/x with
+    (u d/dx applied n times to sin x / x)
+    = u^(n+1) (sin x * sum_i S_i u^i + cos x * sum_i C_i u^i).
+    Each application raises the lowest power of u by one, so the
+    expansion starts at u^(n+1), which is factored out."""
     S = [0.0, 1.0]
-    C = [0.0]
+    C = [0.0, 0.0]
     for _ in range(n):
         nS = [0.0] * (len(S) + 2)
         nC = [0.0] * (len(S) + 2)
@@ -967,20 +959,22 @@ def _rayleigh_tables(n):
                 nC[i + 2] += -i * c
                 nS[i + 1] -= c
         S, C = nS, nC
-    return tuple(S), tuple(C)
+    return tuple(S[n + 1:]), tuple(C[n + 1:])
 
 
 def rayleigh_jn(n, x):
     """j_n(x) through the symbolically pre-applied derivative operator:
-    j_n = (-x)^n (x^{-1} d/dx)^n (sin x / x).
+    j_n = (-x)^n (x^{-1} d/dx)^n (sin x / x) = (-1)^n u P(u), u = 1/x, P
+    the degree-n polynomial part of `_rayleigh_tables`, so no power of x
+    is formed and no large x overflows or underflows it.
 
     Exact trigonometric closed form; serves as the independent oracle for
     the series evaluator.  Below x ~ 2n its terms cancel like x^(-2n):
-    where the worst-case bound on their rounding, (5n + 9) u sum |term|
-    for its Horner evaluation of degree 2n + 1 in 1/x, exceeds the
-    default rel_tol times the envelope min(x^n/(2n+1)!!, 1/x) of |j_n|,
-    it raises ConvergenceError.  The envelope, unlike |j_n|, does not
-    vanish at the zeros of j_n, so points near a zero still return."""
+    where the worst-case bound on their rounding, (5n + 9) u sum |term|,
+    exceeds the default rel_tol times the envelope min(x^n/(2n+1)!!, 1/x)
+    of |j_n|, it raises ConvergenceError.  The envelope, unlike |j_n|,
+    does not vanish at the zeros of j_n, so points near a zero still
+    return."""
     x = float(x)
     # range tests first, so that int() never sees an infinite or NaN order
     if not (0 <= n <= 30 and 0.0 < x < _INF) or n != int(n):
@@ -997,18 +991,20 @@ def rayleigh_jn(n, x):
         cpart = cpart * u + c
         cmag = cmag * u + abs(c)
     sin_x, cos_x = math.sin(x), math.cos(x)
-    scale = u ** (-n)
-    envelope = min(scale / math.prod(range(1, 2 * n + 2, 2)), u)
-    # worst-case roundings per term: 2 per Horner step, up to n + 1 from
-    # carrying the rounded 1/x into x^(n-i), and a few for the products
-    # and libm calls that follow
-    unit = (2 * len(S) + n + 5) * 2.0**-53
+    try:
+        envelope = min(u ** (-n) / math.prod(range(1, 2 * n + 2, 2)), u)
+    except OverflowError:  # x^n overflows only where the minimum is u
+        envelope = u
+    # worst-case roundings per term, as counted for the Horner form of
+    # degree 2n + 1 before u^(n+1) was factored out (it covers the n steps
+    # here): 2 per step, up to n + 1 from carrying the rounded 1/x into
+    # its powers, and a few for the products and libm calls that follow
+    unit = (5 * n + 9) * 2.0**-53
     # written so that a nan bound (0 * inf at tiny x) raises too
-    if not unit * scale * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
+    if not unit * u * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
         raise ConvergenceError(f"rayleigh_jn: the closed form cancels at n={n}, x={x!r}")
     sign = 1.0 if n % 2 == 0 else -1.0
-    # multiply by (-x)^n = (-1)^n u^{-n}
-    return sign * scale * (spart * sin_x + cpart * cos_x)
+    return sign * u * (spart * sin_x + cpart * cos_x)
 
 
 def sph_j_deriv(n, x, policy=None):

@@ -31,11 +31,12 @@ from . import fd
 from .ddouble import two_prod
 from .functions import (
     DEFAULT_POLICY,
-    _humbert_family,
+    _humbert_terms,
     _integrate_ratio_series_dd,
     _rayleigh_tables,
     _s_terms,
     _struve_terms,
+    _sum_ratio_series,
     anger,
     cyl_j,
     delta_fn,
@@ -223,9 +224,9 @@ def _j_line_integral(m, policy):
     t0 = 0.5 * SQRT_PI * (T / 2.0) ** m * rgamma(m + 1.5)
     head, bound = _integrate_ratio_series_dd(t0, (1.0, m + 1.5), 0, m + 1.0, T, two_prod(-T / 2.0, T / 2.0), policy)
     S, C = _rayleigh_tables(m)
-    # x^(-1-n) takes i = m + 1 + n (C is one shorter for m = 0); the exact
-    # list is zero-padded past the tail's turn near n = T
-    a = [complex(s, c) for s, c in zip(S[m + 1:], C[m + 1:] + (0.0,))]
+    # x^(-1-n) takes entry n; the exact list is zero-padded past the
+    # tail's turn near n = T
+    a = [complex(s, c) for s, c in zip(S, C)]
     tail, floor = _exp_power_tail(a + [0.0] * (int(T) + 10 - len(a)), -1.0, 1j, T)
     return 2.0 * (head + tail.imag), 2.0 * (bound + floor)
 
@@ -277,12 +278,22 @@ def _generating_sum(x, t, policy, nmax=25):
 
 def _humbert_laguerre(indices, z_of_s, sigma, policy):
     """integral over [0, inf) of s**sigma exp(-s) J_indices(z_of_s(s)) ds by
-    `integrate_laguerre`; the multi-index series is prepared once and
-    serves every node of every rule.  The integrands are entire, so most
-    checks stop at the first 8/16 pair.  An uncertified result raises
-    ConvergenceError, so the check is skipped, not passed."""
-    series = _humbert_family(indices, policy)
-    res = integrate_laguerre(lambda s: series(z_of_s(s))[0], sigma)
+    `integrate_laguerre`.  Every node of every rule sums the multi-index
+    series of `_humbert_terms` through one denominator table, so each
+    denominator is built once per integral; the first term depends on z
+    only where the kill start k0 > 0, and is formed once otherwise.  The
+    integrands are entire, so most checks stop at the first 8/16 pair.
+    An uncertified result raises ConvergenceError, so the check is
+    skipped, not passed."""
+    rgammas, dens = {}, []
+    first, den_offsets, k0 = _humbert_terms(indices, 0.0, rgammas)
+
+    def integrand(s):
+        z = z_of_s(s)
+        t0 = _humbert_terms(indices, z, rgammas)[0] if k0 else first
+        return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0, dens)[0]
+
+    res = integrate_laguerre(integrand, sigma)
     # an uncertified rule pair raises, so the check is skipped, not passed
     if res.status != "converged":
         raise ConvergenceError(f"integrate_laguerre: {res.status}, error {res.error_estimate:.3g}")
@@ -310,15 +321,20 @@ def _symmetric_double_sum(u, v, m_cut, evaluate):
 
 def _i16_lhs(u, v, x, policy, m_cut=14):
     # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
-    # a gamma argument, so one rgamma table serves every (m, n) pair, and
-    # each value keeps the bits of humbert2(m, n, x).  Those bits are
-    # symmetric (the denominators are exact integers, and at most two
-    # first-term gammas differ from 1), so only n >= m is evaluated
+    # a gamma argument, so one rgamma dict serves every (m, n) pair.  Each
+    # pair is one kernel call on the terms of `_humbert_terms`, so its
+    # value keeps the bits of humbert2(m, n, x).  Those bits are symmetric
+    # (the denominators are exact integers, and at most two first-term
+    # gammas differ from 1), so only n >= m is evaluated
     x = float(x)
     rgammas = {}
 
     def values(pairs):
-        return [_humbert_family((float(m), float(n)), policy, rgammas)(x)[0] for m, n in pairs]
+        out = []
+        for m, n in pairs:
+            t0, offsets, k0 = _humbert_terms((float(m), float(n)), x, rgammas)
+            out.append(_sum_ratio_series(t0, -x, (), offsets, policy, k0)[0])
+        return out
 
     return _symmetric_double_sum(u, v, m_cut, values)
 

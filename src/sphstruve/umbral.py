@@ -130,29 +130,39 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
     symbol is a shift of the gamma argument.  Returns one sum per shift,
     each formed exactly as `reduce_expr` forms its sum and certified by
     the same tail check.  Within the call each distinct rgamma argument
-    is evaluated once, and (coeff * g_1) * ... * g_(m-1) once per leading
-    shift prefix; the last symbol's factors go straight into the sum.
+    is evaluated once, a symbol's factors once per shift (symbols with
+    equal exponents share them), and (coeff * g_1) * ... * g_(m-1) once
+    per leading shift prefix; the last symbol's factors go straight into
+    the sum.
     """
     m = expr.symbol_count
     coeffs = [t.coeff for t in expr.terms]
     # with no terms, m empty columns: every sum is then 0.0
     exponent_columns = list(zip(*(t.exponents for t in expr.terms))) or [()] * m
     rgammas = {}  # argument -> rgamma(argument)
-    columns = {}  # (symbol, shift) -> reduced factor of that symbol, term by term
+    # per symbol: shift -> its reduced factors, term by term; symbols with
+    # equal exponents share one dict, since their factors are equal
+    by_exponents = {}
+    columns = [by_exponents.setdefault(col, {}) for col in exponent_columns]
     heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)
     # index of the second-to-last term; a one-term expression checks its term twice
     before_last = -2 if len(coeffs) > 1 else -1
+    check = check_tail_rel is not None and coeffs != []
 
     def column(i, s):
-        col = columns.get((i, s))
+        col = columns[i].get(s)
         if col is None:
-            args = [1.0 + (s + e) for e in exponent_columns[i]]
-            for a in args:
-                if a not in rgammas:
-                    rgammas[a] = rgamma(a)
-            col = columns[(i, s)] = [rgammas[a] for a in args]
+            col = columns[i][s] = []
+            for e in exponent_columns[i]:
+                a = 1.0 + (s + e)
+                r = rgammas.get(a)
+                if r is None:
+                    r = rgammas[a] = rgamma(a)
+                col.append(r)
         return col
 
+    lasts = columns[-1]
+    fsum, isfinite = math.fsum, math.isfinite
     sums = []
     for shift in shifts:
         if len(shift) != m:
@@ -164,18 +174,24 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
             for i, s in enumerate(prefix):
                 first = list(map(mul, first, column(i, s)))
             heads[prefix] = first
-        last = columns.get((m - 1, shift[-1]))
+        s = shift[-1]
+        last = lasts.get(s)
         if last is None:
-            last = column(m - 1, shift[-1])
+            last = column(m - 1, s)
         try:
-            total = math.fsum(map(mul, first, last))
+            total = fsum(map(mul, first, last))
         except (ValueError, OverflowError):  # inf - inf, or a finite overflow
             total = sum(map(mul, first, last))
-        if check_tail_rel is not None and first:
-            bound = check_tail_rel * max(abs(total), 1e-300)
-            tail_terms = abs(first[-1] * last[-1]), abs(first[before_last] * last[before_last])
-            # a nan or infinite sum certifies nothing, whatever its last terms
-            if not math.isfinite(total) or max(tail_terms) > bound:
+        if check:
+            at = abs(total)
+            bound = check_tail_rel * (1e-300 if at < 1e-300 else at)  # max(at, 1e-300), nan kept
+            # a nan or infinite sum certifies nothing, whatever its last
+            # terms; a finite one has finite terms
+            if (
+                not isfinite(total)
+                or abs(first[-1] * last[-1]) > bound
+                or abs(first[before_last] * last[before_last]) > bound
+            ):
                 tail = list(map(mul, first[-2:], last[-2:]))
                 raise ConvergenceError(
                     f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "

@@ -81,6 +81,20 @@ class TestEval:
         assert out == ""
         assert err.startswith("domain error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("x", ["1e16", "1e300"])
+    def test_huge_argument_is_a_convergence_error(self, run, x):
+        # past about 1e13 the phase rounding alone exceeds the absolute floor
+        code, out, err = run("eval", "cyl_j", "--nu", "0", "--x", x)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convergence error:") and "Traceback" not in err
+
+    def test_rayleigh_at_a_huge_argument(self, run):
+        # x^3 overflows here, while j_3(1e300) = -5.75e-301 is in range
+        code, out, err = run("eval", "rayleigh_jn", "--n", "3", "--x", "1e300")
+        assert code == 0 and err == ""
+        assert float(out) == pytest.approx(-5.753861119575491e-301, rel=1e-14)
+
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2

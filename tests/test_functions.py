@@ -9,6 +9,7 @@ from sphstruve.functions import (
     DEFAULT_POLICY,
     PATH_ASYMPTOTIC,
     PATH_EXTENDED,
+    PATH_SERIES,
     EvalPolicy,
     anger,
     bessel_j_asym,
@@ -33,8 +34,9 @@ from sphstruve.functions import (
     _ASYM_FLOOR,
     _ascending,
     _cyl_j_terms,
-    _humbert_family,
+    _humbert_terms,
     _jy_asym,
+    _rayleigh_tables,
     _s_terms,
     _struve_terms,
     _sum_ratio_series,
@@ -150,6 +152,27 @@ class TestRayleigh:
                 x = float(mp.besseljzero(n + 0.5, k)) * (1.0 + 1e-12)
                 want = mp.sqrt(mp.pi / (2 * x)) * mp.besselj(n + 0.5, x)
                 assert abs(rayleigh_jn(n, x) - want) <= 1e-15 / x, (n, x)
+
+    @pytest.mark.parametrize("n,x", [(3, 1e300), (4, 1e80), (6, 1e60), (2, 1e150), (1, 1e200), (30, 1e300)])
+    def test_large_finite_arguments(self, n, x):
+        # no power of x is formed: x^n overflows at the first three points,
+        # and u^(n+1) underflows to a zero value at the next two
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(n + 0.5, x)
+            got = rayleigh_jn(n, x)
+            assert got != 0.0 and abs(got - want) <= 1e-14 * abs(want), (n, x, got)
+        assert got == pytest.approx(sph_j(n, x).value, rel=1e-13)
+
+    def test_tables_start_past_the_factored_power(self):
+        # (x^-1 d/dx)^n (sin x / x) starts at u^(n+1): its tables hold the
+        # n + 1 coefficients from there on, e.g. j_2 = (-1)^2 u ((3u^2 - 1)
+        # sin x - 3u cos x)
+        assert _rayleigh_tables(0) == ((1.0,), (0.0,))
+        assert _rayleigh_tables(2) == ((-1.0, 0.0, 3.0), (0.0, -3.0, 0.0))
+        for n in range(31):
+            S, C = _rayleigh_tables(n)
+            assert len(S) == len(C) == n + 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -356,29 +379,51 @@ def _bits(result):
     return value.hex(), terms, tail.hex()
 
 
+def _humbert_summed(indices, z, policy, rgammas=None, dens=None):
+    """The multi-index series of `_humbert_terms` summed by the kernel."""
+    t0, den_offsets, k0 = _humbert_terms(indices, z, rgammas)
+    return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0, dens)
+
+
 class TestHumbertFamily:
-    # long and short series interleave, so the shared denominator table is
+    # long and short series interleave, so a shared denominator table is
     # read past its end, read partly, and extended in every order
     ZS = (30.0, 0.0, 0.5, 12.0, 1e-3, 45.0, 2.0, 0.0, 7.5)
+    INDICES = [
+        (0.5, 1.5),
+        (-3.0, 0.0),  # kill start k0 = 3
+        (-1.5, -0.25),
+        (0.0, -2.0, 0.5),
+        (-0.5, 1.0, -1.0),
+    ]
 
-    @pytest.mark.parametrize(
-        "indices",
-        [
-            (0.5, 1.5),
-            (-3.0, 0.0),  # kill start k0 = 3
-            (-1.5, -0.25),
-            (0.0, -2.0, 0.5),
-            (-0.5, 1.0, -1.0),
-        ],
-    )
+    @pytest.mark.parametrize("indices", INDICES)
     def test_matches_pointwise_bitwise(self, indices):
-        family = _humbert_family(indices, DEFAULT_POLICY)
+        # one rgamma dict and one denominator table across every z, as the
+        # Laguerre integrands share them across nodes
+        rgammas, dens = {}, []
         pointwise = humbert2 if len(indices) == 2 else humbert3
         for z in self.ZS:
-            got = family(z)
+            got = _humbert_summed(indices, z, DEFAULT_POLICY, rgammas, dens)
             assert _bits(got) == _bits(_humbert_by_loop(indices, z, DEFAULT_POLICY)), z
             res = pointwise(*indices, z)
             assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), z
+
+    @pytest.mark.parametrize("indices", INDICES + [(-7.0, 2.5), (1.0, -4.0, -2.0)])
+    def test_pointwise_is_the_kernel_on_the_helpers_terms(self, indices):
+        # humbert2/humbert3 are one kernel call on the helper's terms: the
+        # same (value, terms_used, tail_estimate), on the series path, and
+        # at a negative integer index the kill start k0 > 0
+        pointwise = humbert2 if len(indices) == 2 else humbert3
+        k0 = _humbert_terms(indices, 1.0)[2]
+        assert (k0 > 0) == any(i < 0 and i == int(i) for i in indices)
+        for z in self.ZS + (-3.5,):
+            v, n, tail = _humbert_summed(indices, z, DEFAULT_POLICY)
+            res = pointwise(*indices, z)
+            assert (res.value.hex(), res.terms_used, res.tail_estimate.hex(), res.path) == (
+                v.hex(), n, tail.hex(), PATH_SERIES
+            ), z
+            assert type(res.terms_used) is int
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_shared_gamma_table_is_bitwise_pointwise(self, seed):
@@ -392,7 +437,7 @@ class TestHumbertFamily:
         for x in xs:
             for m in range(-14, 15):
                 for n in range(-14, 15):
-                    got = _humbert_family((float(m), float(n)), DEFAULT_POLICY, rgammas)(x)
+                    got = _humbert_summed((float(m), float(n)), x, DEFAULT_POLICY, rgammas)
                     res = humbert2(float(m), float(n), x)
                     assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), (m, n, x)
         # one entry per distinct gamma argument k0 + index + 1, k0 <= 14
@@ -423,11 +468,11 @@ class TestHumbertFamily:
         assert len(dens) == terms > 5
         with pytest.raises(ConvergenceError):
             _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), EvalPolicy(max_terms=5), dens=dens)
-        family = _humbert_family((0.0, 0.0), EvalPolicy(max_terms=5))
-        family(0.0)
-        family(1e-4)
+        short, dens = EvalPolicy(max_terms=5), []
+        _humbert_summed((0.0, 0.0), 0.0, short, dens=dens)
+        _humbert_summed((0.0, 0.0), 1e-4, short, dens=dens)
         with pytest.raises(ConvergenceError):
-            family(30.0)
+            _humbert_summed((0.0, 0.0), 30.0, short, dens=dens)
 
 
 class TestRatioSeriesKernel:
@@ -1184,6 +1229,16 @@ class TestLargeOrderLargeArgumentRouting:
     def test_struve_large_argument(self):
         r = struve_h(2.5, 95.0)
         assert r.value == pytest.approx(92.44864317746742, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [1e13, 1e16, 1e300])
+    def test_huge_argument_declines_on_its_rounding(self, x):
+        # past extended_x the asymptotic value is taken only where its
+        # reported estimate, phase rounding 4u(1 + x) env included, meets
+        # _ASYM_FLOOR: at x = 1e16 that estimate is 3.5e-8, at 1e300 3.5e134
+        with pytest.raises(ConvergenceError):
+            cyl_j(0.0, x)
+        r = cyl_j(0.0, 1e12)
+        assert r.path == PATH_ASYMPTOTIC and r.tail_estimate <= _ASYM_FLOOR
 
     def test_transition_zone_declines_honestly(self):
         # non-integer order comparable to a large argument: neither the

@@ -257,12 +257,13 @@ class TestSymmetricDoubleSums:
     # both orders of its pair
 
     def test_each_symmetric_pair_is_evaluated_once(self, monkeypatch):
+        # each I16 pair forms its series' terms once, then sums them
         families = []
-        prepare = identities._humbert_family
+        terms = identities._humbert_terms
 
-        def counted(indices, policy, rgammas=None):
+        def counted(indices, z, rgammas=None):
             families.append(indices)
-            return prepare(indices, policy, rgammas)
+            return terms(indices, z, rgammas)
 
         shift_counts = []
         reduce = identities.reduce_shifts
@@ -272,7 +273,7 @@ class TestSymmetricDoubleSums:
             assert all(m <= n for m, n in shifts)
             return reduce(expr, shifts, check_tail_rel)
 
-        monkeypatch.setattr(identities, "_humbert_family", counted)
+        monkeypatch.setattr(identities, "_humbert_terms", counted)
         monkeypatch.setattr(identities, "reduce_shifts", recorded)
         assert verify("I16").status == "pass"
         assert len(families) == len(set(families)) == 435

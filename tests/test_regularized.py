@@ -29,7 +29,7 @@ def _saddle_part(mu, nu, t):
     """e^{3 omega t} t^q P(t), P the saddle expansion summed to its
     smallest term: J_{mu,nu}(t**3) ~ 2 Re[C times this]."""
     r = regularized
-    q, acoef = r._asym_coeffs(mu, nu)
+    q, acoef, _ = r._asym_coeffs(mu, nu)
     terms = []
     tp = D(1)
     for ai in acoef:
@@ -180,7 +180,7 @@ class TestCutConstants:
                     break
             assert r._finite_part(T, gam, mu, nu) == s
             # tail: 1/p, T**b and e^{pT} formed in the call
-            q, acoef = r._asym_coeffs(mu, nu)
+            q, acoef, _ = r._asym_coeffs(mu, nu)
             p = r._P_RATE
             inv_p = r._cdiv((D(1), D(0)), p)
             b = q + D(str(gam))

@@ -216,6 +216,16 @@ class TestReduceShifts:
         want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
         assert [v.hex() for v in reduce_shifts(image, shifts)] == want
 
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
+    def test_symbols_sharing_or_not_their_exponents(self, a, b):
+        # equal exponent columns (a == b) reduce to equal factors, so one
+        # symbol's factors at a shift serve the other's at that shift; with
+        # unequal columns they must not.  Shifts overlap across symbols.
+        image = laplace_reduce(2.0, 0.3, a, b, order=40)
+        shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (3, 0, -2, 1)]
+        want = [reduce_expr(laplace_reduce(2.0, 0.3, a + s, b + t, order=40)).hex() for s, t in shifts]
+        assert [v.hex() for v in reduce_shifts(image, shifts)] == want
+
     def test_single_term_product_order(self):
         # one term sums exactly, so this pins r = coeff, then r *= g per
         # symbol in turn (coeff * (g1 * g2) differs in the last bit here)
