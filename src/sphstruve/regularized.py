@@ -181,8 +181,8 @@ def _asym_coeffs(mu, nu, nmax=100):
     """(q, a, C) of the saddle expansion
     f(t^3) ~ 2 Re[C e^{3 omega t} t^q sum_i a_i t^-i], q = -(1+mu+nu):
     the correction coefficients a_i from the third-order recurrence the
-    defining ODE imposes, and the closed-form amplitude
-    C = omega**q / (2 pi sqrt(3)), all at the pipeline's 60 digits."""
+    defining ODE imposes, and the amplitude C = `stokes_amplitude(mu, nu)`,
+    all at the pipeline's 60 digits."""
     mu_d = D(str(mu))
     nu_d = D(str(nu))
     q = -(1 + mu_d + nu_d)
@@ -210,9 +210,7 @@ def _asym_coeffs(mu, nu, nmax=100):
         num = (-(t1[0] + t2[0]), -(t1[1] + t2[1]))
         den = _cmul(w2, (B2(q - i + 1), D(0)))
         a.append(_cdiv(num, den))
-    s, c = _sincos(q * _PI / 3)
-    mag = 1 / (2 * _PI * _SQRT3)
-    return q, tuple(a[: nmax + 1]), (mag * c, mag * s)
+    return q, tuple(a[: nmax + 1]), stokes_amplitude(mu, nu)
 
 
 def _sum_to_min(terms):
@@ -235,9 +233,13 @@ def _sum_to_min(terms):
     return (re, im)
 
 
+@_with_precision
 def stokes_amplitude(mu, nu):
-    """Closed-form saddle amplitude C = omega**q / (2 pi sqrt(3))."""
-    return _asym_coeffs(mu, nu)[2]
+    """Closed-form saddle amplitude C = omega**q / (2 pi sqrt(3)), q = -(1+mu+nu)."""
+    q = -(1 + D(str(mu)) + D(str(nu)))
+    s, c = _sincos(q * _PI / 3)
+    mag = 1 / (2 * _PI * _SQRT3)
+    return (mag * c, mag * s)
 
 
 def _tail_regularized(T, gam, mu, nu):
@@ -257,7 +259,7 @@ def _tail_regularized(T, gam, mu, nu):
     below e^{-3T} T^b / (3 pi sqrt(3)) <= 5e-32 at T = 24 (b <= 0.85 over
     the windows) and is dropped.
     """
-    q, acoef, _ = _asym_coeffs(mu, nu)
+    q, acoef, C = _asym_coeffs(mu, nu)
     wr, wi = _INV_P_RATE  # 1/p
     ln_T, exp_pT = _cut_constants(T)
     b = q + D(str(gam))
@@ -273,7 +275,7 @@ def _tail_regularized(T, gam, mu, nu):
         ci = xr * wi + xi * wr
         terms.append((cr * tb, ci * tb))
         tb *= inv_T
-    v = _cmul(stokes_amplitude(mu, nu), _cmul(exp_pT, _sum_to_min(terms)))
+    v = _cmul(C, _cmul(exp_pT, _sum_to_min(terms)))
     return -2 * v[0]
 
 

@@ -147,7 +147,6 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
     heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)
     # index of the second-to-last term; a one-term expression checks its term twice
     before_last = -2 if len(coeffs) > 1 else -1
-    check = check_tail_rel is not None and coeffs != []
 
     def column(i, s):
         col = columns[i].get(s)
@@ -161,8 +160,6 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
                 col.append(r)
         return col
 
-    lasts = columns[-1]
-    fsum, isfinite = math.fsum, math.isfinite
     sums = []
     for shift in shifts:
         if len(shift) != m:
@@ -174,24 +171,18 @@ def reduce_shifts(expr, shifts, check_tail_rel=None):
             for i, s in enumerate(prefix):
                 first = list(map(mul, first, column(i, s)))
             heads[prefix] = first
-        s = shift[-1]
-        last = lasts.get(s)
+        last = columns[-1].get(shift[-1])
         if last is None:
-            last = column(m - 1, s)
+            last = column(m - 1, shift[-1])
         try:
-            total = fsum(map(mul, first, last))
+            total = math.fsum(map(mul, first, last))
         except (ValueError, OverflowError):  # inf - inf, or a finite overflow
             total = sum(map(mul, first, last))
-        if check:
-            at = abs(total)
-            bound = check_tail_rel * (1e-300 if at < 1e-300 else at)  # max(at, 1e-300), nan kept
-            # a nan or infinite sum certifies nothing, whatever its last
-            # terms; a finite one has finite terms
-            if (
-                not isfinite(total)
-                or abs(first[-1] * last[-1]) > bound
-                or abs(first[before_last] * last[before_last]) > bound
-            ):
+        if check_tail_rel is not None and first:
+            bound = check_tail_rel * max(abs(total), 1e-300)
+            tail_terms = abs(first[-1] * last[-1]), abs(first[before_last] * last[before_last])
+            # a nan or infinite sum certifies nothing, whatever its last terms
+            if not math.isfinite(total) or max(tail_terms) > bound:
                 tail = list(map(mul, first[-2:], last[-2:]))
                 raise ConvergenceError(
                     f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "

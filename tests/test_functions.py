@@ -1233,12 +1233,26 @@ class TestLargeOrderLargeArgumentRouting:
     @pytest.mark.parametrize("x", [1e13, 1e16, 1e300])
     def test_huge_argument_declines_on_its_rounding(self, x):
         # past extended_x the asymptotic value is taken only where its
-        # reported estimate, phase rounding 4u(1 + x) env included, meets
-        # _ASYM_FLOOR: at x = 1e16 that estimate is 3.5e-8, at 1e300 3.5e134
+        # floor plus the phase rounding 4u(1 + x) sqrt(2/(pi x)) meets
+        # _ASYM_FLOOR: at x = 1e16 that sum is 3.5e-8, at 1e300 3.5e134
         with pytest.raises(ConvergenceError):
             cyl_j(0.0, x)
+        with pytest.raises(ConvergenceError):
+            struve_h(0.0, x)
         r = cyl_j(0.0, 1e12)
         assert r.path == PATH_ASYMPTOTIC and r.tail_estimate <= _ASYM_FLOOR
+
+    @pytest.mark.parametrize("alpha,x", [(3.0, 1e7), (1.0, 1e7), (2.5, 1e12)])
+    def test_struve_huge_argument_charges_rounding_to_the_phase(self, alpha, x):
+        # the algebraic part of struve_h has no phase: the rounding of the
+        # phase reaches only Y_alpha, of size sqrt(2/(pi x)), so these
+        # points return although 4u(1 + x) |alg| exceeds _ASYM_FLOOR
+        # times their scale max(1, |alg|)
+        mp = pytest.importorskip("mpmath")
+        r = struve_h(alpha, x)
+        assert r.path == PATH_ASYMPTOTIC
+        with mp.workdps(40):
+            assert abs(mp.mpf(r.value) - mp.struveh(alpha, x)) <= r.tail_estimate, (alpha, x, r)
 
     def test_transition_zone_declines_honestly(self):
         # non-integer order comparable to a large argument: neither the
