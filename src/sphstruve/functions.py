@@ -12,12 +12,12 @@ three-path scheme, decided in one place, `_route`:
   terms past the hump of a large order, plus the rounding) meets
   rel_tol against the envelope sqrt(2/(pi x)), and beyond `extended_x`
   wherever it meets the looser absolute `_ASYM_FLOOR`,
-* otherwise the power series accumulated in double-double: up to
-  `extended_x` (large orders, whose Hankel terms grow), and beyond it
-  while its cancellation exponent stays within `_DD_LOSS_LIMIT`.  It
-  reports its tail plus a rounding bound: 16n 2^-104 times the sum of
-  |term| over its n terms, n 2^-1074 for terms that underflow, and
-  32u|value| for the rounding of its binary64 inputs.
+* otherwise the power series summed exactly in fixed-point integers
+  (`_sum_ratio_series_fixed`): up to `extended_x` (large orders, whose
+  Hankel terms grow), and beyond it while its cancellation exponent
+  stays within `_DD_LOSS_LIMIT`.  It reports its tail plus its floor
+  divisions, the rounding of its first term and value, and that of each
+  offset that feeds rgamma (`_input_rounding`).
 
 `anger` and `weber` read one (S1, S2) evaluation, in which both kinds
 share one Hankel pair past the crossover and each takes its own path.
@@ -33,7 +33,6 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .gammakit import GAMMA_OVERFLOW_X, SQRT_PI, _is_nonpositive_integer, gamma, hermite2_coeffs, rgamma
-from .ddouble import _SPLITTER, two_prod
 
 __all__ = [
     "EvalPolicy",
@@ -199,103 +198,141 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     )
 
 
-def _sum_ratio_series_dd(t0, z_hi, z_lo, num_offsets, den_offsets, policy, k0=0):
-    """Double-double variant of `_sum_ratio_series`.
+# bits of `_sum_ratio_series_fixed` below its first term: 2^-160 n sum|term|,
+# its floor-division term, stays below u|value| for a cancellation of up
+# to e^62 over 500 terms
+_FIX_BITS = 160
 
-    The term recurrence runs entirely in double-double so cancellation in
-    the alternating sum is resolved to ~1e-32 * (largest term).  The
-    error-free transformations are inlined: this loop dominates every
-    quadrature over the extended-precision window.
 
-    Returns (value, terms_used, tail_estimate, sum of |term| over the
-    terms used), the last for a caller's rounding bound.
-    """
-    th, tl = float(t0), 0.0
-    sh, sl = 0.0, 0.0
-    mag = abs(th)
-    small = 0
-    k = k0
+def _difference_table(c, offsets, k0, size):
+    """[f(k0), D f(k0), D^2 f(k0), ...], zero-padded to `size`, of the integer
+    polynomial f(k) = c prod (q k + p) over the (p, q) of `offsets`, D the
+    forward difference: adding each entry its successor steps k by one."""
+    values = []
+    for k in range(k0, k0 + len(offsets) + 1):
+        v = c
+        for p, q in offsets:
+            v *= q * k + p
+        values.append(v)
+    table = []
+    while values:
+        table.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return table + [0] * (size - len(table))
+
+
+def _sum_ratio_series_fixed(t0, w, num_offsets, den_offsets, policy, k0=0):
+    """Sum t0 * prod ratios, term_{k+1} = term_k * (-w^2) prod(k+num)/prod(k+den),
+    for 1-5 denominator and 0-3 numerator offsets, in Python ints in fixed
+    point at 2^-_FIX_BITS of the binary64 first term.  Each input is p/q, q
+    a power of two, so the ratio is N(k)/D(k), two exact integer
+    polynomials stepped by forward differences; a term costs one multiply
+    and one floor division, T_{k+1} = floor(T_k N/D), the sum is exact and
+    rounds once.  Stop rule: `_sum_ratio_series`', or two terms of one unit.
+
+    Floor-division term: with e_k = T_k - tau_k, tau_k the exact terms,
+    e_{k+1} = rho_k e_k - d_{k+1}, d in [0, 1), so an error made at term i
+    reaches term n >= i as |tau_n / tau_i| d_i: a relative 1/|T_i|.  Pairs
+    i <= n with |T_n| <= |T_i| add at most a unit each, n(n+1)/2 in all; a
+    term above the least earlier one adds at most n |T_n| / lo, lo that
+    least term at the last such rise, so n sum|T| / lo over all of them.
+    Twice that (T for tau) bounds the error in units of 2^-_FIX_BITS t0.
+
+    Returns (value, terms_used, tail_estimate, floor-division bound, sum
+    of |term| over the terms used)."""
+    if t0 == 0.0:
+        return 0.0, 2, 0.0, 0.0, 0.0
+    m, e = math.frexp(t0)
+    e -= _FIX_BITS  # a unit of the fixed point is 2^e
+    t = int(math.ldexp(m, 53)) << (_FIX_BITS - 53)
+    pw, qw = w.as_integer_ratio()
+    nums = [a.as_integer_ratio() for a in num_offsets]
+    dens = [a.as_integer_ratio() for a in den_offsets]
+    nn, nd = len(nums), len(dens)
+    if not (1 <= nd <= 5 and nn <= 3):
+        raise ValueError(f"fixed-point series: shape {num_offsets!r} over {den_offsets!r} is not 0-3 over 1-5")
+    # log2 of prod(q_den) / (prod(q_num) qw^2), every q a power of two
+    shift = sum(q.bit_length() - 1 for _, q in dens) - sum(q.bit_length() - 1 for _, q in nums)
+    shift -= 2 * qw.bit_length() - 2
+    num, n1, n2, n3 = _difference_table(-pw * pw << max(shift, 0), nums, k0, 4)
+    den, d1, d2, d3, d4, d5 = _difference_table(1 << max(-shift, 0), dens, k0, 6)
     rel_tol = policy.rel_tol
-    abs_tol = policy.abs_tol
-    for _ in range(policy.max_terms):
-        # sum += term (two_sum + low parts + renormalize)
-        s = sh + th
-        bb = s - sh
-        e = (sh - (s - bb)) + (th - bb) + sl + tl
-        sh = s + e
-        sl = e - (sh - s)
-        # numerator factor: z * prod(k + a)
-        nh, nl = z_hi, z_lo
-        for a in num_offsets:
-            fs = k + a
-            fe = a - (fs - k)  # two_sum(k, a), k exact
-            p = nh * fs
-            t1 = _SPLITTER * nh
-            xh = t1 - (t1 - nh)
-            xl = nh - xh
-            t2 = _SPLITTER * fs
-            yh = t2 - (t2 - fs)
-            yl = fs - yh
-            pe = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl + nh * fe + nl * fs
-            nh = p + pe
-            nl = pe - (nh - p)
-        # term *= numerator
-        p = th * nh
-        t1 = _SPLITTER * th
-        xh = t1 - (t1 - th)
-        xl = th - xh
-        t2 = _SPLITTER * nh
-        yh = t2 - (t2 - nh)
-        yl = nh - yh
-        pe = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl + th * nl + tl * nh
-        th = p + pe
-        tl = pe - (th - p)
-        # term /= (k + a) for each denominator offset
-        for a in den_offsets:
-            fs = k + a
-            fe = a - (fs - k)
-            q1 = th / fs
-            p = q1 * fs
-            t1 = _SPLITTER * q1
-            xh = t1 - (t1 - q1)
-            xl = q1 - xh
-            t2 = _SPLITTER * fs
-            yh = t2 - (t2 - fs)
-            yl = fs - yh
-            pe = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl + q1 * fe
-            s = th - p
-            q2 = (s + (th - (s + p)) + tl - pe) / fs
-            th = q1 + q2
-            tl = q2 - (th - q1)
-        k += 1
-        bound = rel_tol * abs(sh)
-        if bound < abs_tol:
-            bound = abs_tol
-        at = abs(th)
-        if at <= bound:
+    try:
+        abs_lim = max(math.ldexp(policy.abs_tol, -e), 1.0)
+    except OverflowError:
+        abs_lim = math.inf
+    lo = lo_up = mag = abs(t)
+    s = small = 0
+    for i in range(policy.max_terms):
+        s += t
+        t = t * num // den
+        if nn:
+            num += n1
+            if nn > 1:
+                n1 += n2
+                if nn > 2:
+                    n2 += n3
+        den += d1
+        if nd > 1:
+            d1 += d2
+            if nd > 2:
+                d2 += d3
+                if nd > 3:
+                    d3 += d4
+                    if nd > 4:
+                        d4 += d5
+        at = -t if t < 0 else t
+        mag += at
+        if at <= lo:
+            lo = at
+        else:
+            lo_up = lo
+        lim = rel_tol * s
+        if lim < 0.0:
+            lim = -lim
+        if at <= lim or at <= abs_lim:
             small += 1
             if small >= 2:
-                return sh + sl, k - k0, at, mag
+                n = i + 1
+                floor_err = 2.0 * (0.5 * n * (n + 1) + n * (mag / lo_up))
+                return (math.ldexp(float(s), e), n, math.ldexp(float(at), e), math.ldexp(floor_err, e),
+                        math.ldexp(float(mag), e))
         else:
             small = 0
-        mag += at
-    raise ConvergenceError(
-        f"extended-precision series did not certify within {policy.max_terms} terms"
-    )
+    raise ConvergenceError(f"extended-precision series did not certify within {policy.max_terms} terms")
 
 
-def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets=()):
-    """(value, bound) of the integral over [0, T] of a ratio series in the
-    double-double z whose term k is proportional to x^(2k+a-1), term k0
-    being t0 at x = T.  Integration divides term k by (2k+a)/T, adding the
-    numerator offset a/2 and the denominator offset a/2 + 1.  The sum stops
-    at a term below 2^-60 of it; the bound is twice that term, plus
-    16 n 2^-104 sum|term| for the double-double rounding of n terms, plus
-    32 u |value| for the binary64 rounding of t0 and the offsets (u = 2^-53)."""
+def _psi_bound(a):
+    """A bound on |digamma(a)|, a not a pole: ln a + 1/a for a >= 1, by
+    psi(a) = psi(a+1) - 1/a below 1 and psi(a) = psi(1-a) - pi cot(pi a) below 0."""
+    if a >= 1.0:
+        return math.log(a) + 1.0 / a
+    if a > 0.0:
+        return _psi_bound(a + 1.0) + 1.0 / a
+    return _psi_bound(1.0 - a) + math.pi / abs(math.tan(math.pi * a))
+
+
+def _input_rounding(den_offsets, k0, n):
+    """Relative input term of an n-term ratio series whose term k carries
+    rgamma(k + d) for each denominator offset d, good to ulp(d)/2: moving d
+    by h moves the sum by h sum_k psi(k + d) term_k, |psi| at most its
+    bound at the first or the last k."""
+    return sum(max(_psi_bound(k0 + d), _psi_bound(k0 + d + n)) * 0.5 * math.ulp(d) for d in den_offsets)
+
+
+def _integrate_ratio_series(t0, den_offsets, k0, a, T, w, policy, num_offsets=()):
+    """(value, bound) of the integral over [0, T] of a ratio series in
+    z = -w^2 whose term k is proportional to x^(2k+a-1), term k0 being t0
+    at x = T.  Integration divides term k by (2k+a)/T, adding the numerator
+    offset a/2 and the denominator offset a/2 + 1.  The fixed-point sum
+    stops at a term below 2^-60 of it; the bound is twice that term, plus
+    the kernel's floor-division term, n 2^-1074, 32.5u|value| for rounding
+    t0 and the value (u = 2^-53), and the offsets' `_input_rounding`."""
     nums, dens = num_offsets + (0.5 * a,), den_offsets + (0.5 * a + 1.0,)
     first = t0 * T / (2 * k0 + a)
-    v, n, tail, mag = _sum_ratio_series_dd(first, *z, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
-    return v, 2.0 * tail + 16.0 * n * 2.0**-104 * mag + 32.0 * 2.0**-53 * abs(v)
+    v, n, tail, floor_err, _ = _sum_ratio_series_fixed(first, w, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
+    inputs = (32.5 * 2.0**-53 + _input_rounding(den_offsets, k0, n)) * abs(v)
+    return v, 2.0 * tail + floor_err + n * 2.0**-1074 + inputs
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +340,9 @@ def _integrate_ratio_series_dd(t0, den_offsets, k0, a, T, z, policy, num_offsets
 
 
 # absolute accuracy demanded of a certified asymptotic truncation beyond
-# extended_x, and the largest cancellation exponent the double-double
-# series can absorb while staying near 1e-9 absolute
+# extended_x, and the largest cancellation exponent for which the series
+# takes the extended path there (the reach the double-double kernel had
+# near 1e-9 absolute, kept so that no path moves)
 _ASYM_FLOOR = 1e-9
 _DD_LOSS_LIMIT = 62.0
 # a term below this fraction of a binary64 sum is under half its ulp
@@ -425,51 +463,41 @@ def _series_loss(nu, x):
     return max(L - math.log(math.pi * max(x, 1.0)), 0.0)
 
 
-def _ascending(terms, x, policy, use_dd):
-    """Sum the ascending series in -(x/2)^2 whose (t0, den_offsets, k0)
-    are `terms`, in binary64 or double-double: (value, terms_used,
-    tail_estimate), and in double-double also the sum of |term|."""
-    t0, dens, k0 = terms
-    if use_dd:
-        zh, zl = two_prod(x / 2.0, x / 2.0)
-        return _sum_ratio_series_dd(t0, -zh, -zl, (), dens, policy, k0)
-    return _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
-
-
 def _route(x, order, policy, terms, asym, *args):
     """Evaluate a family on the first path of the module's scheme that
     certifies at x.  `terms(*args)` gives the (t0, den_offsets, k0) of
     its ascending series, `asym(*args)` its large-argument (value,
-    floor, envelope, scale), and `order` the order in its cancellation
-    exponent `_series_loss(order, x)`.  u = 2^-53 below."""
+    floor, envelope sqrt(2/(pi x)) of its oscillatory part, size of its
+    algebraic part), and `order` the order in its cancellation exponent
+    `_series_loss(order, x)`.  u = 2^-53 below."""
     if x <= policy.crossover_x:
-        v, n, tail = _ascending(terms(*args), x, policy, use_dd=False)
+        t0, dens, k0 = terms(*args)
+        v, n, tail = _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
         return SeriesResult(v, n, tail, PATH_SERIES)
-    v, floor, env, scale = asym(*args)
-    # the phase is rounded at ulp(x).  Up to extended_x the double-double
-    # series resolves about 1e-32 of its largest term, so the value must
-    # meet rel_tol; beyond, the absolute _ASYM_FLOOR is enough.  The
-    # estimate charges the phase rounding to the whole envelope; the test
-    # beyond extended_x charges it to the oscillatory part alone, of size
-    # _envelope(x), since an algebraic part (Struve) has no phase
-    rounding = 4.0 * 2.0**-53 * (1.0 + x) * env
+    v, floor, osc, alg = asym(*args)
+    # the value must meet rel_tol against the larger size up to extended_x,
+    # _ASYM_FLOOR max(1, alg) beyond.  The phase, rounded at ulp(x), reaches
+    # only the oscillatory part; u alg covers the algebraic part's addition
+    env = alg if alg > osc else osc
+    phase = 4.0 * 2.0**-53 * (1.0 + x) * osc
     if x <= policy.extended_x:
-        certified = floor + rounding <= policy.rel_tol * env
+        certified = floor + 4.0 * 2.0**-53 * (1.0 + x) * env <= policy.rel_tol * env
     else:
-        certified = floor + 4.0 * 2.0**-53 * (1.0 + x) * _envelope(x) <= _ASYM_FLOOR * scale
+        certified = floor + phase <= _ASYM_FLOOR * (alg if alg > 1.0 else 1.0)
     if certified:
-        return SeriesResult(v, 0, floor + rounding, PATH_ASYMPTOTIC)
+        return SeriesResult(v, 0, floor + phase + 2.0**-53 * alg, PATH_ASYMPTOTIC)
     if x <= policy.extended_x or _series_loss(order, x) <= _DD_LOSS_LIMIT:
-        v, n, tail, mag = _ascending(terms(*args), x, policy, use_dd=True)
-        # 16n 2^-104 sum|term| bounds the double-double rounding of n terms,
-        # n 2^-1074 the terms that underflow, and 32u|v| the binary64
-        # rounding of t0 and the offsets
-        bound = tail + 16.0 * n * 2.0**-104 * mag + n * 2.0**-1074 + 32.0 * 2.0**-53 * abs(v)
+        t0, dens, k0 = terms(*args)
+        v, n, tail, floor_err, mag = _sum_ratio_series_fixed(t0, x / 2.0, (), dens, policy, k0)
+        # floor divisions, n 2^-1074 for a subnormal t0 or value, 32.5u|v|
+        # for rounding t0 and v, and the offsets' input term: a move of the
+        # order moves v by about |v| where the order exceeds x and by about
+        # sqrt(2/(pi x)) where it oscillates, by sum|term| at most
+        bound = tail + floor_err + n * 2.0**-1074 + 32.5 * 2.0**-53 * abs(v)
+        bound += _input_rounding(dens, k0, n) * min(mag, abs(v) if order >= x else max(abs(v), osc))
         return SeriesResult(v, n, bound, PATH_EXTENDED)
-    raise ConvergenceError(
-        f"no certified path for arguments {args}: the asymptotics diverge and "
-        "the series cancellation exceeds the extended budget"
-    )
+    raise ConvergenceError(f"no certified path for arguments {args}: the asymptotics diverge and "
+                           "the series cancellation exceeds the extended budget")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +537,7 @@ def _cyl_j_terms(nu, x):
 
 def _cyl_j_asym(nu, x):
     v, _, floor = _jy_asym(nu, x)
-    return v, floor, _envelope(x), 1.0
+    return v, floor, _envelope(x), 0.0
 
 
 def mod_i0(t, policy=None):
@@ -597,11 +625,11 @@ def _power_rgamma(base, p, a):
 
 
 def _struve_asym(alpha, x):
-    """Y_alpha plus the algebraic part: (value, floor, envelope, scale),
-    the envelope and the scale of _ASYM_FLOOR growing with that part."""
+    """Y_alpha plus the algebraic part: (value, floor, sqrt(2/(pi x)), the
+    size of the algebraic part)."""
     _, y, floor = _jy_asym(alpha, x)
     alg, alg_floor = struve_algebraic(alpha, x)
-    return y + alg, floor + alg_floor, max(_envelope(x), abs(alg)), max(1.0, abs(alg))
+    return y + alg, floor + alg_floor, _envelope(x), abs(alg)
 
 
 def struve_algebraic(alpha, x):
@@ -804,14 +832,14 @@ def _s_asym(kind, nu, x, shared):
     S1 = c*J_nu - s*Y_nu + s*(A_nu - A_{-nu}),
     S2 = s*J_nu + c*Y_nu + c*(A_nu + A_{-nu}),
     with c = cos(nu pi/2), s = sin(nu pi/2): (value, truncation floor,
-    envelope, scale).  `shared` is the (c, s, J_nu, Y_nu, floor) that
+    sqrt(2/(pi x)), 0.0).  `shared` is the (c, s, J_nu, Y_nu, floor) that
     both kinds read.  S1 sums the odd part of the Watson expansion, S2
     the even part."""
     c, s, J, Y, floor = shared
     a, a_floor = watson_parity(nu, x, odd=kind == 1)
     if kind == 1:
-        return c * J - s * Y + s * a, floor + abs(s) * a_floor, _envelope(x), 1.0
-    return s * J + c * Y + c * a, floor + abs(c) * a_floor, _envelope(x), 1.0
+        return c * J - s * Y + s * a, floor + abs(s) * a_floor, _envelope(x), 0.0
+    return s * J + c * Y + c * a, floor + abs(c) * a_floor, _envelope(x), 0.0
 
 
 def _s_eval(kinds, nu, x, policy):

@@ -28,11 +28,10 @@ from collections import namedtuple
 from .errors import DomainError, ConvergenceError, UnknownIdentityError
 from .gammakit import SQRT_PI, gamma, rgamma
 from . import fd
-from .ddouble import two_prod
 from .functions import (
     DEFAULT_POLICY,
     _humbert_terms,
-    _integrate_ratio_series_dd,
+    _integrate_ratio_series,
     _rayleigh_tables,
     _s_terms,
     _struve_terms,
@@ -146,8 +145,7 @@ def _struve_line_integral(alpha, policy):
     H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2) (x/2)^(alpha-2k-1)
     / Gamma(alpha+1/2-k).  The bound adds the head's to the tails' floors."""
     T = _TAIL_SPLIT
-    z = two_prod(-T / 2.0, T / 2.0)
-    head, bound = _integrate_ratio_series_dd(*_struve_terms(alpha, T), alpha + 2.0, T, z, policy)
+    head, bound = _integrate_ratio_series(*_struve_terms(alpha, T), alpha + 2.0, T, T / 2.0, policy)
     y_tail, y_floor = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0)
     # coefficients of x^(alpha-1-n): the k-th term at n = 2k, zeros between
     alg = [0.0] * 120
@@ -165,8 +163,7 @@ def _s_line_integral(nu, kind, extra_power, policy):
     T = _TAIL_SPLIT
     t0, dens, k0 = _s_terms(kind, nu, T)
     # term k is proportional to x^(2k+kind-1-extra_power); T**0 is exactly 1.0
-    z = two_prod(-T / 2.0, T / 2.0)
-    head, bound = _integrate_ratio_series_dd(t0 / T**extra_power, dens, k0, kind - extra_power, T, z, policy)
+    head, bound = _integrate_ratio_series(t0 / T**extra_power, dens, k0, kind - extra_power, T, T / 2.0, policy)
     # with c + is = e^{i nu pi/2}, (c + is)(J_nu + i Y_nu) = (cJ - sY) + i(sJ + cY)
     # holds the oscillatory parts of S1 and S2, and its phase no longer nu
     w, w_floor = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
@@ -193,8 +190,8 @@ def _j_product_integral(mu, nu, policy):
     + e^{i(nu-mu) pi/2} A_mu conj(A_nu)]: a fast and a constant-phase part."""
     T = _PRODUCT_SPLIT
     s = mu + nu
-    head, bound = _integrate_ratio_series_dd(
-        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, 1.0, T, two_prod(-T, T), policy,
+    head, bound = _integrate_ratio_series(
+        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, 1.0, T, T, policy,
         num_offsets=(0.5 * (s + 1.0), 0.5 * (s + 2.0)),
     )
     am, an = hankel_amplitude_coeffs(mu, 20), hankel_amplitude_coeffs(nu, 20)
@@ -222,7 +219,7 @@ def _j_line_integral(m, policy):
         return 0.0, 0.0
     T = _TAIL_SPLIT
     t0 = 0.5 * SQRT_PI * (T / 2.0) ** m * rgamma(m + 1.5)
-    head, bound = _integrate_ratio_series_dd(t0, (1.0, m + 1.5), 0, m + 1.0, T, two_prod(-T / 2.0, T / 2.0), policy)
+    head, bound = _integrate_ratio_series(t0, (1.0, m + 1.5), 0, m + 1.0, T, T / 2.0, policy)
     S, C = _rayleigh_tables(m)
     # x^(-1-n) takes entry n; the exact list is zero-padded past the
     # tail's turn near n = T

@@ -1,0 +1,148 @@
+"""The exact fixed-point ratio-series kernel of the extended-precision path.
+
+`_sum_ratio_series_fixed` sums the series of its binary64 inputs exactly
+in integers, up to its floor divisions, and rounds once: its value is
+checked against the same series summed at 60 digits from the same
+binary64 inputs.  The routed results it serves are checked against
+40-digit mpmath.
+"""
+
+import math
+import random
+from decimal import Decimal, localcontext
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from sphstruve.errors import ConvergenceError
+from sphstruve.functions import (
+    PATH_EXTENDED,
+    EvalPolicy,
+    _sum_ratio_series,
+    _sum_ratio_series_fixed,
+    cyl_j,
+    struve_h,
+)
+
+U = 2.0**-53
+
+
+def _sum_at_60_digits(mp, t0, w, nums, dens, k0, n):
+    """(sum, sum of |term|) of the first n terms of the kernel's series at
+    60 digits, from the exact binary64 inputs."""
+    with mp.workdps(60):
+        t, z = mp.mpf(t0), -mp.mpf(w) ** 2
+        s = mag = mp.mpf(0)
+        for k in range(k0, k0 + n):
+            s += t
+            mag += abs(t)
+            r = z
+            for a in nums:
+                r *= k + mp.mpf(a)
+            for b in dens:
+                r /= k + mp.mpf(b)
+            t *= r
+        return s, mag
+
+
+@st.composite
+def series(draw):
+    """(t0, w, nums, dens, k0) of a series that converges within 500 terms:
+    one to five denominator offsets, fewer numerator ones, at most three."""
+    nd = draw(st.integers(1, 5))
+    nn = draw(st.integers(0, min(3, nd - 1)))
+    offset = st.floats(0.25, 40.0)
+    dens = tuple(draw(st.lists(offset, min_size=nd, max_size=nd)))
+    nums = tuple(draw(st.lists(st.floats(0.25, 20.0), min_size=nn, max_size=nn)))
+    t0 = draw(st.floats(1e-5, 1e5)) * draw(st.sampled_from((1.0, -1.0)))
+    return t0, draw(st.floats(0.5, 8.0)), nums, dens, draw(st.integers(0, 3))
+
+
+@given(series())
+@settings(max_examples=120, deadline=None)
+def test_value_is_the_rounded_exact_sum(case):
+    # within half an ulp plus the floor-division term of the exact sum of
+    # the same n terms; 60 digits leave ~1e-50 of sum|term| of slack
+    mp = pytest.importorskip("mpmath")
+    t0, w, nums, dens, k0 = case
+    v, n, tail, floor_err, mag = _sum_ratio_series_fixed(t0, w, nums, dens, EvalPolicy(), k0)
+    want, want_mag = _sum_at_60_digits(mp, t0, w, nums, dens, k0, n)
+    with mp.workdps(60):
+        err = abs(mp.mpf(v) - want)
+        assert err <= 0.5 * math.ulp(v) + floor_err + 1e-50 * want_mag, (case, v, float(err), floor_err)
+        assert abs(mp.mpf(mag) - want_mag) <= 1e-12 * want_mag
+    assert floor_err <= U * mag
+    assert tail >= 0.0
+
+
+def test_cancellation_heavy_sum():
+    # exp(-w^2), w^2 within an ulp of 20, by its alternating series: the
+    # binary64 kernel loses ~17 digits here, the exact kernel none
+    w = math.sqrt(20.0)
+    policy = EvalPolicy(rel_tol=1e-20)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = (-(Decimal(w) ** 2)).exp()
+        got, _, _, floor_err, mag = _sum_ratio_series_fixed(1.0, w, (), (1.0,), policy)
+        assert abs(Decimal(got) - want) <= abs(want) * Decimal("1e-15")
+        # the sum of |term| is e^(w^2), and the floor divisions cost
+        # far less than an ulp of the value
+        assert abs(Decimal(mag) - (Decimal(w) ** 2).exp()) <= Decimal(mag) * Decimal("1e-14")
+        assert floor_err <= 1e-10 * U * got
+        plain, _, _ = _sum_ratio_series(1.0, -(w * w), (), (1.0,), policy)
+        assert abs(Decimal(plain) - want) > abs(want) * Decimal("1e-15")
+
+
+def test_shapes_outside_the_kernel_raise():
+    with pytest.raises(ValueError):
+        _sum_ratio_series_fixed(1.0, 2.0, (), (), EvalPolicy())
+    with pytest.raises(ValueError):
+        _sum_ratio_series_fixed(1.0, 2.0, (1.0,) * 4, (1.0,) * 5, EvalPolicy())
+    assert _sum_ratio_series_fixed(0.0, 2.0, (), (1.0,), EvalPolicy())[0] == 0.0
+
+
+@given(st.floats(10.0, 60.0), st.floats(25.0, 60.0, exclude_min=True))
+@example(30.7, 55.0)
+@example(30.7, 59.9)
+@settings(max_examples=60, deadline=None)
+def test_extended_cyl_j_within_its_estimate(nu, x):
+    # the points where the double-double kernel was 3.1e-12 and 1.4e-14
+    # off, against 40-digit mpmath; away from the zeros of J, where the
+    # offsets' rounding keeps its size while the value vanishes, the
+    # estimate is also within 1e3 of the error
+    mp = pytest.importorskip("mpmath")
+    try:
+        r = cyl_j(nu, x)
+    except ConvergenceError:
+        assume(False)
+    assume(r.path == PATH_EXTENDED)
+    with mp.workdps(40):
+        err = float(abs(mp.mpf(r.value) - mp.besselj(nu, x)))
+    assert err <= r.tail_estimate, (nu, x, err, r)
+    if abs(r.value) >= 0.1 * math.sqrt(2.0 / (math.pi * x)):
+        assert r.tail_estimate <= 1e3 * max(err, U * abs(r.value)), (nu, x, err, r)
+
+
+def test_extended_band_scan_within_the_estimate():
+    # the parent double-double kernel missed 7 of the 1,856 extended
+    # cyl_j points here and 1 of the 925 struve_h ones
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    points = [(rng.uniform(0.0, 60.0), rng.uniform(25.0, 60.0)) for _ in range(2500)]
+    counts = {}
+    with mp.workdps(40):
+        for f, oracle in ((cyl_j, mp.besselj), (struve_h, mp.struveh)):
+            for nu, x in points:
+                if x == 25.0:
+                    continue
+                try:
+                    r = f(nu, x)
+                except ConvergenceError:
+                    continue
+                if r.path != PATH_EXTENDED:
+                    continue
+                counts[f.__name__] = counts.get(f.__name__, 0) + 1
+                err = abs(mp.mpf(r.value) - oracle(nu, x))
+                assert err <= r.tail_estimate, (f.__name__, nu, x, float(err), r)
+    assert counts == {"cyl_j": 1856, "struve_h": 925}

@@ -32,7 +32,7 @@ from sphstruve.functions import (
     watson_parity_coeffs,
     weber,
     _ASYM_FLOOR,
-    _ascending,
+    _sum_ratio_series_fixed,
     _cyl_j_terms,
     _humbert_terms,
     _jy_asym,
@@ -46,10 +46,17 @@ from sphstruve.functions import (
 from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from sphstruve.quadrature import integrate_finite
 
-# forced-path policy for consistency checks; the double-double series is
-# reached through `_ascending`, since inside the band the
+# forced-path policy for consistency checks; the fixed-point series is
+# reached through `_extended`, since inside the band the
 # evaluators take the asymptotic value wherever it meets rel_tol
 POL_ASYM = EvalPolicy(crossover_x=0.4, extended_x=0.5)
+
+
+def _extended(terms, x, policy):
+    """The fixed-point value of the ascending series in -(x/2)^2 whose
+    (t0, den_offsets, k0) are `terms`, as `_route` sums it."""
+    t0, dens, k0 = terms
+    return _sum_ratio_series_fixed(t0, x / 2.0, (), dens, policy, k0)[0]
 
 
 class TestSphericalBessel:
@@ -696,15 +703,15 @@ class TestAngerWeberPair:
 
     # (nu, x, S1 bits, S1 path, S2 bits, S2 path, anger bits, weber bits)
     # of independent s1 and s2 routes, so that the shared evaluation moves
-    # no bit: plain, asymptotic, double-double, mixed, beyond extended_x,
+    # no bit: plain, asymptotic, fixed-point series, mixed, beyond extended_x,
     # and x = 0
     PINNED = (
         (1.3, 10.0, "-0x1.0835575c5ed6bp-2", "series", "0x1.7fc21205ff7a0p-8", "series",
          "0x1.f529bc9db46aep-4", "-0x1.d160d82ebf056p-3"),
         (1.3, 40.0, "0x1.16504cff79f46p-8", "asymptotic", "0x1.e6e2c1bb47bb4p-4", "asymptotic",
          "0x1.a9ebe198efb1ep-4", "0x1.d91497abf5427p-5"),
-        (19.7, 55.0, "0x1.42484cdc832e1p-5", PATH_EXTENDED, "0x1.de45ad715ff2bp-4", PATH_EXTENDED,
-         "-0x1.26366e1639a72p-6", "-0x1.f34cda8d361d6p-4"),
+        (19.7, 55.0, "0x1.42484cdcc0205p-5", PATH_EXTENDED, "0x1.de45ad71ab1b6p-4", PATH_EXTENDED,
+         "-0x1.26366e1655882p-6", "-0x1.f34cda8d86eaap-4"),
         (-9.905675908806586, 26.060032807958606, "-0x1.3460d308bf312p-4", "asymptotic",
          "0x1.ddea1d55d37f0p-4", PATH_EXTENDED, "0x1.d4e5b6bccb024p-5", "0x1.0319d8912477bp-3"),
         (2.5, 100.0, "0x1.70bb826de976bp-6", "asymptotic", "-0x1.4c2d7a115f604p-4", "asymptotic",
@@ -853,20 +860,20 @@ class TestPathConsistency:
         pol = DEFAULT_POLICY
         for nu in (0.0, 0.5, 1.0, 2.0):
             for x in xs:
-                a = _ascending(_cyl_j_terms(nu, x), x, pol, use_dd=True)[0]
+                a = _extended(_cyl_j_terms(nu, x), x, pol)
                 b = cyl_j(nu, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for alpha in (-1.5, -0.5, 0.0, 1.7):
             for x in xs:
-                a = _ascending(_struve_terms(alpha, x), x, pol, use_dd=True)[0]
+                a = _extended(_struve_terms(alpha, x), x, pol)
                 b = struve_h(alpha, x, POL_ASYM).value
                 assert abs(a - b) <= 1e-7
         for nu in (0.0, 0.5, 1.5):
             for x in xs:
-                dd1 = _ascending(_s_terms(1, nu, x), x, pol, use_dd=True)[0]
-                dd2 = _ascending(_s_terms(2, nu, x), x, pol, use_dd=True)[0]
-                assert abs(dd1 - s1(nu, x, POL_ASYM).value) <= 1e-7
-                assert abs(dd2 - s2(nu, x, POL_ASYM).value) <= 1e-7
+                e1 = _extended(_s_terms(1, nu, x), x, pol)
+                e2 = _extended(_s_terms(2, nu, x), x, pol)
+                assert abs(e1 - s1(nu, x, POL_ASYM).value) <= 1e-7
+                assert abs(e2 - s2(nu, x, POL_ASYM).value) <= 1e-7
 
     def test_switch_point_continuity(self):
         eps = 1e-9
@@ -894,10 +901,10 @@ class TestAsymptoticPieces:
             assert bessel_y_asym(0.5, x) == pytest.approx(want_y, rel=1e-13)
 
     def test_struve_algebraic_part_consistency(self):
-        # dd series minus second-kind asymptotics must equal the algebraic series
+        # extended series minus second-kind asymptotics must equal the algebraic series
         for alpha in (-0.5, 0.0, 1.0):
             x = 55.0
-            full = _ascending(_struve_terms(alpha, x), x, DEFAULT_POLICY, use_dd=True)[0]
+            full = _extended(_struve_terms(alpha, x), x, DEFAULT_POLICY)
             alg, _ = struve_algebraic(alpha, x)
             assert full - bessel_y_asym(alpha, x) == pytest.approx(alg, abs=5e-8)
 
@@ -1261,7 +1268,7 @@ class TestLargeOrderLargeArgumentRouting:
             cyl_j(95.7, 111.0)
 
     def test_one_double_double_reach(self):
-        # every routed family takes the double-double series past
+        # every routed family takes the fixed-point series past
         # extended_x while its cancellation exponent stays within 62
         from sphstruve.functions import _series_loss
 
@@ -1269,13 +1276,6 @@ class TestLargeOrderLargeArgumentRouting:
         assert cyl_j(45.0, 75.0).path == PATH_EXTENDED
         with pytest.raises(ConvergenceError):
             cyl_j(45.0, 80.0)
-
-    def test_dd_fallback_reports_its_floor(self):
-        from sphstruve.functions import _series_loss
-
-        r = cyl_j(64.5, 88.24)
-        assert r.path == "extended-precision-series"
-        assert r.tail_estimate >= 1e-32 * math.exp(_series_loss(64.5, 88.24))
 
     @staticmethod
     def _past_the_gamma_overflow(mp):
@@ -1304,9 +1304,10 @@ class TestLargeOrderLargeArgumentRouting:
         assert sum(path == PATH_EXTENDED for *_, path in values) >= 100
 
     def test_double_double_floor_past_the_gamma_overflow(self):
-        # the double-double bound 16n 2^-104 sum|term| + n 2^-1074 + 32u|v|
-        # holds where the old floor 1e-32 e^loss fell up to 3.7x short, and
-        # where every term underflows: J_340.3(25.5) is 3.4e-340
+        # the fixed-point bound (floor division, n 2^-1074, the rounding of
+        # t0, the value and the offsets) holds at orders whose first term
+        # needs a split power, and where that term underflows:
+        # J_340.3(25.5) is 3.4e-340
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             for nu, x in ((140.3, 125.5), (160.3, 125.5), (400.3, 275.5), (340.3, 25.5)):
@@ -1324,6 +1325,42 @@ class TestLargeOrderLargeArgumentRouting:
         # reference from a 60-digit decimal evaluation of the same series
         r = sph_j(100, 80.0)
         assert r.value == pytest.approx(4.52479644000949906e-07, rel=1e-9, abs=1e-18)
+
+
+class TestStruveAsymptoticEstimate:
+    """The asymptotic estimate of `struve_h` charges the phase rounding
+    4u(1 + x) to sqrt(2/(pi x)) alone and u to the algebraic part, whose
+    addition it rounds; which path is taken does not change."""
+
+    @pytest.mark.parametrize("alpha,x", [(3.0, 1e16), (3.0, 1e7)])
+    def test_huge_argument_estimate_is_tight(self, alpha, x):
+        # the estimate was 1.9e31 and 1.9e4 here for errors of 9.4e14 and
+        # 1.1e-3, charged to the algebraic part's 4.2e30 and 4.2e12
+        mp = pytest.importorskip("mpmath")
+        r = struve_h(alpha, x)
+        assert r.path == PATH_ASYMPTOTIC
+        with mp.workdps(40):
+            err = float(abs(mp.mpf(r.value) - mp.struveh(alpha, x)))
+        assert err <= r.tail_estimate <= 1e3 * err, (alpha, x, err, r)
+
+    def test_scan_past_the_crossover_within_the_estimate(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        seen = 0
+        with mp.workdps(40):
+            for _ in range(400):
+                alpha = rng.uniform(-5.0, 30.0)
+                x = math.exp(rng.uniform(math.log(25.0), math.log(1e9)))
+                try:
+                    r = struve_h(alpha, x)
+                except ConvergenceError:
+                    continue
+                if r.path != PATH_ASYMPTOTIC:
+                    continue
+                seen += 1
+                err = abs(mp.mpf(r.value) - mp.struveh(alpha, x))
+                assert err <= r.tail_estimate, (alpha, x, float(err), r)
+        assert seen >= 350
 
 
 class TestRandomizedConsistency:
@@ -1369,10 +1406,10 @@ class TestRandomizedConsistency:
 
 
 class TestBandOracle:
-    """The double-double band (crossover_x, extended_x] against mpmath at
+    """The extended band (crossover_x, extended_x] against mpmath at
     40 digits: every band result, on either path, is within rel_tol of
     the envelope sqrt(2/(pi x)) (for Struve, the larger of that and the
-    algebraic part), and every asymptotic or double-double result is
+    algebraic part), and every asymptotic or fixed-point series result is
     within its tail_estimate.  The points straddle both switches."""
 
     XS = (
@@ -1420,14 +1457,14 @@ class TestBandOracle:
 
     def test_auxiliary_series_off_the_plain_orders(self):
         # negative, near-integer, integer and large orders; the
-        # double-double estimate covers the rounding of the series' inputs
+        # fixed-point estimate covers the rounding of the series' inputs
         orders = (-0.7, 1.0135, 2.0037, 4.0, 7.5)
         self._check(s1, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[0], self._env)
         self._check(s2, orders, lambda mp, nu, x: self._s_pair(mp, nu, x)[1], self._env)
 
     def test_auxiliary_series_floor_at_large_order(self):
-        # a large order keeps x = 55 on the double-double path, whose
-        # cancellation (like e^x at any order) dwarfs the series tail
+        # a large order keeps x = 55 on the fixed-point path, whose
+        # series cancels like e^x at any order
         mp = pytest.importorskip("mpmath")
         r = s1(19.7, 55.0)
         assert r.path == PATH_EXTENDED

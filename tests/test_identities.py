@@ -895,13 +895,13 @@ class TestTermwiseHeadOracle:
         T = getattr(identities, split) + step
         monkeypatch.setattr(identities, split, T)
         heads = []
-        helper = identities._integrate_ratio_series_dd
+        helper = identities._integrate_ratio_series
 
         def recording(*args, **kwargs):
             heads.append(helper(*args, **kwargs))
             return heads[-1]
 
-        monkeypatch.setattr(identities, "_integrate_ratio_series_dd", recording)
+        monkeypatch.setattr(identities, "_integrate_ratio_series", recording)
         assert verify(iid, params).status == "pass"
         assert len(heads) == 1
         value, bound = heads[0]

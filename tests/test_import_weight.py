@@ -3,8 +3,10 @@
 The library and its CLI must not pull in `dataclasses` (which imports
 `inspect`, `ast`, `dis` and `tokenize`), `inspect` itself,
 `concurrent.futures` or `multiprocessing` (a parallel `verify_all`
-forks its children itself, and imports neither) or numpy (a test-only
-import); the CLI imports `csv` only on its csv path. Modules are
+forks its children itself, and imports neither), numpy (a test-only
+import) or `fractions` (the fixed-point series kernel sums in plain
+`int`s; a `Fraction` per term would cost more than the sum); the CLI
+imports `csv` only on its csv path. Modules are
 compared before and after each import in one fresh interpreter, so
 what `site` loads on a given host does not count.
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import sphstruve
 
-HEAVY = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "numpy"}
+HEAVY = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "numpy", "fractions"}
 
 _PROBE = """
 import json, sys
