@@ -38,7 +38,6 @@ from .functions import (
     struve_h,
     weber,
 )
-from .identities import catalog_json, list_identities, verify_all, verify
 
 _REPORT_FIELDS = (
     "id",
@@ -174,6 +173,9 @@ def _finite_or_none(x):
 
 
 def _cmd_verify(args):
+    # here, not at the top: `eval` and `table` run without the verifier
+    from .identities import catalog_json, list_identities, verify_all
+
     if args.parallelism < 1:
         raise _UsageError("parallelism must be >= 1")
     known = {i.id: i for i in list_identities()}

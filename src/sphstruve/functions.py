@@ -205,20 +205,44 @@ _FIX_BITS = 160
 
 
 def _difference_table(c, offsets, k0, size):
-    """[f(k0), D f(k0), D^2 f(k0), ...], zero-padded to `size`, of the integer
-    polynomial f(k) = c prod (q k + p) over the (p, q) of `offsets`, D the
-    forward difference: adding each entry its successor steps k by one."""
-    values = []
-    for k in range(k0, k0 + len(offsets) + 1):
-        v = c
-        for p, q in offsets:
-            v *= q * k + p
-        values.append(v)
-    table = []
-    while values:
-        table.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return table + [0] * (size - len(table))
+    """([f(k0), D f(k0), D^2 f(k0), ...], b): the forward-difference table,
+    zero-padded to `size`, of the integer polynomial f(k) = c prod (q k + p)
+    over the binary64 `offsets` p/q, and b = log2 prod q, every q a power of
+    two.  D is the forward difference, so adding each entry its successor
+    steps k by one.  The table is built in place, one linear factor
+    g(k) = q k + p at a time, by Leibniz's rule for differences:
+    D^i (f g)(k0) = g(k0 + i) D^i f(k0) + i q D^(i-1) f(k0)."""
+    t = [c] + [0] * (size - 1)
+    b = 0
+    for n, offset in enumerate(offsets, 1):
+        p, q = offset.as_integer_ratio()
+        b += q.bit_length() - 1
+        g0 = q * k0 + p
+        for i in range(n, 0, -1):
+            qi = q * i
+            t[i] = (g0 + qi) * t[i] + qi * t[i - 1]
+        t[0] *= g0
+    return t, b
+
+
+def _ratio_tables(w, num_offsets, den_offsets, k0):
+    """The difference tables (4 and 6 entries) of two exact integer
+    polynomials with N(k)/D(k) = -w^2 prod(k + num)/prod(k + den), for 0-3
+    numerator and 1-5 denominator binary64 offsets.  The power of two that
+    clears every q goes on whichever side needs it, so the other keeps
+    its least size."""
+    if not (1 <= len(den_offsets) <= 5 and len(num_offsets) <= 3):
+        raise ValueError(f"fixed-point series: shape {num_offsets!r} over {den_offsets!r} is not 0-3 over 1-5")
+    pw, qw = w.as_integer_ratio()
+    num, num_bits = _difference_table(-pw * pw, num_offsets, k0, 4)
+    den, den_bits = _difference_table(1, den_offsets, k0, 6)
+    # log2 of prod(q_den) / (prod(q_num) qw^2)
+    shift = den_bits - num_bits - 2 * (qw.bit_length() - 1)
+    if shift > 0:
+        num = [v << shift for v in num]
+    elif shift < 0:
+        den = [v << -shift for v in den]
+    return num, den
 
 
 def _sum_ratio_series_fixed(t0, w, num_offsets, den_offsets, policy, k0=0):
@@ -245,17 +269,8 @@ def _sum_ratio_series_fixed(t0, w, num_offsets, den_offsets, policy, k0=0):
     m, e = math.frexp(t0)
     e -= _FIX_BITS  # a unit of the fixed point is 2^e
     t = int(math.ldexp(m, 53)) << (_FIX_BITS - 53)
-    pw, qw = w.as_integer_ratio()
-    nums = [a.as_integer_ratio() for a in num_offsets]
-    dens = [a.as_integer_ratio() for a in den_offsets]
-    nn, nd = len(nums), len(dens)
-    if not (1 <= nd <= 5 and nn <= 3):
-        raise ValueError(f"fixed-point series: shape {num_offsets!r} over {den_offsets!r} is not 0-3 over 1-5")
-    # log2 of prod(q_den) / (prod(q_num) qw^2), every q a power of two
-    shift = sum(q.bit_length() - 1 for _, q in dens) - sum(q.bit_length() - 1 for _, q in nums)
-    shift -= 2 * qw.bit_length() - 2
-    num, n1, n2, n3 = _difference_table(-pw * pw << max(shift, 0), nums, k0, 4)
-    den, d1, d2, d3, d4, d5 = _difference_table(1 << max(-shift, 0), dens, k0, 6)
+    (num, n1, n2, n3), (den, d1, d2, d3, d4, d5) = _ratio_tables(w, num_offsets, den_offsets, k0)
+    nn, nd = len(num_offsets), len(den_offsets)
     rel_tol = policy.rel_tol
     try:
         abs_lim = max(math.ldexp(policy.abs_tol, -e), 1.0)

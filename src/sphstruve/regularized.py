@@ -21,6 +21,15 @@ is what this module computes, to a few ulps of the returned float:
    The antiderivative's coefficients come from one recurrence over the
    expansion's, and the series is summed once, to its smallest term.
 
+The expansion's coefficients are built once per (mu, nu) and cached.  The
+recurrence's constants lie in Q(omega), so each coefficient is carried as
+X + Y omega, X and Y real 60-digit numbers: multiplying by omega or
+omega**2 is additions only, and for half-integer indices every polynomial
+factor of the recurrence is an exact integer, converted once.  So each
+step rounds only its four products, four sums and two divisions, and
+each coefficient is rounded twice more when (X + Y/2, Y sqrt(3)/2) is
+formed; no complex division is left in the build.
+
 The expansion, the amplitude and the tail are all validated against the
 60-digit series in the test suite.
 
@@ -182,35 +191,39 @@ def _asym_coeffs(mu, nu, nmax=100):
     f(t^3) ~ 2 Re[C e^{3 omega t} t^q sum_i a_i t^-i], q = -(1+mu+nu):
     the correction coefficients a_i from the third-order recurrence the
     defining ODE imposes, and the amplitude C = `stokes_amplitude(mu, nu)`,
-    all at the pipeline's 60 digits."""
-    mu_d = D(str(mu))
-    nu_d = D(str(nu))
-    q = -(1 + mu_d + nu_d)
+    all at the pipeline's 60 digits.  2 mu and 2 nu must be integers
+    (`DomainError` otherwise), as for every caller.
 
-    def B2(m):
-        return m + 1 + mu_d + nu_d
-
-    def B1(m):
-        return ((m + 1) / 3) * ((2 * m + 1) / 3 + mu_d + nu_d) + (m / 3 + mu_d) * (m / 3 + nu_d)
-
-    def B0(m):
-        return (m / 3) * (m / 3 + mu_d) * (m / 3 + nu_d)
-
-    a = [(D(1), D(0))]
-    w2 = _cmul(_OMEGA, _OMEGA)
-    for i in range(2, nmax + 2):
-        t1 = _cmul(_OMEGA, a[i - 2])
-        b1 = B1(q - i + 2)
-        t1 = (t1[0] * b1, t1[1] * b1)
-        if i >= 3:
-            b0 = B0(q - i + 3)
-            t2 = (a[i - 3][0] * b0, a[i - 3][1] * b0)
-        else:
-            t2 = (D(0), D(0))
-        num = (-(t1[0] + t2[0]), -(t1[1] + t2[1]))
-        den = _cmul(w2, (B2(q - i + 1), D(0)))
-        a.append(_cdiv(num, den))
-    return q, tuple(a[: nmax + 1]), stokes_amplitude(mu, nu)
+    The recurrence is a_j = (omega^2 B1 a_{j-1} + omega B0 a_{j-2}) / B2,
+    with 1/omega^2 = -omega folded in and B2 = -j.  Its constants lie in
+    Q(omega), so a_j is carried as X_j + Y_j omega, X and Y real:
+    multiplying by omega is (X, Y) -> (-Y, X + Y) and by omega^2 is
+    (X, Y) -> (-X - Y, X), additions only, since omega^2 = omega - 1.  For
+    half-integer indices 216 B1 and 216 B0 are exact integers, each
+    converted once, so a step rounds only its four products, four sums
+    and two divisions by 216 j.  Each a_j is formed once as
+    (X + Y/2, Y sqrt(3)/2), rounding twice more."""
+    m2, n2 = 2.0 * mu, 2.0 * nu
+    if not (m2.is_integer() and n2.is_integer()):
+        raise DomainError("saddle expansion: indices restricted to half-integers")
+    M, N = int(m2), int(n2)
+    s = M + N
+    q = -(1 + D(str(mu)) + D(str(nu)))
+    w0, w1 = _OMEGA
+    x1, y1 = D(1), D(0)  # a_{j-1}
+    x2 = y2 = D(0)  # a_{j-2}
+    a = [(x1, y1)]
+    for j in range(1, nmax + 1):
+        m = -s - 2 * j  # twice B1's argument q - j + 1
+        b1 = D(6 * ((m + 2) * (2 * m + 2 + 3 * s) + (m + 3 * M) * (m + 3 * N)))
+        m += 2  # twice B0's argument q - j + 2
+        b0 = D(m * (m + 3 * M) * (m + 3 * N))
+        den = 216 * j
+        x = (b1 * (x1 + y1) + b0 * y2) / den
+        y = (b1 * x1 + b0 * (x2 + y2)) / -den
+        a.append((x + y * w0, y * w1))
+        x2, y2, x1, y1 = x1, y1, x, y
+    return q, tuple(a), stokes_amplitude(mu, nu)
 
 
 def _sum_to_min(terms):

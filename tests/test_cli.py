@@ -186,7 +186,7 @@ class TestVerify:
         assert strip(out1) == strip(out2)
 
     def test_skipped_check_exits_nonzero(self, run, monkeypatch):
-        from sphstruve import cli
+        from sphstruve import identities
         from sphstruve.identities import VerificationReport
 
         skipped = VerificationReport(
@@ -200,7 +200,8 @@ class TestVerify:
             seconds=0.0,
             reason="DomainError: stub",
         )
-        monkeypatch.setattr(cli, "verify_all", lambda **kw: [skipped])
+        # the CLI imports verify_all from identities when `verify` runs
+        monkeypatch.setattr(identities, "verify_all", lambda **kw: [skipped])
         code, out, _ = run("verify", "I01", "--format", "text")
         assert code == 1
         assert "0 failed, 1 skipped" in out

@@ -19,6 +19,7 @@ from sphstruve.errors import ConvergenceError
 from sphstruve.functions import (
     PATH_EXTENDED,
     EvalPolicy,
+    _ratio_tables,
     _sum_ratio_series,
     _sum_ratio_series_fixed,
     cyl_j,
@@ -74,6 +75,49 @@ def test_value_is_the_rounded_exact_sum(case):
         assert abs(mp.mpf(mag) - want_mag) <= 1e-12 * want_mag
     assert floor_err <= U * mag
     assert tail >= 0.0
+
+
+def _tables_by_values(w, num_offsets, den_offsets, k0):
+    """The kernel's two difference tables built the direct way: the scale
+    fixed first, each polynomial evaluated at one point more than its
+    degree, then differenced until one entry is left."""
+    pw, qw = w.as_integer_ratio()
+    nums = [a.as_integer_ratio() for a in num_offsets]
+    dens = [a.as_integer_ratio() for a in den_offsets]
+    shift = sum(q.bit_length() - 1 for _, q in dens) - sum(q.bit_length() - 1 for _, q in nums)
+    shift -= 2 * qw.bit_length() - 2
+
+    def table(c, offsets, size):
+        values = []
+        for k in range(k0, k0 + len(offsets) + 1):
+            v = c
+            for p, q in offsets:
+                v *= q * k + p
+            values.append(v)
+        out = []
+        while values:
+            out.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        return out + [0] * (size - len(out))
+
+    return table(-pw * pw << max(shift, 0), nums, 4), table(1 << max(-shift, 0), dens, 6)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.floats(1e-6, 1e6),
+    st.lists(_finite, min_size=0, max_size=3),
+    st.lists(_finite, min_size=1, max_size=5),
+    st.integers(0, 1000),
+)
+@example(59.9 / 2.0, [], [1.0, 31.7], 0)
+@example(0.75, [0.5], [1.0, 1.5, 2.25], 3)
+@settings(max_examples=300, deadline=None)
+def test_difference_tables_equal_the_construction_by_values(w, nums, dens, k0):
+    # exact integers: the in-place Leibniz build must give the same ones
+    assert _ratio_tables(w, tuple(nums), tuple(dens), k0) == _tables_by_values(w, nums, dens, k0)
 
 
 def test_cancellation_heavy_sum():

@@ -6,7 +6,10 @@ The library and its CLI must not pull in `dataclasses` (which imports
 forks its children itself, and imports neither), numpy (a test-only
 import) or `fractions` (the fixed-point series kernel sums in plain
 `int`s; a `Fraction` per term would cost more than the sum); the CLI
-imports `csv` only on its csv path. Modules are
+imports `csv` only on its csv path. The evaluators and the CLI, which
+`eval` and `table` run on, load none of the verifier's modules
+(`identities`, `quadrature`, `regularized`, `umbral`, `fd`) nor
+`decimal`: the package resolves its exports on first use. Modules are
 compared before and after each import in one fresh interpreter, so
 what `site` loads on a given host does not count.
 
@@ -21,9 +24,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sphstruve
 
 HEAVY = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing", "numpy", "fractions"}
+VERIFIER = {
+    "sphstruve.identities",
+    "sphstruve.quadrature",
+    "sphstruve.regularized",
+    "sphstruve.umbral",
+    "sphstruve.fd",
+    "decimal",
+}
+LIGHT_MODULES = ("sphstruve.functions", "sphstruve.cli")
 
 _PROBE = """
 import json, sys
@@ -45,6 +59,30 @@ print(json.dumps({"statuses": [r.status for r in reports], "modules": sorted(sys
 """
 
 
+_LIGHT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import {module}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+# each export, imported by name in a fresh interpreter, is the object its
+# defining module holds
+_EXPORT_PROBE = """
+import importlib, json
+import sphstruve
+bad = []
+for name in sphstruve.__all__:
+    scope = {}
+    exec(f"from sphstruve import {name}", scope)
+    module = sphstruve._MODULE_OF.get(name)
+    if module is not None and scope[name] is not getattr(importlib.import_module("sphstruve." + module), name):
+        bad.append(name)
+print(json.dumps({"bad": bad, "undir": sorted(set(sphstruve.__all__) - set(dir(sphstruve)))}))
+"""
+
+
 def run_probe(code):
     """The JSON line that `code` prints in a fresh interpreter."""
     src = str(Path(sphstruve.__file__).resolve().parents[1])
@@ -57,6 +95,11 @@ def run_probe(code):
 def added_modules():
     """{"library": [...], "cli": [...]}: the modules each import adds."""
     return run_probe(_PROBE)
+
+
+def verifier_imports(module):
+    """The verifier's modules that a fresh `import module` loads."""
+    return sorted(VERIFIER & set(run_probe(_LIGHT_PROBE.format(module=module))))
 
 
 def heavy_imports(added):
@@ -75,6 +118,15 @@ def test_fresh_imports_stay_light():
     assert heavy_imports(added) == {"library": [], "cli": []}
 
 
+@pytest.mark.parametrize("module", LIGHT_MODULES)
+def test_evaluators_load_no_verifier(module):
+    assert verifier_imports(module) == []
+
+
+def test_every_export_imports_by_name():
+    assert run_probe(_EXPORT_PROBE) == {"bad": [], "undir": []}
+
+
 def test_parallel_run_imports_no_pool():
     out = run_probe(_PARALLEL_PROBE)
     assert out["statuses"] == ["pass"] * 12
@@ -84,5 +136,7 @@ def test_parallel_run_imports_no_pool():
 
 if __name__ == "__main__":
     heavy = heavy_imports(added_modules())
-    print(json.dumps(heavy))
-    sys.exit(1 if heavy["library"] or heavy["cli"] else 0)
+    verifier = {module: verifier_imports(module) for module in LIGHT_MODULES}
+    exports = run_probe(_EXPORT_PROBE)
+    print(json.dumps({"heavy": heavy, "verifier": verifier, "exports": exports}))
+    sys.exit(1 if heavy["library"] or heavy["cli"] or any(verifier.values()) or any(exports.values()) else 0)

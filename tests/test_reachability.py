@@ -1,11 +1,13 @@
 """Every top-level definition of the library is reached from a root.
 
 The roots are every definition of `cli.py`, `identities.py`, `fd.py` and
-`forkmap.py`, plus the names the benchmark tracer resolves with
-`getattr` (`SPANNED` and `EVALUATORS` in `perfbench/tracer.py`, read
-from that file).  A definition reaches every top-level name its
-statements mention, through the module's own definitions and its
-relative imports.  Code that only tests call is reached from no root.
+`forkmap.py`, the package's module `__getattr__` and `__dir__` (PEP 562:
+`from sphstruve import X` and `dir(sphstruve)` call them), plus the
+names the benchmark tracer resolves with `getattr` (`SPANNED` and
+`EVALUATORS` in `perfbench/tracer.py`, read from that file).  A
+definition reaches every top-level name its statements mention, through
+the module's own definitions and its relative imports.  Code that only
+tests call is reached from no root.
 """
 
 import ast
@@ -15,6 +17,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "sphstruve"
 TRACER = REPO / "perfbench" / "tracer.py"
 ROOT_MODULES = ("cli", "identities", "fd", "forkmap")
+PACKAGE_HOOKS = [("__init__", "__getattr__"), ("__init__", "__dir__")]
 
 
 def _definitions(tree):
@@ -30,7 +33,9 @@ def _definitions(tree):
         else:
             continue
         for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
+            # dunder values (`__all__`, `__version__`) are data, but a
+            # dunder function is code the scan must reach
+            if isinstance(node, ast.FunctionDef) or not (name.startswith("__") and name.endswith("__")):
                 defs.setdefault(name, []).append(node)
     return defs
 
@@ -105,7 +110,7 @@ def _library():
 
 def _roots(sources):
     defined = {m: _definitions(ast.parse(sources[m])) for m in ROOT_MODULES}
-    return [(m, n) for m in ROOT_MODULES for n in defined[m]] + _tracer_names()
+    return [(m, n) for m in ROOT_MODULES for n in defined[m]] + PACKAGE_HOOKS + _tracer_names()
 
 
 def test_scan_finds_an_unreached_definition():

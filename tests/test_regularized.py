@@ -1,5 +1,7 @@
+import itertools
 import math
 from decimal import Decimal as D, localcontext
+from fractions import Fraction as F
 
 import pytest
 
@@ -129,6 +131,68 @@ class TestConstants:
             humbert2_decimal(0.0, 0.0, 1)
             stokes_amplitude(1.0, 0.5)
             assert ctx.prec == 20
+
+
+def _asym_coeffs_exact(mu, nu, nmax=100):
+    """The saddle coefficients by the ODE recurrence in its first form,
+    a_i = -(omega B1 a_{i-1} + B0 a_{i-2}) / (omega^2 B2), run in exact
+    rationals on Q(sqrt(-3)): u + v sqrt(-3) is held as (u, v), so
+    omega = (1/2, 1/2).  Each coefficient is rounded once to 60 digits."""
+    mu, nu = F(mu), F(nu)
+    q = -(1 + mu + nu)
+
+    def mul(a, b):
+        return (a[0] * b[0] - 3 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        d = b[0] * b[0] + 3 * b[1] * b[1]
+        return ((a[0] * b[0] + 3 * a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+    def B2(m):
+        return m + 1 + mu + nu
+
+    def B1(m):
+        return (m + 1) / 3 * ((2 * m + 1) / 3 + mu + nu) + (m / 3 + mu) * (m / 3 + nu)
+
+    def B0(m):
+        return m / 3 * (m / 3 + mu) * (m / 3 + nu)
+
+    omega = (F(1, 2), F(1, 2))
+    omega2 = mul(omega, omega)
+    a = [(F(1), F(0))]
+    for i in range(1, nmax + 1):
+        t1 = mul(omega, a[i - 1])
+        t1 = (t1[0] * B1(q - i + 1), t1[1] * B1(q - i + 1))
+        t2 = (a[i - 2][0] * B0(q - i + 2), a[i - 2][1] * B0(q - i + 2)) if i >= 2 else (0, 0)
+        a.append(div((-(t1[0] + t2[0]), -(t1[1] + t2[1])), (omega2[0] * B2(q - i), omega2[1] * B2(q - i))))
+    out = []
+    for u, v in a:
+        with localcontext() as ctx:
+            ctx.prec = 90
+            im = D(v.numerator) / v.denominator * D(3).sqrt()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            out.append((D(u.numerator) / u.denominator, +im))
+    return out
+
+
+class TestSaddleCoefficients:
+    @pytest.mark.parametrize("mu,nu", itertools.product((0.0, 0.5, 1.0, 1.5, 2.0), repeat=2))
+    def test_match_the_exact_recurrence(self, mu, nu):
+        _, got, _ = regularized._asym_coeffs(mu, nu)
+        want = _asym_coeffs_exact(mu, nu)
+        assert len(got) == len(want) == 101
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for i, ((gr, gi), (wr, wi)) in enumerate(zip(got, want)):
+                err = ((gr - wr) ** 2 + (gi - wi) ** 2).sqrt()
+                assert err <= D("1e-55") * (wr * wr + wi * wi).sqrt(), (i, err)
+
+    def test_indices_off_the_half_integers_raise(self):
+        with pytest.raises(DomainError):
+            regularized._asym_coeffs(0.25, 0.0)
+        with pytest.raises(DomainError):
+            regularized._asym_coeffs(1.0, math.nan)
 
 
 class TestFinitePart:
