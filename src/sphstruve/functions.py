@@ -15,7 +15,7 @@ three-path scheme, decided in one place, `_route`:
 * otherwise the power series summed exactly in fixed-point integers
   (`_sum_ratio_series_fixed`): up to `extended_x` (large orders, whose
   Hankel terms grow), and beyond it while its cancellation exponent
-  stays within `_DD_LOSS_LIMIT`.  It reports its tail plus its floor
+  stays within `_EXTENDED_LOSS_LIMIT`.  It reports its tail plus its floor
   divisions, the rounding of its first term and value, and that of each
   offset that feeds rgamma (`_input_rounding`).
 
@@ -204,15 +204,17 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
 _FIX_BITS = 160
 
 
-def _difference_table(c, offsets, k0, size):
-    """([f(k0), D f(k0), D^2 f(k0), ...], b): the forward-difference table,
-    zero-padded to `size`, of the integer polynomial f(k) = c prod (q k + p)
+@lru_cache(maxsize=128)
+def _difference_table(offsets, k0, size):
+    """((f(k0), D f(k0), D^2 f(k0), ...), b): the forward-difference table,
+    zero-padded to `size`, of the integer polynomial f(k) = prod (q k + p)
     over the binary64 `offsets` p/q, and b = log2 prod q, every q a power of
     two.  D is the forward difference, so adding each entry its successor
     steps k by one.  The table is built in place, one linear factor
     g(k) = q k + p at a time, by Leibniz's rule for differences:
-    D^i (f g)(k0) = g(k0 + i) D^i f(k0) + i q D^(i-1) f(k0)."""
-    t = [c] + [0] * (size - 1)
+    D^i (f g)(k0) = g(k0 + i) D^i f(k0) + i q D^(i-1) f(k0).  Cached per
+    shape, so the table is returned as a tuple."""
+    t = [1] + [0] * (size - 1)
     b = 0
     for n, offset in enumerate(offsets, 1):
         p, q = offset.as_integer_ratio()
@@ -222,7 +224,7 @@ def _difference_table(c, offsets, k0, size):
             qi = q * i
             t[i] = (g0 + qi) * t[i] + qi * t[i - 1]
         t[0] *= g0
-    return t, b
+    return tuple(t), b
 
 
 def _ratio_tables(w, num_offsets, den_offsets, k0):
@@ -234,15 +236,16 @@ def _ratio_tables(w, num_offsets, den_offsets, k0):
     if not (1 <= len(den_offsets) <= 5 and len(num_offsets) <= 3):
         raise ValueError(f"fixed-point series: shape {num_offsets!r} over {den_offsets!r} is not 0-3 over 1-5")
     pw, qw = w.as_integer_ratio()
-    num, num_bits = _difference_table(-pw * pw, num_offsets, k0, 4)
-    den, den_bits = _difference_table(1, den_offsets, k0, 6)
+    num, num_bits = _difference_table(tuple(num_offsets), k0, 4)
+    num = [-pw * pw * v for v in num]
+    den, den_bits = _difference_table(tuple(den_offsets), k0, 6)
     # log2 of prod(q_den) / (prod(q_num) qw^2)
     shift = den_bits - num_bits - 2 * (qw.bit_length() - 1)
     if shift > 0:
         num = [v << shift for v in num]
     elif shift < 0:
         den = [v << -shift for v in den]
-    return num, den
+    return num, list(den)
 
 
 def _sum_ratio_series_fixed(t0, w, num_offsets, den_offsets, policy, k0=0):
@@ -335,18 +338,36 @@ def _input_rounding(den_offsets, k0, n):
     return sum(max(_psi_bound(k0 + d), _psi_bound(k0 + d + n)) * 0.5 * math.ulp(d) for d in den_offsets)
 
 
-def _integrate_ratio_series(t0, den_offsets, k0, a, T, w, policy, num_offsets=()):
-    """(value, bound) of the integral over [0, T] of a ratio series in
-    z = -w^2 whose term k is proportional to x^(2k+a-1), term k0 being t0
-    at x = T.  Integration divides term k by (2k+a)/T, adding the numerator
-    offset a/2 and the denominator offset a/2 + 1.  The fixed-point sum
-    stops at a term below 2^-60 of it; the bound is twice that term, plus
-    the kernel's floor-division term, n 2^-1074, 32.5u|value| for rounding
-    t0 and the value (u = 2^-53), and the offsets' `_input_rounding`."""
-    nums, dens = num_offsets + (0.5 * a,), den_offsets + (0.5 * a + 1.0,)
-    first = t0 * T / (2 * k0 + a)
-    v, n, tail, floor_err, _ = _sum_ratio_series_fixed(first, w, nums, dens, policy._replace(rel_tol=2.0**-60), k0)
-    inputs = (32.5 * 2.0**-53 + _input_rounding(den_offsets, k0, n)) * abs(v)
+def _termwise_ratio_series(t0, den_offsets, k0, w, policy, times=(), over=(), scale=1.0, num_offsets=()):
+    """(value, bound) of sum_k scale term_k prod_{c in times} (2k + c) /
+    prod_{c in over} (2k + c), term k0 of the ratio series in z = -w^2
+    being t0, by the fixed-point kernel.  For term k proportional to
+    x^(2k+p), x^n d^n/dx^n is `times` (p, p-1, ..., p-n+1); for t0 at
+    x = T and term k proportional to x^(2k+a-1), the integral over [0, T]
+    is `over` (a,) and `scale` T.  A factor (2k + c) in `times` adds the
+    numerator offset c/2 + 1 and the denominator offset c/2, one in
+    `over` the same two the other way round.  The sum starts past the
+    terms a factor in `times` makes zero, t0 stepped there by the ratio.
+    The bound is twice the first neglected term, plus the kernel's
+    floor-division term, n 2^-1074, (32.5 + 8 steps + 2 len(times)) u
+    |value| for rounding t0 and the value (u = 2^-53), and the offsets'
+    `_input_rounding`."""
+    k = k0
+    while 0.0 in [2 * k + c for c in times]:
+        t0 *= -w * w * math.prod([k + c for c in num_offsets]) / math.prod([k + d for d in den_offsets])
+        k += 1
+    first, nums, dens = t0 * scale, [*num_offsets], [*den_offsets]
+    for c in times:
+        first *= 2 * k + c
+        nums.append(0.5 * c + 1.0)
+        dens.append(0.5 * c)
+    for c in over:
+        first /= 2 * k + c
+        nums.append(0.5 * c)
+        dens.append(0.5 * c + 1.0)
+    v, n, tail, floor_err, _ = _sum_ratio_series_fixed(first, w, nums, dens, policy, k)
+    rounding = (32.5 + 8 * (k - k0) + 2 * len(times)) * 2.0**-53
+    inputs = (rounding + _input_rounding(den_offsets, k, n)) * abs(v)
     return v, 2.0 * tail + floor_err + n * 2.0**-1074 + inputs
 
 
@@ -356,10 +377,10 @@ def _integrate_ratio_series(t0, den_offsets, k0, a, T, w, policy, num_offsets=()
 
 # absolute accuracy demanded of a certified asymptotic truncation beyond
 # extended_x, and the largest cancellation exponent for which the series
-# takes the extended path there (the reach the double-double kernel had
-# near 1e-9 absolute, kept so that no path moves)
+# takes the extended path there, up to which `_FIX_BITS` keeps the
+# fixed-point kernel's floor-division term below u|value|
 _ASYM_FLOOR = 1e-9
-_DD_LOSS_LIMIT = 62.0
+_EXTENDED_LOSS_LIMIT = 62.0
 # a term below this fraction of a binary64 sum is under half its ulp
 _NEGLIGIBLE = 2.0**-55
 # `not lo <= v < _INF` turns away +inf and NaN along with v below lo
@@ -371,12 +392,15 @@ _HANKEL_STEPS = tuple((k, float((2 * k - 1) ** 2), 8.0 * k) for k in range(1, 60
 def hankel_amplitude_coeffs(nu, kmax=30):
     """Coefficients c_0..c_kmax of P + iQ = sum_m c_m x**-m, the amplitude in
     J_nu + i Y_nu = sqrt(2/(pi x)) e^{i(x - (nu/2 + 1/4) pi)} (P + iQ):
-    c_m = i**m prod_{k<=m} (4 nu^2 - (2k-1)^2)/(8k), the terms of `hankel_pq`."""
+    c_m = i**m prod_{k<=m} (4 nu^2 - (2k-1)^2)/(8k), the terms of `hankel_pq`,
+    for kmax in [0, 59] (`_HANKEL_STEPS`)."""
+    if not 0 <= kmax <= len(_HANKEL_STEPS):
+        raise DomainError(f"hankel_amplitude_coeffs: kmax must lie in [0, {len(_HANKEL_STEPS)}], got {kmax!r}")
     mu4 = 4.0 * nu * nu
     c = 1.0 + 0.0j
     cs = [c]
-    for k in range(1, kmax + 1):
-        c *= 1j * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k))
+    for _, sq, k8 in _HANKEL_STEPS[:kmax]:
+        c *= 1j * ((mu4 - sq) / k8)
         cs.append(c)
     return cs
 
@@ -501,7 +525,7 @@ def _route(x, order, policy, terms, asym, *args):
         certified = floor + phase <= _ASYM_FLOOR * (alg if alg > 1.0 else 1.0)
     if certified:
         return SeriesResult(v, 0, floor + phase + 2.0**-53 * alg, PATH_ASYMPTOTIC)
-    if x <= policy.extended_x or _series_loss(order, x) <= _DD_LOSS_LIMIT:
+    if x <= policy.extended_x or _series_loss(order, x) <= _EXTENDED_LOSS_LIMIT:
         t0, dens, k0 = terms(*args)
         v, n, tail, floor_err, mag = _sum_ratio_series_fixed(t0, x / 2.0, (), dens, policy, k0)
         # floor divisions, n 2^-1074 for a subnormal t0 or value, 32.5u|v|

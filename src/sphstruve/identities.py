@@ -4,11 +4,12 @@ Each catalog entry binds a left-side evaluator (series, quadrature or
 umbral pipeline) and a right-side closed form, a parameter window with a
 default sample grid, and tolerances matched to the evaluator class:
 
-* 1e-10 .. 1e-12 for pure series/umbral identities, and 1e-12 for the
-  real-line integrals, whose heads and closed-form tails carry bounds,
+* 1e-9 .. 1e-12 for pure series/umbral identities and the derivative
+  relations, whose derivatives are the series differentiated term by
+  term, and 1e-12 for the real-line integrals, whose heads and
+  closed-form tails carry bounds,
 * 1e-8 for absolutely convergent quadrature,
-* 1e-6 for finite-difference relations and conditionally convergent or
-  regularized integrals.
+* 1e-6 for conditionally convergent or regularized integrals.
 
 The two sides of every identity are evaluated independently: bindings
 carry the set of library operations they touch, and the audit (see the
@@ -27,15 +28,15 @@ from collections import namedtuple
 
 from .errors import DomainError, ConvergenceError, UnknownIdentityError
 from .gammakit import SQRT_PI, gamma, rgamma
-from . import fd
 from .functions import (
     DEFAULT_POLICY,
+    _cyl_j_terms,
     _humbert_terms,
-    _integrate_ratio_series,
     _rayleigh_tables,
     _s_terms,
     _struve_terms,
     _sum_ratio_series,
+    _termwise_ratio_series,
     anger,
     cyl_j,
     delta_fn,
@@ -121,8 +122,25 @@ VerificationReport = namedtuple(
 # Shared evaluator helpers.
 
 
-def _sinc(x):
-    return math.sin(x) / x if x != 0.0 else 1.0
+def _head_policy(policy):
+    """The caller's policy for a termwise head: its sum stops at a term
+    below 2^-60 of it."""
+    return policy._replace(rel_tol=2.0**-60)
+
+
+def _sph_j_terms(n, x):
+    """(t0, den_offsets, k0) of j_n(x)'s series (sqrt(pi)/2) (x/2)^n sum_k
+    (-x^2/4)^k / (k! Gamma(k+n+3/2)), term k proportional to x^(2k+n): the
+    image of j_0's series under (-x)^n (x^-1 d/dx)^n, each x^-1 d/dx moving
+    the gamma offset up by one with a factor -1/2."""
+    return 0.5 * SQRT_PI * (x / 2.0) ** n * rgamma(n + 1.5), (1.0, n + 1.5), 0
+
+
+def _x_derivative(terms, times, x, policy):
+    """The operator taking x^(2k+p) to prod_{c in times} (2k + c) x^(2k+p), at x
+    on the series in z = -(x/2)^2 with `terms` (t0, den_offsets, k0): x d/dx
+    is `times` (p,), x^n d^n/dx^n (p, p-1, ..., p-n+1), (x d/dx)^2 (p, p)."""
+    return _termwise_ratio_series(*terms, x / 2.0, policy, times=times)[0]
 
 
 def _struve_source(alpha, x):
@@ -145,7 +163,8 @@ def _struve_line_integral(alpha, policy):
     H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2) (x/2)^(alpha-2k-1)
     / Gamma(alpha+1/2-k).  The bound adds the head's to the tails' floors."""
     T = _TAIL_SPLIT
-    head, bound = _integrate_ratio_series(*_struve_terms(alpha, T), alpha + 2.0, T, T / 2.0, policy)
+    head, bound = _termwise_ratio_series(*_struve_terms(alpha, T), T / 2.0, _head_policy(policy), over=(alpha + 2.0,),
+                                         scale=T)
     y_tail, y_floor = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0)
     # coefficients of x^(alpha-1-n): the k-th term at n = 2k, zeros between
     alg = [0.0] * 120
@@ -163,7 +182,8 @@ def _s_line_integral(nu, kind, extra_power, policy):
     T = _TAIL_SPLIT
     t0, dens, k0 = _s_terms(kind, nu, T)
     # term k is proportional to x^(2k+kind-1-extra_power); T**0 is exactly 1.0
-    head, bound = _integrate_ratio_series(t0 / T**extra_power, dens, k0, kind - extra_power, T, T / 2.0, policy)
+    head, bound = _termwise_ratio_series(t0 / T**extra_power, dens, k0, T / 2.0, _head_policy(policy),
+                                         over=(kind - extra_power,), scale=T)
     # with c + is = e^{i nu pi/2}, (c + is)(J_nu + i Y_nu) = (cJ - sY) + i(sJ + cY)
     # holds the oscillatory parts of S1 and S2, and its phase no longer nu
     w, w_floor = _hankel_tail(nu, T, 0.25 * math.pi, extra_power)
@@ -190,9 +210,9 @@ def _j_product_integral(mu, nu, policy):
     + e^{i(nu-mu) pi/2} A_mu conj(A_nu)]: a fast and a constant-phase part."""
     T = _PRODUCT_SPLIT
     s = mu + nu
-    head, bound = _integrate_ratio_series(
-        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, 1.0, T, T, policy,
-        num_offsets=(0.5 * (s + 1.0), 0.5 * (s + 2.0)),
+    head, bound = _termwise_ratio_series(
+        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, T, _head_policy(policy),
+        over=(1.0,), scale=T, num_offsets=(0.5 * (s + 1.0), 0.5 * (s + 2.0)),
     )
     am, an = hankel_amplitude_coeffs(mu, 20), hankel_amplitude_coeffs(nu, 20)
     scale = 2.0 ** (mu + nu) / math.pi
@@ -218,8 +238,7 @@ def _j_line_integral(m, policy):
     if m % 2:
         return 0.0, 0.0
     T = _TAIL_SPLIT
-    t0 = 0.5 * SQRT_PI * (T / 2.0) ** m * rgamma(m + 1.5)
-    head, bound = _integrate_ratio_series(t0, (1.0, m + 1.5), 0, m + 1.0, T, T / 2.0, policy)
+    head, bound = _termwise_ratio_series(*_sph_j_terms(m, T), T / 2.0, _head_policy(policy), over=(m + 1.0,), scale=T)
     S, C = _rayleigh_tables(m)
     # x^(-1-n) takes entry n; the exact list is zero-padded past the
     # tail's turn near n = T
@@ -352,21 +371,27 @@ def _i17_lhs(u, v, x, gamma_p, policy, m_cut=14):
 
 
 def _spherical_ode_residual(n, x, policy):
-    f = lambda t: sph_j(n, t, policy).value
-    d2 = fd.deriv2(f, x)
-    d1 = fd.deriv1(f, x)
-    j = f(x)
-    residual = x * x * d2 + 2.0 * x * d1 + (x * x - n * (n + 1.0)) * j
-    scale = abs(x * x * d2)
-    return residual / scale
+    """(x^2 j_n')' + (x^2 - n(n+1)) j_n over |(x^2 j_n')'| + |(x^2 - n(n+1))
+    j_n| + 2x |j_n'|, a scale that no zero of j_n or j_n' makes small:
+    (x^2 j_n')' = x^2 j_n'' + 2x j_n' is one transform of j_n's series, j_n
+    is `sph_j`'s, and x j_n' = n j_n - x j_{n+1} (DLMF 10.51.2) only sizes
+    the scale."""
+    j = sph_j(n, x, policy).value
+    flux = _x_derivative(_sph_j_terms(n, x), (n, n + 1), x, policy)  # (x^2 j_n')'
+    rest = (x * x - n * (n + 1.0)) * j
+    return (flux + rest) / (abs(flux) + abs(rest) + 2.0 * abs(n * j - x * sph_j(n + 1, x, policy).value))
 
 
 def _shift_operator(family, direction, order, x, policy):
-    """Lhs of the order shift relations: (order/x -/+ d/dx) applied
-    numerically to the family member of the given order."""
-    fn = cyl_j if family == "bessel" else struve_h
-    f = lambda t: fn(order, t, policy).value
-    return order / x * f(x) - direction * fd.deriv1(f, x)
+    """Lhs of the order shift relations: (order/x -/+ d/dx) F_order, the
+    derivative term by term on the ascending series of J_order (term k
+    proportional to x^(2k+order)) or H_order (x^(2k+order+1)), and the
+    value from the family's evaluator."""
+    if family == "bessel":
+        fn, terms, p = cyl_j, _cyl_j_terms(order, x), order
+    else:
+        fn, terms, p = struve_h, _struve_terms(order, x), order + 1.0
+    return order / x * fn(order, x, policy).value - direction * _x_derivative(terms, (p,), x, policy) / x
 
 
 def _shifted_member(family, direction, order, x, policy):
@@ -377,17 +402,6 @@ def _shifted_member(family, direction, order, x, policy):
     if direction == 1:
         return struve_h(order + 1, x, policy).value - _struve_source(order, x)
     return struve_h(order - 1, x, policy).value
-
-
-def _deriv_n_sinc(n, x):
-    f = _sinc
-    if n == 1:
-        return fd.deriv1(f, x)
-    if n == 2:
-        return fd.deriv2(f, x)
-    if n == 3:
-        return fd.deriv3(f, x)
-    raise DomainError("derivative order limited to 3 in the default grid")
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +473,14 @@ def _build_catalog():
         params={"n": ("choice", (1, 2, 3)), "x": ("range", 0.5, 8.0)},
         grid=_product_grid(n=(1, 2, 3), x=(0.8, 1.6, 3.0, 6.4)),
         lhs=_binding(
-            lambda p, pol: (-p["x"]) ** p["n"] * fd.inv_x_d_dx_n(_sinc, p["x"], p["n"]),
-            {"fd"},
-            "fd-operator",
+            lambda p, pol: _termwise_ratio_series(*_sph_j_terms(p["n"], p["x"]), p["x"] / 2.0, pol)[0],
+            {"differentiate_ratio_series"},
+            "gamma-offset-shift",
         ),
         rhs=_binding(lambda p, pol: sph_j(p["n"], p["x"], pol).value, {"sph_j"}, "series"),
-        tol_abs=1e-6,
-        tol_rel=1e-6,
+        tol_abs=1e-12,
+        tol_rel=1e-12,
+        window_note="the operator shifts the gamma offset of j_0's series, summed in exact fixed point",
     ))
 
     ids.append(Identity(
@@ -475,13 +490,14 @@ def _build_catalog():
         params={"n": ("choice", (1, 2, 3)), "x": ("range", 0.5, 8.0)},
         grid=_product_grid(n=(1, 2, 3), x=(0.8, 1.6, 3.0, 6.4)),
         lhs=_binding(
-            lambda p, pol: _deriv_n_sinc(p["n"], p["x"]),
-            {"fd"},
-            "fd-derivative",
+            lambda p, pol: _x_derivative(_sph_j_terms(0, p["x"]), tuple(range(0, -p["n"], -1)), p["x"], pol)
+            / p["x"] ** p["n"],
+            {"differentiate_ratio_series"},
+            "termwise-derivative",
         ),
         rhs=_binding(lambda p, pol: sph_j_deriv(p["n"], p["x"], pol), {"sph_j_deriv", "sph_j"}, "closed-sum"),
-        tol_abs=1e-6,
-        tol_rel=1e-6,
+        tol_abs=1e-12,
+        tol_rel=1e-12,
     ))
 
     ids.append(Identity(
@@ -557,9 +573,9 @@ def _build_catalog():
         params={"alpha": ("range", 0.0, 3.0), "x": ("range", 0.5, 10.0)},
         grid=_product_grid(**struve_axes),
         lhs=_binding(
-            lambda p, pol: fd.deriv1(lambda t: struve_h(p["alpha"], t, pol).value, p["x"]),
-            {"struve_h", "fd"},
-            "fd-derivative",
+            lambda p, pol: _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,), p["x"], pol) / p["x"],
+            {"differentiate_ratio_series"},
+            "termwise-derivative",
         ),
         rhs=_binding(
             lambda p, pol: 0.5
@@ -571,8 +587,8 @@ def _build_catalog():
             {"struve_h", "gamma"},
             "order-shift-combination",
         ),
-        tol_abs=1e-6,
-        tol_rel=1e-6,
+        tol_abs=1e-11,
+        tol_rel=1e-11,
         shared_family=True,
     ))
 
@@ -607,20 +623,19 @@ def _build_catalog():
         grid=_product_grid(**struve_axes),
         lhs=_binding(
             lambda p, pol: (
-                p["x"] ** 2 * fd.deriv2(lambda t: struve_h(p["alpha"], t, pol).value, p["x"])
-                + p["x"] * fd.deriv1(lambda t: struve_h(p["alpha"], t, pol).value, p["x"])
+                _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,) * 2, p["x"], pol)
                 + (p["x"] ** 2 - p["alpha"] ** 2) * struve_h(p["alpha"], p["x"], pol).value
             ),
-            {"struve_h", "fd"},
-            "fd-ode-lhs",
+            {"differentiate_ratio_series", "struve_h"},
+            "termwise-ode-lhs",
         ),
         rhs=_binding(
             lambda p, pol: 4.0 * (p["x"] / 2.0) ** (p["alpha"] + 1.0) * rgamma(p["alpha"] + 0.5) / SQRT_PI,
             {"gamma"},
             "closed-form",
         ),
-        tol_abs=1e-5,
-        tol_rel=1e-6,
+        tol_abs=1e-10,
+        tol_rel=1e-10,
     ))
 
     ids.append(Identity(
@@ -920,13 +935,13 @@ def _build_catalog():
         grid=_product_grid(n=(0, 1, 2, 3, 5), x=(0.9, 1.7, 3.3, 7.1)),
         lhs=_binding(
             lambda p, pol: _spherical_ode_residual(p["n"], p["x"], pol),
-            {"sph_j", "fd"},
-            "fd-ode-residual",
+            {"differentiate_ratio_series", "sph_j"},
+            "termwise-ode-residual",
         ),
         rhs=_binding(lambda p, pol: 0.0, set(), "constant"),
-        tol_abs=1e-6,
-        tol_rel=1e-6,
-        window_note="residual scaled by x^2 |j_n''|",
+        tol_abs=1e-10,
+        tol_rel=1e-10,
+        window_note="residual over |(x^2 j_n')'| + |(x^2 - n(n+1)) j_n| + 2x |j_n'|",
     ))
 
     ids.append(Identity(
@@ -942,16 +957,16 @@ def _build_catalog():
         grid=_product_grid(family=("bessel", "struve"), direction=(1, -1), order=(0.5, 1.7), x=(0.8, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: _shift_operator(p["family"], p["direction"], p["order"], p["x"], pol),
-            {"cyl_j", "struve_h", "fd"},
-            "fd-shift-operator",
+            {"differentiate_ratio_series", "cyl_j", "struve_h"},
+            "termwise-shift-operator",
         ),
         rhs=_binding(
             lambda p, pol: _shifted_member(p["family"], p["direction"], p["order"], p["x"], pol),
             {"cyl_j", "struve_h", "gamma"},
             "order-shift",
         ),
-        tol_abs=1e-6,
-        tol_rel=1e-6,
+        tol_abs=1e-11,
+        tol_rel=1e-11,
         shared_family=True,
     ))
 

@@ -184,9 +184,16 @@ def humbert2_decimal(mu, nu, z):
             raise DomainError("humbert2_decimal: series failed to converge")
 
 
+def _asym_coeffs(mu, nu, nmax=100):
+    """`_saddle_coeffs` of the unordered pair {mu, nu}: its table is
+    symmetric in the two indices bit for bit (q, C and every integer
+    factor of the recurrence are), so both orders share one cache entry."""
+    return _saddle_coeffs(nu, mu, nmax) if nu < mu else _saddle_coeffs(mu, nu, nmax)
+
+
 @lru_cache(maxsize=64)
 @_with_precision
-def _asym_coeffs(mu, nu, nmax=100):
+def _saddle_coeffs(mu, nu, nmax):
     """(q, a, C) of the saddle expansion
     f(t^3) ~ 2 Re[C e^{3 omega t} t^q sum_i a_i t^-i], q = -(1+mu+nu):
     the correction coefficients a_i from the third-order recurrence the

@@ -227,7 +227,7 @@ def test_criterion_11_derivative_and_recurrence_suites():
         for pt in iden.grid:
             r = verify(iid, dict(pt))
             assert r.status == "pass", (iid, pt, r.abs_err, r.rel_err)
-            assert min(r.abs_err, r.rel_err) <= 1e-6
+            assert min(r.abs_err, r.rel_err) <= 1e-9
             worst = max(worst, min(r.abs_err, r.rel_err))
     _report(11, "derivative/recurrence suites", f"worst defect={worst:.2e}")
 

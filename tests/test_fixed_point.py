@@ -190,3 +190,54 @@ def test_extended_band_scan_within_the_estimate():
                 err = abs(mp.mpf(r.value) - oracle(nu, x))
                 assert err <= r.tail_estimate, (f.__name__, nu, x, float(err), r)
     assert counts == {"cyl_j": 1856, "struve_h": 925}
+
+
+class TestTermwiseTransform:
+    """`_termwise_ratio_series` as a derivative: x^n d^n/dx^n of j_0, J_nu
+    and H_alpha, term by term on their ascending series, against 40-digit
+    mpmath; each error must lie within the returned bound.  As an integral
+    it gives the heads' pinned value and bound bits."""
+
+    @staticmethod
+    def _series(family, order, x):
+        """(terms, p, mpmath function): term k of the series is
+        proportional to x^(2k+p)."""
+        from sphstruve.functions import _cyl_j_terms, _struve_terms
+        from sphstruve.identities import _sph_j_terms
+
+        if family == "j0":
+            return _sph_j_terms(0, x), 0, lambda mp, t: mp.sin(t) / t
+        if family == "J":
+            return _cyl_j_terms(order, x), order, lambda mp, t: mp.besselj(order, t)
+        return _struve_terms(order, x), order + 1.0, lambda mp, t: mp.struveh(order, t)
+
+    @pytest.mark.parametrize("family,order,orders", [
+        ("j0", 0.0, (1, 2, 3)), ("J", 0.5, (1, 2)), ("J", 1.7, (1, 2)), ("J", 2.3, (1, 2)),
+        ("H", 0.0, (1, 2)), ("H", 0.5, (1, 2)), ("H", 1.7, (1, 2)),
+    ])
+    def test_derivatives_within_their_bound(self, family, order, orders):
+        from sphstruve.functions import DEFAULT_POLICY, _termwise_ratio_series
+
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        for x in [0.1, 10.0] + [rng.uniform(0.1, 10.0) for _ in range(20)]:
+            terms, p, f = self._series(family, order, x)
+            for n in orders:
+                falling = tuple(p - i for i in range(n))  # x^n d^n/dx^n
+                value, bound = _termwise_ratio_series(*terms, x / 2.0, DEFAULT_POLICY, times=falling)
+                with mp.workdps(40):
+                    want = mp.mpf(x) ** n * mp.diff(lambda t: f(mp, t), x, n)
+                    err = float(abs(mp.mpf(value) - want))
+                assert err <= bound, (family, order, n, x, err, bound)
+                assert bound <= 1e-11 * max(abs(value), 1e-3), (family, order, n, x, bound)
+
+    def test_heads_keep_their_bits(self):
+        from sphstruve import identities
+        from sphstruve.functions import DEFAULT_POLICY
+
+        heads = {
+            "0x1.921fb54442cabp+1 0x1.cf5ae1b795eb6p-44": identities._j_line_integral(0, DEFAULT_POLICY),
+            "0x1.cf9286ea1d337p-1 0x1.03092e197c523p-47": identities._j_product_integral(1.0, 2.0, DEFAULT_POLICY),
+        }
+        for bits, (value, bound) in heads.items():
+            assert f"{value.hex()} {bound.hex()}" == bits

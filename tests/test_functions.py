@@ -4,7 +4,6 @@ import random
 import pytest
 
 from sphstruve.errors import ConvergenceError, DomainError
-from sphstruve import fd
 from sphstruve.functions import (
     DEFAULT_POLICY,
     PATH_ASYMPTOTIC,
@@ -212,17 +211,20 @@ class TestCylindrical:
         with pytest.raises(DomainError):
             cyl_j(0.5, -1.0)
 
-    def test_shift_relations_by_fd(self):
-        # (nu/x -/+ d/dx) applied to the first kind shifts the order
-        for n in range(0, 6):
-            nu = n + 0.5
-            for x in (0.5, 1.0, 2.0, 5.0):
-                f = lambda t: cyl_j(nu, t).value
-                d = fd.deriv1(f, x)
-                up = nu / x * f(x) - d
-                dn = nu / x * f(x) + d
-                assert up == pytest.approx(cyl_j(nu + 1.0, x).value, abs=1e-6)
-                assert dn == pytest.approx(cyl_j(nu - 1.0, x).value, abs=1e-6)
+    def test_shift_relations_against_mpmath(self):
+        # (nu/x -/+ d/dx) applied to the first kind shifts the order; the
+        # derivative is 40-digit mpmath's
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in range(0, 6):
+                nu = n + 0.5
+                for x in (0.5, 1.0, 2.0, 5.0):
+                    f = cyl_j(nu, x).value
+                    d = float(mp.besselj(nu, x, derivative=1))
+                    up = nu / x * f - d
+                    dn = nu / x * f + d
+                    assert up == pytest.approx(cyl_j(nu + 1.0, x).value, abs=1e-13)
+                    assert dn == pytest.approx(cyl_j(nu - 1.0, x).value, abs=1e-13)
 
 
 class TestModI0:
@@ -275,28 +277,32 @@ class TestStruve:
                 )
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    @staticmethod
+    def _mp_derivatives(mp, alpha, x):
+        """H_alpha' and H_alpha'' at 40 digits."""
+        with mp.workdps(40):
+            return [float(mp.diff(lambda t: mp.struveh(alpha, t), x, n)) for n in (1, 2)]
+
     def test_differentiation_formula(self):
+        mp = pytest.importorskip("mpmath")
         for alpha in (0.5, 1.0, 1.7):
             for x in (0.8, 2.0, 5.0):
-                d = fd.deriv1(lambda t: struve_h(alpha, t).value, x)
+                d, _ = self._mp_derivatives(mp, alpha, x)
                 rhs = 0.5 * (
                     struve_h(alpha - 1.0, x).value
                     - struve_h(alpha + 1.0, x).value
                     + (x / 2.0) ** alpha * rgamma(alpha + 1.5) / SQRT_PI
                 )
-                assert d == pytest.approx(rhs, abs=1e-6)
+                assert d == pytest.approx(rhs, abs=1e-12)
 
     def test_nonhomogeneous_ode(self):
+        mp = pytest.importorskip("mpmath")
         for alpha in (0.5, 1.0, 1.7):
             for x in (0.8, 2.0, 5.0):
-                f = lambda t: struve_h(alpha, t).value
-                lhs = (
-                    x * x * fd.deriv2(f, x)
-                    + x * fd.deriv1(f, x)
-                    + (x * x - alpha * alpha) * f(x)
-                )
+                d1, d2 = self._mp_derivatives(mp, alpha, x)
+                lhs = x * x * d2 + x * d1 + (x * x - alpha * alpha) * struve_h(alpha, x).value
                 rhs = 4.0 * (x / 2.0) ** (alpha + 1.0) * rgamma(alpha + 0.5) / SQRT_PI
-                assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), abs(x * x * fd.deriv2(f, x)))
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), abs(x * x * d2))
 
     def test_large_orders_do_not_overflow(self):
         # alpha in [50.3, 200.3], x in [25.5, 300.5]: (x/2)**(alpha - 1)
@@ -802,12 +808,13 @@ class TestDerivativeClosedForm:
     def test_zeroth_is_value(self):
         assert sph_j_deriv(0, 2.0) == sph_j(0, 2.0).value
 
-    def test_against_finite_differences(self):
-        f = lambda x: math.sin(x) / x
-        for n in (1, 2):
-            for x in (0.8, 2.0, 5.0):
-                want = fd.deriv1(f, x) if n == 1 else fd.deriv2(f, x)
-                assert sph_j_deriv(n, x) == pytest.approx(want, abs=1e-7)
+    def test_against_mpmath_derivatives(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in (1, 2):
+                for x in (0.8, 2.0, 5.0):
+                    want = float(mp.diff(lambda t: mp.sin(t) / t, x, n))
+                    assert sph_j_deriv(n, x) == pytest.approx(want, abs=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -818,12 +825,16 @@ class TestDerivativeClosedForm:
 
 class TestSphericalODE:
     def test_residual(self):
-        for n in (0, 1, 3, 5):
-            for x in (0.9, 1.7, 3.3, 7.1):
-                f = lambda t: sph_j(n, t).value
-                d2 = fd.deriv2(f, x)
-                res = x * x * d2 + 2.0 * x * fd.deriv1(f, x) + (x * x - n * (n + 1.0)) * f(x)
-                assert abs(res) <= 1e-6 * abs(x * x * d2)
+        # sph_j's values against 40-digit mpmath derivatives of
+        # j_n = sqrt(pi/(2x)) J_{n+1/2}
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in (0, 1, 3, 5):
+                j = lambda t: mp.sqrt(mp.pi / (2 * t)) * mp.besselj(n + mp.mpf(0.5), t)
+                for x in (0.9, 1.7, 3.3, 7.1):
+                    d1, d2 = (float(mp.diff(j, x, k)) for k in (1, 2))
+                    res = x * x * d2 + 2.0 * x * d1 + (x * x - n * (n + 1.0)) * sph_j(n, x).value
+                    assert abs(res) <= 1e-12 * abs(x * x * d2)
 
 
 class TestGeneratingFunction:
@@ -1087,6 +1098,28 @@ class TestAsymptoticPieces:
                 got = sum(c * x**-m for m, c in enumerate(cs))
                 assert got.real == pytest.approx(P, rel=1e-15)
                 assert got.imag == pytest.approx(Q, rel=1e-14, abs=1e-300)
+
+    def test_hankel_amplitude_coeffs_keep_the_bits_of_the_ratio_formula(self):
+        # the steps of _HANKEL_STEPS give the bits of re-deriving each ratio
+        # (4 nu^2 - (2k-1)^2)/(8k) from k, the coefficients' earlier form
+        def by_formula(nu, kmax):
+            mu4 = 4.0 * nu * nu
+            c = 1.0 + 0.0j
+            cs = [c]
+            for k in range(1, kmax + 1):
+                c *= 1j * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k))
+                cs.append(c)
+            return cs
+
+        rng = random.Random(33)
+        for _ in range(2000):
+            nu, kmax = rng.uniform(-60.0, 60.0), rng.randint(0, 59)
+            got, want = hankel_amplitude_coeffs(nu, kmax), by_formula(nu, kmax)
+            assert [(c.real.hex(), c.imag.hex()) for c in got] == [(c.real.hex(), c.imag.hex()) for c in want]
+        # past the table's 59 steps, or below none, there is no coefficient list
+        for kmax in (-1, 60):
+            with pytest.raises(DomainError):
+                hankel_amplitude_coeffs(1.0, kmax)
 
     def test_watson_floors_leave_the_far_paths_alone(self):
         # beyond extended_x the S-series certify against _ASYM_FLOOR; the

@@ -8,7 +8,7 @@ import) or `fractions` (the fixed-point series kernel sums in plain
 `int`s; a `Fraction` per term would cost more than the sum); the CLI
 imports `csv` only on its csv path. The evaluators and the CLI, which
 `eval` and `table` run on, load none of the verifier's modules
-(`identities`, `quadrature`, `regularized`, `umbral`, `fd`) nor
+(`identities`, `quadrature`, `regularized`, `umbral`) nor
 `decimal`: the package resolves its exports on first use. Modules are
 compared before and after each import in one fresh interpreter, so
 what `site` loads on a given host does not count.
@@ -34,7 +34,6 @@ VERIFIER = {
     "sphstruve.quadrature",
     "sphstruve.regularized",
     "sphstruve.umbral",
-    "sphstruve.fd",
     "decimal",
 }
 LIGHT_MODULES = ("sphstruve.functions", "sphstruve.cli")

@@ -1,6 +1,6 @@
 """Every top-level definition of the library is reached from a root.
 
-The roots are every definition of `cli.py`, `identities.py`, `fd.py` and
+The roots are every definition of `cli.py`, `identities.py` and
 `forkmap.py`, the package's module `__getattr__` and `__dir__` (PEP 562:
 `from sphstruve import X` and `dir(sphstruve)` call them), plus the
 names the benchmark tracer resolves with `getattr` (`SPANNED` and
@@ -16,7 +16,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "sphstruve"
 TRACER = REPO / "perfbench" / "tracer.py"
-ROOT_MODULES = ("cli", "identities", "fd", "forkmap")
+ROOT_MODULES = ("cli", "identities", "forkmap")
 PACKAGE_HOOKS = [("__init__", "__getattr__"), ("__init__", "__dir__")]
 
 

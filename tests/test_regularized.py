@@ -188,6 +188,14 @@ class TestSaddleCoefficients:
                 err = ((gr - wr) ** 2 + (gi - wi) ** 2).sqrt()
                 assert err <= D("1e-55") * (wr * wr + wi * wi).sqrt(), (i, err)
 
+    @pytest.mark.parametrize("mu,nu", [(1.0, 2.0), (0.5, 1.0), (0.0, 1.5)])
+    def test_both_orders_share_one_table(self, mu, nu):
+        # the table is symmetric bit for bit, so it is cached once per
+        # unordered pair (test_phase_integral_golden_bits holds the values)
+        table = regularized._asym_coeffs(mu, nu)
+        assert regularized._asym_coeffs(nu, mu) is table
+        assert table == regularized._saddle_coeffs.__wrapped__(nu, mu, 100)
+
     def test_indices_off_the_half_integers_raise(self):
         with pytest.raises(DomainError):
             regularized._asym_coeffs(0.25, 0.0)
