@@ -99,11 +99,7 @@ def _read_config_file(path):
 
 
 def _build_policy(args):
-    return EvalPolicy(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_terms=args.max_terms,
-    )
+    return EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
 
 
 def _emit(args, text):

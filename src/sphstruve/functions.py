@@ -3,17 +3,17 @@
 `cyl_j`, `struve_h` and the Anger/Weber auxiliaries S1/S2 follow one
 three-path scheme, decided in one place, `_route`:
 
-* plain power series up to `crossover_x` (alternating series lose about
+* plain power series up to `_CROSSOVER_X` (alternating series lose about
   x/ln10 digits to cancellation, so plain binary64 is only trusted there),
 * large-argument asymptotics (Hankel phase/amplitude pairs for the
   cylindrical kinds, plus the algebraic correction series for Struve and
   one parity of the Watson expansion for each Anger/Weber auxiliary)
-  past `crossover_x` wherever their certified floor (first neglected
+  past `_CROSSOVER_X` wherever their certified floor (first neglected
   terms past the hump of a large order, plus the rounding) meets
-  rel_tol against the envelope sqrt(2/(pi x)), and beyond `extended_x`
+  rel_tol against the envelope sqrt(2/(pi x)), and beyond `_EXTENDED_X`
   wherever it meets the looser absolute `_ASYM_FLOOR`,
 * otherwise the power series summed exactly in fixed-point integers
-  (`_sum_ratio_series_fixed`): up to `extended_x` (large orders, whose
+  (`_sum_ratio_series_fixed`): up to `_EXTENDED_X` (large orders, whose
   Hankel terms grow), and beyond it while its cancellation exponent
   stays within `_EXTENDED_LOSS_LIMIT`.  It reports its tail plus its floor
   divisions, the rounding of its first term and value, and that of each
@@ -63,9 +63,8 @@ __all__ = [
 ]
 
 
-class EvalPolicy(namedtuple("EvalPolicy", "rel_tol abs_tol max_terms crossover_x extended_x",
-                            defaults=(1e-12, 1e-300, 500, 25.0, 60.0))):
-    """Tolerances, term limits and path crossovers shared by all series."""
+class EvalPolicy(namedtuple("EvalPolicy", "rel_tol abs_tol max_terms", defaults=(1e-12, 1e-300, 500))):
+    """Tolerances and the term limit shared by all series."""
 
     __slots__ = ()
 
@@ -73,8 +72,6 @@ class EvalPolicy(namedtuple("EvalPolicy", "rel_tol abs_tol max_terms crossover_x
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("EvalPolicy: rel_tol must lie in (0, 1)")
-        if not self.crossover_x < self.extended_x:
-            raise DomainError("EvalPolicy: crossover_x must be below extended_x")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
@@ -365,6 +362,10 @@ def _termwise_ratio_series(t0, den_offsets, k0, w, policy, times=(), over=(), sc
         first /= 2 * k + c
         nums.append(0.5 * c)
         dens.append(0.5 * c + 1.0)
+    for c in [*nums]:  # an offset on both sides is a common factor: no floor division moves
+        if c in dens:
+            nums.remove(c)
+            dens.remove(c)
     v, n, tail, floor_err, _ = _sum_ratio_series_fixed(first, w, nums, dens, policy, k)
     rounding = (32.5 + 8 * (k - k0) + 2 * len(times)) * 2.0**-53
     inputs = (rounding + _input_rounding(den_offsets, k, n)) * abs(v)
@@ -375,10 +376,13 @@ def _termwise_ratio_series(t0, den_offsets, k0, w, policy, times=(), over=(), sc
 # Hankel-type large-argument machinery for the cylindrical kinds.
 
 
-# absolute accuracy demanded of a certified asymptotic truncation beyond
-# extended_x, and the largest cancellation exponent for which the series
-# takes the extended path there, up to which `_FIX_BITS` keeps the
-# fixed-point kernel's floor-division term below u|value|
+# the path crossovers (fixed: the plain series' estimate carries no
+# rounding term, ROADMAP item 3), the absolute accuracy demanded of a
+# certified asymptotic truncation beyond _EXTENDED_X, and the largest
+# cancellation exponent for which the series takes the extended path
+# there, up to which `_FIX_BITS` keeps the kernel's floor-division term below u|value|
+_CROSSOVER_X = 25.0
+_EXTENDED_X = 60.0
 _ASYM_FLOOR = 1e-9
 _EXTENDED_LOSS_LIMIT = 62.0
 # a term below this fraction of a binary64 sum is under half its ulp
@@ -509,23 +513,23 @@ def _route(x, order, policy, terms, asym, *args):
     floor, envelope sqrt(2/(pi x)) of its oscillatory part, size of its
     algebraic part), and `order` the order in its cancellation exponent
     `_series_loss(order, x)`.  u = 2^-53 below."""
-    if x <= policy.crossover_x:
+    if x <= _CROSSOVER_X:
         t0, dens, k0 = terms(*args)
         v, n, tail = _sum_ratio_series(t0, -((x / 2.0) ** 2), (), dens, policy, k0=k0)
         return SeriesResult(v, n, tail, PATH_SERIES)
     v, floor, osc, alg = asym(*args)
-    # the value must meet rel_tol against the larger size up to extended_x,
+    # the value must meet rel_tol against the larger size up to _EXTENDED_X,
     # _ASYM_FLOOR max(1, alg) beyond.  The phase, rounded at ulp(x), reaches
     # only the oscillatory part; u alg covers the algebraic part's addition
     env = alg if alg > osc else osc
     phase = 4.0 * 2.0**-53 * (1.0 + x) * osc
-    if x <= policy.extended_x:
+    if x <= _EXTENDED_X:
         certified = floor + 4.0 * 2.0**-53 * (1.0 + x) * env <= policy.rel_tol * env
     else:
         certified = floor + phase <= _ASYM_FLOOR * (alg if alg > 1.0 else 1.0)
     if certified:
         return SeriesResult(v, 0, floor + phase + 2.0**-53 * alg, PATH_ASYMPTOTIC)
-    if x <= policy.extended_x or _series_loss(order, x) <= _EXTENDED_LOSS_LIMIT:
+    if x <= _EXTENDED_X or _series_loss(order, x) <= _EXTENDED_LOSS_LIMIT:
         t0, dens, k0 = terms(*args)
         v, n, tail, floor_err, mag = _sum_ratio_series_fixed(t0, x / 2.0, (), dens, policy, k0)
         # floor divisions, n 2^-1074 for a subnormal t0 or value, 32.5u|v|
@@ -895,7 +899,7 @@ def _s_eval(kinds, nu, x, policy):
     s = math.sin(half_turn)
     if x == 0.0:
         return half_turn, c, s, _closed(rgamma(1.0 + nu / 2.0) * rgamma(1.0 - nu / 2.0)), _closed(0.0)
-    shared = None if x <= policy.crossover_x else (c, s, *_jy_asym(nu, x))
+    shared = None if x <= _CROSSOVER_X else (c, s, *_jy_asym(nu, x))
     # the auxiliary series cancels like exp(x) whatever the order
     r1 = _route(x, 0.0, policy, _s_terms, _s_asym, 1, nu, x, shared) if 1 in kinds else None
     r2 = _route(x, 0.0, policy, _s_terms, _s_asym, 2, nu, x, shared) if 2 in kinds else None
@@ -985,7 +989,7 @@ def sph_j(n, x, policy=None):
             return _closed(0.0)
         raise DomainError("sph_j: x=0 is singular for negative order")
     if n >= 0:
-        if x > policy.extended_x and x > n + 1.0:
+        if x > _EXTENDED_X and x > n + 1.0:
             # oscillatory regime: the upward trigonometric recurrence is
             # stable and exact up to rounding, and beats both the extended
             # series (cancellation floor) and the phase/amplitude pair

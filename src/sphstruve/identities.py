@@ -72,6 +72,7 @@ _SQUARE_SPLIT = 40.0
 # order of I06/I07's Gaussian image: at the window corner b/(2 sqrt(a)) = 4
 # its last two terms are below 1e-32 of the sum, far under the 2^-60 check
 _GAUSSIAN_ORDER = 24
+_GENERATING_ORDER = 25  # the last order I02's generating sum reaches
 
 
 EvaluatorBinding = namedtuple("EvaluatorBinding", "fn operations strategy")
@@ -282,13 +283,11 @@ def _gaussian_line_integral(a, b):
     return math.pi / math.sqrt(a) * reduce_expr(image, check_tail_rel=2.0**-60)
 
 
-def _generating_sum(x, t, policy, nmax=25):
-    total = 0.0
-    coeff = 1.0
-    for n in range(nmax + 1):
-        if n > 0:
-            coeff *= t / n
+def _generating_sum(x, t, policy):
+    total, coeff = 0.0, 1.0
+    for n in range(_GENERATING_ORDER + 1):
         total += coeff * sph_j(n, x, policy).value
+        coeff *= t / (n + 1)
     return total
 
 
@@ -436,7 +435,7 @@ def _build_catalog():
         grid=_grid("", ()),
         lhs=_binding(
             lambda p, pol: _j_line_integral(0, pol)[0],
-            {"integrate_ratio_series", "exp_power_tail", "rayleigh_jn"},
+            {"termwise_ratio_series", "exp_power_tail", "rayleigh_tables"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(lambda p, pol: math.pi, set(), "constant"),
@@ -474,7 +473,7 @@ def _build_catalog():
         grid=_product_grid(n=(1, 2, 3), x=(0.8, 1.6, 3.0, 6.4)),
         lhs=_binding(
             lambda p, pol: _termwise_ratio_series(*_sph_j_terms(p["n"], p["x"]), p["x"] / 2.0, pol)[0],
-            {"differentiate_ratio_series"},
+            {"termwise_ratio_series"},
             "gamma-offset-shift",
         ),
         rhs=_binding(lambda p, pol: sph_j(p["n"], p["x"], pol).value, {"sph_j"}, "series"),
@@ -492,7 +491,7 @@ def _build_catalog():
         lhs=_binding(
             lambda p, pol: _x_derivative(_sph_j_terms(0, p["x"]), tuple(range(0, -p["n"], -1)), p["x"], pol)
             / p["x"] ** p["n"],
-            {"differentiate_ratio_series"},
+            {"termwise_ratio_series"},
             "termwise-derivative",
         ),
         rhs=_binding(lambda p, pol: sph_j_deriv(p["n"], p["x"], pol), {"sph_j_deriv", "sph_j"}, "closed-sum"),
@@ -508,7 +507,7 @@ def _build_catalog():
         grid=_product_grid(m=(0, 1, 2, 3, 4, 5, 6, 7)),
         lhs=_binding(
             lambda p, pol: _j_line_integral(p["m"], pol)[0],
-            {"integrate_ratio_series", "exp_power_tail", "rayleigh_jn"},
+            {"termwise_ratio_series", "exp_power_tail", "rayleigh_tables"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
@@ -574,7 +573,7 @@ def _build_catalog():
         grid=_product_grid(**struve_axes),
         lhs=_binding(
             lambda p, pol: _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,), p["x"], pol) / p["x"],
-            {"differentiate_ratio_series"},
+            {"termwise_ratio_series"},
             "termwise-derivative",
         ),
         rhs=_binding(
@@ -626,7 +625,7 @@ def _build_catalog():
                 _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,) * 2, p["x"], pol)
                 + (p["x"] ** 2 - p["alpha"] ** 2) * struve_h(p["alpha"], p["x"], pol).value
             ),
-            {"differentiate_ratio_series", "struve_h"},
+            {"termwise_ratio_series", "struve_h"},
             "termwise-ode-lhs",
         ),
         rhs=_binding(
@@ -714,7 +713,7 @@ def _build_catalog():
         grid=_product_grid(alpha=(-1.5, -1.0, -0.5)),
         lhs=_binding(
             lambda p, pol: _struve_line_integral(p["alpha"], pol)[0],
-            {"struve_h", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            {"struve_h", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
@@ -843,7 +842,7 @@ def _build_catalog():
         grid=_grid("mu nu", (0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (0.25, 0.75), (1.0, 2.0)),
         lhs=_binding(
             lambda p, pol: _j_product_integral(p["mu"], p["nu"], pol)[0],
-            {"integrate_ratio_series", "exp_power_tail", "hankel"},
+            {"termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
@@ -897,7 +896,7 @@ def _build_catalog():
         grid=_product_grid(nu=(0.0, 0.5, 1.0, 1.5)),
         lhs=_binding(
             lambda p, pol: _s_line_integral(p["nu"], 1, 0, pol)[0],
-            {"s1", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            {"s1", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(lambda p, pol: math.cos(0.5 * p["nu"] * math.pi), set(), "closed-form"),
@@ -914,7 +913,7 @@ def _build_catalog():
         grid=_product_grid(nu=(0.5, 1.0, 1.5)),
         lhs=_binding(
             lambda p, pol: _s_line_integral(p["nu"], 2, 1, pol)[0],
-            {"s2", "integrate_ratio_series", "exp_power_tail", "hankel"},
+            {"s2", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
@@ -935,7 +934,7 @@ def _build_catalog():
         grid=_product_grid(n=(0, 1, 2, 3, 5), x=(0.9, 1.7, 3.3, 7.1)),
         lhs=_binding(
             lambda p, pol: _spherical_ode_residual(p["n"], p["x"], pol),
-            {"differentiate_ratio_series", "sph_j"},
+            {"termwise_ratio_series", "sph_j"},
             "termwise-ode-residual",
         ),
         rhs=_binding(lambda p, pol: 0.0, set(), "constant"),
@@ -957,7 +956,7 @@ def _build_catalog():
         grid=_product_grid(family=("bessel", "struve"), direction=(1, -1), order=(0.5, 1.7), x=(0.8, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: _shift_operator(p["family"], p["direction"], p["order"], p["x"], pol),
-            {"differentiate_ratio_series", "cyl_j", "struve_h"},
+            {"termwise_ratio_series", "cyl_j", "struve_h"},
             "termwise-shift-operator",
         ),
         rhs=_binding(

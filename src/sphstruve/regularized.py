@@ -57,6 +57,7 @@ _PI = D("3.14159265358979323846264338327950288419716939937510582097494459")
 _TAIL_CUT = D(24)
 _SERIES_EPS = D("1e-55")
 _SINCOS_EPS = D("1e-58")
+_SADDLE_TERMS = 100  # correction coefficients a_1.. of each saddle table
 
 
 def _with_precision(fn):
@@ -184,16 +185,16 @@ def humbert2_decimal(mu, nu, z):
             raise DomainError("humbert2_decimal: series failed to converge")
 
 
-def _asym_coeffs(mu, nu, nmax=100):
+def _asym_coeffs(mu, nu):
     """`_saddle_coeffs` of the unordered pair {mu, nu}: its table is
     symmetric in the two indices bit for bit (q, C and every integer
     factor of the recurrence are), so both orders share one cache entry."""
-    return _saddle_coeffs(nu, mu, nmax) if nu < mu else _saddle_coeffs(mu, nu, nmax)
+    return _saddle_coeffs(nu, mu) if nu < mu else _saddle_coeffs(mu, nu)
 
 
 @lru_cache(maxsize=64)
 @_with_precision
-def _saddle_coeffs(mu, nu, nmax):
+def _saddle_coeffs(mu, nu):
     """(q, a, C) of the saddle expansion
     f(t^3) ~ 2 Re[C e^{3 omega t} t^q sum_i a_i t^-i], q = -(1+mu+nu):
     the correction coefficients a_i from the third-order recurrence the
@@ -220,7 +221,7 @@ def _saddle_coeffs(mu, nu, nmax):
     x1, y1 = D(1), D(0)  # a_{j-1}
     x2 = y2 = D(0)  # a_{j-2}
     a = [(x1, y1)]
-    for j in range(1, nmax + 1):
+    for j in range(1, _SADDLE_TERMS + 1):
         m = -s - 2 * j  # twice B1's argument q - j + 1
         b1 = D(6 * ((m + 2) * (2 * m + 2 + 3 * s) + (m + 3 * M) * (m + 3 * N)))
         m += 2  # twice B0's argument q - j + 2

@@ -241,3 +241,40 @@ class TestTermwiseTransform:
         }
         for bits, (value, bound) in heads.items():
             assert f"{value.hex()} {bound.hex()}" == bits
+
+    @pytest.mark.parametrize("shape", ["I04", (0.5, 0.5), (1.0, 2.0)])
+    def test_shared_offsets_cancel_bit_for_bit(self, shape, monkeypatch):
+        # an offset on both sides of the ratio is a factor (qk + p) of both
+        # integer polynomials, so the kernel run on every offset the
+        # transform adds gives the same value and bound bits: I04's
+        # x^3 d^3/dx^3 on j_0's series, and I19's product series
+        from sphstruve import functions
+        from sphstruve.gammakit import rgamma
+        from sphstruve.identities import _PRODUCT_SPLIT, _sph_j_terms
+
+        policy = functions.DEFAULT_POLICY
+        if shape == "I04":
+            x, times, over, num_offsets = 3.0, (0, -1, -2), (), ()
+            t0, den_offsets, _ = _sph_j_terms(0, x)
+            args, kw = (t0, den_offsets, 0, x / 2.0, policy), {"times": times}
+        else:
+            (mu, nu), T = shape, _PRODUCT_SPLIT
+            times, over, num_offsets = (), (1.0,), (0.5 * (mu + nu + 1.0), 0.5 * (mu + nu + 2.0))
+            den_offsets = (1.0, mu + 1.0, nu + 1.0, mu + nu + 1.0)
+            args = (rgamma(mu + 1.0) * rgamma(nu + 1.0), den_offsets, 0, T, policy)
+            kw = {"over": over, "scale": T, "num_offsets": num_offsets}
+        nums = [*num_offsets, *(0.5 * c + 1.0 for c in times), *(0.5 * c for c in over)]
+        dens = [*den_offsets, *(0.5 * c for c in times), *(0.5 * c + 1.0 for c in over)]
+        kernel, shapes = functions._sum_ratio_series_fixed, []
+
+        def uncancelled(t0, w, num_offsets, den_offsets, policy, k0):
+            shapes.append((len(num_offsets), len(den_offsets)))
+            return kernel(t0, w, nums, dens, policy, k0)
+
+        value, bound = functions._termwise_ratio_series(*args, **kw)
+        monkeypatch.setattr(functions, "_sum_ratio_series_fixed", uncancelled)
+        want, want_bound = functions._termwise_ratio_series(*args, **kw)
+        assert (value.hex(), bound.hex()) == (want.hex(), want_bound.hex())
+        # the cancelled kernel ran on fewer offsets on both sides
+        (nn, nd), = shapes
+        assert nn < len(nums) and nd < len(dens)

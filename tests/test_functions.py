@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sphstruve import functions
 from sphstruve.errors import ConvergenceError, DomainError
 from sphstruve.functions import (
     DEFAULT_POLICY,
@@ -31,6 +32,8 @@ from sphstruve.functions import (
     watson_parity_coeffs,
     weber,
     _ASYM_FLOOR,
+    _CROSSOVER_X,
+    _EXTENDED_X,
     _sum_ratio_series_fixed,
     _cyl_j_terms,
     _humbert_terms,
@@ -45,10 +48,16 @@ from sphstruve.functions import (
 from sphstruve.gammakit import SQRT_PI, _is_nonpositive_integer, gamma, rgamma
 from sphstruve.quadrature import integrate_finite
 
-# forced-path policy for consistency checks; the fixed-point series is
-# reached through `_extended`, since inside the band the
-# evaluators take the asymptotic value wherever it meets rel_tol
-POL_ASYM = EvalPolicy(crossover_x=0.4, extended_x=0.5)
+
+@pytest.fixture
+def forced_asym(monkeypatch):
+    """Crossovers moved to 0.4 and 0.5 for consistency checks: past
+    x = 0.5 the evaluators take the asymptotic value wherever it meets
+    `_ASYM_FLOOR`.  The fixed-point series is reached through `_extended`,
+    since inside the band the evaluators take the asymptotic value
+    wherever it meets rel_tol."""
+    monkeypatch.setattr(functions, "_CROSSOVER_X", 0.4)
+    monkeypatch.setattr(functions, "_EXTENDED_X", 0.5)
 
 
 def _extended(terms, x, policy):
@@ -709,7 +718,7 @@ class TestAngerWeberPair:
 
     # (nu, x, S1 bits, S1 path, S2 bits, S2 path, anger bits, weber bits)
     # of independent s1 and s2 routes, so that the shared evaluation moves
-    # no bit: plain, asymptotic, fixed-point series, mixed, beyond extended_x,
+    # no bit: plain, asymptotic, fixed-point series, mixed, beyond _EXTENDED_X,
     # and x = 0
     PINNED = (
         (1.3, 10.0, "-0x1.0835575c5ed6bp-2", "series", "0x1.7fc21205ff7a0p-8", "series",
@@ -732,33 +741,34 @@ class TestAngerWeberPair:
         pts = [(rng.uniform(-20.0, 20.0), rng.uniform(lo, hi)) for lo, hi in ((0.0, 25.0), (25.0, 60.0), (60.0, 150.0))
                for _ in range(60)]
         edges = (0.0, 0.5)
-        for x in (DEFAULT_POLICY.crossover_x, DEFAULT_POLICY.extended_x):
+        for x in (_CROSSOVER_X, _EXTENDED_X):
             edges += (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
         pts += [(float(n), x) for n in range(-20, 21) for x in edges + (100.0, 150.0)]
         return pts
 
     @staticmethod
-    def _composed(nu, x, policy=None):
+    def _composed(nu, x):
         """(anger, weber) bits from the public s1 and s2."""
         c = math.cos(0.5 * nu * math.pi)
         s = math.sin(0.5 * nu * math.pi)
-        v1, v2 = s1(nu, x, policy).value, s2(nu, x, policy).value
+        v1, v2 = s1(nu, x).value, s2(nu, x).value
         return (c * v1 + s * v2).hex(), (s * v1 - c * v2).hex()
 
-    def _check(self, nu, x, policy=None):
-        a, w = anger(nu, x, policy), weber(nu, x, policy)
-        assert (a.value.hex(), w.value.hex()) == self._composed(nu, x, policy), (nu, x)
-        r1, r2 = s1(nu, x, policy), s2(nu, x, policy)
+    def _check(self, nu, x):
+        a, w = anger(nu, x), weber(nu, x)
+        assert (a.value.hex(), w.value.hex()) == self._composed(nu, x), (nu, x)
+        r1, r2 = s1(nu, x), s2(nu, x)
         path = r1.path if r1.path == r2.path else PATH_EXTENDED
         for r in (a, w):
             assert (r.path, r.terms_used) == (path, r1.terms_used + r2.terms_used), (nu, x)
             assert r.tail_estimate >= 0.0
 
-    def test_equal_to_the_composition_of_s1_and_s2(self):
+    def test_equal_to_the_composition_of_s1_and_s2(self, monkeypatch):
         for nu, x in self._points():
             self._check(nu, x)
+        monkeypatch.setattr(functions, "_CROSSOVER_X", 18.0)
         for nu, x in self._points()[::7]:
-            self._check(nu, x, EvalPolicy(crossover_x=18.0))
+            self._check(nu, x)
 
     def test_equal_to_the_composition_on_the_i20_grids(self):
         from sphstruve.identities import _jittered_grid, get_identity
@@ -863,34 +873,34 @@ class TestEvenMomentEquality:
 
 
 class TestPathConsistency:
-    def test_overlap_window(self):
+    def test_overlap_window(self, forced_asym):
         # extended-precision and asymptotic paths agree where both certify
-        lo = DEFAULT_POLICY.extended_x - 5.0
-        hi = DEFAULT_POLICY.extended_x
+        lo = _EXTENDED_X - 5.0
+        hi = _EXTENDED_X
         xs = (lo, 0.5 * (lo + hi), hi)
         pol = DEFAULT_POLICY
         for nu in (0.0, 0.5, 1.0, 2.0):
             for x in xs:
                 a = _extended(_cyl_j_terms(nu, x), x, pol)
-                b = cyl_j(nu, x, POL_ASYM).value
+                b = cyl_j(nu, x).value
                 assert abs(a - b) <= 1e-7
         for alpha in (-1.5, -0.5, 0.0, 1.7):
             for x in xs:
                 a = _extended(_struve_terms(alpha, x), x, pol)
-                b = struve_h(alpha, x, POL_ASYM).value
+                b = struve_h(alpha, x).value
                 assert abs(a - b) <= 1e-7
         for nu in (0.0, 0.5, 1.5):
             for x in xs:
                 e1 = _extended(_s_terms(1, nu, x), x, pol)
                 e2 = _extended(_s_terms(2, nu, x), x, pol)
-                assert abs(e1 - s1(nu, x, POL_ASYM).value) <= 1e-7
-                assert abs(e2 - s2(nu, x, POL_ASYM).value) <= 1e-7
+                assert abs(e1 - s1(nu, x).value) <= 1e-7
+                assert abs(e2 - s2(nu, x).value) <= 1e-7
 
     def test_switch_point_continuity(self):
         eps = 1e-9
         for nu in (0.0, 1.0):
-            lo = cyl_j(nu, DEFAULT_POLICY.extended_x - eps).value
-            hi = cyl_j(nu, DEFAULT_POLICY.extended_x + eps).value
+            lo = cyl_j(nu, _EXTENDED_X - eps).value
+            hi = cyl_j(nu, _EXTENDED_X + eps).value
             assert abs(lo - hi) <= 1e-7
 
     def test_paths_are_labelled(self):
@@ -1122,11 +1132,11 @@ class TestAsymptoticPieces:
                 hankel_amplitude_coeffs(1.0, kmax)
 
     def test_watson_floors_leave_the_far_paths_alone(self):
-        # beyond extended_x the S-series certify against _ASYM_FLOOR; the
+        # beyond _EXTENDED_X the S-series certify against _ASYM_FLOOR; the
         # Watson floors counted there are far below it, so the Hankel
         # floor alone still decides the path
         for nu in (0.0, 0.5, 1.0135, 1.5, 2.0037, 3.0, 7.5, 20.0):
-            for x in (DEFAULT_POLICY.extended_x + 1e-9, 70.0, 100.0, 150.0):
+            for x in (_EXTENDED_X + 1e-9, 70.0, 100.0, 150.0):
                 watson = watson_parity(nu, x, False)[1] + watson_parity(nu, x, True)[1]
                 assert watson <= 1e-6 * _ASYM_FLOOR, (nu, x)
                 asym = hankel_pq(nu, x)[2] <= _ASYM_FLOOR
@@ -1197,12 +1207,19 @@ class TestPolicyObject:
             EvalPolicy(rel_tol=0.0)
         with pytest.raises(DomainError):
             EvalPolicy(rel_tol=1.5)
-        with pytest.raises(DomainError):
-            EvalPolicy(crossover_x=70.0, extended_x=60.0)
-        for bad in ({"rel_tol": 0.0}, {"rel_tol": 1.5}, {"crossover_x": 70.0}, {"extended_x": 25.0}):
+        for bad in ({"rel_tol": 0.0}, {"rel_tol": 1.5}):
             rejects_on_every_path(DEFAULT_POLICY, **bad)
         # the one copy the library makes, in the half-line heads
         assert DEFAULT_POLICY._replace(rel_tol=2.0**-60) == EvalPolicy(rel_tol=2.0**-60)
+
+    def test_only_the_tolerances_and_term_limit_are_settable(self):
+        # the path crossovers are the module constants _CROSSOVER_X and
+        # _EXTENDED_X, which the calibrated limits assume
+        assert EvalPolicy._fields == ("rel_tol", "abs_tol", "max_terms")
+        for moved in ({"crossover_x": 30.0}, {"extended_x": 100.0}):
+            with pytest.raises(TypeError):
+                EvalPolicy(**moved)
+        assert (_CROSSOVER_X, _EXTENDED_X) == (25.0, 60.0)
 
     def test_immutable(self):
         with pytest.raises(Exception):
@@ -1272,7 +1289,7 @@ class TestLargeOrderLargeArgumentRouting:
 
     @pytest.mark.parametrize("x", [1e13, 1e16, 1e300])
     def test_huge_argument_declines_on_its_rounding(self, x):
-        # past extended_x the asymptotic value is taken only where its
+        # past _EXTENDED_X the asymptotic value is taken only where its
         # floor plus the phase rounding 4u(1 + x) sqrt(2/(pi x)) meets
         # _ASYM_FLOOR: at x = 1e16 that sum is 3.5e-8, at 1e300 3.5e134
         with pytest.raises(ConvergenceError):
@@ -1302,7 +1319,7 @@ class TestLargeOrderLargeArgumentRouting:
 
     def test_one_double_double_reach(self):
         # every routed family takes the fixed-point series past
-        # extended_x while its cancellation exponent stays within 62
+        # _EXTENDED_X while its cancellation exponent stays within 62
         from sphstruve.functions import _series_loss
 
         assert _series_loss(45.0, 75.0) <= 62.0 < _series_loss(45.0, 80.0)
@@ -1439,7 +1456,7 @@ class TestRandomizedConsistency:
 
 
 class TestBandOracle:
-    """The extended band (crossover_x, extended_x] against mpmath at
+    """The extended band (_CROSSOVER_X, _EXTENDED_X] against mpmath at
     40 digits: every band result, on either path, is within rel_tol of
     the envelope sqrt(2/(pi x)) (for Struve, the larger of that and the
     algebraic part), and every asymptotic or fixed-point series result is
@@ -1449,7 +1466,11 @@ class TestBandOracle:
         18.0 + 1e-9, 19.4, 22.2, 25.0 - 1e-9, 25.0 + 1e-9, 28.6, 33.3,
         37.7, 42.1, 47.5, 53.9, 59.9, 60.0 - 1e-9, 60.0 + 1e-9,
     )
-    POLICIES = (DEFAULT_POLICY, EvalPolicy(crossover_x=18.0))
+    CROSSOVERS = (_CROSSOVER_X, 18.0)
+
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
 
     def _check(self, f, orders, oracle, envelope):
         mp = pytest.importorskip("mpmath")
@@ -1457,11 +1478,12 @@ class TestBandOracle:
             for nu in orders:
                 for x in self.XS:
                     want = oracle(mp, mp.mpf(nu), mp.mpf(x))
-                    for pol in self.POLICIES:
-                        r = f(nu, x, pol)
+                    for crossover in self.CROSSOVERS:
+                        self.monkeypatch.setattr(functions, "_CROSSOVER_X", crossover)
+                        r = f(nu, x)
                         err = abs(mp.mpf(r.value) - want)
-                        if pol.crossover_x < x <= pol.extended_x:
-                            assert err <= pol.rel_tol * envelope(nu, x), (nu, x, r.path, float(err))
+                        if crossover < x <= _EXTENDED_X:
+                            assert err <= DEFAULT_POLICY.rel_tol * envelope(nu, x), (nu, x, r.path, float(err))
                         if r.path in (PATH_ASYMPTOTIC, PATH_EXTENDED):
                             assert err <= r.tail_estimate, (nu, x, r.path, float(err), r.tail_estimate)
 
@@ -1505,11 +1527,11 @@ class TestBandOracle:
             err = abs(mp.mpf(r.value) - self._s_pair(mp, mp.mpf(19.7), mp.mpf(55.0))[0])
         assert err <= r.tail_estimate, (float(err), r.tail_estimate)
 
-    def test_auxiliary_series_reach_under_a_forced_policy(self):
-        # past extended_x the S series keeps the shared reach: its loss
+    def test_auxiliary_series_reach_under_a_forced_policy(self, forced_asym):
+        # past a moved _EXTENDED_X the S series keeps the shared reach: its loss
         # at x = 11, 7.5, is far within the extended budget
         mp = pytest.importorskip("mpmath")
-        r = s1(19.7, 11.0, POL_ASYM)
+        r = s1(19.7, 11.0)
         assert r.path == PATH_EXTENDED
         with mp.workdps(40):
             err = abs(mp.mpf(r.value) - self._s_pair(mp, mp.mpf(19.7), mp.mpf(11.0))[0])

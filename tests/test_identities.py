@@ -822,7 +822,7 @@ class TestClosedFormTails:
         assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
         for iid in termwise:
             ops = get_identity(iid).lhs.operations
-            assert "integrate_ratio_series" in ops and "integrate_finite" not in ops
+            assert "termwise_ratio_series" in ops and "integrate_finite" not in ops
 
     def test_unturned_tail_becomes_skip(self, monkeypatch):
         # split at 2, the tail expansions turn with floors far above 1e-9

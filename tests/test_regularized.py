@@ -194,7 +194,7 @@ class TestSaddleCoefficients:
         # unordered pair (test_phase_integral_golden_bits holds the values)
         table = regularized._asym_coeffs(mu, nu)
         assert regularized._asym_coeffs(nu, mu) is table
-        assert table == regularized._saddle_coeffs.__wrapped__(nu, mu, 100)
+        assert table == regularized._saddle_coeffs.__wrapped__(nu, mu)
 
     def test_indices_off_the_half_integers_raise(self):
         with pytest.raises(DomainError):
