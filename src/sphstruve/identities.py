@@ -337,18 +337,25 @@ def _symmetric_double_sum(u, v, m_cut, evaluate):
 def _i16_lhs(u, v, x, policy, m_cut=14):
     # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
     # a gamma argument, so one rgamma dict serves every (m, n) pair.  Each
-    # pair is one kernel call on the terms of `_humbert_terms`, so its
-    # value keeps the bits of humbert2(m, n, x).  Those bits are symmetric
-    # (the denominators are exact integers, and at most two first-term
-    # gammas differ from 1), so only n >= m is evaluated
+    # pair is one kernel call, so its value keeps the bits of
+    # humbert2(m, n, x).  Those bits are symmetric (the denominators are
+    # exact integers, and at most two first-term gammas differ from 1), so
+    # only n >= m is evaluated.  For n >= m row m's kill start is the
+    # pair's, so the pair's first term is the row's, formed once at (m, m),
+    # times rgamma(k0 + n + 1): the operations of `_humbert_terms`
     x = float(x)
     rgammas = {}
 
     def values(pairs):
         out = []
         for m, n in pairs:
-            t0, offsets, k0 = _humbert_terms((float(m), float(n)), x, rgammas)
-            out.append(_sum_ratio_series(t0, -x, (), offsets, policy, k0)[0])
+            if n == m:
+                row_t0, _, k0 = _humbert_terms((float(m),), x, rgammas)
+            a = k0 + n + 1.0
+            if a not in rgammas:
+                rgammas[a] = rgamma(a)
+            offsets = (1.0, m + 1.0, n + 1.0)
+            out.append(_sum_ratio_series(row_t0 * rgammas[a], -x, (), offsets, policy, k0)[0])
         return out
 
     return _symmetric_double_sum(u, v, m_cut, values)

@@ -21,21 +21,24 @@ is what this module computes, to a few ulps of the returned float:
    The antiderivative's coefficients come from one recurrence over the
    expansion's, and the series is summed once, to its smallest term.
 
-The expansion's coefficients are built once per (mu, nu) and cached.  The
-recurrence's constants lie in Q(omega), so each coefficient is carried as
-X + Y omega, X and Y real 60-digit numbers: multiplying by omega or
-omega**2 is additions only, and for half-integer indices every polynomial
-factor of the recurrence is an exact integer, converted once.  So each
-step rounds only its four products, four sums and two divisions, and
-each coefficient is rounded twice more when (X + Y/2, Y sqrt(3)/2) is
-formed; no complex division is left in the build.
+The expansion's coefficients are built once per unordered pair
+{mu, nu} and cached.  The recurrence's constants lie in Q(omega), so each
+coefficient is kept as X + Y omega, X and Y real 60-digit numbers:
+multiplying by omega or omega**2 is additions only, and for half-integer
+indices every polynomial factor of the recurrence is an exact integer,
+converted once.  So each step rounds only its four products, four sums
+and two divisions, and the build forms no complex number.
+
+The tail's recurrence runs in the same basis, on a table cached per cut
+and pair that holds a_n T**-n / 3 and n / (3T): its divisor p = 3 omega
+enters as 1/p = -omega**2 / 3, additions only, so a step takes two
+products and one more to size its term.  The table also folds in
+C e^{3 omega T} and T**(q-1), an integer power of sqrt(T).  So a call
+takes one exp, T**(gam+1): it starts the finite part, whose terms then
+step by -4 T**3 over exact integers, and it scales the tail's sum.
 
 The expansion, the amplitude and the tail are all validated against the
 60-digit series in the test suite.
-
-ln T and e^{3 omega T} are computed once per cut T, and each power of T
-from a single exp per call: the finite part steps T**(gam+1) by -T**3
-from term to term, and the tail steps T**(q+gam) by 1/T.
 """
 
 import math
@@ -109,11 +112,6 @@ def _cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _cdiv(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
 def _cexp(a):
     m = a[0].exp()
     s, c = _sincos(a[1])
@@ -124,11 +122,13 @@ def _cexp(a):
 def _saddle_constants():
     sqrt3 = D(3).sqrt()
     omega = (D("0.5"), sqrt3 / 2)  # exp(i pi/3)
-    p = (3 * omega[0], 3 * omega[1])  # exponent rate 3*omega
-    return sqrt3, omega, p, _cdiv((D(1), D(0)), p)
+    # the exponent rate p = 3 omega, and _SERIES_EPS times the size
+    # 2 (|Re| + |Im|) of the tail's first term c_0 = 1/p: a last term
+    # below it certifies a tail that has not turned
+    return sqrt3, omega, (3 * omega[0], 3 * omega[1]), _SERIES_EPS * (1 + sqrt3) / 3
 
 
-_SQRT3, _OMEGA, _P_RATE, _INV_P_RATE = _saddle_constants()
+_SQRT3, _OMEGA, _P_RATE, _TAIL_FLOOR = _saddle_constants()
 
 
 @lru_cache(maxsize=4)
@@ -185,13 +185,6 @@ def humbert2_decimal(mu, nu, z):
             raise DomainError("humbert2_decimal: series failed to converge")
 
 
-def _asym_coeffs(mu, nu):
-    """`_saddle_coeffs` of the unordered pair {mu, nu}: its table is
-    symmetric in the two indices bit for bit (q, C and every integer
-    factor of the recurrence are), so both orders share one cache entry."""
-    return _saddle_coeffs(nu, mu) if nu < mu else _saddle_coeffs(mu, nu)
-
-
 @lru_cache(maxsize=64)
 @_with_precision
 def _saddle_coeffs(mu, nu):
@@ -200,7 +193,9 @@ def _saddle_coeffs(mu, nu):
     the correction coefficients a_i from the third-order recurrence the
     defining ODE imposes, and the amplitude C = `stokes_amplitude(mu, nu)`,
     all at the pipeline's 60 digits.  2 mu and 2 nu must be integers
-    (`DomainError` otherwise), as for every caller.
+    (`DomainError` otherwise), as for every caller.  The table is symmetric
+    in the two indices bit for bit (q, C and every integer factor of the
+    recurrence are), so its caller keys it on mu <= nu.
 
     The recurrence is a_j = (omega^2 B1 a_{j-1} + omega B0 a_{j-2}) / B2,
     with 1/omega^2 = -omega folded in and B2 = -j.  Its constants lie in
@@ -209,15 +204,14 @@ def _saddle_coeffs(mu, nu):
     (X, Y) -> (-X - Y, X), additions only, since omega^2 = omega - 1.  For
     half-integer indices 216 B1 and 216 B0 are exact integers, each
     converted once, so a step rounds only its four products, four sums
-    and two divisions by 216 j.  Each a_j is formed once as
-    (X + Y/2, Y sqrt(3)/2), rounding twice more."""
+    and two divisions by 216 j.  Each a_j is returned as the pair (X, Y):
+    its value is (X + Y/2) + i Y sqrt(3)/2."""
     m2, n2 = 2.0 * mu, 2.0 * nu
     if not (m2.is_integer() and n2.is_integer()):
         raise DomainError("saddle expansion: indices restricted to half-integers")
     M, N = int(m2), int(n2)
     s = M + N
     q = -(1 + D(str(mu)) + D(str(nu)))
-    w0, w1 = _OMEGA
     x1, y1 = D(1), D(0)  # a_{j-1}
     x2 = y2 = D(0)  # a_{j-2}
     a = [(x1, y1)]
@@ -229,29 +223,9 @@ def _saddle_coeffs(mu, nu):
         den = 216 * j
         x = (b1 * (x1 + y1) + b0 * y2) / den
         y = (b1 * x1 + b0 * (x2 + y2)) / -den
-        a.append((x + y * w0, y * w1))
+        a.append((x, y))
         x2, y2, x1, y1 = x1, y1, x, y
     return q, tuple(a), stokes_amplitude(mu, nu)
-
-
-def _sum_to_min(terms):
-    """Sum a complex asymptotic term list through its smallest-magnitude
-    entry (inclusive), the optimal truncation.  A series whose smallest
-    term is its last computed one has not turned, so its truncation error
-    is unknown, unless that term is already negligible (below _SERIES_EPS
-    of the first)."""
-    mags = [abs(t[0]) + abs(t[1]) for t in terms]
-    imin = mags.index(min(mags))
-    if imin == len(terms) - 1 and mags[imin] >= _SERIES_EPS * mags[0]:
-        raise ConvergenceError(
-            f"asymptotic series still decreasing at its last computed term ({imin})"
-        )
-    re = D(0)
-    im = D(0)
-    for t in terms[: imin + 1]:
-        re += t[0]
-        im += t[1]
-    return (re, im)
 
 
 @_with_precision
@@ -263,57 +237,82 @@ def stokes_amplitude(mu, nu):
     return (mag * c, mag * s)
 
 
-def _tail_regularized(T, gam, mu, nu):
-    """Abel-regularized integral over [T, inf) of t**gam J_{mu,nu}(t**3) dt.
+@lru_cache(maxsize=64)
+@_with_precision
+def _tail_table(T, mu, nu):
+    """(q, k1, k2, rows) of the tail at cut T, for mu <= nu: row n holds
+    a_n T**-n / 3 in the basis {1, omega} and n / (3T).  With K = C e^{pT},
+    k1 = -2 T**(q-1) Re K and k2 = -2 T**(q-1) Re(K omega), so a sum
+    Sx + Sy omega of the terms c_n T**-n makes the tail
+    T**(gam+1) (k1 Sx + k2 Sy); q - 1 = -(2 + mu + nu), so T**(q-1) is an
+    integer power of sqrt(T)."""
+    q, a, C = _saddle_coeffs(mu, nu)
+    kr, ki = _cmul(C, _cut_constants(T)[1])
+    scale = -2 * T.sqrt() ** int(2 * (q - 1))
+    three_tn, three_t = D(3), 3 * T
+    rows = []
+    for n, (x, y) in enumerate(a):
+        rows.append((x / three_tn, y / three_tn, n / three_t))
+        three_tn *= T
+    return q, scale * kr, scale * (kr * _OMEGA[0] - ki * _OMEGA[1]), tuple(rows)
+
+
+def _tail_regularized(T, gam, mu, nu, t_e):
+    """Abel-regularized integral over [T, inf) of t**gam J_{mu,nu}(t**3) dt,
+    given t_e = T**(gam+1).
 
     The saddle part of the integrand is 2 Re[C e^{pt} sum_n a_n t^{b-n}],
     p = 3 omega, b = q + gam.  Its antiderivative is e^{pt} sum_n c_n t^{b-n}
     with (p + d/dt) sum_n c_n t^{b-n} = sum_n a_n t^{b-n}, so
-    c_0 = a_0/p and p c_n = a_n - (b-n+1) c_{n-1}.  The series is summed
-    once, to its smallest term: at T = 24 that is n = 68..74 of 101 over
-    the catalog windows, and the term stays below 5e-17 of the result.
-    Each step multiplies by 1/p inline, with the operations of `_cmul`,
-    and C is read from the coefficients' cached entry.
+    c_0 = a_0/p and p c_n = a_n - (b-n+1) c_{n-1}.  The loop runs this on
+    the rows of `_tail_table`, for g_n = c_n T**-n:
+    g_n = -omega**2 (a_n T**-n / 3 - ((b+1)/(3T) - n/(3T)) g_{n-1}), and
+    -omega**2 (x + y omega) = (x + y) - x omega.  The series is summed
+    once, to its smallest term, a term X + Y omega sized as
+    2 (|Re| + |Im|) = |2X + Y| + sqrt(3) |Y|: at T = 24 that is n = 68..74
+    of 101 over the catalog windows, and the term stays below 5e-17 of
+    the result.  A series whose smallest term is its last has not turned,
+    so it raises unless that term is below _SERIES_EPS of the first.
     Under Abel regularization only the lower boundary survives, so the
     tail is minus the antiderivative at T.  The decaying real saddle,
     about e^{-3t} t^q / (pi sqrt(3)) in J_{mu,nu}(t**3), integrates to
     below e^{-3T} T^b / (3 pi sqrt(3)) <= 5e-32 at T = 24 (b <= 0.85 over
     the windows) and is dropped.
     """
-    q, acoef, C = _asym_coeffs(mu, nu)
-    wr, wi = _INV_P_RATE  # 1/p
-    ln_T, exp_pT = _cut_constants(T)
-    b = q + D(str(gam))
-    inv_T = 1 / T
-    tb = (b * ln_T).exp()
-    cr = ci = D(0)
-    terms = []
-    for n, (ar, ai) in enumerate(acoef):
-        step = b - n + 1
-        xr = ar - step * cr
-        xi = ai - step * ci
-        cr = xr * wr - xi * wi
-        ci = xr * wi + xi * wr
-        terms.append((cr * tb, ci * tb))
-        tb *= inv_T
-    v = _cmul(C, _cmul(exp_pT, _sum_to_min(terms)))
-    return -2 * v[0]
+    q, k1, k2, rows = _tail_table(T, min(mu, nu), max(mu, nu))
+    beta = (q + D(str(gam)) + 1) / (3 * T)
+    gx = x = sx = sy = D(0)  # g_{n-1} = gx - x omega
+    lo = D("Infinity")
+    for n, (ax, ay, r) in enumerate(rows):
+        s = beta - r
+        x, y = ax - s * gx, ay + s * x
+        gx = x + y
+        sx += gx
+        sy += x
+        size = abs(gx + gx - x) + _SQRT3 * abs(x)
+        if size < lo:
+            lo, n_lo, sx_lo, sy_lo = size, n, sx, sy
+    if n_lo == len(rows) - 1 and lo >= _TAIL_FLOOR:
+        raise ConvergenceError(f"asymptotic series still decreasing at its last computed term ({n_lo})")
+    return t_e * (k1 * sx_lo - k2 * sy_lo)
 
 
-def _finite_part(T, gam, mu, nu):
-    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt, term by term:
-    sum_k (-1)**k T**(gam+1+3k) / ((gam+1+3k) k! Gamma(k+mu+1) Gamma(k+nu+1))."""
-    mu_d = D(str(mu))
-    nu_d = D(str(nu))
+def _finite_part(T, gam, mu, nu, t_e):
+    """integral over [0, T] of t**gam J_{mu,nu}(t**3) dt, given
+    t_e = T**(gam+1), term by term:
+    sum_k (-1)**k T**(gam+1+3k) / ((gam+1+3k) k! Gamma(k+mu+1) Gamma(k+nu+1)).
+    Each term is the last times -4 T**3 over the exact integer
+    (k+1)(2k+2+2mu)(2k+2+2nu)."""
+    m2, n2 = int(2 * mu), int(2 * nu)
     e = D(str(gam)) + 1
-    t = _series_prefactor(mu, nu) * (e * _cut_constants(T)[0]).exp()
-    neg_T3 = -(T**3)
+    t = _series_prefactor(mu, nu) * t_e
+    neg_4T3 = -4 * T**3
     s = D(0)
     k = 0
     while True:
         s += t / (e + 3 * k)
-        t = t * neg_T3 / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
         k += 1
+        t = t * neg_4T3 / (k * (2 * k + m2) * (2 * k + n2))
         if k > 8 and abs(t) < _SERIES_EPS * (abs(s) + 1):
             return s
 
@@ -328,9 +327,8 @@ def humbert2_phase_integral(gam, mu, nu):
             "humbert2_phase_integral: indices restricted to nonnegative half-integers"
         )
     T = _TAIL_CUT
-    fp = _finite_part(T, gam, mu, nu)
-    tl = _tail_regularized(T, gam, mu, nu)
-    return float(fp + tl)
+    t_e = ((D(str(gam)) + 1) * _cut_constants(T)[0]).exp()  # the call's one exp
+    return float(_finite_part(T, gam, mu, nu, t_e) + _tail_regularized(T, gam, mu, nu, t_e))
 
 
 def real_line_squared_integral(mu, nu):

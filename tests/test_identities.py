@@ -257,13 +257,13 @@ class TestSymmetricDoubleSums:
     # both orders of its pair
 
     def test_each_symmetric_pair_is_evaluated_once(self, monkeypatch):
-        # each I16 pair forms its series' terms once, then sums them
+        # each I16 pair is one kernel call, on its own denominator offsets
         families = []
-        terms = identities._humbert_terms
+        kernel = identities._sum_ratio_series
 
-        def counted(indices, z, rgammas=None):
-            families.append(indices)
-            return terms(indices, z, rgammas)
+        def counted(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
+            families.append(den_offsets)
+            return kernel(t0, z, num_offsets, den_offsets, policy, k0, dens)
 
         shift_counts = []
         reduce = identities.reduce_shifts
@@ -273,7 +273,7 @@ class TestSymmetricDoubleSums:
             assert all(m <= n for m, n in shifts)
             return reduce(expr, shifts, check_tail_rel)
 
-        monkeypatch.setattr(identities, "_humbert_terms", counted)
+        monkeypatch.setattr(identities, "_sum_ratio_series", counted)
         monkeypatch.setattr(identities, "reduce_shifts", recorded)
         assert verify("I16").status == "pass"
         assert len(families) == len(set(families)) == 435

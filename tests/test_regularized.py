@@ -7,7 +7,6 @@ import pytest
 
 from sphstruve import regularized
 from sphstruve.errors import ConvergenceError, DomainError
-from sphstruve.gammakit import gamma
 from sphstruve.regularized import (
     humbert2_decimal,
     humbert2_phase_integral,
@@ -19,7 +18,8 @@ from sphstruve.regularized import (
 
 # Oracles for the saddle expansion and its amplitude, at the pipeline's
 # 60 digits.  The library sums the expansion only inside the tail's
-# antiderivative; these sum it pointwise.
+# antiderivative, in the basis {1, omega}; these sum it pointwise, in
+# complex pairs (re, im).
 
 
 def _rpow(base, expo):
@@ -27,17 +27,62 @@ def _rpow(base, expo):
     return (expo * base.ln()).exp()
 
 
+def _cdiv(a, b):
+    d = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+
+def _sum_to_min(terms):
+    """Sum a complex asymptotic term list through its smallest-magnitude
+    entry (inclusive), the optimal truncation, sized as |re| + |im|."""
+    mags = [abs(t[0]) + abs(t[1]) for t in terms]
+    imin = mags.index(min(mags))
+    re = D(0)
+    im = D(0)
+    for t in terms[: imin + 1]:
+        re += t[0]
+        im += t[1]
+    return (re, im)
+
+
+def _complex_coeffs(mu, nu):
+    """The saddle coefficients a_i = X_i + Y_i omega as complex pairs."""
+    w0, w1 = regularized._OMEGA
+    return [(x + y * w0, y * w1) for x, y in regularized._saddle_coeffs(mu, nu)[1]]
+
+
+def _tail_by_complex_pairs(T, gam, mu, nu):
+    """The tail as the pipeline summed it before its basis rows: in
+    complex pairs, times 1/p from `_cdiv`, with T**b from its own exp,
+    stepped by 1/T."""
+    r = regularized
+    q = r._saddle_coeffs(mu, nu)[0]
+    p = r._P_RATE
+    inv_p = _cdiv((D(1), D(0)), p)
+    b = q + D(str(gam))
+    tb = _rpow(T, b)
+    c = (D(0), D(0))
+    terms = []
+    for n, an in enumerate(_complex_coeffs(mu, nu)):
+        step = b - n + 1
+        c = r._cmul((an[0] - step * c[0], an[1] - step * c[1]), inv_p)
+        terms.append((c[0] * tb, c[1] * tb))
+        tb *= 1 / T
+    v = r._cmul(stokes_amplitude(mu, nu), r._cmul(r._cexp((p[0] * T, p[1] * T)), _sum_to_min(terms)))
+    return -2 * v[0]
+
+
 def _saddle_part(mu, nu, t):
     """e^{3 omega t} t^q P(t), P the saddle expansion summed to its
     smallest term: J_{mu,nu}(t**3) ~ 2 Re[C times this]."""
     r = regularized
-    q, acoef, _ = r._asym_coeffs(mu, nu)
+    q = r._saddle_coeffs(mu, nu)[0]
     terms = []
     tp = D(1)
-    for ai in acoef:
+    for ai in _complex_coeffs(mu, nu):
         terms.append((ai[0] / tp, ai[1] / tp))
         tp *= t
-    g = r._cmul(r._cexp((r._P_RATE[0] * t, r._P_RATE[1] * t)), r._sum_to_min(terms))
+    g = r._cmul(r._cexp((r._P_RATE[0] * t, r._P_RATE[1] * t)), _sum_to_min(terms))
     tq = _rpow(t, q)
     return (g[0] * tq, g[1] * tq)
 
@@ -108,6 +153,14 @@ class TestAsymptotics:
         a = asym_saddle_value(0.0, 0.0, 30)
         e = humbert2_decimal(0.0, 0.0, 30**3)
         assert abs((a - e) / e) < D("1e-35")
+        # so has the tail's antiderivative series at T = 50, whose last
+        # term is below _SERIES_EPS of its first: the tail returns
+        with localcontext() as ctx:
+            ctx.prec = 60
+            T = D(50)
+            got = regularized._tail_regularized(T, 0.5, 0.0, 0.0, _rpow(T, D("1.5")))
+            want = _tail_by_complex_pairs(T, 0.5, 0.0, 0.0)
+            assert abs(got - want) <= D("1e-55") * abs(want)
 
     def test_tail_that_has_not_turned_raises(self):
         # at T = 40 the antiderivative series still decreases at its last
@@ -115,7 +168,7 @@ class TestAsymptotics:
         with localcontext() as ctx:
             ctx.prec = 60
             with pytest.raises(ConvergenceError):
-                regularized._tail_regularized(D(40), 0.5, 0.0, 0.0)
+                regularized._tail_regularized(D(40), 0.5, 0.0, 0.0, _rpow(D(40), D("1.5")))
 
 
 class TestConstants:
@@ -137,7 +190,9 @@ def _asym_coeffs_exact(mu, nu, nmax=100):
     """The saddle coefficients by the ODE recurrence in its first form,
     a_i = -(omega B1 a_{i-1} + B0 a_{i-2}) / (omega^2 B2), run in exact
     rationals on Q(sqrt(-3)): u + v sqrt(-3) is held as (u, v), so
-    omega = (1/2, 1/2).  Each coefficient is rounded once to 60 digits."""
+    omega = (1/2, 1/2).  Each coefficient is returned in the library's
+    basis, u + v sqrt(-3) = (u - v) + 2v omega, each part rounded once to
+    60 digits."""
     mu, nu = F(mu), F(nu)
     q = -(1 + mu + nu)
 
@@ -166,20 +221,18 @@ def _asym_coeffs_exact(mu, nu, nmax=100):
         t2 = (a[i - 2][0] * B0(q - i + 2), a[i - 2][1] * B0(q - i + 2)) if i >= 2 else (0, 0)
         a.append(div((-(t1[0] + t2[0]), -(t1[1] + t2[1])), (omega2[0] * B2(q - i), omega2[1] * B2(q - i))))
     out = []
-    for u, v in a:
-        with localcontext() as ctx:
-            ctx.prec = 90
-            im = D(v.numerator) / v.denominator * D(3).sqrt()
-        with localcontext() as ctx:
-            ctx.prec = 60
-            out.append((D(u.numerator) / u.denominator, +im))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for u, v in a:
+            x, y = u - v, 2 * v
+            out.append((D(x.numerator) / x.denominator, D(y.numerator) / y.denominator))
     return out
 
 
 class TestSaddleCoefficients:
     @pytest.mark.parametrize("mu,nu", itertools.product((0.0, 0.5, 1.0, 1.5, 2.0), repeat=2))
     def test_match_the_exact_recurrence(self, mu, nu):
-        _, got, _ = regularized._asym_coeffs(mu, nu)
+        _, got, _ = regularized._saddle_coeffs(mu, nu)
         want = _asym_coeffs_exact(mu, nu)
         assert len(got) == len(want) == 101
         with localcontext() as ctx:
@@ -190,17 +243,21 @@ class TestSaddleCoefficients:
 
     @pytest.mark.parametrize("mu,nu", [(1.0, 2.0), (0.5, 1.0), (0.0, 1.5)])
     def test_both_orders_share_one_table(self, mu, nu):
-        # the table is symmetric bit for bit, so it is cached once per
-        # unordered pair (test_phase_integral_golden_bits holds the values)
-        table = regularized._asym_coeffs(mu, nu)
-        assert regularized._asym_coeffs(nu, mu) is table
-        assert table == regularized._saddle_coeffs.__wrapped__(nu, mu)
+        # the table is symmetric bit for bit, so the tail builds it, and its
+        # own table, once per unordered pair
+        # (test_phase_integral_golden_bits holds the values)
+        r = regularized
+        assert r._saddle_coeffs(mu, nu) == r._saddle_coeffs.__wrapped__(nu, mu)
+        r._saddle_coeffs.cache_clear()
+        r._tail_table.cache_clear()
+        assert humbert2_phase_integral(0.5, nu, mu) == humbert2_phase_integral(0.5, mu, nu)
+        assert r._saddle_coeffs.cache_info().currsize == r._tail_table.cache_info().currsize == 1
 
     def test_indices_off_the_half_integers_raise(self):
         with pytest.raises(DomainError):
-            regularized._asym_coeffs(0.25, 0.0)
+            regularized._saddle_coeffs(0.25, 0.0)
         with pytest.raises(DomainError):
-            regularized._asym_coeffs(1.0, math.nan)
+            regularized._saddle_coeffs(1.0, math.nan)
 
 
 class TestFinitePart:
@@ -225,64 +282,102 @@ class TestFinitePart:
             want = D(mp.nstr(want, 40))
         with localcontext() as ctx:
             ctx.prec = 60
-            got = regularized._finite_part(T, gam, mu, nu)
+            got = regularized._finite_part(T, gam, mu, nu, _rpow(T, D(str(gam)) + 1))
             assert abs((got - want) / want) <= D("1e-30")
 
 
 class TestCutConstants:
-    # ln T and e^{pT} come from a per-cut cache; the reference forms them
-    # per call with _rpow and _cexp, and must agree digit for digit
+    # ln T, e^{pT}, T**(q-1) and the tail's rows come from per-cut caches;
+    # the reference forms them per call, with the library's operations,
+    # and must agree digit for digit.  The per-term loops the pipeline ran
+    # before (Decimal denominators, and the tail in complex pairs with
+    # T**b from its own exp, stepped by 1/T) stay as oracles: the tail to
+    # 1e-55 relative, and the finite part, whose terms reach 5.5e16 times
+    # its sum over the catalog windows, to 1e-40
     @pytest.mark.parametrize("gam,mu,nu", [(0.5, 0.0, 0.0), (-0.13, 2.0, 2.0), (1.25, 2.0, 1.0), (0.5, 0.5, 1.0)])
     def test_equal_to_per_call_powers(self, gam, mu, nu):
         r = regularized
         T = r._TAIL_CUT
         with localcontext() as ctx:
             ctx.prec = 60
-            # finite part: T**(gam+1) from its own exp/ln
             e = D(str(gam)) + 1
-            t = r._series_prefactor(mu, nu) * _rpow(T, e)
-            mu_d, nu_d = D(str(mu)), D(str(nu))
-            neg_T3 = -(T**3)
+            t_e = _rpow(T, e)
+            # finite part: T**(gam+1) from its own exp/ln, integer denominators
+            t = r._series_prefactor(mu, nu) * t_e
+            neg_4T3 = -4 * T**3
             s, k = D(0), 0
             while True:
                 s += t / (e + 3 * k)
-                t = t * neg_T3 / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
                 k += 1
+                t = t * neg_4T3 / (k * (2 * k + int(2 * mu)) * (2 * k + int(2 * nu)))
                 if k > 8 and abs(t) < r._SERIES_EPS * (abs(s) + 1):
                     break
-            assert r._finite_part(T, gam, mu, nu) == s
-            # tail: 1/p, T**b and e^{pT} formed in the call
-            q, acoef, _ = r._asym_coeffs(mu, nu)
+            assert r._finite_part(T, gam, mu, nu, t_e) == s
+            # tail: the rows, e^{pT} and T**(q-1) formed in the call
+            q, a, C = r._saddle_coeffs(min(mu, nu), max(mu, nu))
             p = r._P_RATE
-            inv_p = r._cdiv((D(1), D(0)), p)
-            b = q + D(str(gam))
-            tb = _rpow(T, b)
-            c = (D(0), D(0))
-            terms = []
-            for n, an in enumerate(acoef):
-                step = b - n + 1
-                c = r._cmul((an[0] - step * c[0], an[1] - step * c[1]), inv_p)
-                terms.append((c[0] * tb, c[1] * tb))
-                tb *= 1 / T
-            v = r._cmul(stokes_amplitude(mu, nu), r._cmul(r._cexp((p[0] * T, p[1] * T)), r._sum_to_min(terms)))
-            assert r._tail_regularized(T, gam, mu, nu) == -2 * v[0]
+            kr, ki = r._cmul(C, r._cexp((p[0] * T, p[1] * T)))
+            scale = -2 * T.sqrt() ** int(2 * (q - 1))
+            k1, k2 = scale * kr, scale * (kr * r._OMEGA[0] - ki * r._OMEGA[1])
+            beta = (q + D(str(gam)) + 1) / (3 * T)
+            gx = x = sx = sy = D(0)
+            three_tn = D(3)
+            sizes, sums = [], []
+            for n, (an_x, an_y) in enumerate(a):
+                s_n = beta - n / (3 * T)
+                x, y = an_x / three_tn - s_n * gx, an_y / three_tn + s_n * x
+                three_tn *= T
+                gx = x + y
+                sx += gx
+                sy += x
+                sizes.append(abs(gx + gx - x) + r._SQRT3 * abs(x))
+                sums.append((sx, sy))
+            sx, sy = sums[sizes.index(min(sizes))]
+            tail = r._tail_regularized(T, gam, mu, nu, t_e)
+            assert tail == t_e * (k1 * sx - k2 * sy)
+
+            # the old loops, as oracles
+            mu_d, nu_d = D(str(mu)), D(str(nu))
+            t, old, k = r._series_prefactor(mu, nu) * t_e, D(0), 0
+            while True:
+                old += t / (e + 3 * k)
+                t = t * -(T**3) / ((k + 1) * (k + 1 + mu_d) * (k + 1 + nu_d))
+                k += 1
+                if k > 8 and abs(t) < r._SERIES_EPS * (abs(old) + 1):
+                    break
+            assert abs(s - old) <= D("1e-40") * abs(old)
+            old = _tail_by_complex_pairs(T, gam, mu, nu)
+            assert abs(tail - old) <= D("1e-55") * abs(old)
 
 
 class TestRegularizedIntegrals:
+    # the 50-digit closed forms at the power the pipeline is given: it reads
+    # gam through str(), and power_moment_integral hands it 3 alpha - 1
+    # rounded to binary64, which alone moves the alpha closed form by up
+    # to 3.7e-15 (alpha = 0.95, mu = nu = 0).  The pipeline is within
+    # 1.2e-16 there, and the public functions' product by 3.0 rounds once
+    # more
+    PAIRS = tuple(itertools.product((0.0, 0.5, 1.0, 1.5, 2.0), repeat=2))
+
     def test_real_line_values(self):
-        for mu, nu in ((0.0, 0.0), (0.5, 1.0), (1.0, 2.0)):
-            got = real_line_squared_integral(mu, nu)
-            want = math.sqrt(math.pi) / (gamma(mu + 0.5) * gamma(nu + 0.5))
-            assert got == pytest.approx(want, abs=2e-10)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for mu, nu in self.PAIRS:
+                want = mp.sqrt(mp.pi) / (mp.gamma(mp.mpf(mu) + 0.5) * mp.gamma(mp.mpf(nu) + 0.5))
+                got = real_line_squared_integral(mu, nu)
+                assert abs(got - want) <= 3e-16 * abs(want), (mu, nu)
 
     def test_special_point_is_exactly_two(self):
         assert real_line_squared_integral(0.5, 1.0) == 2.0
 
     def test_power_moments(self):
-        for alpha, mu, nu in ((0.5, 0.0, 0.0), (0.25, 1.0, 0.5), (0.75, 2.0, 1.0)):
-            got = power_moment_integral(alpha, mu, nu)
-            want = gamma(alpha) / (gamma(mu - alpha + 1.0) * gamma(nu - alpha + 1.0))
-            assert got == pytest.approx(want, abs=2e-10, rel=2e-10)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for (mu, nu), alpha in itertools.product(self.PAIRS, (0.05, 0.25, 0.5, 0.75, 0.95)):
+                a = (mp.mpf(str(3.0 * alpha - 1.0)) + 1) / 3
+                want = mp.gamma(a) / (mp.gamma(mu - a + 1) * mp.gamma(nu - a + 1))
+                got = power_moment_integral(alpha, mu, nu)
+                assert abs(got - want) <= 3e-16 * abs(want), (alpha, mu, nu)
 
     def test_windows(self):
         with pytest.raises(DomainError):
@@ -326,3 +421,16 @@ _GOLDEN_IDS = tuple(
 @pytest.mark.parametrize("args,bits", _GOLDEN_BITS, ids=_GOLDEN_IDS)
 def test_phase_integral_golden_bits(args, bits):
     assert humbert2_phase_integral(*args).hex() == bits
+
+
+def test_golden_bits_from_cold_caches_under_a_20_digit_context():
+    # every cached table is built inside the pipeline's own 60-digit
+    # context, whatever the first caller's context is
+    for cached in vars(regularized).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    with localcontext() as ctx:
+        ctx.prec = 20
+        got = [humbert2_phase_integral(*args).hex() for args, _ in _GOLDEN_BITS]
+        assert ctx.prec == 20
+    assert got == [bits for _, bits in _GOLDEN_BITS]
