@@ -48,7 +48,7 @@ from .functions import (
     watson_parity_coeffs,
     weber,
 )
-from .quadrature import _exp_power_tail, integrate_finite, integrate_laguerre
+from .quadrature import _LAGUERRE_TOL, _UNIT_ROUNDOFF, _exp_power_tail, gauss_laguerre_nodes, integrate_finite
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import expand, gaussian_reduce, laplace_reduce, reduce_expr, reduce_shifts
 
@@ -73,6 +73,8 @@ _SQUARE_SPLIT = 40.0
 # its last two terms are below 1e-32 of the sum, far under the 2^-60 check
 _GAUSSIAN_ORDER = 24
 _GENERATING_ORDER = 25  # the last order I02's generating sum reaches
+# the Gauss-Laguerre rules a multi-index image may take, least first
+_LAGUERRE_RULES = (8, 16, 32, 64, 128)
 
 
 EvaluatorBinding = namedtuple("EvaluatorBinding", "fn operations strategy")
@@ -291,28 +293,123 @@ def _generating_sum(x, t, policy):
     return total
 
 
-def _humbert_laguerre(indices, z_of_s, sigma, policy):
-    """integral over [0, inf) of s**sigma exp(-s) J_indices(z_of_s(s)) ds by
-    `integrate_laguerre`.  Every node of every rule sums the multi-index
-    series of `_humbert_terms` through one denominator table, so each
-    denominator is built once per integral; the first term depends on z
-    only where the kill start k0 > 0, and is formed once otherwise.  The
-    integrands are entire, so most checks stop at the first 8/16 pair.
-    An uncertified result raises ConvergenceError, so the check is
+def _laguerre_moments(gamma_args, k0, w, power, sigma, dens, max_terms):
+    """(terms, rest, steps) of the positive series r_k = |a_k| Gamma(sigma +
+    power k + 1), k >= k0, over its first term, where a_k is the
+    coefficient of s^(power k) in sum_k (-w s^power)^k / prod_g Gamma(k + g),
+    every k0 + g >= 1 and power 1 or 2: its terms r_k0, ..., r_(K-1), a
+    bound `rest` on the sum past them, and the sum of (k - k0) r_k with
+    its own rest.  The ratio r_(k+1)/r_k is w prod_(j=1..power)
+    (sigma + power k + j) / prod_g (k + g), whose denominators go into
+    `dens` as `_sum_ratio_series` builds them, so the node series read
+    them.  Past K the j-th numerator factor over k + g_(j-1) is monotone
+    toward `power`, so at most max(power, its value at K), and every other
+    1/(k + g) falls: their product bounds each later ratio, and once it
+    is at most 1/2 the rest is at most 2 r_K.  The terms stop below
+    2^-60 of the sum."""
+    terms, steps, total, r = [], 0.0, 0.0, 1.0
+    c = sigma + 1.0
+    k = float(k0)
+    for i in range(max_terms):
+        terms.append(r)
+        total += r
+        steps += i * r
+        if i == len(dens):
+            den = 1.0
+            for g in gamma_args:
+                den *= k + g
+            dens.append(den)
+        num = k + c if power == 1 else (2.0 * k + c) * (2.0 * k + c + 1.0)
+        r *= w * num / dens[i]
+        k += 1.0
+        if r <= 2.0**-60 * total:
+            rho = w
+            for j, g in enumerate(gamma_args):
+                rho *= max(power, (sigma + power * k + j + 1.0) / (k + g)) if j < power else 1.0 / (k + g)
+            if rho <= 0.5:
+                return terms, 2.0 * r, steps + 2.0 * r * (i + 2.0)
+    raise ConvergenceError(f"_laguerre_moments: the moment series did not fall within {max_terms} terms")
+
+
+def _humbert_laguerre(indices, w, power, sigma, policy):
+    """(value, bound) of the integral over [0, inf) of s**sigma exp(-s)
+    J_indices(w s**power) ds, power 1 or 2, by one generalized
+    Gauss-Laguerre rule chosen a priori.  Every surviving gamma argument
+    k0 + index + 1 must be at least 1 (DomainError otherwise), as over
+    the catalog windows.
+
+    The integrand is sum_k a_k s^(power k), and an n-point rule is exact
+    below degree 2n.  For m >= 2n the (2n)-th derivative of s^m is
+    nonnegative, so 0 <= mu_m - G_n(s^m) <= mu_m, mu_m = Gamma(sigma+m+1),
+    and the rule errs by at most the suffix over power k >= 2n of the
+    positive series r_k = |a_k| mu_(power k) (`_laguerre_moments`) with
+    sum A (Davis & Rabinowitz 1984, 2.7).  The rule taken is the least of
+    `_LAGUERRE_RULES` whose suffix is at most u A (u = 2^-53).  Every
+    node sums the multi-index series of `_humbert_terms` through one
+    denominator table, built once per integral; the first term depends
+    on z only where the kill start k0 > 0, and is formed once otherwise.
+
+    Since every G_n(s^m) <= mu_m, a sum over the nodes of w_i |a_k|
+    x_i^(power k) times any factor is at most the same series times that
+    factor.  So the bound adds to the suffix:
+    * the rule's Golub-Welsch rounding: 2 n^2 u sum_i |w_i f_i| for its
+      weights, and for its nodes n u sum_k power k r_k, as f moves by
+      |s f'(s)| <= sum_k power k |a_k| s^(power k) times a node's relative
+      error.  Against 60-digit roots, at n = 8..128 and every sigma of the
+      catalog, each weight is within 1.3 n^2 u of its own size, and the
+      node errors averaged with the weights w_i x_i^m, m >= 1, are within
+      0.63 n u;
+    * each node series' rounding, sized by the series weighted by its
+      step count: the first term takes (12 d + 3 + 4 k0) u, for its d
+      reciprocal gammas (each good to 11 u), (-z)^k0 and the compensated
+      sum, and each step (2d + 4) u more for its product, quotient and
+      z.  Each gamma argument g may be an ulp off (an index rounds once
+      before its + 1): that moves the first term by |psi(k0 + g)| ulp(g)
+      <= (0.58 + ln(k0 + g)) ulp(g), and each step by ulp(g)/(k0 + g);
+    * each node series' truncation: its first neglected term over
+      1 - rho, times its weight, rho the last ratio it stepped by, which
+      bounds every later one;
+    * the products w_i f_i and the final `fsum`, u (sum_i |w_i f_i| + |value|).
+    A bound above _LAGUERRE_TOL max(1, |value|), or no rule up to 128
+    nodes meeting u A, raises ConvergenceError, so the check is
     skipped, not passed."""
     rgammas, dens = {}, []
-    first, den_offsets, k0 = _humbert_terms(indices, 0.0, rgammas)
-
-    def integrand(s):
-        z = z_of_s(s)
+    first, gamma_args, k0 = _humbert_terms(indices, w, rgammas)
+    if k0 + min(gamma_args) < 1.0:
+        raise DomainError(f"_humbert_laguerre: a gamma argument of indices {indices!r} falls below 1")
+    terms, rest, steps = _laguerre_moments(gamma_args, k0, abs(w), power, sigma, dens, policy.max_terms)
+    total = math.fsum(terms) + rest
+    for n in _LAGUERRE_RULES:
+        kn = -(-2 * n // power)  # the least k with power k >= 2n
+        suffix = math.fsum(terms[kn - k0:]) + rest if kn > k0 else total
+        if suffix <= _UNIT_ROUNDOFF * total:
+            break
+    else:
+        raise ConvergenceError(f"_humbert_laguerre: no rule up to {n} nodes meets u A (suffix {suffix / total:.3g} A)")
+    xs, ws = gauss_laguerre_nodes(sigma, n)
+    parts, cut = [], 0.0
+    for s, weight in zip(xs, ws):
+        z = w * s if power == 1 else w * (s * s)
         t0 = _humbert_terms(indices, z, rgammas)[0] if k0 else first
-        return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0, dens)[0]
-
-    res = integrate_laguerre(integrand, sigma)
-    # an uncertified rule pair raises, so the check is skipped, not passed
-    if res.status != "converged":
-        raise ConvergenceError(f"integrate_laguerre: {res.status}, error {res.error_estimate:.3g}")
-    return res.value
+        v, used, tail = _sum_ratio_series(t0, -z, (), gamma_args, policy, k0, dens)
+        rho = abs(z) / dens[used - 1]
+        if rho >= 1.0:
+            raise ConvergenceError(f"_humbert_laguerre: the node series at z={z!r} stopped on a rising term")
+        cut += weight * tail / (1.0 - rho)
+        parts.append(weight * v)
+    value, absum = math.fsum(parts), math.fsum(map(abs, parts))
+    u, d = _UNIT_ROUNDOFF, len(gamma_args)
+    scale = abs(first) * gamma(sigma + power * k0 + 1.0)  # r_k0
+    a, a_steps = total * scale, steps * scale
+    per_term, per_step = (12 * d + 3 + 4 * k0) * u, (2 * d + 4) * u
+    for g in gamma_args:
+        per_term += (0.58 + math.log(k0 + g)) * math.ulp(g)
+        per_step += math.ulp(g) / (k0 + g)
+    rule = n * u * (2.0 * n * absum + power * (a_steps + k0 * a))
+    bound = suffix * scale + rule + per_term * a + per_step * a_steps + cut + u * (absum + abs(value))
+    if not bound <= _LAGUERRE_TOL * max(1.0, abs(value)):
+        raise ConvergenceError(f"_humbert_laguerre: bound {bound:.3g} at {n} nodes exceeds the tolerance")
+    return value, bound
 
 
 def _symmetric_double_sum(u, v, m_cut, evaluate):
@@ -652,8 +749,8 @@ def _build_catalog():
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
-            * _humbert_laguerre((0.5, p["alpha"] + 0.5), lambda s, w=(p["x"] / 2.0) ** 2: s * w, 0.0, pol),
-            {"integrate_laguerre", "humbert2"},
+            * _humbert_laguerre((0.5, p["alpha"] + 0.5), (p["x"] / 2.0) ** 2, 1, 0.0, pol)[0],
+            {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
             "laguerre-quadrature",
         ),
         rhs=_binding(lambda p, pol: struve_h(p["alpha"], p["x"], pol).value, {"struve_h"}, "series"),
@@ -746,9 +843,9 @@ def _build_catalog():
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), beta=(0.0, 0.5, 1.0), gamma_p=(0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
             lambda p, pol: _humbert_laguerre(
-                (p["alpha"], p["beta"]), lambda s, w=(p["x"] / 2.0) ** 2: s * w, p["gamma_p"] - 1.0, pol
-            ),
-            {"integrate_laguerre", "humbert2"},
+                (p["alpha"], p["beta"]), (p["x"] / 2.0) ** 2, 1, p["gamma_p"] - 1.0, pol
+            )[0],
+            {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
             "laguerre-quadrature",
         ),
         rhs=_binding(
@@ -829,12 +926,9 @@ def _build_catalog():
         rhs=_binding(
             lambda p, pol: (p["x"] / 2.0) ** (p["mu"] + p["nu"])
             * _humbert_laguerre(
-                (p["mu"], p["nu"], p["mu"] + p["nu"]),
-                lambda s, xx=p["x"] * p["x"]: (s * s) * xx / 4.0,
-                p["mu"] + p["nu"],
-                pol,
-            ),
-            {"integrate_laguerre", "humbert3"},
+                (p["mu"], p["nu"], p["mu"] + p["nu"]), p["x"] * p["x"] / 4.0, 2, p["mu"] + p["nu"], pol
+            )[0],
+            {"gauss_laguerre_nodes", "laguerre_moments", "humbert3"},
             "laguerre-quadrature",
         ),
         tol_abs=1e-12,

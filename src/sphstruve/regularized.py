@@ -159,8 +159,12 @@ def _gamma_decimal(x):
     return v
 
 
+@lru_cache(maxsize=64)
+@_with_precision
 def _series_prefactor(mu, nu):
-    """Leading series term 1/(Gamma(mu+1) Gamma(nu+1))."""
+    """Leading series term 1/(Gamma(mu+1) Gamma(nu+1)) at the pipeline's 60
+    digits, formed once per pair: the product is symmetric bit for bit, so
+    its callers key it on mu <= nu."""
     return 1 / (_gamma_decimal(mu + 1.0) * _gamma_decimal(nu + 1.0))
 
 
@@ -170,7 +174,7 @@ def humbert2_decimal(mu, nu, z):
     nonnegative integers or half-integers (the catalog windows)."""
     mu_d = D(str(mu))
     nu_d = D(str(nu))
-    t = _series_prefactor(mu, nu)
+    t = _series_prefactor(min(mu, nu), max(mu, nu))
     z = D(z) if not isinstance(z, D) else z
     neg_z = -z
     s = D(0)
@@ -305,7 +309,7 @@ def _finite_part(T, gam, mu, nu, t_e):
     (k+1)(2k+2+2mu)(2k+2+2nu)."""
     m2, n2 = int(2 * mu), int(2 * nu)
     e = D(str(gam)) + 1
-    t = _series_prefactor(mu, nu) * t_e
+    t = _series_prefactor(min(mu, nu), max(mu, nu)) * t_e
     neg_4T3 = -4 * T**3
     s = D(0)
     k = 0
@@ -319,7 +323,9 @@ def _finite_part(T, gam, mu, nu, t_e):
 
 @_with_precision
 def humbert2_phase_integral(gam, mu, nu):
-    """Regularized integral over [0, inf) of t**gam J_{mu,nu}(t**3) dt."""
+    """Regularized integral over [0, inf) of t**gam J_{mu,nu}(t**3) dt.
+    The power is read through str(): a float as its shortest repr, a
+    Decimal exactly."""
     if not gam > -1.0:
         raise DomainError("humbert2_phase_integral: requires power > -1")
     if mu < 0 or nu < 0 or not (_halfint(mu) and _halfint(nu)):
@@ -337,9 +343,14 @@ def real_line_squared_integral(mu, nu):
     return 3.0 * humbert2_phase_integral(0.5, mu, nu)
 
 
+@_with_precision
 def power_moment_integral(alpha, mu, nu):
     """Regularized integral over [0, inf) of x**(alpha-1) J_{mu,nu}(x) dx,
-    evaluated as 3 * integral t**(3 alpha - 1) J(t**3) dt (x = t**3)."""
+    evaluated as 3 * integral t**(3 alpha - 1) J(t**3) dt (x = t**3).  The
+    power 3 alpha - 1 is formed in Decimal from alpha's exact binary value,
+    exactly for alpha >= 2^-7: rounded to binary64 it moved the closed form
+    by up to 3.7e-15, and read from str(alpha) by 1.8e-15 (alpha = 0.95,
+    mu = nu = 0, where Gamma(1 - alpha) magnifies a change of alpha 40-fold)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("power_moment_integral: alpha restricted to (0, 1)")
-    return 3.0 * humbert2_phase_integral(3.0 * alpha - 1.0, mu, nu)
+    return 3.0 * humbert2_phase_integral(3 * D(alpha) - 1, mu, nu)

@@ -342,54 +342,79 @@ class TestSymmetricDoubleSums:
 
 
 class TestLaguerreMultiIndex:
-    # the Laguerre side of every default I11/I15/I18 point, where the
-    # doubling loop stops at its first 8/16 pair (16/32 at I18's x = 3);
-    # the prepared series must serve every node of both rules bitwise.
-    # The bits are those of an independent loop: pointwise humbert2 or
-    # humbert3 at every node of gauss_laguerre_nodes(sigma, n), the
-    # products w * f summed by math.fsum, for the pair's larger rule
+    # the Laguerre side of every default I11/I15/I18 point, at the one
+    # rule the a-priori bound selects (_RULES); the prepared series must
+    # serve every node of it bitwise.  The bits are those of an
+    # independent loop: pointwise humbert2 or humbert3 at every node of
+    # gauss_laguerre_nodes(sigma, n), the products w * f summed by
+    # math.fsum, at that n
     _BITS = {
         "I11": (
-            "0x1.3cfc39c5aeb0ep-2", "0x1.2326f61fa6f24p-1", "0x1.94eb737cc7672p-1", "-0x1.7b52f43370df2p-3",
-            "0x1.1ae59fec267b3p-3", "0x1.7796ab2c99affp-2", "0x1.99134a2bb05a5p-1", "0x1.05bddf0dccefbp-2",
-            "0x1.ab6845a76215dp-5", "0x1.9670ccc51be94p-3", "0x1.4b249d8a6f11ap-1", "0x1.9d99870101db4p-1",
+            "0x1.3cfc39c5aeb0cp-2", "0x1.2326f61fa6f22p-1", "0x1.94eb737cc766ep-1", "-0x1.7b52f43370e3ep-3",
+            "0x1.1ae59fec267b1p-3", "0x1.7796ab2c99afep-2", "0x1.99134a2bb05a3p-1", "0x1.05bddf0dcceddp-2",
+            "0x1.ab6845a76215ap-5", "0x1.9670ccc51be91p-3", "0x1.4b249d8a6f117p-1", "0x1.9d99870101dbfp-1",
         ),
         "I15": (
-            "0x1.b7bbd7f90f227p+0", "0x1.8fa0ac9ab72acp+0", "0x1.09ae9a3774c92p+0", "0x1.0feda478c967dp-8",
-            "0x1.e07f1d54c3f3ap-1", "0x1.87c7fdbd7b8f3p-1", "0x1.ca873fb24cefap-3", "-0x1.6bb7db255cba9p-3",
-            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c48p-2",
-            "0x1.14fa843f86216p+0", "0x1.e624a51d16750p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367561p-3",
-            "0x1.beb6a93cdb6a1p+0", "0x1.aa428aec1dad9p+0", "0x1.618c427ae14a0p+0", "0x1.c4bcfb3e57d5dp-2",
-            "0x1.f02a71f4870dbp-1", "0x1.c29c9ee970c71p-1", "0x1.27487958371f2p-1", "-0x1.0c5a5308fbad4p-3",
-            "0x1.f56ece8622474p+0", "0x1.d6e6e780f1c2fp+0", "0x1.6cff482ce3ba6p+0", "0x1.24fde41551c48p-2",
-            "0x1.14fa843f86216p+0", "0x1.e624a51d16750p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367561p-3",
-            "0x1.1ce20d3cb1dc5p+1", "0x1.114a5454e1facp+1", "0x1.cfbf6b05288a4p+0", "0x1.662d426010230p-1",
-            "0x1.3cfc39c5aeb0ep+0", "0x1.2326f61fa6f24p+0", "0x1.94eb737cc7672p-1", "-0x1.2f7590292718ep-4",
-            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9b0p-1",
-            "0x1.1ae59fec267b3p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a5p-1", "0x1.08dd2ca3ec1a8p-4",
-            "0x1.beb6a93cdb6a1p+0", "0x1.aa428aec1dad9p+0", "0x1.618c427ae14a0p+0", "0x1.c4bcfb3e57d5dp-2",
-            "0x1.f02a71f4870dbp-1", "0x1.c29c9ee970c71p-1", "0x1.27487958371f2p-1", "-0x1.0c5a5308fbad4p-3",
-            "0x1.fab32b17bd80ep+0", "0x1.eb31301872bedp+0", "0x1.b2b617019055ap+0", "0x1.ab2b0d99cf9b0p-1",
-            "0x1.1ae59fec267b3p+0", "0x1.0994ca317b731p+0", "0x1.99134a2bb05a5p-1", "0x1.08dd2ca3ec1a8p-4",
-            "0x1.c238c019bac7dp+0", "0x1.b7dc32dab744ep+0", "0x1.9184b844e609ap+0", "0x1.d6330a435f0a5p-1",
-            "0x1.f80e2ab3c0cbep-1", "0x1.e0e0090a11c46p-1", "0x1.8d5e30136cc46p-1", "0x1.81dffa1a753bdp-3",
+            "0x1.b7bbd7f90f222p+0", "0x1.8fa0ac9ab72a5p+0", "0x1.09ae9a3774c8ep+0", "0x1.0feda478c967dp-8",
+            "0x1.e07f1d54c3f36p-1", "0x1.87c7fdbd7b8f2p-1", "0x1.ca873fb24cf02p-3", "-0x1.6bb7db255cba9p-3",
+            "0x1.f56ece862246ep+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3b9ep+0", "0x1.24fde41551c2ep-2",
+            "0x1.14fa843f86214p+0", "0x1.e624a51d1674dp-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367561p-3",
+            "0x1.beb6a93cdb69ap+0", "0x1.aa428aec1dad3p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d51p-2",
+            "0x1.f02a71f4870d8p-1", "0x1.c29c9ee970c6ep-1", "0x1.27487958371efp-1", "-0x1.0c5a5308fbaf7p-3",
+            "0x1.f56ece862246ep+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3b9ep+0", "0x1.24fde41551c2ep-2",
+            "0x1.14fa843f86214p+0", "0x1.e624a51d1674dp-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367561p-3",
+            "0x1.1ce20d3cb1dc1p+1", "0x1.114a5454e1fa8p+1", "0x1.cfbf6b052889dp+0", "0x1.662d42601022bp-1",
+            "0x1.3cfc39c5aeb0cp+0", "0x1.2326f61fa6f22p+0", "0x1.94eb737cc766ep-1", "-0x1.2f759029271cbp-4",
+            "0x1.fab32b17bd808p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190553p+0", "0x1.ab2b0d99cf9a3p-1",
+            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b730p+0", "0x1.99134a2bb05a3p-1", "0x1.08dd2ca3ec189p-4",
+            "0x1.beb6a93cdb69ap+0", "0x1.aa428aec1dad3p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d51p-2",
+            "0x1.f02a71f4870d8p-1", "0x1.c29c9ee970c6ep-1", "0x1.27487958371efp-1", "-0x1.0c5a5308fbaf7p-3",
+            "0x1.fab32b17bd808p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190553p+0", "0x1.ab2b0d99cf9a3p-1",
+            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b730p+0", "0x1.99134a2bb05a3p-1", "0x1.08dd2ca3ec189p-4",
+            "0x1.c238c019bac76p+0", "0x1.b7dc32dab7448p+0", "0x1.9184b844e6095p+0", "0x1.d6330a435f0a0p-1",
+            "0x1.f80e2ab3c0cbap-1", "0x1.e0e0090a11c44p-1", "0x1.8d5e30136cc44p-1", "0x1.81dffa1a753b0p-3",
         ),
         "I18": (
             "0x1.c2ee768dfe23dp-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b5ap-4", "0x1.2bad224f899b4p-2",
-            "0x1.cd979414a5f7ep-2", "0x1.14f595fcecae2p-8", "0x1.e5e8d0b0423fep-8", "0x1.9e37059973004p-5",
+            "0x1.cd979414a5f7ep-2", "0x1.14f595fcecae2p-8", "0x1.e5e8d0b042401p-8", "0x1.9e37059973004p-5",
             "0x1.5189ca796326cp-3",
         ),
     }
+    # the selected rule at each default point: 8 nodes but at four of
+    # I15's x = 5 points and at I18, whose z grows like s^2; 888 node
+    # series a pass, against 2,328 for the 8/16 rule pairs
+    _RULES = {
+        "I11": (8,) * 12,
+        "I15": tuple(16 if i in (3, 7, 15, 31) else 8 for i in range(72)),
+        "I18": (16, 16, 32, 16, 16, 32, 8, 16, 32),
+    }
     _SIDE = {"I11": "lhs", "I15": "lhs", "I18": "rhs"}
 
+    @staticmethod
+    def rule_sizes(patch):
+        """The n of every rule the catalog's Laguerre images take."""
+        sizes, nodes = [], identities.gauss_laguerre_nodes
+
+        def sized(sigma, n):
+            sizes.append(n)
+            return nodes(sigma, n)
+
+        patch.setattr(identities, "gauss_laguerre_nodes", sized)
+        return sizes
+
     @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
-    def test_default_grid_golden_bits(self, identity_id):
+    def test_default_grid_golden_bits(self, identity_id, monkeypatch):
         grid = get_identity(identity_id).grid
-        assert len(grid) == len(self._BITS[identity_id])
+        assert len(grid) == len(self._BITS[identity_id]) == len(self._RULES[identity_id])
+        sizes = self.rule_sizes(monkeypatch)
         for params, bits in zip(grid, self._BITS[identity_id]):
             r = verify(identity_id, params)
             assert r.status == "pass"
             assert getattr(r, self._SIDE[identity_id]).hex() == bits, params
+        assert tuple(sizes) == self._RULES[identity_id]
+
+    def test_node_series_per_pass(self):
+        assert sum(sum(sizes) for sizes in self._RULES.values()) == 888
 
     def test_one_prefactor_per_check(self, monkeypatch):
         from sphstruve import functions
@@ -412,6 +437,70 @@ class TestLaguerreMultiIndex:
         calls.clear()
         iden.lhs.fn({"alpha": 0.5, "beta": 1.0, "gamma_p": 0.5, "x": 0.5}, DEFAULT_POLICY)
         assert sorted(calls) == [1.0, 1.5, 2.0]
+
+    def test_rule_rounding_within_its_charge(self):
+        # the bound charges the rules the catalog takes (8 to 32 nodes, at
+        # every sigma of its windows) 2 n^2 u of each weight and n u of the
+        # node errors averaged with the weights w_i x_i^m, m >= 1; here
+        # against 40-digit roots, Newton-refined from the library's nodes
+        mp = pytest.importorskip("mpmath")
+        u = 2.0**-53
+        with mp.workdps(40):
+            for sigma in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+                s = mp.mpf(sigma)
+                for n in (8, 16, 32):
+                    c = mp.gamma(n + s + 1) / (mp.factorial(n) * (n + 1) ** 2)
+                    node_err, powers = [], []
+                    for x, w in zip(*quadrature.gauss_laguerre_nodes(sigma, n)):
+                        r = mp.mpf(x)
+                        for _ in range(4):
+                            r += mp.laguerre(n, s, r) / mp.laguerre(n - 1, s + 1, r)
+                        exact = c * r / mp.laguerre(n + 1, s, r) ** 2
+                        assert abs(w - exact) <= 2 * n * n * u * exact, (sigma, n, x)
+                        node_err.append(abs(x - r) / r)
+                        powers.append((r, exact))
+                    for m in range(1, 4 * n):
+                        powers = [(r, p * r) for r, p in powers]
+                        weighted = mp.fsum(p * e for (_, p), e in zip(powers, node_err))
+                        assert weighted <= n * u * mp.fsum(p for _, p in powers), (sigma, n, m)
+
+    @staticmethod
+    def _image(identity_id, p):
+        """(indices, w, power, sigma) of the check's Laguerre image."""
+        if identity_id == "I11":
+            return (0.5, p["alpha"] + 0.5), (p["x"] / 2.0) ** 2, 1, 0.0
+        if identity_id == "I15":
+            return (p["alpha"], p["beta"]), (p["x"] / 2.0) ** 2, 1, p["gamma_p"] - 1.0
+        return (p["mu"], p["nu"], p["mu"] + p["nu"]), p["x"] * p["x"] / 4.0, 2, p["mu"] + p["nu"]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
+    def test_least_rule_meeting_u_a(self, identity_id, seed, monkeypatch):
+        # the rule taken is the least of 8, 16, ..., 128 nodes whose
+        # truncation bound, the sum over power k >= 2n of |a_k|
+        # Gamma(sigma + power k + 1), is at most 2^-53 times the whole sum
+        # A, both summed here in 40-digit mpmath; points where some rule's
+        # bound is within 10% of the threshold are not judged
+        mp = pytest.importorskip("mpmath")
+        sizes = self.rule_sizes(monkeypatch)
+        reports = verify_all(ids=[identity_id], seed=seed)
+        assert len(sizes) == len(reports)
+        judged = 0
+        with mp.workdps(40):
+            for r, n in zip(reports, sizes):
+                indices, w, power, sigma = self._image(identity_id, r.params)
+                terms, k = [], 0
+                while k < 20 or terms[-1] > mp.mpf(10) ** -45 * sum(terms):
+                    den = mp.factorial(k) * mp.fprod(mp.gamma(k + mp.mpf(i) + 1) for i in indices)
+                    terms.append(mp.mpf(w) ** k * mp.gamma(mp.mpf(sigma) + power * k + 1) / den)
+                    k += 1
+                total = mp.fsum(terms)
+                ratios = {m: mp.fsum(terms[-(-2 * m // power):]) / (2.0**-53 * total) for m in (8, 16, 32, 64, 128)}
+                if any(0.9 < q < 1.1 for q in ratios.values()):
+                    continue
+                judged += 1
+                assert n == min(m for m, q in ratios.items() if q <= 1), (r.params, ratios)
+        assert judged >= len(reports) - 2
 
 
 class TestShiftRelations:
@@ -753,14 +842,21 @@ class TestSkippedPropagation:
         assert "synthetic" in rep.reason
 
     def test_uncertified_laguerre_becomes_skip(self, monkeypatch):
-        # a rule pair that never agreed must not pass as a check
-        def uncertified(f, sigma, nodes=200):
-            return QuadratureResult(f(1.0), 1.0, 496, "max_refinement")
-
-        monkeypatch.setattr(identities, "integrate_laguerre", uncertified)
-        rep = verify("I15", get_identity("I15").grid[0])
+        # a Laguerre image whose bound is not met must not pass as a
+        # check: with the tolerance at 1e-20 no bound meets it, and with
+        # the 8-node rule alone no rule meets u A at I15's x = 5
+        iden = get_identity("I15")
+        assert verify("I15", iden.grid[3]).status == "pass"
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_LAGUERRE_TOL", 1e-20)
+            rep = verify("I15", iden.grid[0])
         assert rep.status == "skipped"
-        assert "max_refinement" in rep.reason
+        assert "exceeds the tolerance" in rep.reason
+        monkeypatch.setattr(identities, "_LAGUERRE_RULES", (8,))
+        assert verify("I15", iden.grid[0]).status == "pass"
+        rep = verify("I15", iden.grid[3])
+        assert rep.status == "skipped"
+        assert "no rule up to 8 nodes" in rep.reason
 
     def test_uncertified_head_becomes_skip(self):
         # a termwise head that runs out of terms must not pass as a check;
@@ -1024,8 +1120,7 @@ class TestRealLineOracle:
 class TestLaguerreOracle:
     # every Laguerre integral of I11, I15 and I18 against a 30-digit
     # mpmath value of its closed form, divided by the prefactor the
-    # check multiplies it by: it must be certified and no farther from
-    # the oracle than its own error estimate
+    # check multiplies it by: it must lie within its own bound
 
     @staticmethod
     def _integral(mp, identity_id, p):
@@ -1040,36 +1135,36 @@ class TestLaguerreOracle:
 
     @staticmethod
     def _recorded(patch):
+        """The (value, bound) of every Laguerre image the catalog takes."""
         results = []
-        integrate = identities.integrate_laguerre
+        image = identities._humbert_laguerre
 
-        def recording(*args, **kwargs):
-            results.append(integrate(*args, **kwargs))
+        def recording(*args):
+            results.append(image(*args))
             return results[-1]
 
-        patch.setattr(identities, "integrate_laguerre", recording)
+        patch.setattr(identities, "_humbert_laguerre", recording)
         return results
 
     def _check(self, mp, identity_id, params, result):
-        assert result.status == "converged", params
+        value, bound = result
         want = self._integral(mp, identity_id, params)
-        assert abs(mp.mpf(result.value) - want) <= result.error_estimate, params
+        assert abs(mp.mpf(value) - want) <= bound, params
 
     @pytest.mark.parametrize("seed", [0, 7, 102])
     @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
     def test_grids(self, identity_id, seed, monkeypatch):
         mp = pytest.importorskip("mpmath")
         results = self._recorded(monkeypatch)
+        sizes = TestLaguerreMultiIndex.rule_sizes(monkeypatch)
         reports = verify_all(ids=[identity_id], seed=seed)
         assert len(results) == len(reports) == len(get_identity(identity_id).grid)
         with mp.workdps(30):
             for r, res in zip(reports, results):
                 assert r.status == "pass"
                 self._check(mp, identity_id, r.params, res)
-                if not seed:
-                    # the 8/16 pair, or 16/32 after it at I18's x = 3
-                    slow = identity_id == "I18" and r.params["x"] == 3.0
-                    assert res.cells_or_nodes == (56 if slow else 24), r.params
+        if not seed:
+            assert tuple(sizes) == TestLaguerreMultiIndex._RULES[identity_id]
 
     @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
     def test_hypothesis_points(self, identity_id):

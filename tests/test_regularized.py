@@ -351,12 +351,12 @@ class TestCutConstants:
 
 
 class TestRegularizedIntegrals:
-    # the 50-digit closed forms at the power the pipeline is given: it reads
-    # gam through str(), and power_moment_integral hands it 3 alpha - 1
-    # rounded to binary64, which alone moves the alpha closed form by up
-    # to 3.7e-15 (alpha = 0.95, mu = nu = 0).  The pipeline is within
-    # 1.2e-16 there, and the public functions' product by 3.0 rounds once
-    # more
+    # the 50-digit closed forms: the real-line values at their exact
+    # indices, the power moments at alpha itself, since
+    # power_moment_integral forms 3 alpha - 1 exactly in Decimal (rounded
+    # to binary64, that power alone moved the closed form by up to
+    # 3.7e-15 at alpha = 0.95, mu = nu = 0).  The public functions'
+    # product by 3.0 rounds once more
     PAIRS = tuple(itertools.product((0.0, 0.5, 1.0, 1.5, 2.0), repeat=2))
 
     def test_real_line_values(self):
@@ -374,7 +374,7 @@ class TestRegularizedIntegrals:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
             for (mu, nu), alpha in itertools.product(self.PAIRS, (0.05, 0.25, 0.5, 0.75, 0.95)):
-                a = (mp.mpf(str(3.0 * alpha - 1.0)) + 1) / 3
+                a = mp.mpf(alpha)
                 want = mp.gamma(a) / (mp.gamma(mu - a + 1) * mp.gamma(nu - a + 1))
                 got = power_moment_integral(alpha, mu, nu)
                 assert abs(got - want) <= 3e-16 * abs(want), (alpha, mu, nu)
