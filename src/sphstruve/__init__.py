@@ -22,7 +22,7 @@ _EXPORTS = {
         "gaussian_reduce",
         "laplace_reduce",
         "reduce_expr",
-        "reduce_shifts",
+        "reduce_weighted",
     ),
     "functions": (
         "DEFAULT_POLICY",

@@ -50,7 +50,7 @@ from .functions import (
 )
 from .quadrature import _LAGUERRE_TOL, _UNIT_ROUNDOFF, _exp_power_tail, gauss_laguerre_nodes, integrate_finite
 from .regularized import power_moment_integral, real_line_squared_integral
-from .umbral import expand, gaussian_reduce, laplace_reduce, reduce_expr, reduce_shifts
+from .umbral import expand, gaussian_reduce, laplace_reduce, reduce_expr, reduce_weighted
 
 __all__ = [
     "Identity",
@@ -412,16 +412,30 @@ def _humbert_laguerre(indices, w, power, sigma, policy):
     return value, bound
 
 
-def _symmetric_double_sum(u, v, m_cut, evaluate):
-    """sum over m, n in [-m_cut, m_cut] of u**m v**n F(m, n), F symmetric:
-    `evaluate(pairs)` returns F at the pairs with n >= m, in their order,
-    which fill both halves of a table.  The terms are added m by m, then
-    n by n, each as (u**m * v**n) * F(m, n)."""
+def _i16_lhs(u, v, x, policy, m_cut=14):
+    # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
+    # a gamma argument, so one rgamma dict serves every (m, n) pair.  Each
+    # pair is one kernel call, so its value keeps the bits of
+    # humbert2(m, n, x).  Those bits are symmetric (the denominators are
+    # exact integers, and at most two first-term gammas differ from 1), so
+    # only n >= m is evaluated, into both halves of a table.  For n >= m
+    # row m's kill start is the pair's, so the pair's first term is the
+    # row's, formed once at (m, m), times rgamma(k0 + n + 1): the
+    # operations of `_humbert_terms`.  The terms are added m by m, then n
+    # by n, each as (u**m * v**n) * J_{m,n}
+    x = float(x)
     orders = range(-m_cut, m_cut + 1)
-    pairs = [(m, n) for m in orders for n in orders if n >= m]
     table = [[0.0] * len(orders) for _ in orders]
-    for (m, n), f in zip(pairs, evaluate(pairs)):
-        table[m + m_cut][n + m_cut] = table[n + m_cut][m + m_cut] = f
+    rgammas = {}
+    for m in orders:
+        row_t0, _, k0 = _humbert_terms((float(m),), x, rgammas)
+        for n in range(m, m_cut + 1):
+            a = k0 + n + 1.0
+            if a not in rgammas:
+                rgammas[a] = rgamma(a)
+            offsets = (1.0, m + 1.0, n + 1.0)
+            f = _sum_ratio_series(row_t0 * rgammas[a], -x, (), offsets, policy, k0)[0]
+            table[m + m_cut][n + m_cut] = table[n + m_cut][m + m_cut] = f
     v_powers = [v**n for n in orders]
     total = 0.0
     for m, row in zip(orders, table):
@@ -431,46 +445,18 @@ def _symmetric_double_sum(u, v, m_cut, evaluate):
     return total
 
 
-def _i16_lhs(u, v, x, policy, m_cut=14):
-    # J_{m,n} = c1**m c2**n e^{-x c1 c2}: a shift of an index is a shift of
-    # a gamma argument, so one rgamma dict serves every (m, n) pair.  Each
-    # pair is one kernel call, so its value keeps the bits of
-    # humbert2(m, n, x).  Those bits are symmetric (the denominators are
-    # exact integers, and at most two first-term gammas differ from 1), so
-    # only n >= m is evaluated.  For n >= m row m's kill start is the
-    # pair's, so the pair's first term is the row's, formed once at (m, m),
-    # times rgamma(k0 + n + 1): the operations of `_humbert_terms`
-    x = float(x)
-    rgammas = {}
-
-    def values(pairs):
-        out = []
-        for m, n in pairs:
-            if n == m:
-                row_t0, _, k0 = _humbert_terms((float(m),), x, rgammas)
-            a = k0 + n + 1.0
-            if a not in rgammas:
-                rgammas[a] = rgamma(a)
-            offsets = (1.0, m + 1.0, n + 1.0)
-            out.append(_sum_ratio_series(row_t0 * rgammas[a], -x, (), offsets, policy, k0)[0])
-        return out
-
-    return _symmetric_double_sum(u, v, m_cut, values)
-
-
 def _i17_lhs(u, v, x, gamma_p, policy, m_cut=14):
-    # Delta_{m,n,g} is the Laplace image times c1**m c2**n: one expansion,
-    # reduced at every shift with n >= m (the image is symmetric in its two
-    # symbols).  A shift's terms start at its kill start, at most m_cut, so
-    # order m_cut + 16 leaves each shift at least 16 surviving terms, and
-    # the tail check certifies every shift's cut: a shift whose last two
-    # terms are not below 2^-60 of its sum raises
+    # Delta_{m,n,g} is the Laplace image times c1**m c2**n, so the double
+    # sum is the image times (sum_m (u c1)**m) (sum_n (v c2)**n), reduced
+    # in one pass: each term's gamma factor is summed against the weights
+    # u**m and v**n once per symbol.  Shift m kills the terms below -m, so
+    # order m_cut + 16 leaves the lowest shift 16 surviving terms, and the
+    # tail check certifies the cut: if the last two terms are not below
+    # 2^-60 of the sum it raises
     image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=m_cut + 16)
-
-    def values(pairs):
-        return reduce_shifts(image, [(float(m), float(n)) for m, n in pairs], check_tail_rel=2.0**-60)
-
-    return _symmetric_double_sum(u, v, m_cut, values)
+    orders = range(-m_cut, m_cut + 1)
+    factors = ([(float(m), u**m) for m in orders], [(float(n), v**n) for n in orders])
+    return reduce_weighted(image, factors, check_tail_rel=2.0**-60)
 
 
 def _spherical_ode_residual(n, x, policy):
@@ -893,7 +879,7 @@ def _build_catalog():
         ),
         lhs=_binding(
             lambda p, pol: _i17_lhs(p["u"], p["v"], p["x"], p["gamma_p"], pol),
-            {"laplace_reduce", "reduce_shifts"},
+            {"laplace_reduce", "reduce_weighted"},
             "umbral-pipeline",
         ),
         rhs=_binding(

@@ -219,9 +219,10 @@ def integrate_laguerre(f, sigma, nodes=200):
     Rule pairs n/2n from n = 8, the smallest rule `nodes` allows, doubling
     while n <= nodes, until the error is at most max(1e-10, 1e-10 * |v2|)
     ('converged', else 'max_refinement').  The error is |v2 - v1| plus
-    the larger rule's rounding floor 2n * u * sum|w f|, for the
-    Golub-Welsch errors of order n * u that the pair cannot see.  The
-    value is v2; the node count sums every rule evaluated."""
+    the larger rule's rounding floor 2N**2 * u * sum|w f| at its N nodes,
+    for the Golub-Welsch weights, good to about 1.3 N**2 * u of their
+    size, whose errors the pair cannot see.  The value is v2; the node
+    count sums every rule evaluated."""
     if not sigma > -1.0:
         raise DomainError("integrate_laguerre: sigma must exceed -1")
     if not 8 <= nodes <= 200:
@@ -230,7 +231,7 @@ def integrate_laguerre(f, sigma, nodes=200):
     def rule(n):
         xs, ws = gauss_laguerre_nodes(sigma, n)
         terms = [w * f(x) for x, w in zip(xs, ws)]
-        return math.fsum(terms), n * _UNIT_ROUNDOFF * math.fsum(map(abs, terms))
+        return math.fsum(terms), 2 * n * n * _UNIT_ROUNDOFF * math.fsum(map(abs, terms))
 
     n = used = 8
     v2, _ = rule(n)

@@ -14,13 +14,14 @@ rules close the calculus over everything needed here:
 
 Reduction is linear and exact in the coefficients; certification of a
 truncated exponential is a tail-bound check on the reduced terms.  A
-symbol monomial factor only shifts exponents, so one image reduces at a
-whole family of shifts in one pass (`reduce_shifts`).
+symbol monomial factor only shifts exponents, so an image times a
+polynomial in each symbol, such as a truncated generating function
+sum_m (u c)**m, reduces in one pass, with one weighted gamma sum per
+term and symbol (`reduce_weighted`).
 """
 
 import math
 from collections import namedtuple
-from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .gammakit import gamma, rgamma
@@ -30,7 +31,7 @@ __all__ = [
     "UmbralExpr",
     "UmbralExpSeries",
     "reduce_expr",
-    "reduce_shifts",
+    "reduce_weighted",
     "expand",
     "gaussian_reduce",
     "laplace_reduce",
@@ -118,78 +119,68 @@ def reduce_expr(expr, check_tail_rel=None):
     truncation of an expanded exponential; otherwise a ConvergenceError
     is raised.
     """
-    return reduce_shifts(expr, ((0.0,) * expr.symbol_count,), check_tail_rel)[0]
+    return reduce_weighted(expr, (((0.0, 1.0),),) * expr.symbol_count, check_tail_rel)
 
 
-def reduce_shifts(expr, shifts, check_tail_rel=None):
-    """Reduce `expr` times each symbol monomial c_1**s_1 ... c_m**s_m.
+def _sum(values):
+    """math.fsum, or where it meets inf - inf or overflows, the plain IEEE
+    sum (nan or inf)."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return sum(values)
 
-    Multiplying an image by a symbol monomial only shifts its exponents,
-    so the sum for the shift (s_1, ..., s_m) is the reduction of the
-    terms coeff * c_1**(e_1 + s_1) ... c_m**(e_m + s_m): a shift of a
-    symbol is a shift of the gamma argument.  Returns one sum per shift,
-    each formed exactly as `reduce_expr` forms its sum and certified by
-    the same tail check.  Within the call each distinct rgamma argument
-    is evaluated once, a symbol's factors once per shift (symbols with
-    equal exponents share them), and (coeff * g_1) * ... * g_(m-1) once
-    per leading shift prefix; the last symbol's factors go straight into
-    the sum.
+
+def reduce_weighted(expr, factors, check_tail_rel=None):
+    """Reduce `expr` times, for each symbol c_i, the polynomial
+    sum of w * c_i**s over the (s, w) pairs of `factors[i]`.
+
+    Reduction is linear and a symbol power only shifts a gamma argument,
+    so a term coeff * c_1**e_1 ... c_m**e_m reduces to
+    coeff * A_1(e_1) * ... * A_m(e_m), where A_i(e) is the `math.fsum`
+    of w * rgamma(1 + (e + s)) over symbol i's pairs.  Each A is formed
+    once per symbol and distinct exponent, and each distinct rgamma
+    argument is evaluated once; the products, multiplied left to right,
+    are summed as `reduce_expr` sums its terms and certified by the same
+    tail check.  With one pair (s, 1.0) per symbol this is the reduction
+    of the image times the monomial c_1**s_1 ... c_m**s_m, bit for bit.
     """
     m = expr.symbol_count
-    coeffs = [t.coeff for t in expr.terms]
-    # with no terms, m empty columns: every sum is then 0.0
-    exponent_columns = list(zip(*(t.exponents for t in expr.terms))) or [()] * m
+    if len(factors) != m:
+        raise DomainError(f"reduce_weighted: {len(factors)} factors for {m} symbols")
     rgammas = {}  # argument -> rgamma(argument)
-    # per symbol: shift -> its reduced factors, term by term; symbols with
-    # equal exponents share one dict, since their factors are equal
-    by_exponents = {}
-    columns = [by_exponents.setdefault(col, {}) for col in exponent_columns]
-    heads = {}  # leading shift prefix -> products coeff * g_1 * ... * g_(m-1)
-    # index of the second-to-last term; a one-term expression checks its term twice
-    before_last = -2 if len(coeffs) > 1 else -1
+    weighted = [{} for _ in factors]  # per symbol: exponent -> A(exponent)
 
-    def column(i, s):
-        col = columns[i].get(s)
-        if col is None:
-            col = columns[i][s] = []
-            for e in exponent_columns[i]:
-                a = 1.0 + (s + e)
-                r = rgammas.get(a)
-                if r is None:
-                    r = rgammas[a] = rgamma(a)
-                col.append(r)
-        return col
+    def weighted_sum(pairs, e):
+        parts = []
+        for s, w in pairs:
+            a = 1.0 + (e + s)
+            r = rgammas.get(a)
+            if r is None:
+                r = rgammas[a] = rgamma(a)
+            parts.append(w * r)
+        return _sum(parts)
 
-    sums = []
-    for shift in shifts:
-        if len(shift) != m:
-            raise DomainError(f"reduce_shifts: shift length {len(shift)} != symbol_count {m}")
-        prefix = tuple(shift[:-1])
-        first = heads.get(prefix)
-        if first is None:
-            first = coeffs
-            for i, s in enumerate(prefix):
-                first = list(map(mul, first, column(i, s)))
-            heads[prefix] = first
-        last = columns[-1].get(shift[-1])
-        if last is None:
-            last = column(m - 1, shift[-1])
-        try:
-            total = math.fsum(map(mul, first, last))
-        except (ValueError, OverflowError):  # inf - inf, or a finite overflow
-            total = sum(map(mul, first, last))
-        if check_tail_rel is not None and first:
-            bound = check_tail_rel * max(abs(total), 1e-300)
-            tail_terms = abs(first[-1] * last[-1]), abs(first[before_last] * last[before_last])
-            # a nan or infinite sum certifies nothing, whatever its last terms
-            if not math.isfinite(total) or max(tail_terms) > bound:
-                tail = list(map(mul, first[-2:], last[-2:]))
-                raise ConvergenceError(
-                    f"reduce_shifts: truncation not certified at shift {tuple(shift)}, "
-                    f"sum {total}, last terms {tail} exceed {bound}"
-                )
-        sums.append(total)
-    return sums
+    products = []
+    for t in expr.terms:
+        r = t.coeff
+        for e, pairs, sums in zip(t.exponents, factors, weighted):
+            a = sums.get(e)
+            if a is None:
+                a = sums[e] = weighted_sum(pairs, e)
+            r *= a
+        products.append(r)
+    total = _sum(products)
+    if check_tail_rel is not None and products:
+        bound = check_tail_rel * max(abs(total), 1e-300)
+        # a one-term expression's tail is its one term; a nan or infinite
+        # sum certifies nothing, whatever its last terms
+        tail = products[-2:]
+        if not math.isfinite(total) or max(map(abs, tail)) > bound:
+            raise ConvergenceError(
+                f"reduce_weighted: truncation not certified, sum {total}, last terms {tail} exceed {bound}"
+            )
+    return total
 
 
 def gaussian_reduce(a, q, p, order=60):

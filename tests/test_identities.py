@@ -171,62 +171,108 @@ class TestTruncationMonotonicity:
             assert b < a or b < 1e-12
 
 
+def _i17_oracle(u, v, x, gamma_p, order=30, m_cut=14):
+    """(value, bound) of I17's truncated double sum at 50 digits.
+
+    The sum over |m|, |n| <= m_cut of u^m v^n times the Laplace image to
+    `order`, reduced at shift (m, n), is sum_k c_k A_u(k) A_v(k), where
+    c_k = (-w)^k Gamma(g+k)/k! with w = (x/2)^2, and A_u(k) is the sum over
+    m of u^m / Gamma(1+k+m).  The lhs forms the same products in binary64
+    and sums them with math.fsum.  Its error, to first order in the unit
+    roundoff u, is at most u|S| + sum_k (5k + 50.4) u |P_k|, P_k the exact
+    k-th product, because:
+    * w = (x/2.0)**2 rounds once in `pow` (at most 1 ulp, 2u), so w^k is
+      off by 2k u; each step of c_k's recurrence rounds three times
+      (g + k - 1 is exact, and c_0 = Gamma(g) = 1 for g in {1, 2}): 5k u;
+    * in A, u**m (pow, 2u) times rgamma at a positive integer (the
+      library's documented 10.1 ulps, 20.2u; exactly 0 at a pole) rounds
+      once more (u): 23.2u per part.  The parts are all nonnegative, so
+      their fsum (u) keeps A within 24.2u;
+    * c_k A_u A_v rounds twice (2u), and the fsum once on the total.
+    The oracle is exact to about 1e-50, far inside that bound.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        w = (mp.mpf(x) / 2) ** 2
+        g = mp.mpf(gamma_p)
+
+        def weighted(base, k):
+            return mp.fsum(mp.mpf(base) ** m * mp.rgamma(1 + k + m) for m in range(-m_cut, m_cut + 1))
+
+        products = [(-w) ** k * mp.gamma(g + k) / mp.factorial(k) * weighted(u, k) * weighted(v, k) for k in range(order + 1)]
+        value = mp.fsum(products)
+        u53 = mp.mpf(2) ** -53
+        bound = u53 * abs(value) + mp.fsum((5 * k + mp.mpf("50.4")) * u53 * abs(p) for k, p in enumerate(products))
+    return value, bound
+
+
+def _assert_i17_within_oracle(lhs, u, v, x, gamma_p, order=30):
+    value, bound = _i17_oracle(u, v, x, gamma_p, order)
+    assert abs(lhs - value) <= bound, (u, v, x, gamma_p, lhs, float(value), float(bound))
+
+
 class TestI17ShiftFamily:
-    # lhs bits of the four default I17 points, taken from the
-    # per-(m, n) laplace_reduce + reduce_expr loop before it was replaced
-    # by one expansion reduced at every shift; re-taken from that loop
-    # when rgamma moved onto math.gamma, which moved three by an ulp
+    # lhs bits of the four default I17 points, with the image reduced
+    # once against the generating polynomials sum_m (u c1)^m and
+    # sum_n (v c2)^n; each lies within the oracle's rounding bound
     @pytest.mark.parametrize(
         "index,bits",
         [
-            (0, "0x1.bd14fbd0480f8p+2"),
-            (1, "0x1.a2e692a5e9675p+2"),
-            (2, "0x1.b05d86e78fe0dp+2"),
-            (3, "0x1.8b4e3232cc15ap+2"),
+            (0, "0x1.bd14fbd0480fbp+2"),
+            (1, "0x1.a2e692a5e9672p+2"),
+            (2, "0x1.b05d86e78fe0fp+2"),
+            (3, "0x1.8b4e3232cc158p+2"),
         ],
     )
     def test_default_grid_golden_bits(self, index, bits):
-        r = verify("I17", get_identity("I17").grid[index])
+        params = get_identity("I17").grid[index]
+        r = verify("I17", params)
         assert r.status == "pass"
         assert r.lhs.hex() == bits
+        _assert_i17_within_oracle(r.lhs, params["u"], params["v"], params["x"], params["gamma_p"])
 
     def test_jittered_grid_matches_per_pair_reduction(self):
-        from sphstruve.umbral import laplace_reduce, reduce_expr
-
-        reports = verify_all(ids=["I17"], seed=7)
-        assert [r.status for r in reports] == ["pass"] * 4
-        for r in reports:
-            p = r.params
-            w = (p["x"] / 2.0) ** 2
-            want = 0.0
-            for m in range(-14, 15):
-                for n in range(-14, 15):
-                    expr = laplace_reduce(p["gamma_p"], w, float(m), float(n), order=60)
-                    want += p["u"] ** m * p["v"] ** n * reduce_expr(expr)
-            assert r.lhs.hex() == want.hex()
+        # the oracle's factored form against the per-pair double sum, shift
+        # by shift, at 50 digits; then each jittered lhs within its bound
+        mp = pytest.importorskip("mpmath")
+        orders = range(-14, 15)
+        for seed in (7, 102):
+            reports = verify_all(ids=["I17"], seed=seed)
+            assert [r.status for r in reports] == ["pass"] * 4
+            for r in reports:
+                p = r.params
+                value, bound = _i17_oracle(p["u"], p["v"], p["x"], p["gamma_p"])
+                with mp.workdps(50):
+                    w, g = (mp.mpf(p["x"]) / 2) ** 2, mp.mpf(p["gamma_p"])
+                    coeffs = [(-w) ** k * mp.gamma(g + k) / mp.factorial(k) for k in range(31)]
+                    rg = {a: mp.rgamma(a) for a in range(-13, 46)}
+                    per_pair = mp.fsum(
+                        mp.mpf(p["u"]) ** m * mp.mpf(p["v"]) ** n
+                        * mp.fsum(c * rg[1 + k + m] * rg[1 + k + n] for k, c in enumerate(coeffs))
+                        for m in orders
+                        for n in orders
+                    )
+                    assert abs(per_pair - value) <= mp.mpf(10) ** -45 * abs(value)
+                assert abs(r.lhs - value) <= bound, (seed, p)
 
 
 class TestI17CertifiedImage:
-    # the image runs to order m_cut + 16 = 30, and every shift's cut is
-    # certified: its sums are those of the order-60 image, bit for bit
+    # the image runs to order m_cut + 16 = 30, and its cut is certified:
+    # the lhs lies within the rounding bound of the order-60 sum
 
     @staticmethod
-    def _assert_certified(x, gamma_p):
-        from sphstruve.umbral import laplace_reduce, reduce_shifts
+    def _assert_certified(u, v, x, gamma_p):
+        from sphstruve.identities import _i17_lhs
 
-        w = (x / 2.0) ** 2
-        shifts = [(float(m), float(n)) for m in range(-14, 15) for n in range(-14, 15)]
-        got = reduce_shifts(laplace_reduce(gamma_p, w, 0.0, 0.0, order=30), shifts, check_tail_rel=2.0**-60)
-        want = reduce_shifts(laplace_reduce(gamma_p, w, 0.0, 0.0, order=60), shifts)
-        assert [v.hex() for v in got] == [v.hex() for v in want], (x, gamma_p)
+        lhs = _i17_lhs(u, v, x, gamma_p, DEFAULT_POLICY)
+        _assert_i17_within_oracle(lhs, u, v, x, gamma_p, order=60)
 
     def test_window_corners(self):
-        # the image depends on x and gamma_p only; u and v weight its sums
         for x in (0.1, 1.0):
             for gamma_p in (1.0, 2.0):
-                self._assert_certified(x, gamma_p)
                 for u in (0.5, 1.5):
                     for v in (0.5, 1.5):
+                        self._assert_certified(u, v, x, gamma_p)
                         params = {"u": u, "v": v, "x": x, "gamma_p": gamma_p}
                         assert verify("I17", params).status != "skipped", params
 
@@ -234,27 +280,30 @@ class TestI17CertifiedImage:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        @given(st.floats(min_value=0.1, max_value=1.0), st.sampled_from((1.0, 2.0)))
+        weight = st.floats(min_value=0.5, max_value=1.5)
+
+        @given(weight, weight, st.floats(min_value=0.1, max_value=1.0), st.sampled_from((1.0, 2.0)))
         @settings(max_examples=25, deadline=None)
-        def run(x, gamma_p):
-            self._assert_certified(x, gamma_p)
+        def run(u, v, x, gamma_p):
+            self._assert_certified(u, v, x, gamma_p)
 
         run()
 
     def test_short_image_becomes_skip(self, monkeypatch):
-        # an image cut at order 16 leaves shift (-14, -14) three terms, the
-        # last two far above 2^-60 of its sum: the check must not pass
+        # an image cut at order 12 leaves its last two terms near 4e-13
+        # and 3e-14, far above 2^-60 of its sum 6.95: the check must not
+        # pass
         reduce = identities.laplace_reduce
-        monkeypatch.setattr(identities, "laplace_reduce", lambda g, w, a, b, order: reduce(g, w, a, b, order=16))
+        monkeypatch.setattr(identities, "laplace_reduce", lambda g, w, a, b, order: reduce(g, w, a, b, order=12))
         rep = verify("I17", get_identity("I17").grid[0])
         assert rep.status == "skipped"
-        assert "truncation not certified at shift (-14.0, -14.0)" in rep.reason
+        assert "reduce_weighted: truncation not certified, sum 6.95" in rep.reason
 
 
 class TestSymmetricDoubleSums:
-    # J_{m,n} = J_{n,m} and Delta_{m,n,g} = Delta_{n,m,g}: I16 and I17
-    # evaluate only the 435 pairs with n >= m and read each value back for
-    # both orders of its pair
+    # J_{m,n} = J_{n,m}: I16 evaluates only the 435 pairs with n >= m
+    # and reads each value back for both orders of its pair; I17 reduces
+    # its image once, against one generating polynomial per symbol
 
     def test_each_symmetric_pair_is_evaluated_once(self, monkeypatch):
         # each I16 pair is one kernel call, on its own denominator offsets
@@ -265,31 +314,27 @@ class TestSymmetricDoubleSums:
             families.append(den_offsets)
             return kernel(t0, z, num_offsets, den_offsets, policy, k0, dens)
 
-        shift_counts = []
-        reduce = identities.reduce_shifts
+        factor_sizes = []
+        reduce = identities.reduce_weighted
 
-        def recorded(expr, shifts, check_tail_rel=None):
-            shift_counts.append(len(shifts))
-            assert all(m <= n for m, n in shifts)
-            return reduce(expr, shifts, check_tail_rel)
+        def recorded(expr, factors, check_tail_rel=None):
+            factor_sizes.append([len(f) for f in factors])
+            return reduce(expr, factors, check_tail_rel)
 
         monkeypatch.setattr(identities, "_sum_ratio_series", counted)
-        monkeypatch.setattr(identities, "reduce_shifts", recorded)
+        monkeypatch.setattr(identities, "reduce_weighted", recorded)
         assert verify("I16").status == "pass"
         assert len(families) == len(set(families)) == 435
         assert verify("I17").status == "pass"
-        assert shift_counts == [435]
+        assert factor_sizes == [[29, 29]]
 
     def test_sums_match_the_full_double_loops(self):
-        # the full 841-term loops: I16 pointwise humbert2 at every (m, n),
-        # bit for bit; I17 one reduce_shifts call at all 841 shifts, to
-        # 4 ulp, since c1 and c2 multiply a shift's products in the other
-        # order for (n, m) than for (m, n)
+        # I16 against the full 841-term loop of pointwise humbert2 at
+        # every (m, n), bit for bit; I17 within its oracle's bound
         from hypothesis import given, settings
         from hypothesis import strategies as st
         from sphstruve.functions import humbert2
         from sphstruve.identities import _i16_lhs, _i17_lhs
-        from sphstruve.umbral import laplace_reduce, reduce_shifts
 
         orders = range(-14, 15)
         weight = st.floats(min_value=0.5, max_value=1.5)
@@ -302,43 +347,40 @@ class TestSymmetricDoubleSums:
                 for n in orders:
                     want += u**m * v**n * humbert2(float(m), float(n), x).value
             assert _i16_lhs(u, v, x, DEFAULT_POLICY).hex() == want.hex()
-            image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=30)
-            shifts = [(float(m), float(n)) for m in orders for n in orders]
-            values = iter(reduce_shifts(image, shifts, check_tail_rel=2.0**-60))
-            want = 0.0
-            for m in orders:
-                for n in orders:
-                    want += u**m * v**n * next(values)
-            assert abs(_i17_lhs(u, v, x, gamma_p, DEFAULT_POLICY) - want) <= 4.0 * math.ulp(want)
+            _assert_i17_within_oracle(_i17_lhs(u, v, x, gamma_p, DEFAULT_POLICY), u, v, x, gamma_p)
 
         run()
 
     @pytest.mark.parametrize("m_cut", [0, 1, 14])
-    def test_table_sum_matches_the_dict_loop(self, m_cut):
+    def test_table_sum_matches_the_dict_loop(self, m_cut, monkeypatch):
         # reference: the n >= m values in a dict, and every term of the full
-        # loop formed as u**m * v**n * F(min, max); the table sum must keep
-        # its bits, for a random symmetric F at random (u, v)
+        # loop formed as u**m * v**n * F(min, max); I16's table sum must
+        # keep its bits, for a random symmetric F standing in for the
+        # kernel at random (u, v)
         import random
 
-        from sphstruve.identities import _symmetric_double_sum
+        from sphstruve.identities import _i16_lhs
 
         rng = random.Random(m_cut)
         orders = range(-m_cut, m_cut + 1)
+        calls = []
+
+        def kernel(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
+            pair = (int(den_offsets[1]) - 1, int(den_offsets[2]) - 1)
+            calls.append(pair)
+            return (F[pair],)
+
+        monkeypatch.setattr(identities, "_sum_ratio_series", kernel)
         for _ in range(20):
             u, v = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
             F = {(m, n): rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-30, 5) for m in orders for n in orders if n >= m}
-            calls = []
-
-            def evaluate(pairs):
-                calls.append(list(pairs))
-                return [F[p] for p in pairs]
-
+            calls.clear()
             want = 0.0
             for m in orders:
                 for n in orders:
                     want += u**m * v**n * F[min(m, n), max(m, n)]
-            assert _symmetric_double_sum(u, v, m_cut, evaluate).hex() == want.hex()
-            assert calls == [[(m, n) for m in orders for n in orders if n >= m]]
+            assert _i16_lhs(u, v, 0.5, DEFAULT_POLICY, m_cut=m_cut).hex() == want.hex()
+            assert calls == [(m, n) for m in orders for n in orders if n >= m]
 
 
 class TestLaguerreMultiIndex:

@@ -128,6 +128,21 @@ class TestLaguerre:
         assert r.cells_or_nodes == 24
         assert r.status == "max_refinement"
 
+    def test_monomials_within_their_estimate(self):
+        # integral of s^(m+sigma) e^-s is Gamma(m+sigma+1), here at 40
+        # digits.  The rules integrate s^m exactly from 2N > m, so what is
+        # left is rounding, mostly the Golub-Welsch weights' own error
+        # (about 1.3 N^2 u of their size), which the pair's difference does
+        # not see: every call must report an estimate at least its error
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for sigma in (-0.5, 0.0, 1.0, 3.0):
+                for m in range(1, 113):
+                    r = integrate_laguerre(lambda s, m=m: s**m, sigma)
+                    err = abs(mp.mpf(r.value) - mp.gamma(m + mp.mpf(sigma) + 1))
+                    assert r.status == "converged", (sigma, m)
+                    assert err <= r.error_estimate, (sigma, m, float(err), r.error_estimate)
+
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 200, 256, 400])
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
     def test_far_weights_bounded_and_total_kept(self, sigma, n):

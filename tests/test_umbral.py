@@ -16,7 +16,7 @@ from sphstruve.umbral import (
     gaussian_reduce,
     laplace_reduce,
     reduce_expr,
-    reduce_shifts,
+    reduce_weighted,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -201,30 +201,38 @@ class TestLaplaceReduce:
             assert t.exponents == (0.25 + k, 0.75 + k)
 
 
+def _at_shifts(expr, shifts, check_tail_rel=None):
+    """reduce_weighted at each shift, with the one-term factor (s, 1.0) per
+    symbol: the image times the monomial c_1**s_1 ... c_m**s_m."""
+    return [reduce_weighted(expr, [((s, 1.0),) for s in shift], check_tail_rel) for shift in shifts]
+
+
 class TestReduceShifts:
+    # reduce_weighted with one-term factors: each reduction is the image
+    # times one symbol monomial, whose shifts move the gamma arguments
+
     @pytest.mark.parametrize("g,w", [(1.0, 0.25), (2.0, 0.09), (1.5, 1.7)])
     @pytest.mark.parametrize("shift", [(0.25, 0.75), (-3.0, 5.0), (2.0, -1.0), (-0.5, 0.0)])
     def test_shift_equals_shifted_expansion(self, g, w, shift):
         a, b = shift
         want = reduce_expr(laplace_reduce(g, w, a, b, order=60))
-        got = reduce_shifts(laplace_reduce(g, w, 0.0, 0.0, order=60), [shift])
+        got = _at_shifts(laplace_reduce(g, w, 0.0, 0.0, order=60), [shift])
         assert [v.hex() for v in got] == [want.hex()]
 
     def test_family_in_order(self):
         shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (1, -1)]
         image = laplace_reduce(2.0, 0.3, 0.0, 0.0, order=40)
         want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
-        assert [v.hex() for v in reduce_shifts(image, shifts)] == want
+        assert [v.hex() for v in _at_shifts(image, shifts)] == want
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0)])
     def test_symbols_sharing_or_not_their_exponents(self, a, b):
-        # equal exponent columns (a == b) reduce to equal factors, so one
-        # symbol's factors at a shift serve the other's at that shift; with
-        # unequal columns they must not.  Shifts overlap across symbols.
+        # each symbol reduces its own exponents against its own factor,
+        # whether or not its exponents equal the other symbol's
         image = laplace_reduce(2.0, 0.3, a, b, order=40)
         shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (3, 0, -2, 1)]
         want = [reduce_expr(laplace_reduce(2.0, 0.3, a + s, b + t, order=40)).hex() for s, t in shifts]
-        assert [v.hex() for v in reduce_shifts(image, shifts)] == want
+        assert [v.hex() for v in _at_shifts(image, shifts)] == want
 
     def test_single_term_product_order(self):
         # one term sums exactly, so this pins r = coeff, then r *= g per
@@ -232,29 +240,34 @@ class TestReduceShifts:
         t = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60).terms[5]
         e = UmbralExpr(2, (t,))
         want = t.coeff * rgamma(1.0 + (3.0 + 5.0)) * rgamma(1.0 + (2.0 + 5.0))
-        assert reduce_shifts(e, [(3.0, 2.0)])[0].hex() == want.hex()
+        assert reduce_weighted(e, [((3.0, 1.0),), ((2.0, 1.0),)]).hex() == want.hex()
 
     def test_list_typed_shifts(self):
-        # shifts given as lists reduce bit for bit as the same tuples, with
-        # the leading-prefix products reused across shifts that share them
+        # factors given as lists reduce bit for bit as the same tuples
         image = laplace_reduce(2.0, 0.3, 0.0, 0.0, order=40)
         shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (1, -1, 3)]
         want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
-        got = reduce_shifts(image, [list(s) for s in shifts], check_tail_rel=2.0**-40)
+        got = [reduce_weighted(image, [[[a, 1.0]], [[b, 1.0]]], 2.0**-40) for a, b in shifts]
         assert [v.hex() for v in got] == want
         three = UmbralExpr(3, tuple(UmbralTerm(0.5 * k, (k, 0.5 * k, 1.0)) for k in range(6)))
         triples = [(0.0, 1.0, 2.0), (0.0, 1.0, -0.5), (1.5, 1.0, 2.0)]
-        assert reduce_shifts(three, [list(t) for t in triples]) == reduce_shifts(three, triples)
+        for t in triples:
+            as_lists = [[[s, 1.0]] for s in t]
+            assert reduce_weighted(three, as_lists) == _at_shifts(three, [t])[0]
 
     def test_zero_shift_is_reduce_expr(self):
         ser = UmbralExpSeries((0.5,), (1,), -2.25, 40)
         ex = expand(ser)
-        assert reduce_shifts(ex, [(0.0,)], check_tail_rel=1e-12)[0].hex() == reduce_expr(ex).hex()
+        assert _at_shifts(ex, [(0.0,)], check_tail_rel=1e-12)[0].hex() == reduce_expr(ex).hex()
         e = UmbralExpr(2, (UmbralTerm(1.5, (0.3, -0.0)), UmbralTerm(-0.25, (1.1, 2.0))))
-        assert reduce_shifts(e, [(0.0, 0.0)])[0].hex() == reduce_expr(e).hex()
+        assert _at_shifts(e, [(0.0, 0.0)])[0].hex() == reduce_expr(e).hex()
 
     def test_empty_family(self):
-        assert reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), []) == []
+        # an empty factor is the zero polynomial: every term reduces to 0,
+        # and a zero sum is certified
+        image = laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5)
+        assert reduce_weighted(image, [(), ((0.0, 1.0),)], check_tail_rel=1e-12) == 0.0
+        assert reduce_weighted(image, [[], []]) == 0.0
 
     @pytest.mark.parametrize("symbols", [1, 2, 3])
     def test_empty_expression_sums_to_zero(self, symbols):
@@ -262,43 +275,42 @@ class TestReduceShifts:
         assert reduce_expr(empty) == 0.0
         assert reduce_expr(empty, check_tail_rel=1e-12) == 0.0
         shifts = [(float(i),) * symbols for i in range(3)]
-        assert reduce_shifts(empty, shifts, check_tail_rel=1e-12) == [0.0, 0.0, 0.0]
-        # the shift length is still checked first
+        assert _at_shifts(empty, shifts, check_tail_rel=1e-12) == [0.0, 0.0, 0.0]
+        # the factor count is still checked first
         with pytest.raises(DomainError):
-            reduce_shifts(empty, [(0.0,) * (symbols + 1)])
+            reduce_weighted(empty, [((0.0, 1.0),)] * (symbols + 1))
 
     def test_rejects_wrong_shift_length(self):
-        with pytest.raises(DomainError):
-            reduce_shifts(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [(1.0,)])
+        with pytest.raises(DomainError, match="1 factors for 2 symbols"):
+            reduce_weighted(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [((1.0, 1.0),)])
 
     def test_one_uncertified_shift_raises(self):
         # at shift (-9, 0) the terms k < 9 hit poles of Gamma and vanish,
         # so the last two terms are the whole sum
         image = laplace_reduce(1.0, 0.25, 0.0, 0.0, order=10)
-        reduce_shifts(image, [(0.0, 0.0), (1.0, 2.0)], check_tail_rel=1e-12)
-        for shifts in ([(0.0, 0.0), (-9.0, 0.0)], [(-9.0, 0.0), (0.0, 0.0)]):
-            with pytest.raises(ConvergenceError):
-                reduce_shifts(image, shifts, check_tail_rel=1e-12)
+        _at_shifts(image, [(0.0, 0.0), (1.0, 2.0)], check_tail_rel=1e-12)
+        with pytest.raises(ConvergenceError):
+            _at_shifts(image, [(-9.0, 0.0)], check_tail_rel=1e-12)
 
     @pytest.mark.parametrize("order", ["last", "second-to-last"])
     def test_either_tail_term_alone_raises(self, order):
         big, small = UmbralTerm(1e-3, (0.0,)), UmbralTerm(1e-20, (0.0,))
         tail = (small, big) if order == "last" else (big, small)
         e = UmbralExpr(1, (UmbralTerm(1.0, (0.0,)),) + tail)
-        assert reduce_shifts(e, [(0.0,)], check_tail_rel=1e-2) == [math.fsum([1.0, 1e-3, 1e-20])]
+        assert _at_shifts(e, [(0.0,)], check_tail_rel=1e-2) == [math.fsum([1.0, 1e-3, 1e-20])]
         with pytest.raises(ConvergenceError, match=r"last terms \[.*\] exceed"):
-            reduce_shifts(e, [(0.0,)], check_tail_rel=1e-12)
+            _at_shifts(e, [(0.0,)], check_tail_rel=1e-12)
 
     def test_one_term_expression(self):
         # its one term is its whole sum: a check below 1 cannot certify it
         e = UmbralExpr(2, (UmbralTerm(2.0, (0.5, 1.0)),))
         want = 2.0 * rgamma(1.5) * rgamma(2.0)
-        assert reduce_shifts(e, [(0.0, 0.0)]) == [want]
-        assert reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=1.0) == [want]
+        assert _at_shifts(e, [(0.0, 0.0)]) == [want]
+        assert _at_shifts(e, [(0.0, 0.0)], check_tail_rel=1.0) == [want]
         with pytest.raises(ConvergenceError, match=r"last terms \[.*\] exceed"):
-            reduce_shifts(e, [(0.0, 0.0)], check_tail_rel=0.5)
+            _at_shifts(e, [(0.0, 0.0)], check_tail_rel=0.5)
         zero = UmbralExpr(2, tuple(_scaled(e.terms, 0.0)))
-        assert reduce_shifts(zero, [(0.0, 0.0)], check_tail_rel=1e-12) == [0.0]
+        assert _at_shifts(zero, [(0.0, 0.0)], check_tail_rel=1e-12) == [0.0]
 
     @staticmethod
     def _shifted(expr, shift):
@@ -341,10 +353,9 @@ class TestReduceShifts:
         ids=["one-symbol", "three-symbol"],
     )
     def test_family_beyond_two_symbols(self, expr, shifts):
-        # out of order and repeated, and in the three-symbol family some
-        # shifts share their leading prefix: each sum is the shifted
-        # image's, and the correctly rounded sum of its products
-        got = reduce_shifts(expr, shifts, check_tail_rel=1e-12)
+        # out of order and repeated: each sum is the shifted image's, and
+        # the correctly rounded sum of its products
+        got = _at_shifts(expr, shifts, check_tail_rel=1e-12)
         assert [v.hex() for v in got] == [reduce_expr(self._shifted(expr, sh)).hex() for sh in shifts]
         assert [v.hex() for v in got] == [math.fsum(self._products(expr, sh)).hex() for sh in shifts]
 
@@ -355,7 +366,7 @@ class TestReduceShifts:
         with mpmath.workdps(50):
             for gamma_p, x in ((1.0, 0.5), (2.0, 0.5), (1.0, 0.6)):
                 image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=60)
-                for shift, got in zip(shifts, reduce_shifts(image, shifts)):
+                for shift, got in zip(shifts, _at_shifts(image, shifts)):
                     exact = mpmath.fsum(mpmath.mpf(r) for r in self._products(image, shift))
                     assert got.hex() == float(exact).hex(), shift
 
@@ -363,7 +374,7 @@ class TestReduceShifts:
         # rgamma(-171.5) = +inf and rgamma(-172.5) = -inf
         e = UmbralExpr(1, (UmbralTerm(1.0, (-172.5,)), UmbralTerm(1.0, (-173.5,))))
         assert math.isnan(reduce_expr(e))
-        assert math.isnan(reduce_shifts(e, [(0.0,), (0.0,)])[1])
+        assert math.isnan(_at_shifts(e, [(0.0,)])[0])
 
     def test_finite_overflow_is_inf(self):
         e = UmbralExpr(1, (UmbralTerm(1e308, (0.0,)), UmbralTerm(1e308, (0.0,))))
@@ -381,7 +392,7 @@ class TestReduceShifts:
             with pytest.raises(ConvergenceError, match="not certified"):
                 reduce_expr(e, check_tail_rel=1e-12)
             with pytest.raises(ConvergenceError, match="not certified"):
-                reduce_shifts(e, [(0.0,), (1.0,)], check_tail_rel=1e-12)
+                _at_shifts(e, [(1.0,)], check_tail_rel=1e-12)
 
     def test_lone_infinite_term_is_inf(self):
         # one infinite term among finite ones sums to that infinity
@@ -398,10 +409,80 @@ class TestReduceShifts:
 
         monkeypatch.setattr(umbral, "rgamma", counted)
         image = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60)
-        shifts = [(float(m), float(n)) for m in range(-14, 15) for n in range(-14, 15)]
-        reduce_shifts(image, shifts)
-        # arguments 1 + (s + k) for s in -14..14 and k in 0..60
+        factor = [(float(s), 0.5**s) for s in range(-14, 15)]
+        reduce_weighted(image, [factor, factor])
+        # arguments 1 + (k + s) for s in -14..14 and k in 0..60
         assert sorted(calls) == [float(a) for a in range(-13, 76)]
+
+
+class TestReduceWeighted:
+    # the image times a polynomial in each symbol; by linearity, the
+    # weighted sum of the reductions at every combination of shifts
+
+    @pytest.mark.parametrize("symbols", [1, 2, 3])
+    def test_sum_over_shifts_against_mpmath(self, symbols):
+        # against the exact sum at 50 digits, also formed shift
+        # combination by combination.  The coefficients are taken as
+        # exact, and every weight and gamma argument here is positive, so
+        # no weighted gamma sum A cancels: per symbol, rgamma's documented
+        # 10.1 ulps (at most 20.2 u), the weight's product, the fsum of A
+        # and the product's multiplication give at most 23.2 u, on the sum
+        # of absolute products, plus u on the total
+        import itertools
+
+        mpmath = pytest.importorskip("mpmath")
+        expr = expand(UmbralExpSeries((0.0, 0.5, 1.5)[:symbols], (1,) * symbols, -1.5, 30))
+        factors = [((0.0, 1.0), (1.0, 0.5), (-0.5, 3.0)), ((2.0, 0.25), (-1.0, 1.0)), ((0.5, 2.0),)][:symbols]
+        got = reduce_weighted(expr, factors, check_tail_rel=1e-12)
+        with mpmath.workdps(50):
+            exact, absum = mpmath.mpf(0), mpmath.mpf(0)
+            for t in expr.terms:
+                part = mpmath.mpf(t.coeff)
+                for e, pairs in zip(t.exponents, factors):
+                    part *= mpmath.fsum(w * mpmath.rgamma(1 + mpmath.mpf(e) + s) for s, w in pairs)
+                exact += part
+                absum += abs(part)
+            # the same value, summed shift combination by combination
+            by_shift = mpmath.fsum(
+                mpmath.fsum(mpmath.mpf(t.coeff) * mpmath.fprod(
+                    w * mpmath.rgamma(1 + mpmath.mpf(e) + s) for e, (s, w) in zip(t.exponents, combo)
+                ) for t in expr.terms)
+                for combo in itertools.product(*factors)
+            )
+            assert abs(by_shift - exact) <= mpmath.mpf(10) ** -40 * absum
+            u = mpmath.mpf(2) ** -53
+            assert abs(mpmath.mpf(got) - exact) <= 23.2 * symbols * u * absum + u * abs(exact)
+
+    def test_each_exponent_weighted_once_per_symbol(self, monkeypatch):
+        # a term reuses the weighted sum of an exponent it shares with an
+        # earlier term, symbol by symbol
+        sums = []
+        plain = umbral._sum
+
+        def counted(values):
+            sums.append(len(values))
+            return plain(values)
+
+        monkeypatch.setattr(umbral, "_sum", counted)
+        e = UmbralExpr(2, tuple(UmbralTerm(1.0, (float(k % 3), float(k % 2))) for k in range(6)))
+        reduce_weighted(e, [((0.0, 1.0), (1.0, 2.0)), ((0.0, 1.0), (2.0, 0.5), (3.0, 0.25))])
+        # 3 distinct exponents of c1 (two pairs each), 2 of c2 (three
+        # pairs each), then the 6 products
+        assert sorted(sums) == [2, 2, 2, 3, 3, 6]
+
+    def test_unit_factors_are_reduce_expr(self):
+        # reduce_expr is reduce_weighted with the factor ((0.0, 1.0),) per symbol
+        e = expand(UmbralExpSeries((0.0, 0.5), (1, 1), -2.0, 40))
+        got = reduce_weighted(e, [((0.0, 1.0),), ((0.0, 1.0),)], check_tail_rel=1e-12)
+        assert got.hex() == reduce_expr(e, check_tail_rel=1e-12).hex()
+
+    def test_truncation_checked_on_the_weighted_products(self):
+        # a weight that keeps the last terms large defeats the check that
+        # the unit factor passes
+        e = expand(UmbralExpSeries((0.0,), (1,), -1.0, 20))
+        reduce_weighted(e, [((0.0, 1.0),)], check_tail_rel=1e-12)
+        with pytest.raises(ConvergenceError, match="reduce_weighted: truncation not certified"):
+            reduce_weighted(e, [((0.0, 1.0), (-20.0, 1e9))], check_tail_rel=1e-12)
 
 
 class TestSeriesEquivalence:
