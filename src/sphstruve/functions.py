@@ -720,27 +720,17 @@ def struve_algebraic(alpha, x):
 # Humbert-type multi-index families.
 
 
-def _humbert_terms(indices, z, rgammas=None):
+def _humbert_terms(indices, z):
     """(t0, den_offsets, k0) of sum_k (-z)^k / (k! prod_i Gamma(k + index_i + 1)),
     the series of `humbert2` and `humbert3`, summed by `_sum_ratio_series`
     at ratio -z.  The first surviving term is (-z)^k0 times the reciprocal
     gammas at k0, multiplied on in order (1.0 where k0 = 0).
-
-    `rgammas` is an optional caller-owned dict from gamma argument to its
-    rgamma value: a caller forming many index sets or many z shares one,
-    so each argument is evaluated once across all of them.
     """
     gamma_args = (1.0, *[i + 1.0 for i in indices])
     k0 = _kill_start(gamma_args)
-    if rgammas is None:
-        rgammas = {}
     t0 = (-z) ** k0 if k0 else 1.0
     for g in gamma_args:
-        a = k0 + g
-        r = rgammas.get(a)
-        if r is None:
-            r = rgammas[a] = rgamma(a)
-        t0 *= r
+        t0 *= rgamma(k0 + g)
     return t0, gamma_args, k0
 
 

@@ -189,7 +189,6 @@ def humbert2_decimal(mu, nu, z):
             raise DomainError("humbert2_decimal: series failed to converge")
 
 
-@lru_cache(maxsize=64)
 @_with_precision
 def _saddle_coeffs(mu, nu):
     """(q, a, C) of the saddle expansion

@@ -401,9 +401,9 @@ def _bits(result):
     return value.hex(), terms, tail.hex()
 
 
-def _humbert_summed(indices, z, policy, rgammas=None, dens=None):
+def _humbert_summed(indices, z, policy, dens=None):
     """The multi-index series of `_humbert_terms` summed by the kernel."""
-    t0, den_offsets, k0 = _humbert_terms(indices, z, rgammas)
+    t0, den_offsets, k0 = _humbert_terms(indices, z)
     return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0, dens)
 
 
@@ -421,12 +421,12 @@ class TestHumbertFamily:
 
     @pytest.mark.parametrize("indices", INDICES)
     def test_matches_pointwise_bitwise(self, indices):
-        # one rgamma dict and one denominator table across every z, as the
-        # Laguerre integrands share them across nodes
-        rgammas, dens = {}, []
+        # one denominator table across every z, as the Laguerre integrands
+        # share it across nodes
+        dens = []
         pointwise = humbert2 if len(indices) == 2 else humbert3
         for z in self.ZS:
-            got = _humbert_summed(indices, z, DEFAULT_POLICY, rgammas, dens)
+            got = _humbert_summed(indices, z, DEFAULT_POLICY, dens)
             assert _bits(got) == _bits(_humbert_by_loop(indices, z, DEFAULT_POLICY)), z
             res = pointwise(*indices, z)
             assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), z
@@ -447,26 +447,8 @@ class TestHumbertFamily:
             ), z
             assert type(res.terms_used) is int
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_shared_gamma_table_is_bitwise_pointwise(self, seed):
-        # I16's 841 integer pairs at its three default x values (seed 0)
-        # or its seed-7 jittered ones, all through one shared table
-        from sphstruve.identities import verify_all
-
-        rgammas = {}
-        xs = [r.params["x"] for r in verify_all(ids=["I16"], seed=seed)]
-        assert len(set(xs)) == 3
-        for x in xs:
-            for m in range(-14, 15):
-                for n in range(-14, 15):
-                    got = _humbert_summed((float(m), float(n)), x, DEFAULT_POLICY, rgammas)
-                    res = humbert2(float(m), float(n), x)
-                    assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), (m, n, x)
-        # one entry per distinct gamma argument k0 + index + 1, k0 <= 14
-        assert sorted(rgammas) == [float(a) for a in range(1, 30)]
-
     def test_integer_pairs_are_symmetric_bitwise(self):
-        # I16 evaluates only n >= m and reads (m, n) for (n, m): the
+        # J_{m,n} = J_{n,m} at integer indices, bit for bit: the
         # denominators are exact integer products, and at most two
         # first-term gammas differ from 1, so both orders give the same bits
         from hypothesis import given, settings

@@ -145,45 +145,43 @@ class TestSpotChecks:
 class TestTruncationMonotonicity:
     def test_i16_defect_decreases(self):
         from sphstruve.identities import _i16_lhs
-        from sphstruve.functions import DEFAULT_POLICY
 
         u, v, x = 0.8, 1.2, 0.6
         want = math.exp(u + v - x / (u * v))
         defects = []
         for m_cut in (4, 6, 8, 10):
-            got = _i16_lhs(u, v, x, DEFAULT_POLICY, m_cut=m_cut)
+            got = _i16_lhs(u, v, x, m_cut=m_cut)
             defects.append(abs(got - want))
         for a, b in zip(defects, defects[1:]):
             assert b < a or b < 1e-12
 
     def test_i17_defect_decreases(self):
         from sphstruve.identities import _i17_lhs
-        from sphstruve.functions import DEFAULT_POLICY
         from sphstruve.gammakit import gamma
 
         u, v, x, g = 1.0, 1.0, 0.5, 2.0
         want = math.exp(u + v) * gamma(g) / (1.0 + (x / 2.0) ** 2 / (u * v)) ** g
         defects = []
         for m_cut in (4, 6, 8, 10):
-            got = _i17_lhs(u, v, x, g, DEFAULT_POLICY, m_cut=m_cut)
+            got = _i17_lhs(u, v, x, g, m_cut=m_cut)
             defects.append(abs(got - want))
         for a, b in zip(defects, defects[1:]):
             assert b < a or b < 1e-12
 
 
-def _i17_oracle(u, v, x, gamma_p, order=30, m_cut=14):
-    """(value, bound) of I17's truncated double sum at 50 digits.
+def _bilateral_oracle(coeff, step_roundings, u, v, order, m_cut=14):
+    """(value, bound) of a bilateral double sum at 50 digits.
 
-    The sum over |m|, |n| <= m_cut of u^m v^n times the Laplace image to
-    `order`, reduced at shift (m, n), is sum_k c_k A_u(k) A_v(k), where
-    c_k = (-w)^k Gamma(g+k)/k! with w = (x/2)^2, and A_u(k) is the sum over
-    m of u^m / Gamma(1+k+m).  The lhs forms the same products in binary64
-    and sums them with math.fsum.  Its error, to first order in the unit
-    roundoff u, is at most u|S| + sum_k (5k + 50.4) u |P_k|, P_k the exact
-    k-th product, because:
-    * w = (x/2.0)**2 rounds once in `pow` (at most 1 ulp, 2u), so w^k is
-      off by 2k u; each step of c_k's recurrence rounds three times
-      (g + k - 1 is exact, and c_0 = Gamma(g) = 1 for g in {1, 2}): 5k u;
+    The sum over |m|, |n| <= m_cut of u^m v^n times an image
+    sum_k c_k (c1 c2)^k up to `order`, reduced at shift (m, n), is
+    sum_k c_k A_u(k) A_v(k), where A_u(k) is the sum over m of
+    u^m / Gamma(1+k+m); `coeff(k)` gives the exact c_k, with c_0 = 1.  The
+    lhs forms the same products in binary64 and sums them with math.fsum.
+    Its error, to first order in the unit roundoff u, is at most
+    u|S| + sum_k (s k + 50.4) u |P_k|, P_k the exact k-th product and s
+    the `step_roundings` of the image's coefficient recurrence, because:
+    * c_0 is exact and each step of the recurrence rounds s times, so c_k
+      is off by at most s k u;
     * in A, u**m (pow, 2u) times rgamma at a positive integer (the
       library's documented 10.1 ulps, 20.2u; exactly 0 at a pole) rounds
       once more (u): 23.2u per part.  The parts are all nonnegative, so
@@ -193,17 +191,45 @@ def _i17_oracle(u, v, x, gamma_p, order=30, m_cut=14):
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        w = (mp.mpf(x) / 2) ** 2
-        g = mp.mpf(gamma_p)
 
         def weighted(base, k):
             return mp.fsum(mp.mpf(base) ** m * mp.rgamma(1 + k + m) for m in range(-m_cut, m_cut + 1))
 
-        products = [(-w) ** k * mp.gamma(g + k) / mp.factorial(k) * weighted(u, k) * weighted(v, k) for k in range(order + 1)]
+        products = [coeff(k) * weighted(u, k) * weighted(v, k) for k in range(order + 1)]
         value = mp.fsum(products)
         u53 = mp.mpf(2) ** -53
-        bound = u53 * abs(value) + mp.fsum((5 * k + mp.mpf("50.4")) * u53 * abs(p) for k, p in enumerate(products))
+        bound = u53 * abs(value) + mp.fsum(
+            (step_roundings * k + mp.mpf("50.4")) * u53 * abs(p) for k, p in enumerate(products)
+        )
     return value, bound
+
+
+def _i16_oracle(u, v, x):
+    """I16's image e^{-x c1 c2} to order 60: c_k = (-x)^k / k!.  `expand`
+    steps it by coeff *= scale / k with scale = -x exact, a quotient and a
+    product: two roundings a step."""
+    mp = pytest.importorskip("mpmath")
+    return _bilateral_oracle(lambda k: (-mp.mpf(x)) ** k / mp.factorial(k), 2, u, v, 60)
+
+
+def _assert_i16_within_oracle(lhs, u, v, x):
+    value, bound = _i16_oracle(u, v, x)
+    assert abs(lhs - value) <= bound, (u, v, x, lhs, float(value), float(bound))
+
+
+def _i17_oracle(u, v, x, gamma_p, order=30):
+    """I17's Laplace image: c_k = (-w)^k Gamma(g+k)/k!, w = (x/2)^2, and
+    c_0 = Gamma(g) = 1 for g in {1, 2}.  w = (x/2.0)**2 rounds once in
+    `pow` (at most 1 ulp, 2u), so w^k is off by 2k u, and each step of
+    c_k's recurrence rounds three times (g + k - 1 is exact): five
+    roundings a step."""
+    mp = pytest.importorskip("mpmath")
+
+    def coeff(k):
+        w = (mp.mpf(x) / 2) ** 2
+        return (-w) ** k * mp.gamma(mp.mpf(gamma_p) + k) / mp.factorial(k)
+
+    return _bilateral_oracle(coeff, 5, u, v, order)
 
 
 def _assert_i17_within_oracle(lhs, u, v, x, gamma_p, order=30):
@@ -264,7 +290,7 @@ class TestI17CertifiedImage:
     def _assert_certified(u, v, x, gamma_p):
         from sphstruve.identities import _i17_lhs
 
-        lhs = _i17_lhs(u, v, x, gamma_p, DEFAULT_POLICY)
+        lhs = _i17_lhs(u, v, x, gamma_p)
         _assert_i17_within_oracle(lhs, u, v, x, gamma_p, order=60)
 
     def test_window_corners(self):
@@ -300,19 +326,78 @@ class TestI17CertifiedImage:
         assert "reduce_weighted: truncation not certified, sum 6.95" in rep.reason
 
 
+class TestI16UmbralImage:
+    # J_{m,n}(x) = c1^m c2^n e^{-x c1 c2}, so I16's double sum is the
+    # exponential image, expanded to order m_cut + 16 = 30, reduced once
+    # against sum_m (u c1)^m and sum_n (v c2)^n; its lhs lies within the
+    # rounding bound of the order-60 sum, which also certifies the cut
+
+    @pytest.mark.parametrize(
+        "index,bits",
+        [(0, "0x1.1ed3fe64fb25bp+2"), (1, "0x1.fa3ff43cffc51p+1"), (2, "0x1.5d45cacfd43f8p+2")],
+    )
+    def test_default_grid_golden_bits(self, index, bits):
+        params = get_identity("I16").grid[index]
+        r = verify("I16", params)
+        assert r.status == "pass"
+        assert r.lhs.hex() == bits
+        _assert_i16_within_oracle(r.lhs, params["u"], params["v"], params["x"])
+
+    def test_jittered_grids_within_the_oracle(self):
+        for seed in (7, 102):
+            reports = verify_all(ids=["I16"], seed=seed)
+            assert [r.status for r in reports] == ["pass"] * 3
+            for r in reports:
+                _assert_i16_within_oracle(r.lhs, r.params["u"], r.params["v"], r.params["x"])
+
+    def test_window_corners(self):
+        # the image's cut is certified at every corner; the m_cut = 14
+        # cut of the double sum is not, and leaves (0.5, 0.5, 1.0) and
+        # (1.5, 1.5, 0.1) outside the tolerance (status fail, not skipped)
+        from sphstruve.identities import _i16_lhs
+
+        for x in (0.1, 1.0):
+            for u in (0.5, 1.5):
+                for v in (0.5, 1.5):
+                    _assert_i16_within_oracle(_i16_lhs(u, v, x), u, v, x)
+                    params = {"u": u, "v": v, "x": x}
+                    assert verify("I16", params).status != "skipped", params
+
+    def test_hypothesis_points(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from sphstruve.identities import _i16_lhs
+
+        weight = st.floats(min_value=0.5, max_value=1.5)
+
+        @given(weight, weight, st.floats(min_value=0.1, max_value=1.0))
+        @settings(max_examples=25, deadline=None)
+        def run(u, v, x):
+            _assert_i16_within_oracle(_i16_lhs(u, v, x), u, v, x)
+
+        run()
+
+    def test_short_image_becomes_skip(self, monkeypatch):
+        # an image cut at order 12 leaves its last two terms near 9e-11
+        # and 4e-12, far above 2^-60 of its sum 4.48: the check must not
+        # pass
+        expand = identities.expand
+        monkeypatch.setattr(identities, "expand", lambda series: expand(series._replace(order=12)))
+        rep = verify("I16", get_identity("I16").grid[0])
+        assert rep.status == "skipped"
+        assert "reduce_weighted: truncation not certified, sum 4.48" in rep.reason
+
+
 class TestSymmetricDoubleSums:
-    # J_{m,n} = J_{n,m}: I16 evaluates only the 435 pairs with n >= m
-    # and reads each value back for both orders of its pair; I17 reduces
-    # its image once, against one generating polynomial per symbol
+    # I16 and I17 each reduce their image once, against one generating
+    # polynomial per symbol, and call no series kernel
 
     def test_each_symmetric_pair_is_evaluated_once(self, monkeypatch):
-        # each I16 pair is one kernel call, on its own denominator offsets
-        families = []
-        kernel = identities._sum_ratio_series
+        from sphstruve import functions
 
-        def counted(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
-            families.append(den_offsets)
-            return kernel(t0, z, num_offsets, den_offsets, policy, k0, dens)
+        def kernel(*args, **kwargs):
+            raise AssertionError("a series kernel was called")
 
         factor_sizes = []
         reduce = identities.reduce_weighted
@@ -321,66 +406,28 @@ class TestSymmetricDoubleSums:
             factor_sizes.append([len(f) for f in factors])
             return reduce(expr, factors, check_tail_rel)
 
-        monkeypatch.setattr(identities, "_sum_ratio_series", counted)
+        monkeypatch.setattr(identities, "_sum_ratio_series", kernel)
+        monkeypatch.setattr(functions, "_sum_ratio_series", kernel)
         monkeypatch.setattr(identities, "reduce_weighted", recorded)
-        assert verify("I16").status == "pass"
-        assert len(families) == len(set(families)) == 435
-        assert verify("I17").status == "pass"
-        assert factor_sizes == [[29, 29]]
+        for identity_id in ("I16", "I17"):
+            factor_sizes.clear()
+            assert verify(identity_id).status == "pass"
+            assert factor_sizes == [[29, 29]], identity_id
 
     def test_sums_match_the_full_double_loops(self):
-        # I16 against the full 841-term loop of pointwise humbert2 at
-        # every (m, n), bit for bit; I17 within its oracle's bound
+        # I17 within its oracle's bound at Hypothesis points
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from sphstruve.functions import humbert2
-        from sphstruve.identities import _i16_lhs, _i17_lhs
+        from sphstruve.identities import _i17_lhs
 
-        orders = range(-14, 15)
         weight = st.floats(min_value=0.5, max_value=1.5)
 
         @given(weight, weight, st.floats(min_value=0.1, max_value=1.0), st.sampled_from((1.0, 2.0)))
         @settings(max_examples=10, deadline=None)
         def run(u, v, x, gamma_p):
-            want = 0.0
-            for m in orders:
-                for n in orders:
-                    want += u**m * v**n * humbert2(float(m), float(n), x).value
-            assert _i16_lhs(u, v, x, DEFAULT_POLICY).hex() == want.hex()
-            _assert_i17_within_oracle(_i17_lhs(u, v, x, gamma_p, DEFAULT_POLICY), u, v, x, gamma_p)
+            _assert_i17_within_oracle(_i17_lhs(u, v, x, gamma_p), u, v, x, gamma_p)
 
         run()
-
-    @pytest.mark.parametrize("m_cut", [0, 1, 14])
-    def test_table_sum_matches_the_dict_loop(self, m_cut, monkeypatch):
-        # reference: the n >= m values in a dict, and every term of the full
-        # loop formed as u**m * v**n * F(min, max); I16's table sum must
-        # keep its bits, for a random symmetric F standing in for the
-        # kernel at random (u, v)
-        import random
-
-        from sphstruve.identities import _i16_lhs
-
-        rng = random.Random(m_cut)
-        orders = range(-m_cut, m_cut + 1)
-        calls = []
-
-        def kernel(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
-            pair = (int(den_offsets[1]) - 1, int(den_offsets[2]) - 1)
-            calls.append(pair)
-            return (F[pair],)
-
-        monkeypatch.setattr(identities, "_sum_ratio_series", kernel)
-        for _ in range(20):
-            u, v = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-            F = {(m, n): rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-30, 5) for m in orders for n in orders if n >= m}
-            calls.clear()
-            want = 0.0
-            for m in orders:
-                for n in orders:
-                    want += u**m * v**n * F[min(m, n), max(m, n)]
-            assert _i16_lhs(u, v, 0.5, DEFAULT_POLICY, m_cut=m_cut).hex() == want.hex()
-            assert calls == [(m, n) for m in orders for n in orders if n >= m]
 
 
 class TestLaguerreMultiIndex:
@@ -471,11 +518,12 @@ class TestLaguerreMultiIndex:
 
         monkeypatch.setattr(functions, "rgamma", counted)
         iden = get_identity("I15")
-        # one rgamma per distinct gamma argument of the series, however
-        # many Laguerre nodes it serves: at alpha = beta = 0 all three
-        # arguments are 1, at (0.5, 1) they are 1, 1.5 and 2
+        # one first term per check, one rgamma per gamma argument of the
+        # series, however many Laguerre nodes it serves: at
+        # alpha = beta = 0 the three arguments are 1, 1 and 1, at (0.5, 1)
+        # they are 1, 1.5 and 2
         iden.lhs.fn(iden.grid[0], DEFAULT_POLICY)
-        assert calls == [1.0]
+        assert calls == [1.0, 1.0, 1.0]
         calls.clear()
         iden.lhs.fn({"alpha": 0.5, "beta": 1.0, "gamma_p": 0.5, "x": 0.5}, DEFAULT_POLICY)
         assert sorted(calls) == [1.0, 1.5, 2.0]
