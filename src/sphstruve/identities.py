@@ -48,7 +48,7 @@ from .functions import (
     watson_parity_coeffs,
     weber,
 )
-from .quadrature import _LAGUERRE_TOL, _UNIT_ROUNDOFF, _exp_power_tail, gauss_laguerre_nodes, integrate_finite
+from .quadrature import _LAGUERRE_TOL, _UNIT_ROUNDOFF, _WGL, _XGL, _exp_power_tail, gauss_laguerre_nodes
 from .regularized import power_moment_integral, real_line_squared_integral
 from .umbral import UmbralExpSeries, expand, gaussian_reduce, laplace_reduce, reduce_expr, reduce_weighted
 
@@ -67,7 +67,7 @@ __all__ = [
 # tails: the product series of I19 cancels like e^{2x}, the others like e^x
 _TAIL_SPLIT = 30.0
 _PRODUCT_SPLIT = 20.0
-# I06/I07's GK15 head ends at 40, where the tail's floor is 1e-17, not 1e-13
+# I06/I07's Gauss-Legendre head ends at 40, where the tail's floor is 1e-17, not 1e-13
 _SQUARE_SPLIT = 40.0
 # order of I06/I07's Gaussian image: at the window corner b/(2 sqrt(a)) = 4
 # its last two terms are below 1e-32 of the sum, far under the 2^-60 check
@@ -250,28 +250,61 @@ def _j_line_integral(m, policy):
     return 2.0 * (head + tail.imag), 2.0 * (bound + floor)
 
 
+def _square_head(T, c):
+    """(value, bound) of the integral over [0, T] of the even
+    f(y) = sinc_sqrt(y^2 - c), c >= 0: half the N = 48 point
+    Gauss-Legendre rule on [-T, T], taken at its 24 positive nodes.
+
+    The truncation is bounded a priori (Trefethen, SIAM Rev. 50 (2008),
+    Thm 4.5, with n + 1 = N nodes) by (T/2)(64/15) M rho^(2-2N)/(rho^2 - 1),
+    M the largest |f| on the Bernstein ellipse E_rho of [-T, T], rho = 3.
+    There |Im y| <= eta = T (rho - 1/rho)/2 and, with w = sqrt(y^2 - c),
+    |Im w| <= sqrt(eta^2 + c); |sin w / w| is at most sinh|w|/|w| <= sinh 1
+    for |w| < 1 and cosh(Im w) otherwise, so M = max(sinh 1,
+    cosh sqrt(eta^2 + c)), and the truncation is about 1e-21 at T = 40,
+    c <= 16.  A truncation above u |value| raises ConvergenceError.
+
+    The rounding adds (16 + sqrt(c) + c) u T F, F = f(0), the largest |f|
+    on R.  The stored node, T x and y^2 - c move the argument s = y^2 - c
+    by at most 6u|s| + 5uc; sinc_sqrt' is at most 1/6 and 1/s for s > 0
+    and at most F/6 for s < 0, so the sample moves by at most
+    (6 + 5c/6) u F.  Its sqrt, sin or sinh and division add
+    (5 + sqrt(c)) u F, and the stored weights, the products, the fsum and
+    the product by T add 4 u T F: 15 + sqrt(c) + 5c/6 in all, rounded up
+    for the second-order terms."""
+    terms = []
+    for x, w in zip(_XGL, _WGL):
+        y = T * x
+        terms.append(w * sinc_sqrt(y * y - c))
+    value = T * math.fsum(terms)
+    n_nodes, rho = 2 * len(_XGL), 3.0
+    eta = 0.5 * T * (rho - 1.0 / rho)
+    M = max(math.sinh(1.0), math.cosh(math.sqrt(eta * eta + c)))
+    cut = T * 32.0 / 15.0 * M * rho ** (2 - 2 * n_nodes) / (rho * rho - 1.0)
+    if not cut <= _UNIT_ROUNDOFF * abs(value):
+        raise ConvergenceError(f"gauss_legendre: {n_nodes}-point head bound {cut:.3g} exceeds u |head|")
+    return value, cut + (16.0 + math.sqrt(c) + c) * _UNIT_ROUNDOFF * T * sinc_sqrt(-c)
+
+
 def _quadratic_line_integral(a, b):
     """(value, bound) of the integral over R of j_0(sqrt(a x^2 + b x)), a > 0:
     with y = sqrt(a) (x + b/(2a)), a^(-1/2) times that of the even
-    f(y) = sinc_sqrt(y^2 - c), c = b^2/(4a), which is twice GK15 over [0, T]
-    plus the closed-form tail of e^{iw}/w, w = sqrt(y^2 - c).  The bound adds
-    16 u T f(0) for the rounding of samples and cell sums (f(0) is the
-    largest |f|); a head that does not converge raises ConvergenceError."""
+    f(y) = sinc_sqrt(y^2 - c), c = b^2/(4a), which is twice the
+    Gauss-Legendre head over [0, T] plus the closed-form tail of e^{iw}/w,
+    w = sqrt(y^2 - c)."""
     T = _SQUARE_SPLIT
     c = b * b / (4.0 * a)
-    f = lambda y: sinc_sqrt(y * y - c)
-    head = integrate_finite(f, 0.0, T, tol=1e-15)
-    if head.status != "converged":
-        raise ConvergenceError(f"integrate_finite: {head.status}, error {head.error_estimate:.3g}")
+    head, head_bound = _square_head(T, c)
     # g = e^{iw}/w solves y (y^2 - c) g'' + (2y^2 + c) g' + y^3 g = 0, the
     # order-0 spherical Bessel equation in w; so g = e^{iy} sum_n i^n r_n
     # y^(-1-n), 2n r_n = -(n(n-1) + c) r_{n-1} - c(2n-1) r_{n-2} - cn(n-2) r_{n-3}
-    r = [0.0, 0.0, 1.0]
+    r1, r2, r3 = 1.0, 0.0, 0.0
+    coeffs = [1.0]
     for n in range(1, int(T) + 10):
-        r.append(-((n * (n - 1) + c) * r[-1] + c * (2 * n - 1) * r[-2] + c * n * (n - 2) * r[-3]) / (2 * n))
-    tail, floor = _exp_power_tail([(1, 1j, -1, -1j)[n % 4] * v for n, v in enumerate(r[2:])], -1.0, 1j, T)
-    bound = head.error_estimate + floor + 16.0 * 2.0**-53 * T * f(0.0)
-    return 2.0 / math.sqrt(a) * (head.value + tail.imag), 2.0 / math.sqrt(a) * bound
+        r1, r2, r3 = -((n * (n - 1) + c) * r1 + c * (2 * n - 1) * r2 + c * n * (n - 2) * r3) / (2 * n), r1, r2
+        coeffs.append((1, 1j, -1, -1j)[n % 4] * r1)
+    tail, floor = _exp_power_tail(coeffs, -1.0, 1j, T)
+    return 2.0 / math.sqrt(a) * (head + tail.imag), 2.0 / math.sqrt(a) * (head_bound + floor)
 
 
 def _gaussian_line_integral(a, b):
@@ -598,7 +631,7 @@ def _build_catalog():
         grid=_product_grid(t=(0.5, 1.0, 2.0)),
         lhs=_binding(
             lambda p, pol: _quadratic_line_integral(1.0, -2.0 * p["t"])[0],
-            {"integrate_finite", "sinc_sqrt", "exp_power_tail"},
+            {"gauss_legendre", "sinc_sqrt", "exp_power_tail"},
             "finite-head-closed-tail",
         ),
         rhs=_binding(
@@ -608,7 +641,7 @@ def _build_catalog():
         ),
         tol_abs=1e-12,
         tol_rel=1e-12,
-        window_note="square completed, y = x - t; GK15 head to y=40, tail in closed form",
+        window_note="square completed, y = x - t; 48-point Gauss-Legendre head to y=40, tail in closed form",
     ))
 
     ids.append(Identity(
@@ -619,7 +652,7 @@ def _build_catalog():
         grid=_grid("a b", (1.0, 0.5), (0.5, 1.0), (2.0, 1.5), (1.0, 2.0), (1.5, 0.8)),
         lhs=_binding(
             lambda p, pol: _quadratic_line_integral(p["a"], p["b"])[0],
-            {"integrate_finite", "sinc_sqrt", "exp_power_tail"},
+            {"gauss_legendre", "sinc_sqrt", "exp_power_tail"},
             "finite-head-closed-tail",
         ),
         rhs=_binding(
@@ -629,7 +662,7 @@ def _build_catalog():
         ),
         tol_abs=1e-12,
         tol_rel=1e-12,
-        window_note="square completed, y = sqrt(a) (x + b/(2a)); GK15 head to y=40, tail in closed form",
+        window_note="square completed, y = sqrt(a) (x + b/(2a)); 48-point Gauss-Legendre head to y=40, tail in closed form",
     ))
 
     struve_axes = dict(alpha=(0.5, 1.0, 1.7), x=(0.8, 2.0, 5.0))

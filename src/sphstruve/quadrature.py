@@ -1,10 +1,13 @@
 """Certified numerical integration.
 
-Three kernels and one closed form cover every integral the identity
-catalog needs:
+Three kernels, one fixed rule and one closed form cover every integral
+the identity catalog needs:
 
 * adaptive finite-interval quadrature with an embedded Gauss/Kronrod
-  pair (free per-cell error estimate, greedy refinement),
+  pair (free per-cell error estimate, greedy refinement); public API
+  only, no catalog identity calls it,
+* the constants of the 48-point Gauss-Legendre rule, which the
+  real-line quadratic identities apply with an a-priori bound,
 * generalized Gauss-Laguerre rules for exp(-s) s^sigma kernels on
   [0, inf), doubled from 8 nodes until a rule pair agrees,
 * oscillatory semi-infinite integration: fixed cells between estimated
@@ -63,6 +66,62 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# positive nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1],
+# largest node first; the rule is symmetric, and the weights sum to 1
+_XGL = (
+    0.998771007252426118600541491563114,
+    0.993530172266350757547928750849074,
+    0.984124583722826857744583600026599,
+    0.970591592546247250461411983800660,
+    0.952987703160430860722960666025718,
+    0.931386690706554333114174380101601,
+    0.905879136715569672822074835671012,
+    0.876572020274247885905693554805097,
+    0.843588261624393530711089844519656,
+    0.807066204029442627082553043024538,
+    0.767159032515740339253855437522969,
+    0.724034130923814654674482233493665,
+    0.677872379632663905211851280675909,
+    0.628867396776513623995164933069995,
+    0.577224726083972703817809238540479,
+    0.523160974722233033678225869137509,
+    0.466902904750958404544928861650799,
+    0.408686481990716729916225495814633,
+    0.348755886292160738159817937270408,
+    0.287362487355455576735886461316798,
+    0.224763790394689061224865440174692,
+    0.161222356068891718056437390783498,
+    0.097004699209462698930053955853625,
+    0.032380170962869362033322243152134,
+)
+_WGL = (
+    0.003153346052305838632677311543891,
+    0.007327553901276262102383979621787,
+    0.011477234579234539489592667609092,
+    0.015579315722943848728176955834460,
+    0.019616160457355527814460719652213,
+    0.023570760839324379140519301378449,
+    0.027426509708356948200073836262506,
+    0.031167227832798088902065756846354,
+    0.034777222564770438892548585963802,
+    0.038241351065830706317217256523716,
+    0.041545082943464749214058822361065,
+    0.044674560856694280419448587125850,
+    0.047616658492490474825906623478930,
+    0.050359035553854474957807619087866,
+    0.052890189485193667095505056264699,
+    0.055199503699984162868203495191635,
+    0.057277292100403215705150234684701,
+    0.059114839698395635746474817433520,
+    0.060704439165893880052969232027820,
+    0.062039423159892663904197784137599,
+    0.063114192286254025657126022750233,
+    0.063924238584648186623906201825515,
+    0.064466164435950082206504193657705,
+    0.064737696812683922503024938736592,
+)
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 # status is one of converged | max_refinement | accelerated
@@ -70,7 +129,7 @@ QuadratureResult = namedtuple("QuadratureResult", "value error_estimate cells_or
 
 
 def _gk15(f, a, b):
-    """(kronrod, error estimate) on [a, b].
+    """(kronrod, error estimate, max |sample|) on [a, b].
 
     The error uses the standard QUADPACK rescaling of |K15 - G7| against
     the centered absolute integral, which tracks the true Kronrod error
@@ -105,17 +164,22 @@ def _gk15(f, a, b):
     resasc *= abs(half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk * half, err
+    return resk * half, err, max(map(abs, vals))
 
 
 def integrate_finite(f, a, b, *, tol=1e-10, max_cells=2000):
     """Adaptive bisection with the embedded pair over [a, b]; greedy on the
     largest cell error until the summed estimate is at most
     max(tol, tol * |value|), or `max_cells` cells are spent (status
-    'max_refinement')."""
+    'max_refinement').
+
+    Refinement and the status test the cells' summed truncation estimate
+    alone.  The reported error adds the rounding floor
+    16 u (b - a) max|sample| of the samples, the cell sums and the final
+    sum, which no rule pair sees."""
     if not a < b:
         raise DomainError("integrate_finite: requires a < b")
-    val, err = _gk15(f, a, b)
+    val, err, fmax = _gk15(f, a, b)
     # heap of (-err, seq, a, b, val, err); seq breaks ties deterministically
     seq = 0
     cells = [(-err, seq, a, b, val, err)]
@@ -133,8 +197,9 @@ def integrate_finite(f, a, b, *, tol=1e-10, max_cells=2000):
             heapq.heappush(cells, (0.0, seq + 1, ca, cb, cval, cerr))
             seq += 1
             continue
-        v1, e1 = _gk15(f, ca, cm)
-        v2, e2 = _gk15(f, cm, cb)
+        v1, e1, m1 = _gk15(f, ca, cm)
+        v2, e2, m2 = _gk15(f, cm, cb)
+        fmax = max(fmax, m1, m2)
         total_val += v1 + v2 - cval
         total_err += e1 + e2 - cerr
         seq += 1
@@ -148,12 +213,11 @@ def integrate_finite(f, a, b, *, tol=1e-10, max_cells=2000):
     total_err = math.fsum(c[5] for c in ordered)
     bound = max(tol, tol * abs(total_val))
     status = "converged" if total_err <= bound else "max_refinement"
-    return QuadratureResult(total_val, total_err, n, status)
+    return QuadratureResult(total_val, total_err + 16.0 * _UNIT_ROUNDOFF * (b - a) * fmax, n, status)
 
 
 _LAGUERRE_CACHE = {}
 _LAGUERRE_TOL = 1e-10
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def gauss_laguerre_nodes(sigma, n):
@@ -404,7 +468,7 @@ def integrate_oscillatory(f, start, period_hint, *, tol=1e-10, max_cells=60):
         raise DomainError("integrate_oscillatory: period_hint must be positive")
     target = max(tol, 1e-14)
     x0 = _first_zero(f, start, period_hint)
-    head, head_err = _gk15(f, start, x0) if x0 > start else (0.0, 0.0)
+    head, head_err, _ = _gk15(f, start, x0) if x0 > start else (0.0, 0.0, 0.0)
     terms = []
     grow = 0
     best = None
@@ -412,8 +476,8 @@ def integrate_oscillatory(f, start, period_hint, *, tol=1e-10, max_cells=60):
         x1 = x0 + period_hint
         # one refinement level keeps the cell rule error well under the
         # acceleration noise for smooth half-period lobes
-        vm, _ = _gk15(f, x0, 0.5 * (x0 + x1))
-        vp, _ = _gk15(f, 0.5 * (x0 + x1), x1)
+        vm = _gk15(f, x0, 0.5 * (x0 + x1))[0]
+        vp = _gk15(f, 0.5 * (x0 + x1), x1)[0]
         cell = vm + vp
         terms.append(cell)
         x0 = x1

@@ -19,7 +19,6 @@ from sphstruve.identities import (
     verify,
     verify_all,
 )
-from sphstruve.quadrature import QuadratureResult
 
 GAMMA_OPS = {"gamma", "rgamma"}
 
@@ -868,7 +867,7 @@ class TestVerifyAll:
 class TestOscillatoryJitteredGrids:
     # jittered I07 points whose Levin cells once started near a lobe peak
     # and tripped the growth guard (CLI seeds 80, 98, 102, 122, 211); kept
-    # as regression points for the GK15 head and closed-form tail
+    # as regression points for the Gauss-Legendre head and closed-form tail
     @pytest.mark.parametrize(
         "a,b",
         [
@@ -959,15 +958,16 @@ class TestSkippedPropagation:
             assert "extended-precision series did not certify within 40 terms" in rep.reason
 
     def test_uncertified_square_head_becomes_skip(self, monkeypatch):
-        # a GK15 head that ran out of cells must not pass as a check
-        def uncertified(f, a, b, **kwargs):
-            return QuadratureResult(f(a) * (b - a), 1.0, 2000, "max_refinement")
-
-        monkeypatch.setattr(identities, "integrate_finite", uncertified)
+        # a Gauss-Legendre head whose a-priori bound exceeds u |head| must
+        # not pass as a check: the 8-point rule's bound is far above it
+        np = pytest.importorskip("numpy")
+        x, w = np.polynomial.legendre.leggauss(8)
+        monkeypatch.setattr(identities, "_XGL", tuple(float(v) for v in x[4:]))
+        monkeypatch.setattr(identities, "_WGL", tuple(float(v) for v in w[4:]))
         for iid in ("I06", "I07"):
             rep = verify(iid, get_identity(iid).grid[0])
             assert rep.status == "skipped", iid
-            assert "max_refinement" in rep.reason
+            assert "gauss_legendre: 8-point head bound" in rep.reason
 
 
 class TestClosedFormTails:
@@ -999,16 +999,18 @@ class TestClosedFormTails:
 
         monkeypatch.setattr(quadrature, "integrate_finite", finite)
         monkeypatch.setattr(identities, "integrate_finite", finite, raising=False)
-        # the patch bites: I06 and I07 still take GK15 heads
+        # the patch bites: the patched name raises
         with pytest.raises(AssertionError):
-            verify("I06", get_identity("I06").grid[0])
-        termwise = self.SPLIT_TAIL + ("I01", "I05")
-        reports = verify_all(ids=list(termwise))
-        assert len(reports) == 24
+            quadrature.integrate_finite(math.sin, 0.0, 1.0)
+        reports = verify_all()
+        assert len(reports) == 269
         assert all(r.status == "pass" for r in reports), [r.reason for r in reports if r.status != "pass"]
-        for iid in termwise:
-            ops = get_identity(iid).lhs.operations
-            assert "termwise_ratio_series" in ops and "integrate_finite" not in ops
+        for iden in list_identities():
+            assert "integrate_finite" not in iden.lhs.operations | iden.rhs.operations, iden.id
+        for iid in self.SPLIT_TAIL + ("I01", "I05"):
+            assert "termwise_ratio_series" in get_identity(iid).lhs.operations
+        for iid in ("I06", "I07"):
+            assert "gauss_legendre" in get_identity(iid).lhs.operations
 
     def test_unturned_tail_becomes_skip(self, monkeypatch):
         # split at 2, the tail expansions turn with floors far above 1e-9
@@ -1149,8 +1151,9 @@ class TestRealLineOracle:
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 4.0, 16.0])
     def test_square_tail(self, c, monkeypatch):
-        # with the head replaced by its 20-digit value, the helper is off by
-        # its closed-form tail's error against quadosc
+        # with the head's value replaced by its 20-digit value and its
+        # bound kept, the helper is off by its closed-form tail's error
+        # against quadosc
         mp = pytest.importorskip("mpmath")
         T = identities._SQUARE_SPLIT
         with mp.workdps(20):
@@ -1163,12 +1166,12 @@ class TestRealLineOracle:
             head = mp.quad(f, mp.linspace(0, T, 11))
             tail = mp.quadosc(f, [T, mp.inf], omega=1)
             assert abs(2 * (head + tail) - mp.pi * mp.besseli(0, mp.sqrt(cm))) < 1e-17
-            exact_head = QuadratureResult(float(head), 0.0, 1, "converged")
-            monkeypatch.setattr(identities, "integrate_finite", lambda *args, **kwargs: exact_head)
+            rule = identities._square_head
+            monkeypatch.setattr(identities, "_square_head", lambda T, c: (float(head), rule(T, c)[1]))
             value, bound = identities._quadratic_line_integral(1.0, 2.0 * math.sqrt(c))
             self._check(mp, value, bound, 2 * (head + tail), c)
 
-    @pytest.mark.parametrize("seed", [0, 7, 102])
+    @pytest.mark.parametrize("seed", [0, 7, 102, 211])
     def test_grid_points(self, seed):
         mp = pytest.importorskip("mpmath")
         reports = verify_all(ids=list(self.FNS), seed=seed)
@@ -1205,6 +1208,97 @@ class TestRealLineOracle:
         with mp.workdps(40):
             want = self._closed_form(mp, iid, p)
             assert abs(mp.mpf(r.rhs) - want) <= 1e-15 * want, (p, r.rhs)
+
+
+class TestSquareHead:
+    # the 48-point Gauss-Legendre head of I06 and I07, the integral over
+    # [0, T] of sinc_sqrt(y^2 - c), against 30-digit mpmath: every
+    # returned bound must hold and lie within 1e3 times the larger of the
+    # error and u |value|
+    U = 2.0**-53
+
+    @staticmethod
+    def _head(mp, c, T):
+        cm = mp.mpf(c)
+
+        def f(y):
+            u = y * y - cm
+            return mp.sinc(mp.sqrt(u)) if u >= 0 else mp.sinh(mp.sqrt(-u)) / mp.sqrt(-u)
+
+        return mp.quad(f, mp.linspace(0, T, 11))
+
+    def _check(self, mp, c):
+        T = identities._SQUARE_SPLIT
+        value, bound = identities._square_head(T, c)
+        with mp.workdps(30):
+            err = float(abs(mp.mpf(value) - self._head(mp, c, T)))
+        assert err <= bound <= 1e3 * max(err, self.U * abs(value)), (c, err, bound)
+
+    def test_rule_constants(self):
+        # each stored node and weight is the nearest double to the
+        # 40-digit rule
+        mp = pytest.importorskip("mpmath")
+        from mpmath.calculus.quadrature import GaussLegendre
+
+        with mp.workdps(40):
+            rule = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)
+            assert len(rule) == 48
+            positive = sorted(((x, w) for x, w in rule if x > 0), reverse=True)
+            assert len(positive) == len(quadrature._XGL) == len(quadrature._WGL) == 24
+            for (x, w), got in zip(positive, zip(quadrature._XGL, quadrature._WGL)):
+                for want, v in ((x, got[0]), (w, got[1])):
+                    assert abs(mp.mpf(v) - want) <= mp.mpf(math.ulp(v)) / 2, (v, want)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(1.0, 0.0), (1.0, 6.0)] + [(a, b) for a in (0.25, 4.0) for b in (0.0, 4.0)],
+    )
+    def test_window_corners(self, a, b):
+        # I06's t = 0 and 3 (a = 1, |b| = 2t) and I07's four corners
+        self._check(pytest.importorskip("mpmath"), b * b / (4.0 * a))
+
+    @pytest.mark.parametrize("c", [25.0, 36.0, 49.0, 64.0])
+    def test_past_the_windows(self, c):
+        self._check(pytest.importorskip("mpmath"), c)
+
+    def test_hypothesis_points(self):
+        mp = pytest.importorskip("mpmath")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=0.0, max_value=4.0))
+        @settings(max_examples=20, deadline=None)
+        def run(a, b):
+            self._check(mp, b * b / (4.0 * a))
+
+        run()
+
+    def test_seed_scan_within_bound(self):
+        # every I06/I07 lhs at seeds 1-50 lies within its bound of the
+        # 30-digit closed form
+        mp = pytest.importorskip("mpmath")
+        fns = TestRealLineOracle.FNS
+        with mp.workdps(30):
+            for seed in range(1, 51):
+                for r in verify_all(ids=["I06", "I07"], seed=seed):
+                    assert r.status == "pass", (seed, r.params, r.reason)
+                    value, bound = fns[r.identity_id](r.params)
+                    want = TestRealLineOracle._closed_form(mp, r.identity_id, r.params)
+                    assert abs(mp.mpf(value) - want) <= bound, (seed, r.params)
+
+    def test_samples_per_pass(self, monkeypatch):
+        # 24 nodes and f(0) per check, 8 checks on the default grid
+        calls = []
+        sample = identities.sinc_sqrt
+
+        def counted(u):
+            calls.append(u)
+            return sample(u)
+
+        monkeypatch.setattr(identities, "sinc_sqrt", counted)
+        reports = verify_all(ids=["I06", "I07"])
+        assert [r.status for r in reports] == ["pass"] * 8
+        assert len(calls) == 200
 
 
 class TestLaguerreOracle:

@@ -59,6 +59,24 @@ class TestFinite:
         r = integrate_finite(lambda x: math.exp(x) * math.sin(40.0 * x), 0.0, 1.0, tol=1e-300, max_cells=4)
         assert r.status == "max_refinement"
 
+    def test_estimate_carries_the_rounding_floor(self):
+        # at tol 1e-15 the cells' truncation estimate is 1.4e-17, far under
+        # the 3.7e-16 the rounding of samples and sums leaves; the reported
+        # error adds 16 u (b - a) max|sample| and covers it
+        mp = pytest.importorskip("mpmath")
+        from sphstruve.functions import sinc_sqrt
+
+        r = integrate_finite(lambda y: sinc_sqrt(y * y - 0.25), 0.0, 40.0, tol=1e-15)
+        assert r.status == "converged"
+
+        def f(y):
+            u = y * y - mp.mpf(0.25)
+            return mp.sinc(mp.sqrt(u)) if u >= 0 else mp.sinh(mp.sqrt(-u)) / mp.sqrt(-u)
+
+        with mp.workdps(30):
+            err = abs(mp.mpf(r.value) - mp.quad(f, mp.linspace(0, 40, 11)))
+        assert err <= r.error_estimate, (float(err), r.error_estimate)
+
 
 class TestLaguerre:
     def test_unit_weight(self):
