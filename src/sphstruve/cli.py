@@ -70,7 +70,6 @@ _FUNCTIONS = {
     "rayleigh_jn": (rayleigh_jn, ("n", "x")),
 }
 
-_POLICY_FREE = {"rayleigh_jn"}
 # every function-argument flag; --n is the only integer one
 _ARG_NAMES = sorted({name for _, names in _FUNCTIONS.values() for name in names})
 
@@ -98,10 +97,6 @@ def _read_config_file(path):
     return out
 
 
-def _build_policy(args):
-    return EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
-
-
 def _emit(args, text):
     print(text, file=args.stream)
 
@@ -123,10 +118,10 @@ def _bind(args, swept):
         if v is None:
             raise _UsageError(f"{args.function} requires --{name}")
         call.append(v)
-    policy = () if args.function in _POLICY_FREE else (_build_policy(args),)
+    policy = EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
 
     def run(*rest):
-        res = fn(*call, *rest, *policy)
+        res = fn(*call, *rest, policy)
         return (res.value, res) if isinstance(res, SeriesResult) else (res, None)
 
     return names, call, run
@@ -185,12 +180,7 @@ def _cmd_verify(args):
     if args.list_catalog:
         _emit(args, json.dumps(catalog_json(), indent=2))
         return 0
-    reports = verify_all(
-        policy=_build_policy(args),
-        parallelism=args.parallelism,
-        ids=ids,
-        seed=args.seed,
-    )
+    reports = verify_all(parallelism=args.parallelism, ids=ids, seed=args.seed)
     records = [_report_record(r, known[r.identity_id]) for r in reports]
     if args.format == "json":
         for rec in records:
@@ -275,14 +265,15 @@ def _make_parser():
         p.set_defaults(func=func)
         p.add_argument("--format", choices=formats, default=formats[-1])
         p.add_argument("--out", help="append output to this file instead of stdout")
-        p.add_argument("--rel-tol", type=float, default=1e-12)
-        p.add_argument("--abs-tol", type=float, default=1e-300)
-        p.add_argument("--max-terms", type=int, default=500)
         p.add_argument("--config", help="key = value lines, each a valued flag of this subcommand; flags win")
         return p
 
     def add_function_args(p, skip=()):
+        """The function, its arguments and the evaluator policy flags."""
         p.add_argument("function", help=f"one of {', '.join(sorted(_FUNCTIONS))}")
+        p.add_argument("--rel-tol", type=float, default=1e-12)
+        p.add_argument("--abs-tol", type=float, default=1e-300)
+        p.add_argument("--max-terms", type=int, default=500)
         for name in _ARG_NAMES:
             if name not in skip:
                 p.add_argument(f"--{name}", type=int if name == "n" else float)

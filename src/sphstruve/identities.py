@@ -125,10 +125,8 @@ VerificationReport = namedtuple(
 # Shared evaluator helpers.
 
 
-def _head_policy(policy):
-    """The caller's policy for a termwise head: its sum stops at a term
-    below 2^-60 of it."""
-    return policy._replace(rel_tol=2.0**-60)
+# the policy of a termwise head: its sum stops at a term below 2^-60 of it
+_HEAD_POLICY = DEFAULT_POLICY._replace(rel_tol=2.0**-60)
 
 
 def _sph_j_terms(n, x):
@@ -139,11 +137,11 @@ def _sph_j_terms(n, x):
     return 0.5 * SQRT_PI * (x / 2.0) ** n * rgamma(n + 1.5), (1.0, n + 1.5), 0
 
 
-def _x_derivative(terms, times, x, policy):
+def _x_derivative(terms, times, x):
     """The operator taking x^(2k+p) to prod_{c in times} (2k + c) x^(2k+p), at x
     on the series in z = -(x/2)^2 with `terms` (t0, den_offsets, k0): x d/dx
     is `times` (p,), x^n d^n/dx^n (p, p-1, ..., p-n+1), (x d/dx)^2 (p, p)."""
-    return _termwise_ratio_series(*terms, x / 2.0, policy, times=times)[0]
+    return _termwise_ratio_series(*terms, x / 2.0, DEFAULT_POLICY, times=times)[0]
 
 
 def _struve_source(alpha, x):
@@ -159,14 +157,14 @@ def _hankel_tail(nu, T, phase, extra_power):
     return _exp_power_tail([lead * c for c in hankel_amplitude_coeffs(nu)], -0.5 - extra_power, 1j, T)
 
 
-def _struve_line_integral(alpha, policy):
+def _struve_line_integral(alpha):
     """(value, bound) of the integral over [0, inf) of H_alpha, for alpha
     in (-2, 0): the ascending series integrated term by term over [0, T]
     plus the closed-form tails of Y_alpha and of the algebraic part
     H_alpha - Y_alpha ~ (1/pi) sum_k Gamma(k+1/2) (x/2)^(alpha-2k-1)
     / Gamma(alpha+1/2-k).  The bound adds the head's to the tails' floors."""
     T = _TAIL_SPLIT
-    head, bound = _termwise_ratio_series(*_struve_terms(alpha, T), T / 2.0, _head_policy(policy), over=(alpha + 2.0,),
+    head, bound = _termwise_ratio_series(*_struve_terms(alpha, T), T / 2.0, _HEAD_POLICY, over=(alpha + 2.0,),
                                          scale=T)
     y_tail, y_floor = _hankel_tail(alpha, T, (0.5 * alpha + 0.25) * math.pi, 0.0)
     # coefficients of x^(alpha-1-n): the k-th term at n = 2k, zeros between
@@ -179,13 +177,13 @@ def _struve_line_integral(alpha, policy):
     return head + y_tail.imag + alg_tail, bound + y_floor + alg_floor
 
 
-def _s_line_integral(nu, kind, extra_power, policy):
+def _s_line_integral(nu, kind, extra_power):
     """(value, bound) of the integral over [0, inf) of S_kind(nu, x)/x**extra_power:
     the series integrated term by term up to T, its large-argument parts past T."""
     T = _TAIL_SPLIT
     t0, dens, k0 = _s_terms(kind, nu, T)
     # term k is proportional to x^(2k+kind-1-extra_power); T**0 is exactly 1.0
-    head, bound = _termwise_ratio_series(t0 / T**extra_power, dens, k0, T / 2.0, _head_policy(policy),
+    head, bound = _termwise_ratio_series(t0 / T**extra_power, dens, k0, T / 2.0, _HEAD_POLICY,
                                          over=(kind - extra_power,), scale=T)
     # with c + is = e^{i nu pi/2}, (c + is)(J_nu + i Y_nu) = (cJ - sY) + i(sJ + cY)
     # holds the oscillatory parts of S1 and S2, and its phase no longer nu
@@ -201,7 +199,7 @@ def _s_line_integral(nu, kind, extra_power, policy):
     return head + tail_osc + tail_alg, bound + w_floor + alg_floor
 
 
-def _j_product_integral(mu, nu, policy):
+def _j_product_integral(mu, nu):
     """(value, bound) of the integral over [0, inf) of
     (x/2)^{-(mu+nu)} J_mu(x) J_nu(x) dx.
 
@@ -214,7 +212,7 @@ def _j_product_integral(mu, nu, policy):
     T = _PRODUCT_SPLIT
     s = mu + nu
     head, bound = _termwise_ratio_series(
-        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, T, _head_policy(policy),
+        rgamma(mu + 1.0) * rgamma(nu + 1.0), (1.0, mu + 1.0, nu + 1.0, s + 1.0), 0, T, _HEAD_POLICY,
         over=(1.0,), scale=T, num_offsets=(0.5 * (s + 1.0), 0.5 * (s + 2.0)),
     )
     am, an = hankel_amplitude_coeffs(mu, 20), hankel_amplitude_coeffs(nu, 20)
@@ -233,7 +231,7 @@ def _j_product_integral(mu, nu, policy):
     return head + (tail_fast + tail_slow).real, bound + fast_floor + slow_floor
 
 
-def _j_line_integral(m, policy):
+def _j_line_integral(m):
     """(value, bound) of the integral over R of j_m: 0.0 for odd m, by
     parity; for even m twice the series (sqrt(pi)/2) (x/2)^m sum_k
     (-x^2/4)^k / (k! Gamma(k+m+3/2)) integrated term by term over [0, T]
@@ -241,7 +239,7 @@ def _j_line_integral(m, policy):
     if m % 2:
         return 0.0, 0.0
     T = _TAIL_SPLIT
-    head, bound = _termwise_ratio_series(*_sph_j_terms(m, T), T / 2.0, _head_policy(policy), over=(m + 1.0,), scale=T)
+    head, bound = _termwise_ratio_series(*_sph_j_terms(m, T), T / 2.0, _HEAD_POLICY, over=(m + 1.0,), scale=T)
     S, C = _rayleigh_tables(m)
     # x^(-1-n) takes entry n; the exact list is zero-padded past the
     # tail's turn near n = T
@@ -318,10 +316,10 @@ def _gaussian_line_integral(a, b):
     return math.pi / math.sqrt(a) * reduce_expr(image, check_tail_rel=2.0**-60)
 
 
-def _generating_sum(x, t, policy):
+def _generating_sum(x, t):
     total, coeff = 0.0, 1.0
     for n in range(_GENERATING_ORDER + 1):
-        total += coeff * sph_j(n, x, policy).value
+        total += coeff * sph_j(n, x).value
         coeff *= t / (n + 1)
     return total
 
@@ -364,7 +362,7 @@ def _laguerre_moments(gamma_args, k0, w, power, sigma, dens, max_terms):
     raise ConvergenceError(f"_laguerre_moments: the moment series did not fall within {max_terms} terms")
 
 
-def _humbert_laguerre(indices, w, power, sigma, policy):
+def _humbert_laguerre(indices, w, power, sigma):
     """(value, bound) of the integral over [0, inf) of s**sigma exp(-s)
     J_indices(w s**power) ds, power 1 or 2, by one generalized
     Gauss-Laguerre rule chosen a priori.  Every surviving gamma argument
@@ -410,7 +408,7 @@ def _humbert_laguerre(indices, w, power, sigma, policy):
     first, gamma_args, k0 = _humbert_terms(indices, w)
     if k0 + min(gamma_args) < 1.0:
         raise DomainError(f"_humbert_laguerre: a gamma argument of indices {indices!r} falls below 1")
-    terms, rest, steps = _laguerre_moments(gamma_args, k0, abs(w), power, sigma, dens, policy.max_terms)
+    terms, rest, steps = _laguerre_moments(gamma_args, k0, abs(w), power, sigma, dens, DEFAULT_POLICY.max_terms)
     total = math.fsum(terms) + rest
     for n in _LAGUERRE_RULES:
         kn = -(-2 * n // power)  # the least k with power k >= 2n
@@ -424,7 +422,7 @@ def _humbert_laguerre(indices, w, power, sigma, policy):
     for s, weight in zip(xs, ws):
         z = w * s if power == 1 else w * (s * s)
         t0 = _humbert_terms(indices, z)[0] if k0 else first
-        v, used, tail = _sum_ratio_series(t0, -z, (), gamma_args, policy, k0, dens)
+        v, used, tail = _sum_ratio_series(t0, -z, (), gamma_args, DEFAULT_POLICY, k0, dens)
         rho = abs(z) / dens[used - 1]
         if rho >= 1.0:
             raise ConvergenceError(f"_humbert_laguerre: the node series at z={z!r} stopped on a rising term")
@@ -470,19 +468,19 @@ def _i17_lhs(u, v, x, gamma_p, m_cut=14):
     return _bilateral_sum(image, u, v, m_cut)
 
 
-def _spherical_ode_residual(n, x, policy):
+def _spherical_ode_residual(n, x):
     """(x^2 j_n')' + (x^2 - n(n+1)) j_n over |(x^2 j_n')'| + |(x^2 - n(n+1))
     j_n| + 2x |j_n'|, a scale that no zero of j_n or j_n' makes small:
     (x^2 j_n')' = x^2 j_n'' + 2x j_n' is one transform of j_n's series, j_n
     is `sph_j`'s, and x j_n' = n j_n - x j_{n+1} (DLMF 10.51.2) only sizes
     the scale."""
-    j = sph_j(n, x, policy).value
-    flux = _x_derivative(_sph_j_terms(n, x), (n, n + 1), x, policy)  # (x^2 j_n')'
+    j = sph_j(n, x).value
+    flux = _x_derivative(_sph_j_terms(n, x), (n, n + 1), x)  # (x^2 j_n')'
     rest = (x * x - n * (n + 1.0)) * j
-    return (flux + rest) / (abs(flux) + abs(rest) + 2.0 * abs(n * j - x * sph_j(n + 1, x, policy).value))
+    return (flux + rest) / (abs(flux) + abs(rest) + 2.0 * abs(n * j - x * sph_j(n + 1, x).value))
 
 
-def _shift_operator(family, direction, order, x, policy):
+def _shift_operator(family, direction, order, x):
     """Lhs of the order shift relations: (order/x -/+ d/dx) F_order, the
     derivative term by term on the ascending series of J_order (term k
     proportional to x^(2k+order)) or H_order (x^(2k+order+1)), and the
@@ -491,17 +489,17 @@ def _shift_operator(family, direction, order, x, policy):
         fn, terms, p = cyl_j, _cyl_j_terms(order, x), order
     else:
         fn, terms, p = struve_h, _struve_terms(order, x), order + 1.0
-    return order / x * fn(order, x, policy).value - direction * _x_derivative(terms, (p,), x, policy) / x
+    return order / x * fn(order, x).value - direction * _x_derivative(terms, (p,), x) / x
 
 
-def _shifted_member(family, direction, order, x, policy):
+def _shifted_member(family, direction, order, x):
     """Rhs of the order shift relations: the shifted member, plus the
     power source term for the raising Struve relation."""
     if family == "bessel":
-        return cyl_j(order + direction, x, policy).value
+        return cyl_j(order + direction, x).value
     if direction == 1:
-        return struve_h(order + 1, x, policy).value - _struve_source(order, x)
-    return struve_h(order - 1, x, policy).value
+        return struve_h(order + 1, x).value - _struve_source(order, x)
+    return struve_h(order - 1, x).value
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +533,11 @@ def _build_catalog():
         params={},
         grid=_grid("", ()),
         lhs=_binding(
-            lambda p, pol: _j_line_integral(0, pol)[0],
+            lambda p: _j_line_integral(0)[0],
             {"termwise_ratio_series", "exp_power_tail", "rayleigh_tables"},
             "termwise-head-closed-tail",
         ),
-        rhs=_binding(lambda p, pol: math.pi, set(), "constant"),
+        rhs=_binding(lambda p: math.pi, set(), "constant"),
         tol_abs=1e-12,
         tol_rel=1e-12,
         window_note="series integrated term by term to x=30, tail in closed form",
@@ -552,12 +550,12 @@ def _build_catalog():
         params={"t": ("range", -1.0, 1.0), "x": ("range", 0.25, 8.0)},
         grid=_product_grid(t=(-0.75, -0.25, 0.25, 0.75), x=(0.5, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: _generating_sum(p["x"], p["t"], pol),
+            lambda p: _generating_sum(p["x"], p["t"]),
             {"sph_j"},
             "series-sum",
         ),
         rhs=_binding(
-            lambda p, pol: sinc_sqrt(p["x"] ** 2 - 2.0 * p["x"] * p["t"]),
+            lambda p: sinc_sqrt(p["x"] ** 2 - 2.0 * p["x"] * p["t"]),
             set(),
             "closed-form",
         ),
@@ -573,11 +571,11 @@ def _build_catalog():
         params={"n": ("choice", (1, 2, 3)), "x": ("range", 0.5, 8.0)},
         grid=_product_grid(n=(1, 2, 3), x=(0.8, 1.6, 3.0, 6.4)),
         lhs=_binding(
-            lambda p, pol: _termwise_ratio_series(*_sph_j_terms(p["n"], p["x"]), p["x"] / 2.0, pol)[0],
+            lambda p: _termwise_ratio_series(*_sph_j_terms(p["n"], p["x"]), p["x"] / 2.0, DEFAULT_POLICY)[0],
             {"termwise_ratio_series"},
             "gamma-offset-shift",
         ),
-        rhs=_binding(lambda p, pol: sph_j(p["n"], p["x"], pol).value, {"sph_j"}, "series"),
+        rhs=_binding(lambda p: sph_j(p["n"], p["x"]).value, {"sph_j"}, "series"),
         tol_abs=1e-12,
         tol_rel=1e-12,
         window_note="the operator shifts the gamma offset of j_0's series, summed in exact fixed point",
@@ -590,12 +588,12 @@ def _build_catalog():
         params={"n": ("choice", (1, 2, 3)), "x": ("range", 0.5, 8.0)},
         grid=_product_grid(n=(1, 2, 3), x=(0.8, 1.6, 3.0, 6.4)),
         lhs=_binding(
-            lambda p, pol: _x_derivative(_sph_j_terms(0, p["x"]), tuple(range(0, -p["n"], -1)), p["x"], pol)
+            lambda p: _x_derivative(_sph_j_terms(0, p["x"]), tuple(range(0, -p["n"], -1)), p["x"])
             / p["x"] ** p["n"],
             {"termwise_ratio_series"},
             "termwise-derivative",
         ),
-        rhs=_binding(lambda p, pol: sph_j_deriv(p["n"], p["x"], pol), {"sph_j_deriv", "sph_j"}, "closed-sum"),
+        rhs=_binding(lambda p: sph_j_deriv(p["n"], p["x"]), {"sph_j_deriv", "sph_j"}, "closed-sum"),
         tol_abs=1e-12,
         tol_rel=1e-12,
     ))
@@ -607,12 +605,12 @@ def _build_catalog():
         params={"m": ("choice", (0, 1, 2, 3, 4, 5, 6, 7))},
         grid=_product_grid(m=(0, 1, 2, 3, 4, 5, 6, 7)),
         lhs=_binding(
-            lambda p, pol: _j_line_integral(p["m"], pol)[0],
+            lambda p: _j_line_integral(p["m"])[0],
             {"termwise_ratio_series", "exp_power_tail", "rayleigh_tables"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: SQRT_PI * gamma(p["m"] // 2 + 0.5) / math.factorial(p["m"] // 2)
+            lambda p: SQRT_PI * gamma(p["m"] // 2 + 0.5) / math.factorial(p["m"] // 2)
             if p["m"] % 2 == 0
             else 0.0,
             {"gamma"},
@@ -630,12 +628,12 @@ def _build_catalog():
         params={"t": ("range", 0.0, 3.0)},
         grid=_product_grid(t=(0.5, 1.0, 2.0)),
         lhs=_binding(
-            lambda p, pol: _quadratic_line_integral(1.0, -2.0 * p["t"])[0],
+            lambda p: _quadratic_line_integral(1.0, -2.0 * p["t"])[0],
             {"gauss_legendre", "sinc_sqrt", "exp_power_tail"},
             "finite-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: _gaussian_line_integral(1.0, -2.0 * p["t"]),
+            lambda p: _gaussian_line_integral(1.0, -2.0 * p["t"]),
             {"gaussian_reduce", "expand", "reduce_expr"},
             "umbral-gaussian",
         ),
@@ -651,12 +649,12 @@ def _build_catalog():
         params={"a": ("range", 0.25, 4.0), "b": ("range", 0.0, 4.0)},
         grid=_grid("a b", (1.0, 0.5), (0.5, 1.0), (2.0, 1.5), (1.0, 2.0), (1.5, 0.8)),
         lhs=_binding(
-            lambda p, pol: _quadratic_line_integral(p["a"], p["b"])[0],
+            lambda p: _quadratic_line_integral(p["a"], p["b"])[0],
             {"gauss_legendre", "sinc_sqrt", "exp_power_tail"},
             "finite-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: _gaussian_line_integral(p["a"], p["b"]),
+            lambda p: _gaussian_line_integral(p["a"], p["b"]),
             {"gaussian_reduce", "expand", "reduce_expr"},
             "umbral-gaussian",
         ),
@@ -673,15 +671,15 @@ def _build_catalog():
         params={"alpha": ("range", 0.0, 3.0), "x": ("range", 0.5, 10.0)},
         grid=_product_grid(**struve_axes),
         lhs=_binding(
-            lambda p, pol: _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,), p["x"], pol) / p["x"],
+            lambda p: _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,), p["x"]) / p["x"],
             {"termwise_ratio_series"},
             "termwise-derivative",
         ),
         rhs=_binding(
-            lambda p, pol: 0.5
+            lambda p: 0.5
             * (
-                struve_h(p["alpha"] - 1.0, p["x"], pol).value
-                - struve_h(p["alpha"] + 1.0, p["x"], pol).value
+                struve_h(p["alpha"] - 1.0, p["x"]).value
+                - struve_h(p["alpha"] + 1.0, p["x"]).value
                 + _struve_source(p["alpha"], p["x"])
             ),
             {"struve_h", "gamma"},
@@ -699,13 +697,13 @@ def _build_catalog():
         params={"alpha": ("range", 0.0, 3.0), "x": ("range", 0.25, 15.0)},
         grid=_product_grid(alpha=(0.5, 1.0, 1.7), x=(0.5, 2.0, 10.0)),
         lhs=_binding(
-            lambda p, pol: struve_h(p["alpha"] + 1.0, p["x"], pol).value
-            + struve_h(p["alpha"] - 1.0, p["x"], pol).value,
+            lambda p: struve_h(p["alpha"] + 1.0, p["x"]).value
+            + struve_h(p["alpha"] - 1.0, p["x"]).value,
             {"struve_h"},
             "order-shift-sum",
         ),
         rhs=_binding(
-            lambda p, pol: 2.0 * p["alpha"] / p["x"] * struve_h(p["alpha"], p["x"], pol).value
+            lambda p: 2.0 * p["alpha"] / p["x"] * struve_h(p["alpha"], p["x"]).value
             + _struve_source(p["alpha"], p["x"]),
             {"struve_h", "gamma"},
             "weighted-value-plus-source",
@@ -722,15 +720,15 @@ def _build_catalog():
         params={"alpha": ("range", 0.0, 3.0), "x": ("range", 0.5, 10.0)},
         grid=_product_grid(**struve_axes),
         lhs=_binding(
-            lambda p, pol: (
-                _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,) * 2, p["x"], pol)
-                + (p["x"] ** 2 - p["alpha"] ** 2) * struve_h(p["alpha"], p["x"], pol).value
+            lambda p: (
+                _x_derivative(_struve_terms(p["alpha"], p["x"]), (p["alpha"] + 1.0,) * 2, p["x"])
+                + (p["x"] ** 2 - p["alpha"] ** 2) * struve_h(p["alpha"], p["x"]).value
             ),
             {"termwise_ratio_series", "struve_h"},
             "termwise-ode-lhs",
         ),
         rhs=_binding(
-            lambda p, pol: 4.0 * (p["x"] / 2.0) ** (p["alpha"] + 1.0) * rgamma(p["alpha"] + 0.5) / SQRT_PI,
+            lambda p: 4.0 * (p["x"] / 2.0) ** (p["alpha"] + 1.0) * rgamma(p["alpha"] + 0.5) / SQRT_PI,
             {"gamma"},
             "closed-form",
         ),
@@ -745,12 +743,12 @@ def _build_catalog():
         params={"alpha": ("range", -0.5, 2.0), "x": ("range", 0.25, 6.0)},
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
-            * _humbert_laguerre((0.5, p["alpha"] + 0.5), (p["x"] / 2.0) ** 2, 1, 0.0, pol)[0],
+            lambda p: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
+            * _humbert_laguerre((0.5, p["alpha"] + 0.5), (p["x"] / 2.0) ** 2, 1, 0.0)[0],
             {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
             "laguerre-quadrature",
         ),
-        rhs=_binding(lambda p, pol: struve_h(p["alpha"], p["x"], pol).value, {"struve_h"}, "series"),
+        rhs=_binding(lambda p: struve_h(p["alpha"], p["x"]).value, {"struve_h"}, "series"),
         tol_abs=1e-8,
         tol_rel=1e-8,
     ))
@@ -762,12 +760,12 @@ def _build_catalog():
         params={"mu": ("choice", (0.0, 0.5, 1.0, 1.5, 2.0)), "nu": ("choice", (0.0, 0.5, 1.0, 1.5, 2.0))},
         grid=_grid("mu nu", (0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (0.5, 0.5), (2.0, 1.0)),
         lhs=_binding(
-            lambda p, pol: real_line_squared_integral(p["mu"], p["nu"]),
+            lambda p: real_line_squared_integral(p["mu"], p["nu"]),
             {"regularized"},
             "regularized-phase-integral",
         ),
         rhs=_binding(
-            lambda p, pol: SQRT_PI * rgamma(p["mu"] + 0.5) * rgamma(p["nu"] + 0.5),
+            lambda p: SQRT_PI * rgamma(p["mu"] + 0.5) * rgamma(p["nu"] + 0.5),
             {"gamma"},
             "closed-form",
         ),
@@ -792,12 +790,12 @@ def _build_catalog():
             "alpha mu nu", (0.5, 0.0, 0.0), (0.25, 1.0, 0.5), (0.75, 2.0, 1.0), (0.5, 1.0, 1.0), (0.25, 0.5, 0.5)
         ),
         lhs=_binding(
-            lambda p, pol: power_moment_integral(p["alpha"], p["mu"], p["nu"]),
+            lambda p: power_moment_integral(p["alpha"], p["mu"], p["nu"]),
             {"regularized"},
             "regularized-phase-integral",
         ),
         rhs=_binding(
-            lambda p, pol: gamma(p["alpha"]) * rgamma(p["mu"] - p["alpha"] + 1.0) * rgamma(p["nu"] - p["alpha"] + 1.0),
+            lambda p: gamma(p["alpha"]) * rgamma(p["mu"] - p["alpha"] + 1.0) * rgamma(p["nu"] - p["alpha"] + 1.0),
             {"gamma"},
             "closed-form",
         ),
@@ -813,12 +811,12 @@ def _build_catalog():
         params={"alpha": ("range", -1.9, -0.1)},
         grid=_product_grid(alpha=(-1.5, -1.0, -0.5)),
         lhs=_binding(
-            lambda p, pol: _struve_line_integral(p["alpha"], pol)[0],
+            lambda p: _struve_line_integral(p["alpha"])[0],
             {"struve_h", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: -math.cos(0.5 * p["alpha"] * math.pi) / math.sin(0.5 * p["alpha"] * math.pi),
+            lambda p: -math.cos(0.5 * p["alpha"] * math.pi) / math.sin(0.5 * p["alpha"] * math.pi),
             set(),
             "closed-form",
         ),
@@ -839,14 +837,14 @@ def _build_catalog():
         },
         grid=_product_grid(alpha=(0.0, 0.5, 1.0), beta=(0.0, 0.5, 1.0), gamma_p=(0.5, 1.0), x=(0.5, 1.0, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: _humbert_laguerre(
-                (p["alpha"], p["beta"]), (p["x"] / 2.0) ** 2, 1, p["gamma_p"] - 1.0, pol
+            lambda p: _humbert_laguerre(
+                (p["alpha"], p["beta"]), (p["x"] / 2.0) ** 2, 1, p["gamma_p"] - 1.0
             )[0],
             {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
             "laguerre-quadrature",
         ),
         rhs=_binding(
-            lambda p, pol: delta_fn(p["alpha"], p["beta"], p["gamma_p"], p["x"], pol),
+            lambda p: delta_fn(p["alpha"], p["beta"], p["gamma_p"], p["x"]),
             {"delta_fn", "gamma"},
             "hypergeometric-series",
         ),
@@ -861,12 +859,12 @@ def _build_catalog():
         params={"u": ("range", 0.5, 1.5), "v": ("range", 0.5, 1.5), "x": ("range", 0.1, 1.0)},
         grid=_grid("u v x", (1.0, 1.0, 0.5), (0.8, 1.2, 0.6), (1.1, 0.9, 0.3)),
         lhs=_binding(
-            lambda p, pol: _i16_lhs(p["u"], p["v"], p["x"]),
+            lambda p: _i16_lhs(p["u"], p["v"], p["x"]),
             {"expand", "reduce_weighted"},
             "truncated-double-sum",
         ),
         rhs=_binding(
-            lambda p, pol: math.exp(p["u"] + p["v"] - p["x"] / (p["u"] * p["v"])),
+            lambda p: math.exp(p["u"] + p["v"] - p["x"] / (p["u"] * p["v"])),
             set(),
             "closed-form",
         ),
@@ -889,12 +887,12 @@ def _build_catalog():
             "u v x gamma_p", (1.0, 1.0, 0.5, 1.0), (1.0, 1.0, 0.5, 2.0), (0.8, 1.2, 0.6, 1.0), (0.8, 1.2, 0.6, 2.0)
         ),
         lhs=_binding(
-            lambda p, pol: _i17_lhs(p["u"], p["v"], p["x"], p["gamma_p"]),
+            lambda p: _i17_lhs(p["u"], p["v"], p["x"], p["gamma_p"]),
             {"laplace_reduce", "reduce_weighted"},
             "umbral-pipeline",
         ),
         rhs=_binding(
-            lambda p, pol: math.exp(p["u"] + p["v"])
+            lambda p: math.exp(p["u"] + p["v"])
             * gamma(p["gamma_p"])
             / (1.0 + (p["x"] / 2.0) ** 2 / (p["u"] * p["v"])) ** p["gamma_p"],
             {"gamma"},
@@ -916,14 +914,14 @@ def _build_catalog():
         },
         grid=_grid("mu nu x", *((m, n, x) for m, n in ((0.0, 0.0), (0.5, 0.5), (1.0, 2.0)) for x in (0.5, 1.0, 3.0))),
         lhs=_binding(
-            lambda p, pol: cyl_j(p["mu"], p["x"], pol).value * cyl_j(p["nu"], p["x"], pol).value,
+            lambda p: cyl_j(p["mu"], p["x"]).value * cyl_j(p["nu"], p["x"]).value,
             {"cyl_j"},
             "series-product",
         ),
         rhs=_binding(
-            lambda p, pol: (p["x"] / 2.0) ** (p["mu"] + p["nu"])
+            lambda p: (p["x"] / 2.0) ** (p["mu"] + p["nu"])
             * _humbert_laguerre(
-                (p["mu"], p["nu"], p["mu"] + p["nu"]), p["x"] * p["x"] / 4.0, 2, p["mu"] + p["nu"], pol
+                (p["mu"], p["nu"], p["mu"] + p["nu"]), p["x"] * p["x"] / 4.0, 2, p["mu"] + p["nu"]
             )[0],
             {"gauss_laguerre_nodes", "laguerre_moments", "humbert3"},
             "laguerre-quadrature",
@@ -939,12 +937,12 @@ def _build_catalog():
         params={"mu": ("range", 0.1, 2.0), "nu": ("range", 0.1, 2.0)},
         grid=_grid("mu nu", (0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (0.25, 0.75), (1.0, 2.0)),
         lhs=_binding(
-            lambda p, pol: _j_product_integral(p["mu"], p["nu"], pol)[0],
+            lambda p: _j_product_integral(p["mu"], p["nu"])[0],
             {"termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: SQRT_PI
+            lambda p: SQRT_PI
             * gamma(p["mu"] + p["nu"])
             * rgamma(p["mu"] + 0.5)
             * rgamma(p["nu"] + 0.5)
@@ -969,16 +967,16 @@ def _build_catalog():
         grid=_product_grid(mode=("anger",), n=(0, 1, 2, 3), x=(0.5, 1.0, 5.0, 20.0))
         + _product_grid(mode=("weber",), n=(0,), x=(0.1, 1.0, 5.0, 20.0)),
         lhs=_binding(
-            lambda p, pol: anger(float(p["n"]), p["x"], pol).value
+            lambda p: anger(float(p["n"]), p["x"]).value
             if p["mode"] == "anger"
-            else weber(0.0, p["x"], pol).value,
+            else weber(0.0, p["x"]).value,
             {"s1", "s2"},
             "auxiliary-series-matrix",
         ),
         rhs=_binding(
-            lambda p, pol: cyl_j(float(p["n"]), p["x"], pol).value
+            lambda p: cyl_j(float(p["n"]), p["x"]).value
             if p["mode"] == "anger"
-            else -struve_h(0.0, p["x"], pol).value,
+            else -struve_h(0.0, p["x"]).value,
             {"cyl_j", "struve_h"},
             "series",
         ),
@@ -993,11 +991,11 @@ def _build_catalog():
         params={"nu": ("range", 0.0, 1.5)},
         grid=_product_grid(nu=(0.0, 0.5, 1.0, 1.5)),
         lhs=_binding(
-            lambda p, pol: _s_line_integral(p["nu"], 1, 0, pol)[0],
+            lambda p: _s_line_integral(p["nu"], 1, 0)[0],
             {"s1", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
-        rhs=_binding(lambda p, pol: math.cos(0.5 * p["nu"] * math.pi), set(), "closed-form"),
+        rhs=_binding(lambda p: math.cos(0.5 * p["nu"] * math.pi), set(), "closed-form"),
         tol_abs=1e-6,
         tol_rel=1e-6,
         window_note="window |nu| <= 1.5; series integrated term by term to x=30, tail in closed form",
@@ -1010,12 +1008,12 @@ def _build_catalog():
         params={"nu": ("range", 0.1, 1.5)},
         grid=_product_grid(nu=(0.5, 1.0, 1.5)),
         lhs=_binding(
-            lambda p, pol: _s_line_integral(p["nu"], 2, 1, pol)[0],
+            lambda p: _s_line_integral(p["nu"], 2, 1)[0],
             {"s2", "termwise_ratio_series", "exp_power_tail", "hankel"},
             "termwise-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p, pol: math.sin(0.5 * p["nu"] * math.pi) / p["nu"],
+            lambda p: math.sin(0.5 * p["nu"] * math.pi) / p["nu"],
             set(),
             "closed-form",
         ),
@@ -1031,11 +1029,11 @@ def _build_catalog():
         params={"n": ("choice", (0, 1, 2, 3, 5)), "x": ("range", 0.5, 10.0)},
         grid=_product_grid(n=(0, 1, 2, 3, 5), x=(0.9, 1.7, 3.3, 7.1)),
         lhs=_binding(
-            lambda p, pol: _spherical_ode_residual(p["n"], p["x"], pol),
+            lambda p: _spherical_ode_residual(p["n"], p["x"]),
             {"termwise_ratio_series", "sph_j"},
             "termwise-ode-residual",
         ),
-        rhs=_binding(lambda p, pol: 0.0, set(), "constant"),
+        rhs=_binding(lambda p: 0.0, set(), "constant"),
         tol_abs=1e-10,
         tol_rel=1e-10,
         window_note="residual over |(x^2 j_n')'| + |(x^2 - n(n+1)) j_n| + 2x |j_n'|",
@@ -1053,12 +1051,12 @@ def _build_catalog():
         },
         grid=_product_grid(family=("bessel", "struve"), direction=(1, -1), order=(0.5, 1.7), x=(0.8, 2.0, 5.0)),
         lhs=_binding(
-            lambda p, pol: _shift_operator(p["family"], p["direction"], p["order"], p["x"], pol),
+            lambda p: _shift_operator(p["family"], p["direction"], p["order"], p["x"]),
             {"termwise_ratio_series", "cyl_j", "struve_h"},
             "termwise-shift-operator",
         ),
         rhs=_binding(
-            lambda p, pol: _shifted_member(p["family"], p["direction"], p["order"], p["x"], pol),
+            lambda p: _shifted_member(p["family"], p["direction"], p["order"], p["x"]),
             {"cyl_j", "struve_h", "gamma"},
             "order-shift",
         ),
@@ -1094,17 +1092,18 @@ def get_identity(identity_id):
         raise UnknownIdentityError(identity_id) from None
 
 
-def verify(identity_id, params=None, policy=None):
-    """Evaluate both sides of one identity at one parameter point."""
+def verify(identity_id, params=None):
+    """Evaluate both sides of one identity at one parameter point, with
+    every evaluator at DEFAULT_POLICY, the policy the catalog's tolerances
+    are set for."""
     iden = get_identity(identity_id)
-    policy = policy or DEFAULT_POLICY
     if params is None:
         params = dict(iden.grid[0]) if iden.grid else {}
     iden.check_params(params)
     start = time.perf_counter()
     try:
-        lhs = iden.lhs.fn(params, policy)
-        rhs = iden.rhs.fn(params, policy)
+        lhs = iden.lhs.fn(params)
+        rhs = iden.rhs.fn(params)
     except (DomainError, ConvergenceError, OverflowError) as exc:
         return VerificationReport(
             identity_id=iden.id,
@@ -1148,7 +1147,7 @@ def _jittered_grid(iden, rng):
     return pts
 
 
-def verify_all(policy=None, parallelism=1, ids=None, seed=0):
+def verify_all(parallelism=1, ids=None, seed=0):
     """Run every identity over its default grid.
 
     Reports come back ordered by (identity id, grid index) regardless of
@@ -1165,7 +1164,6 @@ def verify_all(policy=None, parallelism=1, ids=None, seed=0):
     window width (clipped to the interior), which is how the catalog
     windows get exercised off their default points.
     """
-    policy = policy or DEFAULT_POLICY
     identities = list_identities() if ids is None else [get_identity(i) for i in ids]
     jobs = []
     if seed:
@@ -1181,12 +1179,12 @@ def verify_all(policy=None, parallelism=1, ids=None, seed=0):
                 jobs.append((iden.id, dict(pt)))
     workers = min(parallelism, len(jobs), _available_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
-        return [verify(i, p, policy) for i, p in jobs]
+        return [verify(i, p) for i, p in jobs]
     # processes, not threads: the checks are CPU-bound Python under the
     # GIL.  Imported here, so that `import sphstruve` does not compile it.
     from .forkmap import fork_map
 
-    return fork_map(lambda job: verify(*job, policy), jobs, workers)
+    return fork_map(lambda job: verify(*job), jobs, workers)
 
 
 def _available_cpus():

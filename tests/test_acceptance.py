@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from sphstruve.functions import DEFAULT_POLICY, sph_j, sinc_sqrt
+from sphstruve.functions import sph_j, sinc_sqrt
 from sphstruve.gammakit import SQRT_PI, gamma, rgamma
 from sphstruve.identities import get_identity, verify, verify_all
 from sphstruve.umbral import UmbralExpSeries, expand, gaussian_reduce, reduce_expr
@@ -234,7 +234,7 @@ def test_criterion_11_derivative_and_recurrence_suites():
 
 def test_criterion_12_full_suite_green():
     t0 = time.perf_counter()
-    reports = verify_all(policy=DEFAULT_POLICY, parallelism=1)
+    reports = verify_all(parallelism=1)
     dt = time.perf_counter() - t0
     failures = [r for r in reports if r.status != "pass"]
     assert not failures, failures[:5]

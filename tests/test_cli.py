@@ -95,6 +95,16 @@ class TestEval:
         assert code == 0 and err == ""
         assert float(out) == pytest.approx(-5.753861119575491e-301, rel=1e-14)
 
+    def test_rayleigh_reads_the_rel_tol_flag(self, run):
+        # j_6(1) cancels past the default rel_tol, not past 1e-3 of the
+        # envelope min(x^6/13!!, 1/x) = 1/135135
+        code, out, err = run("eval", "rayleigh_jn", "--n", "6", "--x", "1.0")
+        assert code == 2 and "cancels" in err
+        code, out, err = run("eval", "rayleigh_jn", "--n", "6", "--x", "1.0", "--rel-tol", "1e-3")
+        assert code == 0 and err == ""
+        # 30-digit mpmath
+        assert abs(float(out) - 7.15693631008708557e-06) <= 1e-3 / 135135
+
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2
@@ -266,6 +276,7 @@ class TestTable:
         assert all(r["terms_used"] > 0 for r in rows if r["path"].endswith("series"))
 
     def test_policy_free_rows(self, run):
+        # rayleigh_jn returns a bare float, not a SeriesResult: no path or terms
         code, out, _ = run("table", "rayleigh_jn", "--n", "1", "--x", "2:4:3", "--format", "json")
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
@@ -315,6 +326,8 @@ class TestConfigFile:
             ("format = csv\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # not an eval choice
             ("seed = 3\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # eval takes no --seed
             ("verbose = 1\n", ("eval", "sph_j", "--n", "0", "--x", "1")),  # a switch takes no value
+            ("max-terms = 5\n", ("verify", "I01")),  # verify runs at the default policy
+            ("rel-tol = 1e-6\n", ("verify", "I01")),
         ],
     )
     def test_bad_config_exits_2(self, run, tmp_path, text, argv):
@@ -344,13 +357,14 @@ class TestFlagsPerSubcommand:
             ("table", "sph_j", "--n", "0", "--x", "1:2:2", "--seed", "3"),
             ("table", "sph_j", "--n", "0", "--x", "1:2:2", "--format", "text"),
             ("verify", "I01", "--verbose"),
+            ("verify", "I01", "--rel-tol", "1e-6"),  # the catalog's tolerances assume the default policy
         ],
     )
     def test_flag_not_read_exits_2(self, run, argv):
         code, out, err = run(*argv)
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -9,7 +9,7 @@ import pytest
 
 from sphstruve import identities, quadrature
 from sphstruve.errors import DomainError, UnknownIdentityError
-from sphstruve.functions import DEFAULT_POLICY, EvalPolicy
+from sphstruve.functions import EvalPolicy
 from sphstruve.identities import (
     EvaluatorBinding,
     Identity,
@@ -506,7 +506,6 @@ class TestLaguerreMultiIndex:
 
     def test_one_prefactor_per_check(self, monkeypatch):
         from sphstruve import functions
-        from sphstruve.functions import DEFAULT_POLICY
 
         calls = []
         rgamma = functions.rgamma
@@ -521,10 +520,10 @@ class TestLaguerreMultiIndex:
         # series, however many Laguerre nodes it serves: at
         # alpha = beta = 0 the three arguments are 1, 1 and 1, at (0.5, 1)
         # they are 1, 1.5 and 2
-        iden.lhs.fn(iden.grid[0], DEFAULT_POLICY)
+        iden.lhs.fn(iden.grid[0])
         assert calls == [1.0, 1.0, 1.0]
         calls.clear()
-        iden.lhs.fn({"alpha": 0.5, "beta": 1.0, "gamma_p": 0.5, "x": 0.5}, DEFAULT_POLICY)
+        iden.lhs.fn({"alpha": 0.5, "beta": 1.0, "gamma_p": 0.5, "x": 0.5})
         assert sorted(calls) == [1.0, 1.5, 2.0]
 
     def test_rule_rounding_within_its_charge(self):
@@ -599,9 +598,9 @@ class TestShiftRelations:
         # order, two evaluator calls in all
         calls = []
         for name in ("cyl_j", "struve_h"):
-            def counted(nu, x, policy=None, _fn=getattr(identities, name)):
+            def counted(nu, x, _fn=getattr(identities, name)):
                 calls.append(nu)
-                return _fn(nu, x, policy)
+                return _fn(nu, x)
 
             monkeypatch.setattr(identities, name, counted)
         for params in get_identity("I24").grid:
@@ -716,7 +715,7 @@ class TestVerifyAll:
 
     def test_records_the_pool_sends_survive_pickle(self):
         policy = EvalPolicy(rel_tol=1e-10, max_terms=300)
-        for rec in (policy, verify("I02", policy=policy), verify("I15", get_identity("I15").grid[0])):
+        for rec in (policy, verify("I02"), verify("I15", get_identity("I15").grid[0])):
             back = pickle.loads(pickle.dumps(rec))
             assert type(back) is type(rec)
             assert back == rec
@@ -762,7 +761,7 @@ class TestVerifyAll:
 
     def test_shares_are_interleaved_and_reports_in_catalog_order(self, monkeypatch):
         monkeypatch.setattr(identities, "_available_cpus", lambda: 3)
-        monkeypatch.setattr(identities, "verify", lambda i, params, policy: (i, params, os.getpid()))
+        monkeypatch.setattr(identities, "verify", lambda i, params: (i, params, os.getpid()))
         got = verify_all(parallelism=3)
         assert [(i, p) for i, p, _ in got] == [(iden.id, pt) for iden in list_identities() for pt in iden.grid]
         # share k is jobs[k::3]; this process runs share 0
@@ -792,10 +791,10 @@ class TestVerifyAll:
         inner = identities.verify
         bad = get_identity("I02").grid[index]
 
-        def verify(identity_id, params, policy):
+        def verify(identity_id, params):
             if params == bad:
                 raise _Boom(index)
-            return inner(identity_id, params, policy)
+            return inner(identity_id, params)
 
         monkeypatch.setattr(identities, "verify", verify)
         with pytest.raises(_Boom):
@@ -922,7 +921,7 @@ class TestSkippedPropagation:
         # skip path by temporarily breaking one binding
         iden = get_identity("I22")  # fills the catalog
 
-        def boom(p, pol):
+        def boom(p):
             raise DomainError("synthetic")
 
         monkeypatch.setitem(identities._CATALOG, "I22", iden._replace(lhs=iden.lhs._replace(fn=boom)))
@@ -947,13 +946,15 @@ class TestSkippedPropagation:
         assert rep.status == "skipped"
         assert "no rule up to 8 nodes" in rep.reason
 
-    def test_uncertified_head_becomes_skip(self):
+    def test_uncertified_head_becomes_skip(self, monkeypatch):
         # a termwise head that runs out of terms must not pass as a check;
         # each head needs 50 to 70 terms
-        policy = EvalPolicy(max_terms=40)
+        head_policy = identities._HEAD_POLICY
         for iid in ("I01", "I05", "I14", "I19", "I21", "I22"):
             assert verify(iid, get_identity(iid).grid[0]).status == "pass", iid
-            rep = verify(iid, get_identity(iid).grid[0], policy)
+            with monkeypatch.context() as patch:
+                patch.setattr(identities, "_HEAD_POLICY", head_policy._replace(max_terms=40))
+                rep = verify(iid, get_identity(iid).grid[0])
             assert rep.status == "skipped", iid
             assert "extended-precision series did not certify within 40 terms" in rep.reason
 
@@ -1029,10 +1030,10 @@ class TestTermwiseHeadOracle:
     # 40-digit closed form; every returned bound must hold
     U = 2.0**-53
     FNS = {
-        "I14": lambda p: identities._struve_line_integral(p["alpha"], DEFAULT_POLICY),
-        "I19": lambda p: identities._j_product_integral(p["mu"], p["nu"], DEFAULT_POLICY),
-        "I21": lambda p: identities._s_line_integral(p["nu"], 1, 0, DEFAULT_POLICY),
-        "I22": lambda p: identities._s_line_integral(p["nu"], 2, 1, DEFAULT_POLICY),
+        "I14": lambda p: identities._struve_line_integral(p["alpha"]),
+        "I19": lambda p: identities._j_product_integral(p["mu"], p["nu"]),
+        "I21": lambda p: identities._s_line_integral(p["nu"], 1, 0),
+        "I22": lambda p: identities._s_line_integral(p["nu"], 2, 1),
     }
     POINTS = [("I14", {"alpha": a}) for a in (-1.9, -0.1, -1.5, -1.5 - 1e-9, -1.5 + 1e-9)] + [
         ("I19", {"mu": m, "nu": n}) for m, n in ((0.1, 0.1), (2.0, 2.0), (0.1, 2.0), (2.0, 0.1))
@@ -1116,8 +1117,8 @@ class TestRealLineOracle:
     # error and u |value|
     U = 2.0**-53
     FNS = {
-        "I01": lambda p: identities._j_line_integral(0, DEFAULT_POLICY),
-        "I05": lambda p: identities._j_line_integral(p["m"], DEFAULT_POLICY),
+        "I01": lambda p: identities._j_line_integral(0),
+        "I05": lambda p: identities._j_line_integral(p["m"]),
         "I06": lambda p: identities._quadratic_line_integral(1.0, -2.0 * p["t"]),
         "I07": lambda p: identities._quadratic_line_integral(p["a"], p["b"]),
     }
@@ -1145,7 +1146,7 @@ class TestRealLineOracle:
         # head ends at the split
         mp = pytest.importorskip("mpmath")
         monkeypatch.setattr(identities, "_TAIL_SPLIT", identities._TAIL_SPLIT + step)
-        value, bound = identities._j_line_integral(m, DEFAULT_POLICY)
+        value, bound = identities._j_line_integral(m)
         with mp.workdps(30):
             self._check(mp, value / 2.0, bound / 2.0, self._closed_form(mp, "I05", {"m": m}) / 2, (m, step))
 
