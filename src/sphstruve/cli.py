@@ -70,6 +70,7 @@ _FUNCTIONS = {
     "rayleigh_jn": (rayleigh_jn, ("n", "x")),
 }
 
+_POLICY_FREE = {"rayleigh_jn"}
 # every function-argument flag; --n is the only integer one
 _ARG_NAMES = sorted({name for _, names in _FUNCTIONS.values() for name in names})
 
@@ -97,6 +98,10 @@ def _read_config_file(path):
     return out
 
 
+def _build_policy(args):
+    return EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
+
+
 def _emit(args, text):
     print(text, file=args.stream)
 
@@ -118,10 +123,10 @@ def _bind(args, swept):
         if v is None:
             raise _UsageError(f"{args.function} requires --{name}")
         call.append(v)
-    policy = EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
+    policy = () if args.function in _POLICY_FREE else (_build_policy(args),)
 
     def run(*rest):
-        res = fn(*call, *rest, policy)
+        res = fn(*call, *rest, *policy)
         return (res.value, res) if isinstance(res, SeriesResult) else (res, None)
 
     return names, call, run

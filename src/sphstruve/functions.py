@@ -1029,7 +1029,7 @@ def _rayleigh_tables(n):
     return tuple(S[n + 1:]), tuple(C[n + 1:])
 
 
-def rayleigh_jn(n, x, policy=None):
+def rayleigh_jn(n, x):
     """j_n(x) through the symbolically pre-applied derivative operator:
     j_n = (-x)^n (x^{-1} d/dx)^n (sin x / x) = (-1)^n u P(u), u = 1/x, P
     the degree-n polynomial part of `_rayleigh_tables`, so no power of x
@@ -1038,7 +1038,7 @@ def rayleigh_jn(n, x, policy=None):
     Exact trigonometric closed form; serves as the independent oracle for
     the series evaluator.  Below x ~ 2n its terms cancel like x^(-2n):
     where the worst-case bound on their rounding, (5n + 9) u sum |term|,
-    exceeds the policy's rel_tol times the envelope min(x^n/(2n+1)!!, 1/x)
+    exceeds the default rel_tol times the envelope min(x^n/(2n+1)!!, 1/x)
     of |j_n|, it raises ConvergenceError.  The envelope, unlike |j_n|,
     does not vanish at the zeros of j_n, so points near a zero still
     return."""
@@ -1070,7 +1070,7 @@ def rayleigh_jn(n, x, policy=None):
     # x in [1e-3, 316])
     unit = (5 * n + 9) * 2.0**-53
     # written so that a nan bound (0 * inf at tiny x) raises too
-    if not unit * u * (smag * abs(sin_x) + cmag * abs(cos_x)) <= (policy or DEFAULT_POLICY).rel_tol * envelope:
+    if not unit * u * (smag * abs(sin_x) + cmag * abs(cos_x)) <= DEFAULT_POLICY.rel_tol * envelope:
         raise ConvergenceError(f"rayleigh_jn: the closed form cancels at n={n}, x={x!r}")
     sign = 1.0 if n % 2 == 0 else -1.0
     return sign * u * (spart * sin_x + cpart * cos_x)

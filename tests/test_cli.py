@@ -95,16 +95,6 @@ class TestEval:
         assert code == 0 and err == ""
         assert float(out) == pytest.approx(-5.753861119575491e-301, rel=1e-14)
 
-    def test_rayleigh_reads_the_rel_tol_flag(self, run):
-        # j_6(1) cancels past the default rel_tol, not past 1e-3 of the
-        # envelope min(x^6/13!!, 1/x) = 1/135135
-        code, out, err = run("eval", "rayleigh_jn", "--n", "6", "--x", "1.0")
-        assert code == 2 and "cancels" in err
-        code, out, err = run("eval", "rayleigh_jn", "--n", "6", "--x", "1.0", "--rel-tol", "1e-3")
-        assert code == 0 and err == ""
-        # 30-digit mpmath
-        assert abs(float(out) - 7.15693631008708557e-06) <= 1e-3 / 135135
-
     def test_unknown_function(self, run):
         code, _, err = run("eval", "frob", "--x", "1")
         assert code == 2
@@ -276,7 +266,6 @@ class TestTable:
         assert all(r["terms_used"] > 0 for r in rows if r["path"].endswith("series"))
 
     def test_policy_free_rows(self, run):
-        # rayleigh_jn returns a bare float, not a SeriesResult: no path or terms
         code, out, _ = run("table", "rayleigh_jn", "--n", "1", "--x", "2:4:3", "--format", "json")
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
