@@ -98,10 +98,6 @@ def _read_config_file(path):
     return out
 
 
-def _build_policy(args):
-    return EvalPolicy(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_terms=args.max_terms)
-
-
 def _emit(args, text):
     print(text, file=args.stream)
 
@@ -123,7 +119,15 @@ def _bind(args, swept):
         if v is None:
             raise _UsageError(f"{args.function} requires --{name}")
         call.append(v)
-    policy = () if args.function in _POLICY_FREE else (_build_policy(args),)
+    # the policy flags given, flag or config line; EvalPolicy sets the rest
+    given = {k: getattr(args, k) for k in EvalPolicy._fields if getattr(args, k) is not None}
+    if args.function in _POLICY_FREE:
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise _UsageError(f"{flag} does not apply to {args.function}, which takes no policy")
+        policy = ()
+    else:
+        policy = (EvalPolicy(**given),)
 
     def run(*rest):
         res = fn(*call, *rest, *policy)
@@ -276,9 +280,9 @@ def _make_parser():
     def add_function_args(p, skip=()):
         """The function, its arguments and the evaluator policy flags."""
         p.add_argument("function", help=f"one of {', '.join(sorted(_FUNCTIONS))}")
-        p.add_argument("--rel-tol", type=float, default=1e-12)
-        p.add_argument("--abs-tol", type=float, default=1e-300)
-        p.add_argument("--max-terms", type=int, default=500)
+        p.add_argument("--rel-tol", type=float)
+        p.add_argument("--abs-tol", type=float)
+        p.add_argument("--max-terms", type=int)
         for name in _ARG_NAMES:
             if name not in skip:
                 p.add_argument(f"--{name}", type=int if name == "n" else float)

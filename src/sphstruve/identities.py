@@ -69,10 +69,6 @@ _TAIL_SPLIT = 30.0
 _PRODUCT_SPLIT = 20.0
 # I06/I07's Gauss-Legendre head ends at 40, where the tail's floor is 1e-17, not 1e-13
 _SQUARE_SPLIT = 40.0
-# order of I06/I07's Gaussian image: at the window corner b/(2 sqrt(a)) = 4
-# its last two terms are below 1e-32 of the sum, far under the 2^-60 check
-_GAUSSIAN_ORDER = 24
-_GENERATING_ORDER = 25  # the last order I02's generating sum reaches
 # the Gauss-Laguerre rules a multi-index image may take, least first
 _LAGUERRE_RULES = (8, 16, 32, 64, 128)
 
@@ -306,22 +302,69 @@ def _quadratic_line_integral(a, b):
 
 
 def _gaussian_line_integral(a, b):
-    """The integral over R of j_0(sqrt(a x^2 + b x)), a > 0, by the paper's
-    Gaussian rule: j_0(sqrt(w)) = (sqrt(pi)/2) c^(1/2) e^(-c w/4) with
-    c^s -> 1/Gamma(1+s), so the integrand is a Gaussian image with
-    q = a/4 and p = -b/4, and the integral is (sqrt(pi)/2) sqrt(4 pi/a)
-    times its reduction, (pi/sqrt(a)) I_0(b/(2 sqrt(a))).  The truncated
-    image is certified by the reduction's tail check."""
-    image = expand(gaussian_reduce(0.5, a / 4.0, -b / 4.0, order=_GAUSSIAN_ORDER))
-    return math.pi / math.sqrt(a) * reduce_expr(image, check_tail_rel=2.0**-60)
+    """(value, bound) of the integral over R of j_0(sqrt(a x^2 + b x)),
+    a > 0, by the paper's Gaussian rule: j_0(sqrt(w)) = (sqrt(pi)/2)
+    c^(1/2) e^(-c w/4) with c^s -> 1/Gamma(1+s), so the integrand is a
+    Gaussian image with q = a/4 and p = -b/4, and the integral is
+    (sqrt(pi)/2) sqrt(4 pi/a) times its reduction, (pi/sqrt(a))
+    I_0(b/(2 sqrt(a))) = (pi/sqrt(a)) sum_k s^k/(k!)^2, s = b^2/(16a).
+
+    The order K is the least at which the reduced terms s^(K-1)/((K-1)!)^2
+    and s^K/(K!)^2 are at most 2^-61 of their partial sum, so that the
+    reduction's tail check at 2^-60 passes, and the ratio s/(K+1)^2 of
+    the next term is at most 1/2.  The ratios fall with k, so the tail
+    past K is at most twice the first neglected term, hence at most the
+    last kept one.  The rounding adds, per term k, 4k u for its
+    coefficient (s rounds twice, and each step of `expand` twice more),
+    20.2 u for rgamma's 10.1 ulps at an integer and u for the product;
+    then u for the fsum and 4u for the factor pi/sqrt(a) and its
+    product."""
+    series = gaussian_reduce(0.5, a / 4.0, -b / 4.0, order=0)
+    s = series.scale
+    term, partial, rounding = 1.0, 1.0, 21.2
+    for k in range(1, 501):  # `expand` takes orders up to 500
+        last = term
+        term *= s / (k * k)
+        partial += term
+        rounding += (4.0 * k + 21.2) * term
+        if max(last, term) <= 2.0**-61 * partial and s <= 0.5 * (k + 1) ** 2:
+            break
+    else:
+        raise ConvergenceError(f"_gaussian_line_integral: no order up to 500 meets its tail bound at s={s!r}")
+    value = reduce_expr(expand(series._replace(order=k)), check_tail_rel=2.0**-60)
+    scale = math.pi / math.sqrt(a)
+    return scale * value, scale * (term + _UNIT_ROUNDOFF * (rounding + 5.0 * partial))
 
 
 def _generating_sum(x, t):
-    total, coeff = 0.0, 1.0
-    for n in range(_GENERATING_ORDER + 1):
-        total += coeff * sph_j(n, x).value
+    """(value, bound) of I02's lhs, sum_n t^n/n! j_n(x), to the least
+    order N whose a-priori tail is at most u sum_(n<=N) |t^n/n! j_n(x)|.
+
+    |j_n(x)| <= x^n/(2n+1)!! (DLMF 10.14.4 at nu = n + 1/2), so the tail
+    past N is at most sum_(n>N) b_n, b_n = (|t| x)^n/(n! (2n+1)!!), whose
+    ratios |t| x/((n+1)(2n+3)) fall with n: once the next one, r, is
+    below 1, that sum is at most b_(N+1)/(1 - r).  The stop rule reads
+    only the terms summed, never the rhs.  The bound adds that tail,
+    each term's |t^n/n!| times `sph_j`'s tail estimate, and the rounding
+    of the terms (2n u for t^n/n!, u for the product) and of their plain
+    sum (N u on the sum of their sizes).  `sph_j`'s plain series reports
+    no rounding term of its own, so neither does this bound."""
+    total, coeff, size, estimates, rounding = 0.0, 1.0, 0.0, 0.0, 0.0
+    tx, b = abs(t) * x, 1.0
+    for n in range(101):  # sph_j takes orders up to 100
+        j = sph_j(n, x)
+        term = coeff * j.value
+        total += term
+        size += abs(term)
+        estimates += abs(coeff) * j.tail_estimate
+        rounding += (2 * n + 1) * abs(term)
+        b *= tx / ((n + 1) * (2 * n + 3))  # b_(n+1)
+        r = tx / ((n + 2) * (2 * n + 5))
+        tail = b / (1.0 - r) if r < 1.0 else math.inf
+        if tail <= _UNIT_ROUNDOFF * size:
+            return total, tail + estimates + _UNIT_ROUNDOFF * (rounding + n * size)
         coeff *= t / (n + 1)
-    return total
+    raise ConvergenceError(f"_generating_sum: no order up to 100 meets u |terms| at x={x!r}, t={t!r}")
 
 
 def _laguerre_moments(gamma_args, k0, w, power, sigma, dens, max_terms):
@@ -452,7 +495,7 @@ def _bilateral_sum(image, u, v, m_cut):
     # lowest shift 16 surviving terms, and the tail check certifies the
     # cut: if the last two terms are not below 2^-60 of the sum it raises
     orders = range(-m_cut, m_cut + 1)
-    factors = ([(float(m), u**m) for m in orders], [(float(n), v**n) for n in orders])
+    factors = ((float(-m_cut), [u**m for m in orders]), (float(-m_cut), [v**n for n in orders]))
     return reduce_weighted(image, factors, check_tail_rel=2.0**-60)
 
 
@@ -550,7 +593,7 @@ def _build_catalog():
         params={"t": ("range", -1.0, 1.0), "x": ("range", 0.25, 8.0)},
         grid=_product_grid(t=(-0.75, -0.25, 0.25, 0.75), x=(0.5, 2.0, 5.0)),
         lhs=_binding(
-            lambda p: _generating_sum(p["x"], p["t"]),
+            lambda p: _generating_sum(p["x"], p["t"])[0],
             {"sph_j"},
             "series-sum",
         ),
@@ -633,7 +676,7 @@ def _build_catalog():
             "finite-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p: _gaussian_line_integral(1.0, -2.0 * p["t"]),
+            lambda p: _gaussian_line_integral(1.0, -2.0 * p["t"])[0],
             {"gaussian_reduce", "expand", "reduce_expr"},
             "umbral-gaussian",
         ),
@@ -654,7 +697,7 @@ def _build_catalog():
             "finite-head-closed-tail",
         ),
         rhs=_binding(
-            lambda p: _gaussian_line_integral(p["a"], p["b"]),
+            lambda p: _gaussian_line_integral(p["a"], p["b"])[0],
             {"gaussian_reduce", "expand", "reduce_expr"},
             "umbral-gaussian",
         ),

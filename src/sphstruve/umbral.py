@@ -21,6 +21,7 @@ term and symbol (`reduce_weighted`).
 """
 
 import math
+import operator
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError
@@ -119,7 +120,7 @@ def reduce_expr(expr, check_tail_rel=None):
     truncation of an expanded exponential; otherwise a ConvergenceError
     is raised.
     """
-    return reduce_weighted(expr, (((0.0, 1.0),),) * expr.symbol_count, check_tail_rel)
+    return reduce_weighted(expr, ((0.0, (1.0,)),) * expr.symbol_count, check_tail_rel)
 
 
 def _sum(values):
@@ -131,44 +132,92 @@ def _sum(values):
         return sum(values)
 
 
+def _dot(weights, values):
+    """`_sum` of the products w * v, formed without a Python-level loop."""
+    try:
+        return math.fsum(map(operator.mul, weights, values))
+    except (ValueError, OverflowError):
+        return sum(map(operator.mul, weights, values))
+
+
+def _on_grid(v):
+    """Whether v is a multiple of 2^-16 of size at most 2^32: a sum of
+    such values, 1.0 and a whole number below 2^32 is exact in binary64."""
+    return abs(v) <= 2.0**32 and (v * 65536.0).is_integer()
+
+
+def _weighted_sums(exponents, lowest, weights, rgammas):
+    """{e: A(e)} for the distinct `exponents` of one symbol, A(e) the
+    `_dot` of `weights` with rgamma(1 + (e + (lowest + j))), j = 0, 1, ....
+
+    Exponents a whole number apart share their arguments, shifted: where
+    e and `lowest` lie on the 2^-16 grid every argument is exact, so the
+    exponents of one class (e mod 1) whose windows overlap or touch read
+    one list of reciprocal gammas, each A a slice of it.  Any other
+    exponent reads a list of its own.  `rgammas` maps each argument to
+    its value, so each distinct argument is evaluated once."""
+    width = len(weights)
+
+    def reciprocal_gammas(base, count):
+        args = [1.0 + (base + (lowest + j)) for j in range(count)]
+        for a in args:
+            if a not in rgammas:
+                rgammas[a] = rgamma(a)
+        return list(map(rgammas.__getitem__, args))
+
+    sums, classes = {}, {}
+    exact = _on_grid(lowest)
+    for e in exponents:
+        if exact and _on_grid(e):
+            classes.setdefault(e % 1.0, []).append(e)
+        else:
+            sums[e] = _dot(weights, reciprocal_gammas(e, width))
+    for members in classes.values():
+        members.sort()
+        start = 0
+        for i in range(1, len(members) + 1):
+            if i < len(members) and members[i] - members[i - 1] <= width:
+                continue
+            base = members[start]
+            rg = reciprocal_gammas(base, int(members[i - 1] - base) + width)
+            for e in members[start:i]:
+                o = int(e - base)
+                sums[e] = _dot(weights, rg[o:o + width])
+            start = i
+    return sums
+
+
 def reduce_weighted(expr, factors, check_tail_rel=None):
     """Reduce `expr` times, for each symbol c_i, the polynomial
-    sum of w * c_i**s over the (s, w) pairs of `factors[i]`.
+    sum_j w_j * c_i**(lowest + j) over its factor (lowest, weights),
+    `factors[i]`: weights on consecutive shifts from `lowest` up, a gap a
+    zero weight, and no weights the zero polynomial.
 
     Reduction is linear and a symbol power only shifts a gamma argument,
     so a term coeff * c_1**e_1 ... c_m**e_m reduces to
     coeff * A_1(e_1) * ... * A_m(e_m), where A_i(e) is the `math.fsum`
-    of w * rgamma(1 + (e + s)) over symbol i's pairs.  Each A is formed
-    once per symbol and distinct exponent, and each distinct rgamma
-    argument is evaluated once; the products, multiplied left to right,
-    are summed as `reduce_expr` sums its terms and certified by the same
-    tail check.  With one pair (s, 1.0) per symbol this is the reduction
-    of the image times the monomial c_1**s_1 ... c_m**s_m, bit for bit.
+    of w_j * rgamma(1 + (e + (lowest + j))) over symbol i's weights.
+    Each A is formed once per symbol and distinct exponent, as one `fsum`
+    of a window of reciprocal gammas (`_weighted_sums`), and each
+    distinct rgamma argument is evaluated once; the products, multiplied
+    left to right, are summed as `reduce_expr` sums its terms and
+    certified by the same tail check.  With the factor (s, (1.0,)) per
+    symbol this is the reduction of the image times the monomial
+    c_1**s_1 ... c_m**s_m, bit for bit.
     """
     m = expr.symbol_count
     if len(factors) != m:
         raise DomainError(f"reduce_weighted: {len(factors)} factors for {m} symbols")
-    rgammas = {}  # argument -> rgamma(argument)
-    weighted = [{} for _ in factors]  # per symbol: exponent -> A(exponent)
-
-    def weighted_sum(pairs, e):
-        parts = []
-        for s, w in pairs:
-            a = 1.0 + (e + s)
-            r = rgammas.get(a)
-            if r is None:
-                r = rgammas[a] = rgamma(a)
-            parts.append(w * r)
-        return _sum(parts)
-
+    rgammas = {}  # argument -> rgamma(argument), across the symbols
+    weighted = [
+        _weighted_sums(dict.fromkeys(t.exponents[i] for t in expr.terms), lowest, weights, rgammas)
+        for i, (lowest, weights) in enumerate(factors)
+    ]
     products = []
     for t in expr.terms:
         r = t.coeff
-        for e, pairs, sums in zip(t.exponents, factors, weighted):
-            a = sums.get(e)
-            if a is None:
-                a = sums[e] = weighted_sum(pairs, e)
-            r *= a
+        for e, sums in zip(t.exponents, weighted):
+            r *= sums[e]
         products.append(r)
     total = _sum(products)
     if check_tail_rel is not None and products:

@@ -368,6 +368,31 @@ class TestFlagsPerSubcommand:
         assert out == ""
         assert f"{flag} does not apply" in err
 
+    @pytest.mark.parametrize(
+        "n, x, flags, flag",
+        [
+            ("6", "1.0", ("--rel-tol", "1e-3"), "--rel-tol"),
+            ("2", "3", ("--max-terms", "1", "--abs-tol", "0.5"), "--abs-tol"),
+            ("2", "3", ("--max-terms", "1"), "--max-terms"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "table"])
+    def test_policy_flag_for_a_policy_free_function_exits_2(self, run, command, n, x, flags, flag):
+        # rayleigh_jn takes no policy, so a policy flag would be dropped unread
+        code, out, err = run(command, "rayleigh_jn", "--n", n, "--x", x if command == "eval" else "1:3:3", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} does not apply to rayleigh_jn") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, x", [("eval", "3"), ("table", "1:3:3")])
+    def test_policy_line_for_a_policy_free_function_exits_2(self, run, tmp_path, command, x):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("rel-tol = 1e-6\n")
+        code, out, err = run(command, "rayleigh_jn", "--n", "2", "--x", x, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--rel-tol does not apply to rayleigh_jn" in err and "Traceback" not in err
+
     def test_help_exits_0(self, run):
         code, out, _ = run("verify", "--help")
         assert code == 0

@@ -402,7 +402,7 @@ class TestSymmetricDoubleSums:
         reduce = identities.reduce_weighted
 
         def recorded(expr, factors, check_tail_rel=None):
-            factor_sizes.append([len(f) for f in factors])
+            factor_sizes.append([len(weights) for _, weights in factors])
             return reduce(expr, factors, check_tail_rel)
 
         monkeypatch.setattr(identities, "_sum_ratio_series", kernel)
@@ -1201,14 +1201,140 @@ class TestRealLineOracle:
         + [("I07", {"a": a, "b": b}) for a in (0.25, 4.0) for b in (0.0, 4.0)],
     )
     def test_gaussian_rhs_window_corners(self, iid, p):
-        # the rhs reduces the Gaussian image at its fixed order, and the
-        # tail check certifies that order at every corner of the window
+        # the rhs reduces the Gaussian image at its a-priori order, and the
+        # tail check passes at that order at every corner of the window
         mp = pytest.importorskip("mpmath")
         r = verify(iid, p)
         assert r.status == "pass", r.reason
         with mp.workdps(40):
             want = self._closed_form(mp, iid, p)
             assert abs(mp.mpf(r.rhs) - want) <= 1e-15 * want, (p, r.rhs)
+
+    GAUSSIAN = {
+        "I06": lambda p: identities._gaussian_line_integral(1.0, -2.0 * p["t"]),
+        "I07": lambda p: identities._gaussian_line_integral(p["a"], p["b"]),
+    }
+
+    @pytest.mark.parametrize(
+        "iid,p",
+        [("I06", {"t": 0.0}), ("I06", {"t": 3.0})]
+        + [("I07", {"a": a, "b": b}) for a in (0.25, 4.0) for b in (0.0, 4.0)],
+    )
+    def test_gaussian_rhs_bound_at_the_corners(self, iid, p):
+        # the Gaussian image's a-priori order and bound against
+        # (pi/sqrt(a)) I_0(b/(2 sqrt(a))); at I07's (0.25, 4), s = 4 and the
+        # term ratio s/(k+1)^2 is 1 at k = 1
+        mp = pytest.importorskip("mpmath")
+        value, bound = self.GAUSSIAN[iid](p)
+        assert value == verify(iid, p).rhs
+        with mp.workdps(40):
+            self._check(mp, value, bound, self._closed_form(mp, iid, p), (iid, p))
+
+    @pytest.mark.parametrize("seed", [0, 7, 102, 211])
+    def test_gaussian_rhs_bound_on_the_grids(self, seed):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for r in verify_all(ids=["I06", "I07"], seed=seed):
+                value, bound = self.GAUSSIAN[r.identity_id](r.params)
+                assert value == r.rhs
+                self._check(mp, value, bound, self._closed_form(mp, r.identity_id, r.params), r.params)
+
+    def test_gaussian_order_is_the_least_that_certifies(self, monkeypatch):
+        # one order lower, the reduction's own tail check at 2^-60 or the
+        # term ratio s/(K+1)^2 <= 1/2 fails
+        orders = []
+        expand = identities.expand
+
+        def recorded(series):
+            orders.append(series.order)
+            return expand(series)
+
+        monkeypatch.setattr(identities, "expand", recorded)
+        for a in (0.25, 1.0, 4.0):
+            for b in (0.0, 0.5, 2.0, 4.0):
+                orders.clear()
+                identities._gaussian_line_integral(a, b)
+                (k,) = orders
+                assert k <= 18, (a, b, k)
+                s = (b / 4.0) ** 2 / a
+                terms = [s**j / math.factorial(j) ** 2 for j in range(k)]
+                lower_certifies = max(terms[-2:]) <= 2.0**-61 * math.fsum(terms) and s <= 0.5 * k * k
+                assert not lower_certifies, (a, b, k)
+
+
+class TestGeneratingSum:
+    # I02's lhs sum_n t^n/n! j_n(x) stops at the least order N whose
+    # a-priori tail sum_(n>N) |t|^n x^n/(n! (2n+1)!!) is at most u times the
+    # sum of the sizes of the terms it kept.  The oracle checks the
+    # truncation only: sph_j's plain series reports no rounding term
+    U = 2.0**-53
+
+    @staticmethod
+    def _terms(monkeypatch, x, t):
+        # the (n, j_n) pairs the sum read, in order, and its (value, bound)
+        seen = []
+        sph_j = identities.sph_j
+
+        def recorded(n, x):
+            res = sph_j(n, x)
+            seen.append((n, res.value))
+            return res
+
+        monkeypatch.setattr(identities, "sph_j", recorded)
+        out = identities._generating_sum(x, t)
+        monkeypatch.undo()
+        return seen, out
+
+    @pytest.mark.parametrize("x", [0.25, 8.0])
+    @pytest.mark.parametrize("t", [-1.0, 1.0])
+    def test_tail_against_mpmath_at_the_corners(self, monkeypatch, x, t):
+        mp = pytest.importorskip("mpmath")
+        seen, (_, bound) = self._terms(monkeypatch, x, t)
+        order = seen[-1][0]
+        assert [n for n, _ in seen] == list(range(order + 1))
+        assert order <= 25
+        sizes = [abs(t**n / math.factorial(n) * j) for n, j in seen]
+        with mp.workdps(50):
+            X, T = mp.mpf(x), mp.mpf(t)
+
+            def j(n):
+                return mp.sqrt(mp.pi / (2 * X)) * mp.besselj(n + mp.mpf(0.5), X)
+
+            def apriori(past):
+                return mp.fsum(
+                    abs(T) ** n * X**n / (mp.factorial(n) * mp.fac2(2 * n + 1)) for n in range(past + 1, past + 60)
+                )
+
+            dropped = abs(mp.fsum(T**n / mp.factorial(n) * j(n) for n in range(order + 1, order + 60)))
+            tail = apriori(order)
+            assert dropped <= tail <= self.U * math.fsum(sizes) * (1 + 1e-12), (x, t, order)
+            # one order lower the tail is above u times the sizes kept
+            assert apriori(order - 1) > self.U * math.fsum(sizes[:-1]), (x, t, order)
+            # the bound holds the truncation
+            assert dropped <= bound
+
+    def test_order_never_exceeds_25(self, monkeypatch):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        points = [(p["x"], p["t"]) for p in get_identity("I02").grid]
+        points += [(x, t) for x in (0.25, 8.0) for t in (-1.0, 0.0, 1.0)]
+        for x, t in points:
+            seen, _ = self._terms(monkeypatch, x, t)
+            assert seen[-1][0] <= 25, (x, t)
+
+        @given(st.floats(min_value=0.25, max_value=8.0), st.floats(min_value=-1.0, max_value=1.0))
+        @settings(max_examples=40, deadline=None)
+        def run(x, t):
+            seen, _ = self._terms(monkeypatch, x, t)
+            assert seen[-1][0] <= 25, (x, t)
+
+        run()
+
+    def test_default_grid_orders(self, monkeypatch):
+        # 6 to 12 over the default grid, 120 sph_j calls where order 25 made 312
+        orders = [self._terms(monkeypatch, p["x"], p["t"])[0][-1][0] for p in get_identity("I02").grid]
+        assert orders == [8, 10, 12, 6, 8, 10, 6, 8, 10, 8, 10, 12]
 
 
 class TestSquareHead:

@@ -202,9 +202,32 @@ class TestLaplaceReduce:
 
 
 def _at_shifts(expr, shifts, check_tail_rel=None):
-    """reduce_weighted at each shift, with the one-term factor (s, 1.0) per
-    symbol: the image times the monomial c_1**s_1 ... c_m**s_m."""
-    return [reduce_weighted(expr, [((s, 1.0),) for s in shift], check_tail_rel) for shift in shifts]
+    """reduce_weighted at each shift, with the one-weight factor (s, (1.0,))
+    per symbol: the image times the monomial c_1**s_1 ... c_m**s_m."""
+    return [reduce_weighted(expr, [(s, (1.0,)) for s in shift], check_tail_rel) for shift in shifts]
+
+
+def _pairs(window):
+    """The (shift, weight) pairs of a factor (lowest, weights), gaps kept."""
+    lowest, weights = window
+    return [(lowest + j, w) for j, w in enumerate(weights)]
+
+
+def _plain_reduction(expr, windows, check_tail_rel=None):
+    """reduce_weighted's value by a plain loop: per term and symbol the fsum
+    of w * rgamma(1 + (e + s)) over the factor's pairs, the products
+    multiplied left to right and summed by fsum; with `check_tail_rel`,
+    the same tail check."""
+    products = []
+    for t in expr.terms:
+        r = t.coeff
+        for e, window in zip(t.exponents, windows):
+            r *= math.fsum([w * rgamma(1.0 + (e + s)) for s, w in _pairs(window)])
+        products.append(r)
+    total = math.fsum(products)
+    if check_tail_rel is not None and products:
+        assert max(map(abs, products[-2:])) <= check_tail_rel * max(abs(total), 1e-300)
+    return total
 
 
 class TestReduceShifts:
@@ -240,19 +263,19 @@ class TestReduceShifts:
         t = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60).terms[5]
         e = UmbralExpr(2, (t,))
         want = t.coeff * rgamma(1.0 + (3.0 + 5.0)) * rgamma(1.0 + (2.0 + 5.0))
-        assert reduce_weighted(e, [((3.0, 1.0),), ((2.0, 1.0),)]).hex() == want.hex()
+        assert reduce_weighted(e, [(3.0, (1.0,)), (2.0, (1.0,))]).hex() == want.hex()
 
     def test_list_typed_shifts(self):
         # factors given as lists reduce bit for bit as the same tuples
         image = laplace_reduce(2.0, 0.3, 0.0, 0.0, order=40)
         shifts = [(float(m), float(n)) for m in (-2, 0, 3) for n in (1, -1, 3)]
         want = [reduce_expr(laplace_reduce(2.0, 0.3, a, b, order=40)).hex() for a, b in shifts]
-        got = [reduce_weighted(image, [[[a, 1.0]], [[b, 1.0]]], 2.0**-40) for a, b in shifts]
+        got = [reduce_weighted(image, [[a, [1.0]], [b, [1.0]]], 2.0**-40) for a, b in shifts]
         assert [v.hex() for v in got] == want
         three = UmbralExpr(3, tuple(UmbralTerm(0.5 * k, (k, 0.5 * k, 1.0)) for k in range(6)))
         triples = [(0.0, 1.0, 2.0), (0.0, 1.0, -0.5), (1.5, 1.0, 2.0)]
         for t in triples:
-            as_lists = [[[s, 1.0]] for s in t]
+            as_lists = [[s, [1.0]] for s in t]
             assert reduce_weighted(three, as_lists) == _at_shifts(three, [t])[0]
 
     def test_zero_shift_is_reduce_expr(self):
@@ -263,11 +286,11 @@ class TestReduceShifts:
         assert _at_shifts(e, [(0.0, 0.0)])[0].hex() == reduce_expr(e).hex()
 
     def test_empty_family(self):
-        # an empty factor is the zero polynomial: every term reduces to 0,
-        # and a zero sum is certified
+        # a factor with no weights is the zero polynomial: every term
+        # reduces to 0, and a zero sum is certified
         image = laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5)
-        assert reduce_weighted(image, [(), ((0.0, 1.0),)], check_tail_rel=1e-12) == 0.0
-        assert reduce_weighted(image, [[], []]) == 0.0
+        assert reduce_weighted(image, [(0.0, ()), (0.0, (1.0,))], check_tail_rel=1e-12) == 0.0
+        assert reduce_weighted(image, [[0.0, []], [0.0, []]]) == 0.0
 
     @pytest.mark.parametrize("symbols", [1, 2, 3])
     def test_empty_expression_sums_to_zero(self, symbols):
@@ -278,11 +301,11 @@ class TestReduceShifts:
         assert _at_shifts(empty, shifts, check_tail_rel=1e-12) == [0.0, 0.0, 0.0]
         # the factor count is still checked first
         with pytest.raises(DomainError):
-            reduce_weighted(empty, [((0.0, 1.0),)] * (symbols + 1))
+            reduce_weighted(empty, [(0.0, (1.0,))] * (symbols + 1))
 
     def test_rejects_wrong_shift_length(self):
         with pytest.raises(DomainError, match="1 factors for 2 symbols"):
-            reduce_weighted(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [((1.0, 1.0),)])
+            reduce_weighted(laplace_reduce(1.0, 0.25, 0.0, 0.0, order=5), [(1.0, (1.0,))])
 
     def test_one_uncertified_shift_raises(self):
         # at shift (-9, 0) the terms k < 9 hit poles of Gamma and vanish,
@@ -409,7 +432,7 @@ class TestReduceShifts:
 
         monkeypatch.setattr(umbral, "rgamma", counted)
         image = laplace_reduce(2.0, 0.09, 0.0, 0.0, order=60)
-        factor = [(float(s), 0.5**s) for s in range(-14, 15)]
+        factor = (-14.0, [0.5**s for s in range(-14, 15)])
         reduce_weighted(image, [factor, factor])
         # arguments 1 + (k + s) for s in -14..14 and k in 0..60
         assert sorted(calls) == [float(a) for a in range(-13, 76)]
@@ -423,7 +446,7 @@ class TestReduceWeighted:
     def test_sum_over_shifts_against_mpmath(self, symbols):
         # against the exact sum at 50 digits, also formed shift
         # combination by combination.  The coefficients are taken as
-        # exact, and every weight and gamma argument here is positive, so
+        # exact, and every weight and gamma argument here is nonnegative, so
         # no weighted gamma sum A cancels: per symbol, rgamma's documented
         # 10.1 ulps (at most 20.2 u), the weight's product, the fsum of A
         # and the product's multiplication give at most 23.2 u, on the sum
@@ -432,8 +455,9 @@ class TestReduceWeighted:
 
         mpmath = pytest.importorskip("mpmath")
         expr = expand(UmbralExpSeries((0.0, 0.5, 1.5)[:symbols], (1,) * symbols, -1.5, 30))
-        factors = [((0.0, 1.0), (1.0, 0.5), (-0.5, 3.0)), ((2.0, 0.25), (-1.0, 1.0)), ((0.5, 2.0),)][:symbols]
-        got = reduce_weighted(expr, factors, check_tail_rel=1e-12)
+        windows = [(-1.0, (3.0, 1.0, 0.5)), (-1.0, (1.0, 0.0, 0.0, 0.25)), (0.5, (2.0,))][:symbols]
+        got = reduce_weighted(expr, windows, check_tail_rel=1e-12)
+        factors = [_pairs(window) for window in windows]
         with mpmath.workdps(50):
             exact, absum = mpmath.mpf(0), mpmath.mpf(0)
             for t in expr.terms:
@@ -457,32 +481,120 @@ class TestReduceWeighted:
         # a term reuses the weighted sum of an exponent it shares with an
         # earlier term, symbol by symbol
         sums = []
-        plain = umbral._sum
+        plain_sum, plain_dot = umbral._sum, umbral._dot
 
-        def counted(values):
+        def counted_sum(values):
             sums.append(len(values))
-            return plain(values)
+            return plain_sum(values)
 
-        monkeypatch.setattr(umbral, "_sum", counted)
+        def counted_dot(weights, values):
+            sums.append(len(weights))
+            return plain_dot(weights, values)
+
+        monkeypatch.setattr(umbral, "_sum", counted_sum)
+        monkeypatch.setattr(umbral, "_dot", counted_dot)
         e = UmbralExpr(2, tuple(UmbralTerm(1.0, (float(k % 3), float(k % 2))) for k in range(6)))
-        reduce_weighted(e, [((0.0, 1.0), (1.0, 2.0)), ((0.0, 1.0), (2.0, 0.5), (3.0, 0.25))])
-        # 3 distinct exponents of c1 (two pairs each), 2 of c2 (three
-        # pairs each), then the 6 products
-        assert sorted(sums) == [2, 2, 2, 3, 3, 6]
+        reduce_weighted(e, [(0.0, (1.0, 2.0)), (0.0, (1.0, 0.0, 0.5, 0.25))])
+        # 3 distinct exponents of c1 (two weights each), 2 of c2 (four
+        # weights each, one of them the gap at shift 1), then the 6 products
+        assert sorted(sums) == [2, 2, 2, 4, 4, 6]
 
     def test_unit_factors_are_reduce_expr(self):
-        # reduce_expr is reduce_weighted with the factor ((0.0, 1.0),) per symbol
+        # reduce_expr is reduce_weighted with the factor (0.0, (1.0,)) per symbol
         e = expand(UmbralExpSeries((0.0, 0.5), (1, 1), -2.0, 40))
-        got = reduce_weighted(e, [((0.0, 1.0),), ((0.0, 1.0),)], check_tail_rel=1e-12)
+        got = reduce_weighted(e, [(0.0, (1.0,)), (0.0, (1.0,))], check_tail_rel=1e-12)
         assert got.hex() == reduce_expr(e, check_tail_rel=1e-12).hex()
 
     def test_truncation_checked_on_the_weighted_products(self):
         # a weight that keeps the last terms large defeats the check that
         # the unit factor passes
         e = expand(UmbralExpSeries((0.0,), (1,), -1.0, 20))
-        reduce_weighted(e, [((0.0, 1.0),)], check_tail_rel=1e-12)
+        reduce_weighted(e, [(0.0, (1.0,))], check_tail_rel=1e-12)
         with pytest.raises(ConvergenceError, match="reduce_weighted: truncation not certified"):
-            reduce_weighted(e, [((0.0, 1.0), (-20.0, 1e9))], check_tail_rel=1e-12)
+            reduce_weighted(e, [(-20.0, (1e9,) + (0.0,) * 19 + (1.0,))], check_tail_rel=1e-12)
+
+
+class TestWindowedReduction:
+    # each weighted gamma sum is one fsum over a window of a shared list of
+    # reciprocal gammas; it must be bit for bit the plain per-pair loop
+
+    @staticmethod
+    def _bilateral(u, v, m_cut):
+        orders = range(-m_cut, m_cut + 1)
+        return [(float(-m_cut), [u**m for m in orders]), (float(-m_cut), [v**n for n in orders])]
+
+    @pytest.mark.parametrize("m_cut", [14, 30, 60])
+    @pytest.mark.parametrize("u,v,x", [(1.0, 1.0, 0.5), (0.8, 1.2, 0.6), (1.5, 0.5, 1.0)])
+    def test_i16_images(self, m_cut, u, v, x):
+        image = expand(UmbralExpSeries((0.0, 0.0), (1, 1), -x, m_cut + 16))
+        windows = self._bilateral(u, v, m_cut)
+        want = _plain_reduction(image, windows, 2.0**-60)
+        assert reduce_weighted(image, windows, 2.0**-60).hex() == want.hex()
+
+    @pytest.mark.parametrize("m_cut", [14, 30, 60])
+    @pytest.mark.parametrize("u,v,x,gamma_p", [(1.0, 1.0, 0.5, 1.0), (0.8, 1.2, 0.6, 2.0), (1.5, 1.5, 0.1, 2.0)])
+    def test_i17_images(self, m_cut, u, v, x, gamma_p):
+        image = laplace_reduce(gamma_p, (x / 2.0) ** 2, 0.0, 0.0, order=m_cut + 16)
+        windows = self._bilateral(u, v, m_cut)
+        want = _plain_reduction(image, windows, 2.0**-60)
+        assert reduce_weighted(image, windows, 2.0**-60).hex() == want.hex()
+
+    def test_half_integer_laplace_image(self):
+        # exponents 0.5 + k and k - 0.5, gapped windows at whole and half
+        # shifts: the two symbols' classes differ, and share no argument
+        image = laplace_reduce(1.5, 0.3, 0.5, -0.5, order=40)
+        for windows in (
+            [(-3.0, (1.0, 0.0, 0.25, -2.0, 0.0, 0.5)), (1.0, (0.75, 0.0, 0.0, 3.0))],
+            [(-0.5, (2.0, -1.0)), (-2.5, (0.0, 1.0, 0.0, 0.125))],
+        ):
+            want = _plain_reduction(image, windows, 1e-12)
+            assert reduce_weighted(image, windows, 1e-12).hex() == want.hex()
+
+    def test_far_apart_exponents_read_separate_windows(self, monkeypatch):
+        # exponents 0 and 100 of one class, three weights: two lists of
+        # three reciprocal gammas, not one of 103
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return rgamma(a)
+
+        monkeypatch.setattr(umbral, "rgamma", counted)
+        e = UmbralExpr(1, (UmbralTerm(1.0, (0.0,)), UmbralTerm(0.5, (100.0,)), UmbralTerm(0.25, (1.0,))))
+        windows = [(-1.0, (2.0, 0.0, 1.0))]
+        got = reduce_weighted(e, windows)
+        assert sorted(calls) == [0.0, 1.0, 2.0, 3.0, 100.0, 101.0, 102.0]
+        monkeypatch.undo()
+        assert got.hex() == _plain_reduction(e, windows).hex()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-4.0, max_value=4.0),
+                st.integers(min_value=-3, max_value=12),
+                st.integers(min_value=-3, max_value=12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((0.0, 0.5, 0.25, 0.1, -0.75, 1.0 / 3.0)),
+        st.lists(
+            st.tuples(
+                st.sampled_from((-6.0, -2.0, -0.5, 0.0, 1.0, 0.1, 2.0 / 3.0)),
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)), min_size=0, max_size=9
+                ),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gapped_factors(self, terms, offset, windows):
+        # exponents a whole number apart and not, on the 2^-16 grid and
+        # off it, with zero weights anywhere in the window
+        e = UmbralExpr(2, tuple(UmbralTerm(c, (offset + i, 0.5 * j)) for c, i, j in terms))
+        assert reduce_weighted(e, windows).hex() == _plain_reduction(e, windows).hex()
 
 
 class TestSeriesEquivalence:
