@@ -69,8 +69,11 @@ _TAIL_SPLIT = 30.0
 _PRODUCT_SPLIT = 20.0
 # I06/I07's Gauss-Legendre head ends at 40, where the tail's floor is 1e-17, not 1e-13
 _SQUARE_SPLIT = 40.0
-# the Gauss-Laguerre rules a multi-index image may take, least first
-_LAGUERRE_RULES = (8, 16, 32, 64, 128)
+# the most Gauss-Laguerre nodes a multi-index image may take, and the
+# rule's Golub-Welsch rounding charged in units of n^2 u for its weights
+# and of n u for its nodes (measured at most 1.52 and 1.46)
+_LAGUERRE_MAX_NODES = 128
+_WEIGHT_CHARGE, _NODE_CHARGE = 2.0, 2.0
 
 
 EvaluatorBinding = namedtuple("EvaluatorBinding", "fn operations strategy")
@@ -417,8 +420,10 @@ def _humbert_laguerre(indices, w, power, sigma):
     nonnegative, so 0 <= mu_m - G_n(s^m) <= mu_m, mu_m = Gamma(sigma+m+1),
     and the rule errs by at most the suffix over power k >= 2n of the
     positive series r_k = |a_k| mu_(power k) (`_laguerre_moments`) with
-    sum A (Davis & Rabinowitz 1984, 2.7).  The rule taken is the least of
-    `_LAGUERRE_RULES` whose suffix is at most u A (u = 2^-53).  Every
+    sum A (Davis & Rabinowitz 1984, 2.7).  One scan from the far end of
+    the terms finds the least k* whose suffix is at most u A (u = 2^-53),
+    and the rule taken is the least n with 2n > power (k* - 1), so
+    n = ceil(power k* / 2), at most `_LAGUERRE_MAX_NODES`.  Every
     node sums the multi-index series of `_humbert_terms` through one
     denominator table, built once per integral; the first term depends
     on z only where the kill start k0 > 0, and is formed once otherwise.
@@ -427,12 +432,13 @@ def _humbert_laguerre(indices, w, power, sigma):
     x_i^(power k) times any factor is at most the same series times that
     factor.  So the bound adds to the suffix:
     * the rule's Golub-Welsch rounding: 2 n^2 u sum_i |w_i f_i| for its
-      weights, and for its nodes n u sum_k power k r_k, as f moves by
+      weights, and for its nodes 2 n u sum_k power k r_k, as f moves by
       |s f'(s)| <= sum_k power k |a_k| s^(power k) times a node's relative
-      error.  Against 60-digit roots, at n = 8..128 and every sigma of the
-      catalog, each weight is within 1.3 n^2 u of its own size, and the
-      node errors averaged with the weights w_i x_i^m, m >= 1, are within
-      0.63 n u;
+      error.  Against 40-digit roots at every n from 1 to 32 (and
+      60-digit ones at n = 8..128), at every sigma of the catalog, each
+      weight is within 1.52 n^2 u of its own size, and the node errors
+      averaged with the weights w_i x_i^m, m >= 1, are within 1.46 n u
+      (at n = 3; 1.15 n u at n = 4, at most 0.98 n u from n = 5);
     * each node series' rounding, sized by the series weighted by its
       step count: the first term takes (12 d + 3 + 4 k0) u, for its d
       reciprocal gammas (each good to 11 u), (-z)^k0 and the compensated
@@ -444,8 +450,8 @@ def _humbert_laguerre(indices, w, power, sigma):
       1 - rho, times its weight, rho the last ratio it stepped by, which
       bounds every later one;
     * the products w_i f_i and the final `fsum`, u (sum_i |w_i f_i| + |value|).
-    A bound above _LAGUERRE_TOL max(1, |value|), or no rule up to 128
-    nodes meeting u A, raises ConvergenceError, so the check is
+    A bound above _LAGUERRE_TOL max(1, |value|), or no rule up to
+    `_LAGUERRE_MAX_NODES` nodes meeting u A, raises ConvergenceError, so the check is
     skipped, not passed."""
     dens = []
     first, gamma_args, k0 = _humbert_terms(indices, w)
@@ -453,13 +459,16 @@ def _humbert_laguerre(indices, w, power, sigma):
         raise DomainError(f"_humbert_laguerre: a gamma argument of indices {indices!r} falls below 1")
     terms, rest, steps = _laguerre_moments(gamma_args, k0, abs(w), power, sigma, dens, DEFAULT_POLICY.max_terms)
     total = math.fsum(terms) + rest
-    for n in _LAGUERRE_RULES:
-        kn = -(-2 * n // power)  # the least k with power k >= 2n
-        suffix = math.fsum(terms[kn - k0:]) + rest if kn > k0 else total
-        if suffix <= _UNIT_ROUNDOFF * total:
-            break
-    else:
-        raise ConvergenceError(f"_humbert_laguerre: no rule up to {n} nodes meets u A (suffix {suffix / total:.3g} A)")
+    # the least k* = k0 + i whose suffix is at most u A, scanned from the far end
+    i, far, limit = len(terms), rest, _UNIT_ROUNDOFF * total
+    while i and far + terms[i - 1] <= limit:
+        i -= 1
+        far += terms[i]
+    n = -(-power * (k0 + i) // 2)  # the least rule exact on every power k below power k*
+    if n > _LAGUERRE_MAX_NODES:
+        raise ConvergenceError(f"_humbert_laguerre: no rule up to {_LAGUERRE_MAX_NODES} nodes meets u A ({n} would)")
+    kn = -(-2 * n // power)  # the least k with power k >= 2n, at least k*
+    suffix = math.fsum(terms[kn - k0:]) + rest
     xs, ws = gauss_laguerre_nodes(sigma, n)
     parts, cut = [], 0.0
     for s, weight in zip(xs, ws):
@@ -479,7 +488,7 @@ def _humbert_laguerre(indices, w, power, sigma):
     for g in gamma_args:
         per_term += (0.58 + math.log(k0 + g)) * math.ulp(g)
         per_step += math.ulp(g) / (k0 + g)
-    rule = n * u * (2.0 * n * absum + power * (a_steps + k0 * a))
+    rule = n * u * (_WEIGHT_CHARGE * n * absum + _NODE_CHARGE * power * (a_steps + k0 * a))
     bound = suffix * scale + rule + per_term * a + per_step * a_steps + cut + u * (absum + abs(value))
     if not bound <= _LAGUERRE_TOL * max(1.0, abs(value)):
         raise ConvergenceError(f"_humbert_laguerre: bound {bound:.3g} at {n} nodes exceeds the tolerance")

@@ -232,13 +232,18 @@ def gauss_laguerre_nodes(sigma, n):
     along, and the weights are Gamma(sigma+1) z_i**2, down to the far
     nodes' ~exp(-s).  Both are tuples of floats in ascending node order,
     built once per (sigma, n) and shared by every caller, so no caller
-    can alter the rule for the others."""
-    if not sigma > -1.0:
-        raise DomainError("gauss_laguerre_nodes: sigma must exceed -1")
-    key = (float(sigma), int(n))
+    can alter the rule for the others.  A size n that is not an integer
+    of at least 1 raises DomainError.  The cache is looked up first and
+    holds only valid rules, so an integral float equal to a cached size,
+    such as 2.0, reads that rule."""
+    key = (sigma, n)
     hit = _LAGUERRE_CACHE.get(key)
     if hit is not None:
         return hit
+    if not sigma > -1.0:
+        raise DomainError("gauss_laguerre_nodes: sigma must exceed -1")
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"gauss_laguerre_nodes: the rule size n={n!r} must be an integer of at least 1")
     d = [2.0 * i + sigma + 1.0 for i in range(n)]
     e = [math.sqrt(i * (i + sigma)) for i in range(1, n)] + [0.0]
     z = [1.0] + [0.0] * (n - 1)

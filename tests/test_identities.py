@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -438,43 +439,50 @@ class TestLaguerreMultiIndex:
     # math.fsum, at that n
     _BITS = {
         "I11": (
-            "0x1.3cfc39c5aeb0cp-2", "0x1.2326f61fa6f22p-1", "0x1.94eb737cc766ep-1", "-0x1.7b52f43370e3ep-3",
-            "0x1.1ae59fec267b1p-3", "0x1.7796ab2c99afep-2", "0x1.99134a2bb05a3p-1", "0x1.05bddf0dcceddp-2",
-            "0x1.ab6845a76215ap-5", "0x1.9670ccc51be91p-3", "0x1.4b249d8a6f117p-1", "0x1.9d99870101dbfp-1",
+            "0x1.3cfc39c5aeb0dp-2", "0x1.2326f61fa6f21p-1", "0x1.94eb737cc766fp-1", "-0x1.7b52f43370e3ep-3",
+            "0x1.1ae59fec267b1p-3", "0x1.7796ab2c99afbp-2", "0x1.99134a2bb05a1p-1", "0x1.05bddf0dcceddp-2",
+            "0x1.ab6845a76215bp-5", "0x1.9670ccc51be8fp-3", "0x1.4b249d8a6f113p-1", "0x1.9d99870101dbfp-1",
         ),
         "I15": (
-            "0x1.b7bbd7f90f222p+0", "0x1.8fa0ac9ab72a5p+0", "0x1.09ae9a3774c8ep+0", "0x1.0feda478c967dp-8",
-            "0x1.e07f1d54c3f36p-1", "0x1.87c7fdbd7b8f2p-1", "0x1.ca873fb24cf02p-3", "-0x1.6bb7db255cba9p-3",
-            "0x1.f56ece862246ep+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3b9ep+0", "0x1.24fde41551c2ep-2",
-            "0x1.14fa843f86214p+0", "0x1.e624a51d1674dp-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367561p-3",
-            "0x1.beb6a93cdb69ap+0", "0x1.aa428aec1dad3p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d51p-2",
-            "0x1.f02a71f4870d8p-1", "0x1.c29c9ee970c6ep-1", "0x1.27487958371efp-1", "-0x1.0c5a5308fbaf7p-3",
-            "0x1.f56ece862246ep+0", "0x1.d6e6e780f1c27p+0", "0x1.6cff482ce3b9ep+0", "0x1.24fde41551c2ep-2",
-            "0x1.14fa843f86214p+0", "0x1.e624a51d1674dp-1", "0x1.06aa0d11b4e68p-1", "-0x1.bb33165367561p-3",
-            "0x1.1ce20d3cb1dc1p+1", "0x1.114a5454e1fa8p+1", "0x1.cfbf6b052889dp+0", "0x1.662d42601022bp-1",
-            "0x1.3cfc39c5aeb0cp+0", "0x1.2326f61fa6f22p+0", "0x1.94eb737cc766ep-1", "-0x1.2f759029271cbp-4",
-            "0x1.fab32b17bd808p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190553p+0", "0x1.ab2b0d99cf9a3p-1",
-            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b730p+0", "0x1.99134a2bb05a3p-1", "0x1.08dd2ca3ec189p-4",
-            "0x1.beb6a93cdb69ap+0", "0x1.aa428aec1dad3p+0", "0x1.618c427ae1498p+0", "0x1.c4bcfb3e57d51p-2",
-            "0x1.f02a71f4870d8p-1", "0x1.c29c9ee970c6ep-1", "0x1.27487958371efp-1", "-0x1.0c5a5308fbaf7p-3",
-            "0x1.fab32b17bd808p+0", "0x1.eb31301872be6p+0", "0x1.b2b6170190553p+0", "0x1.ab2b0d99cf9a3p-1",
-            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b730p+0", "0x1.99134a2bb05a3p-1", "0x1.08dd2ca3ec189p-4",
-            "0x1.c238c019bac76p+0", "0x1.b7dc32dab7448p+0", "0x1.9184b844e6095p+0", "0x1.d6330a435f0a0p-1",
-            "0x1.f80e2ab3c0cbap-1", "0x1.e0e0090a11c44p-1", "0x1.8d5e30136cc44p-1", "0x1.81dffa1a753b0p-3",
+            "0x1.b7bbd7f90f223p+0", "0x1.8fa0ac9ab72a8p+0", "0x1.09ae9a3774c92p+0", "0x1.0feda478c881ap-8",
+            "0x1.e07f1d54c3f38p-1", "0x1.87c7fdbd7b8edp-1", "0x1.ca873fb24cefap-3", "-0x1.6bb7db255cb8ep-3",
+            "0x1.f56ece862246fp+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c2ep-2",
+            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367556p-3",
+            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d51p-2",
+            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6cp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaf7p-3",
+            "0x1.f56ece862246fp+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c2ep-2",
+            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367556p-3",
+            "0x1.1ce20d3cb1dc2p+1", "0x1.114a5454e1faap+1", "0x1.cfbf6b05288a0p+0", "0x1.662d42601022bp-1",
+            "0x1.3cfc39c5aeb0dp+0", "0x1.2326f61fa6f21p+0", "0x1.94eb737cc766fp-1", "-0x1.2f759029271cbp-4",
+            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190558p+0", "0x1.ab2b0d99cf9a3p-1",
+            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec189p-4",
+            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d51p-2",
+            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6cp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaf7p-3",
+            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190558p+0", "0x1.ab2b0d99cf9a3p-1",
+            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec189p-4",
+            "0x1.c238c019bac78p+0", "0x1.b7dc32dab7449p+0", "0x1.9184b844e6096p+0", "0x1.d6330a435f0a0p-1",
+            "0x1.f80e2ab3c0cbcp-1", "0x1.e0e0090a11c46p-1", "0x1.8d5e30136cc3fp-1", "0x1.81dffa1a753b0p-3",
         ),
         "I18": (
-            "0x1.c2ee768dfe23dp-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b5ap-4", "0x1.2bad224f899b4p-2",
-            "0x1.cd979414a5f7ep-2", "0x1.14f595fcecae2p-8", "0x1.e5e8d0b042401p-8", "0x1.9e37059973004p-5",
-            "0x1.5189ca796326cp-3",
+            "0x1.c2ee768dfe23ap-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b44p-4", "0x1.2bad224f899b4p-2",
+            "0x1.cd979414a5f7ep-2", "0x1.14f595fcec770p-8", "0x1.e5e8d0b042401p-8", "0x1.9e37059973002p-5",
+            "0x1.5189ca7963276p-3",
         ),
     }
-    # the selected rule at each default point: 8 nodes but at four of
-    # I15's x = 5 points and at I18, whose z grows like s^2; 888 node
-    # series a pass, against 2,328 for the 8/16 rule pairs
+    # the selected rule at each default point, the least n whose
+    # truncation bound is at most u A in 40-digit mpmath moments (as
+    # test_least_rule_meeting_u_a sums them): 4 to 9 nodes at I11 and
+    # I15, whose size grows with x, and 8 to 18 at I18, whose z grows
+    # like s^2; 593 node series a pass, against 888 for the least of 8,
+    # 16, ..., 128 nodes and 2,328 for the 8/16 rule pairs
     _RULES = {
-        "I11": (8,) * 12,
-        "I15": tuple(16 if i in (3, 7, 15, 31) else 8 for i in range(72)),
-        "I18": (16, 16, 32, 16, 16, 32, 8, 16, 32),
+        "I11": (4, 5, 6, 8) * 3,
+        "I15": (
+            4, 5, 6, 9, 4, 5, 6, 9, 4, 5, 6, 8, 4, 5, 6, 9, 4, 5, 6, 8, 4, 5, 6, 8,
+            4, 5, 6, 8, 4, 5, 6, 9, 4, 5, 6, 8, 4, 5, 6, 8, 4, 4, 6, 8, 4, 5, 6, 8,
+            4, 5, 6, 8, 4, 5, 6, 8, 4, 4, 6, 8, 4, 5, 6, 8, 4, 4, 5, 8, 4, 4, 6, 8,
+        ),
+        "I18": (9, 11, 18, 9, 11, 18, 8, 10, 17),
     }
     _SIDE = {"I11": "lhs", "I15": "lhs", "I18": "rhs"}
 
@@ -502,7 +510,7 @@ class TestLaguerreMultiIndex:
         assert tuple(sizes) == self._RULES[identity_id]
 
     def test_node_series_per_pass(self):
-        assert sum(sum(sizes) for sizes in self._RULES.values()) == 888
+        assert sum(sum(sizes) for sizes in self._RULES.values()) == 593
 
     def test_one_prefactor_per_check(self, monkeypatch):
         from sphstruve import functions
@@ -526,31 +534,50 @@ class TestLaguerreMultiIndex:
         iden.lhs.fn({"alpha": 0.5, "beta": 1.0, "gamma_p": 0.5, "x": 0.5})
         assert sorted(calls) == [1.0, 1.5, 2.0]
 
+    # the catalog windows take rules of 3 to 21 nodes (21 at I18's
+    # corner mu = nu = 0, x = 4)
+    _WINDOW_RULES = range(1, 22)
+
     def test_rule_rounding_within_its_charge(self):
-        # the bound charges the rules the catalog takes (8 to 32 nodes, at
-        # every sigma of its windows) 2 n^2 u of each weight and n u of the
-        # node errors averaged with the weights w_i x_i^m, m >= 1; here
-        # against 40-digit roots, Newton-refined from the library's nodes
+        # the bound charges every rule the catalog may take, at every
+        # sigma of its windows, _WEIGHT_CHARGE n^2 u of each weight and
+        # _NODE_CHARGE n u of the node errors averaged with the weights
+        # w_i x_i^m, m >= 1; here against 40-digit roots, Newton-refined
+        # from the library's nodes.  The node errors reach 1.46 n u at
+        # n = 3, so a charge of n u fails there
         mp = pytest.importorskip("mpmath")
         u = 2.0**-53
+
+        def laguerre(n, s, x):
+            # L_n^(s)(x), L_(n+1)^(s)(x) and L_(n-1)^(s+1)(x), the sum of
+            # L_j^(s)(x) over j < n, by the three-term recurrence
+            prev, cur, below = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+            for k in range(n + 1):
+                if k < n:
+                    below += cur
+                prev, cur = cur, ((2 * k + 1 + s - x) * cur - (k + s) * prev) / (k + 1)
+            return prev, cur, below
+
         with mp.workdps(40):
             for sigma in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
                 s = mp.mpf(sigma)
-                for n in (8, 16, 32):
+                for n in (*self._WINDOW_RULES, 32):
                     c = mp.gamma(n + s + 1) / (mp.factorial(n) * (n + 1) ** 2)
                     node_err, powers = [], []
                     for x, w in zip(*quadrature.gauss_laguerre_nodes(sigma, n)):
                         r = mp.mpf(x)
                         for _ in range(4):
-                            r += mp.laguerre(n, s, r) / mp.laguerre(n - 1, s + 1, r)
-                        exact = c * r / mp.laguerre(n + 1, s, r) ** 2
-                        assert abs(w - exact) <= 2 * n * n * u * exact, (sigma, n, x)
+                            value, _, slope = laguerre(n, s, r)  # d/dx L_n^(s) = -L_(n-1)^(s+1)
+                            r += value / slope
+                        exact = c * r / laguerre(n, s, r)[1] ** 2
+                        assert abs(w - exact) <= identities._WEIGHT_CHARGE * n * n * u * exact, (sigma, n, x)
                         node_err.append(abs(x - r) / r)
                         powers.append((r, exact))
                     for m in range(1, 4 * n):
                         powers = [(r, p * r) for r, p in powers]
                         weighted = mp.fsum(p * e for (_, p), e in zip(powers, node_err))
-                        assert weighted <= n * u * mp.fsum(p for _, p in powers), (sigma, n, m)
+                        charge = identities._NODE_CHARGE * n * u * mp.fsum(p for _, p in powers)
+                        assert weighted <= charge, (sigma, n, m)
 
     @staticmethod
     def _image(identity_id, p):
@@ -564,11 +591,11 @@ class TestLaguerreMultiIndex:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
     def test_least_rule_meeting_u_a(self, identity_id, seed, monkeypatch):
-        # the rule taken is the least of 8, 16, ..., 128 nodes whose
-        # truncation bound, the sum over power k >= 2n of |a_k|
-        # Gamma(sigma + power k + 1), is at most 2^-53 times the whole sum
-        # A, both summed here in 40-digit mpmath; points where some rule's
-        # bound is within 10% of the threshold are not judged
+        # the rule taken is the least n <= 128 whose truncation bound,
+        # the sum over power k >= 2n of |a_k| Gamma(sigma + power k + 1),
+        # is at most 2^-53 times the whole sum A, both summed here in
+        # 40-digit mpmath; points where some rule's bound is within 10%
+        # of the threshold are not judged
         mp = pytest.importorskip("mpmath")
         sizes = self.rule_sizes(monkeypatch)
         reports = verify_all(ids=[identity_id], seed=seed)
@@ -583,7 +610,7 @@ class TestLaguerreMultiIndex:
                     terms.append(mp.mpf(w) ** k * mp.gamma(mp.mpf(sigma) + power * k + 1) / den)
                     k += 1
                 total = mp.fsum(terms)
-                ratios = {m: mp.fsum(terms[-(-2 * m // power):]) / (2.0**-53 * total) for m in (8, 16, 32, 64, 128)}
+                ratios = {m: mp.fsum(terms[-(-2 * m // power):]) / (2.0**-53 * total) for m in range(1, 129)}
                 if any(0.9 < q < 1.1 for q in ratios.values()):
                     continue
                 judged += 1
@@ -932,7 +959,7 @@ class TestSkippedPropagation:
     def test_uncertified_laguerre_becomes_skip(self, monkeypatch):
         # a Laguerre image whose bound is not met must not pass as a
         # check: with the tolerance at 1e-20 no bound meets it, and with
-        # the 8-node rule alone no rule meets u A at I15's x = 5
+        # at most 8 nodes no rule meets u A at I15's x = 5, which takes 9
         iden = get_identity("I15")
         assert verify("I15", iden.grid[3]).status == "pass"
         with monkeypatch.context() as patch:
@@ -940,7 +967,7 @@ class TestSkippedPropagation:
             rep = verify("I15", iden.grid[0])
         assert rep.status == "skipped"
         assert "exceeds the tolerance" in rep.reason
-        monkeypatch.setattr(identities, "_LAGUERRE_RULES", (8,))
+        monkeypatch.setattr(identities, "_LAGUERRE_MAX_NODES", 8)
         assert verify("I15", iden.grid[0]).status == "pass"
         rep = verify("I15", iden.grid[3])
         assert rep.status == "skipped"
@@ -1476,6 +1503,31 @@ class TestLaguerreOracle:
                 self._check(mp, identity_id, r.params, res)
         if not seed:
             assert tuple(sizes) == TestLaguerreMultiIndex._RULES[identity_id]
+
+    @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
+    def test_window_corners(self, identity_id, monkeypatch):
+        # every corner and midpoint of the declared window (3 points per
+        # range axis, every choice value; 9, 54 and 27 points) passes, and
+        # its Laguerre value lies within its bound, at a rule the rounding
+        # test covers.  The bound is on u A, not u |value|: I15's worst
+        # corner reads rel_err 5.3e-13, inside the 1e-9 tolerance
+        mp = pytest.importorskip("mpmath")
+        iden = get_identity(identity_id)
+        axes = [
+            (spec[1], (spec[1] + spec[2]) / 2.0, spec[2]) if spec[0] == "range" else spec[1]
+            for spec in iden.params.values()
+        ]
+        points = [dict(zip(iden.params, values)) for values in itertools.product(*axes)]
+        assert len(points) == {"I11": 9, "I15": 54, "I18": 27}[identity_id]
+        results = self._recorded(monkeypatch)
+        sizes = TestLaguerreMultiIndex.rule_sizes(monkeypatch)
+        with mp.workdps(30):
+            for p in points:
+                r = verify(identity_id, p)
+                assert r.status == "pass", (p, r.reason)
+                self._check(mp, identity_id, p, results[-1])
+        assert len(results) == len(points)
+        assert max(sizes) <= max(TestLaguerreMultiIndex._WINDOW_RULES)
 
     @pytest.mark.parametrize("identity_id", ["I11", "I15", "I18"])
     def test_hypothesis_points(self, identity_id):

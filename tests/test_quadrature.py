@@ -181,6 +181,17 @@ class TestLaguerre:
         assert all(w >= 0 for w in ws)
         assert math.fsum(ws) == pytest.approx(gamma(1.5), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, None])
+    def test_rule_size_must_be_a_positive_integer(self, n):
+        # no empty rule, no TypeError, and nothing cached for the bad size
+        with pytest.raises(DomainError, match="rule size"):
+            gauss_laguerre_nodes(0.0, n)
+        assert (0.0, n) not in quadrature._LAGUERRE_CACHE
+
+    def test_one_node_rule(self):
+        # L_1^(sigma)(x) = sigma + 1 - x: one node at sigma + 1, weight Gamma(sigma + 1)
+        assert gauss_laguerre_nodes(0.5, 1) == ((1.5,), (gamma(1.5),))
+
     def test_rule_is_shared_and_immutable(self):
         rule = gauss_laguerre_nodes(0.25, 24)
         assert gauss_laguerre_nodes(0.25, 24) is rule
