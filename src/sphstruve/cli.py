@@ -226,7 +226,10 @@ def _parse_sweep(spec):
     parts = spec.split(":")
     if len(parts) != 3:
         raise _UsageError("sweep must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise _UsageError(f"sweep bounds must be numbers and its count an integer, got {spec!r}") from None
     if count <= 0:
         raise _UsageError("sweep count must be positive")
     if not (math.isfinite(start) and math.isfinite(stop)):

@@ -126,7 +126,7 @@ _DEN_SHAPES = {
 }
 
 
-def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
+def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0):
     """Sum t0 * prod ratios, term_{k+1} = term_k * z * prod(k+num)/prod(k+den).
 
     The shape is a tuple of one to four denominator offsets and one of at
@@ -135,11 +135,6 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
     z * (k + n0) and divides it by (k + d0)(k + d1)... taken in offset
     order: the operations of a product over the offsets started at 1.0,
     since 1.0 * y = y exactly.
-
-    `dens` is an optional caller-owned list whose entry i holds the
-    denominator prod(k0 + i + den): the loop reads it as far as it
-    reaches and appends every denominator it builds past that, so a
-    caller summing one parameter set at many z builds each only once.
 
     Returns (value, terms_used, tail_estimate); certified when the first
     neglected term is below rel_tol*|sum| twice in a row.
@@ -152,8 +147,6 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
                          f"{den_offsets!r} and {num_offsets!r}") from None
     d0, d1, d2, d3 = den_offsets + pad
     has_num = num_offsets != ()
-    grow = dens is not None
-    known = len(dens) if grow else 0
     rel_tol = policy.rel_tol
     abs_tol = policy.abs_tol
     total = 0.0
@@ -166,18 +159,13 @@ def _sum_ratio_series(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
         s = total + y
         comp = (s - total) - y
         total = s
-        if i < known:
-            den = dens[i]
-        else:
-            den = k + d0
-            if two:
-                den *= k + d1
-                if three:
-                    den *= k + d2
-                    if four:
-                        den *= k + d3
-            if grow:
-                dens.append(den)
+        den = k + d0
+        if two:
+            den *= k + d1
+            if three:
+                den *= k + d2
+                if four:
+                    den *= k + d3
         term = term * (z * (k + n0) if has_num else z) / den
         k += 1.0
         # rel_tol * |total|, at least abs_tol, without an abs call

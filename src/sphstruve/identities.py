@@ -35,7 +35,6 @@ from .functions import (
     _rayleigh_tables,
     _s_terms,
     _struve_terms,
-    _sum_ratio_series,
     _termwise_ratio_series,
     anger,
     cyl_j,
@@ -370,63 +369,65 @@ def _generating_sum(x, t):
     raise ConvergenceError(f"_generating_sum: no order up to 100 meets u |terms| at x={x!r}, t={t!r}")
 
 
-def _laguerre_moments(gamma_args, k0, w, power, sigma, dens, max_terms):
-    """(terms, rest, steps) of the positive series r_k = |a_k| Gamma(sigma +
-    power k + 1), k >= k0, over its first term, where a_k is the
+def _laguerre_moments(gamma_args, w, power, sigma, max_terms):
+    """(terms, rest, steps, coeffs) of the positive series r_k = |a_k|
+    Gamma(sigma + power k + 1) over its first term, where a_k is the
     coefficient of s^(power k) in sum_k (-w s^power)^k / prod_g Gamma(k + g),
-    every k0 + g >= 1 and power 1 or 2: its terms r_k0, ..., r_(K-1), a
-    bound `rest` on the sum past them, and the sum of (k - k0) r_k with
-    its own rest.  The ratio r_(k+1)/r_k is w prod_(j=1..power)
-    (sigma + power k + j) / prod_g (k + g), whose denominators go into
-    `dens` as `_sum_ratio_series` builds them, so the node series read
-    them.  Past K the j-th numerator factor over k + g_(j-1) is monotone
-    toward `power`, so at most max(power, its value at K), and every other
-    1/(k + g) falls: their product bounds each later ratio, and once it
-    is at most 1/2 the rest is at most 2 r_K.  The terms stop below
-    2^-60 of the sum."""
-    terms, steps, total, r = [], 0.0, 0.0, 1.0
+    every g >= 1 and power 1 or 2: its terms r_0, ..., r_(K-1), a bound
+    `rest` on the sum past them, the sum of k r_k with its own rest, and
+    the signed coefficients c_0 = 1, c_(k+1) = -c_k / prod_g (k + g) of
+    the same series in y = w s^power over its first term, k < K.  The
+    ratio r_(k+1)/r_k is w prod_(j=1..power) (sigma + power k + j) over
+    that denominator.  Past K the j-th numerator factor over k + g_(j-1)
+    is monotone toward `power`, so at most max(power, its value at K), and
+    every other 1/(k + g) falls: their product bounds each later ratio,
+    and once it is at most 1/2 the rest is at most 2 r_K.  The terms stop
+    below 2^-60 of the sum."""
+    terms, coeffs, steps, total, r, coeff = [], [], 0.0, 0.0, 1.0, 1.0
     c = sigma + 1.0
-    k = float(k0)
+    k = 0.0
     for i in range(max_terms):
         terms.append(r)
+        coeffs.append(coeff)
         total += r
         steps += i * r
-        if i == len(dens):
-            den = 1.0
-            for g in gamma_args:
-                den *= k + g
-            dens.append(den)
+        den = 1.0
+        for g in gamma_args:
+            den *= k + g
+        coeff = -coeff / den
         num = k + c if power == 1 else (2.0 * k + c) * (2.0 * k + c + 1.0)
-        r *= w * num / dens[i]
+        r *= w * num / den
         k += 1.0
         if r <= 2.0**-60 * total:
             rho = w
             for j, g in enumerate(gamma_args):
                 rho *= max(power, (sigma + power * k + j + 1.0) / (k + g)) if j < power else 1.0 / (k + g)
             if rho <= 0.5:
-                return terms, 2.0 * r, steps + 2.0 * r * (i + 2.0)
+                return terms, 2.0 * r, steps + 2.0 * r * (i + 2.0), coeffs
     raise ConvergenceError(f"_laguerre_moments: the moment series did not fall within {max_terms} terms")
 
 
 def _humbert_laguerre(indices, w, power, sigma):
     """(value, bound) of the integral over [0, inf) of s**sigma exp(-s)
     J_indices(w s**power) ds, power 1 or 2, by one generalized
-    Gauss-Laguerre rule chosen a priori.  Every surviving gamma argument
-    k0 + index + 1 must be at least 1 (DomainError otherwise), as over
+    Gauss-Laguerre rule chosen a priori.  Every gamma argument index + 1
+    (and the 1 of k!) must be at least 1 (DomainError otherwise), as over
     the catalog windows.
 
-    The integrand is sum_k a_k s^(power k), and an n-point rule is exact
-    below degree 2n.  For m >= 2n the (2n)-th derivative of s^m is
+    The integrand is f(s) = sum_k a_k s^(power k), and an n-point rule is
+    exact below degree 2n.  For m >= 2n the (2n)-th derivative of s^m is
     nonnegative, so 0 <= mu_m - G_n(s^m) <= mu_m, mu_m = Gamma(sigma+m+1),
     and the rule errs by at most the suffix over power k >= 2n of the
     positive series r_k = |a_k| mu_(power k) (`_laguerre_moments`) with
     sum A (Davis & Rabinowitz 1984, 2.7).  One scan from the far end of
     the terms finds the least k* whose suffix is at most u A (u = 2^-53),
     and the rule taken is the least n with 2n > power (k* - 1), so
-    n = ceil(power k* / 2), at most `_LAGUERRE_MAX_NODES`.  Every
-    node sums the multi-index series of `_humbert_terms` through one
-    denominator table, built once per integral; the first term depends
-    on z only where the kill start k0 > 0, and is formed once otherwise.
+    n = ceil(power k* / 2), at most `_LAGUERRE_MAX_NODES`.  Every node
+    evaluates the cut f_K = first sum_(k<K) c_k y^k, y = w s^power, of the
+    K moment terms by Horner's rule on the one coefficient table of
+    `_laguerre_moments`.  The integral of |f - f_K| is at most the moment
+    sum past K, and the rule errs on f_K by at most the terms from
+    kn = ceil(2n / power) to K, so the suffix from kn covers both.
 
     Since every G_n(s^m) <= mu_m, a sum over the nodes of w_i |a_k|
     x_i^(power k) times any factor is at most the same series times that
@@ -439,57 +440,57 @@ def _humbert_laguerre(indices, w, power, sigma):
       weight is within 1.52 n^2 u of its own size, and the node errors
       averaged with the weights w_i x_i^m, m >= 1, are within 1.46 n u
       (at n = 3; 1.15 n u at n = 4, at most 0.98 n u from n = 5);
-    * each node series' rounding, sized by the series weighted by its
-      step count: the first term takes (12 d + 3 + 4 k0) u, for its d
-      reciprocal gammas (each good to 11 u), (-z)^k0 and the compensated
-      sum, and each step (2d + 4) u more for its product, quotient and
-      z.  Each gamma argument g may be an ulp off (an index rounds once
-      before its + 1): that moves the first term by |psi(k0 + g)| ulp(g)
-      <= (0.58 + ln(k0 + g)) ulp(g), and each step by ulp(g)/(k0 + g);
-    * each node series' truncation: its first neglected term over
-      1 - rho, times its weight, rho the last ratio it stepped by, which
-      bounds every later one;
+    * the table's rounding, sized by the series weighted by its step
+      count: `first` takes 12 d u, for its d reciprocal gammas (each good
+      to 11 u), their products and the product first * (Horner's sum),
+      and each c_(k+1) 2d u more than c_k for its d sums, d - 1 products
+      and quotient, plus up to 2 u on y^k per k for y's power roundings
+      and room for the second-order terms: (2d + 4) u a step.  Each gamma
+      argument g may be an ulp off (an index rounds once before its + 1):
+      that moves `first` by |psi(g)| ulp(g) <= (0.58 + ln g) ulp(g), and
+      each step by at most ulp(g)/g;
+    * Horner's rounding on the table, of degree K - 1: at most
+      gamma_(2K-2) sum_k |c_k| y^k (Higham 2002, eq. 5.3), which the
+      weights and `first` turn into at most gamma_(2K-2) A <= 2 K u A;
     * the products w_i f_i and the final `fsum`, u (sum_i |w_i f_i| + |value|).
     A bound above _LAGUERRE_TOL max(1, |value|), or no rule up to
     `_LAGUERRE_MAX_NODES` nodes meeting u A, raises ConvergenceError, so the check is
     skipped, not passed."""
-    dens = []
-    first, gamma_args, k0 = _humbert_terms(indices, w)
-    if k0 + min(gamma_args) < 1.0:
+    first, gamma_args, _ = _humbert_terms(indices, w)
+    if min(gamma_args) < 1.0:
         raise DomainError(f"_humbert_laguerre: a gamma argument of indices {indices!r} falls below 1")
-    terms, rest, steps = _laguerre_moments(gamma_args, k0, abs(w), power, sigma, dens, DEFAULT_POLICY.max_terms)
+    terms, rest, steps, coeffs = _laguerre_moments(gamma_args, abs(w), power, sigma, DEFAULT_POLICY.max_terms)
     total = math.fsum(terms) + rest
-    # the least k* = k0 + i whose suffix is at most u A, scanned from the far end
+    # the least k* = i whose suffix is at most u A, scanned from the far end
     i, far, limit = len(terms), rest, _UNIT_ROUNDOFF * total
     while i and far + terms[i - 1] <= limit:
         i -= 1
         far += terms[i]
-    n = -(-power * (k0 + i) // 2)  # the least rule exact on every power k below power k*
+    n = -(-power * i // 2)  # the least rule exact on every power k below power k*
     if n > _LAGUERRE_MAX_NODES:
         raise ConvergenceError(f"_humbert_laguerre: no rule up to {_LAGUERRE_MAX_NODES} nodes meets u A ({n} would)")
     kn = -(-2 * n // power)  # the least k with power k >= 2n, at least k*
-    suffix = math.fsum(terms[kn - k0:]) + rest
+    suffix = math.fsum(terms[kn:]) + rest
     xs, ws = gauss_laguerre_nodes(sigma, n)
-    parts, cut = [], 0.0
+    table = coeffs[::-1]
+    parts = []
     for s, weight in zip(xs, ws):
-        z = w * s if power == 1 else w * (s * s)
-        t0 = _humbert_terms(indices, z)[0] if k0 else first
-        v, used, tail = _sum_ratio_series(t0, -z, (), gamma_args, DEFAULT_POLICY, k0, dens)
-        rho = abs(z) / dens[used - 1]
-        if rho >= 1.0:
-            raise ConvergenceError(f"_humbert_laguerre: the node series at z={z!r} stopped on a rising term")
-        cut += weight * tail / (1.0 - rho)
-        parts.append(weight * v)
+        y = w * s if power == 1 else w * (s * s)
+        h = 0.0
+        for c in table:
+            h = h * y + c
+        parts.append(weight * (first * h))
     value, absum = math.fsum(parts), math.fsum(map(abs, parts))
     u, d = _UNIT_ROUNDOFF, len(gamma_args)
-    scale = abs(first) * gamma(sigma + power * k0 + 1.0)  # r_k0
+    scale = abs(first) * gamma(sigma + 1.0)  # r_0
     a, a_steps = total * scale, steps * scale
-    per_term, per_step = (12 * d + 3 + 4 * k0) * u, (2 * d + 4) * u
+    per_term, per_step = 12 * d * u, (2 * d + 4) * u
     for g in gamma_args:
-        per_term += (0.58 + math.log(k0 + g)) * math.ulp(g)
-        per_step += math.ulp(g) / (k0 + g)
-    rule = n * u * (_WEIGHT_CHARGE * n * absum + _NODE_CHARGE * power * (a_steps + k0 * a))
-    bound = suffix * scale + rule + per_term * a + per_step * a_steps + cut + u * (absum + abs(value))
+        per_term += (0.58 + math.log(g)) * math.ulp(g)
+        per_step += math.ulp(g) / g
+    rule = n * u * (_WEIGHT_CHARGE * n * absum + _NODE_CHARGE * power * a_steps)
+    horner = 2 * len(table) * u * a
+    bound = suffix * scale + rule + per_term * a + per_step * a_steps + horner + u * (absum + abs(value))
     if not bound <= _LAGUERRE_TOL * max(1.0, abs(value)):
         raise ConvergenceError(f"_humbert_laguerre: bound {bound:.3g} at {n} nodes exceeds the tolerance")
     return value, bound
@@ -797,7 +798,7 @@ def _build_catalog():
         lhs=_binding(
             lambda p: (p["x"] / 2.0) ** (p["alpha"] + 1.0)
             * _humbert_laguerre((0.5, p["alpha"] + 0.5), (p["x"] / 2.0) ** 2, 1, 0.0)[0],
-            {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
+            {"gauss_laguerre_nodes", "laguerre_moments"},
             "laguerre-quadrature",
         ),
         rhs=_binding(lambda p: struve_h(p["alpha"], p["x"]).value, {"struve_h"}, "series"),
@@ -892,7 +893,7 @@ def _build_catalog():
             lambda p: _humbert_laguerre(
                 (p["alpha"], p["beta"]), (p["x"] / 2.0) ** 2, 1, p["gamma_p"] - 1.0
             )[0],
-            {"gauss_laguerre_nodes", "laguerre_moments", "humbert2"},
+            {"gauss_laguerre_nodes", "laguerre_moments"},
             "laguerre-quadrature",
         ),
         rhs=_binding(
@@ -975,7 +976,7 @@ def _build_catalog():
             * _humbert_laguerre(
                 (p["mu"], p["nu"], p["mu"] + p["nu"]), p["x"] * p["x"] / 4.0, 2, p["mu"] + p["nu"]
             )[0],
-            {"gauss_laguerre_nodes", "laguerre_moments", "humbert3"},
+            {"gauss_laguerre_nodes", "laguerre_moments"},
             "laguerre-quadrature",
         ),
         tol_abs=1e-12,

@@ -237,6 +237,14 @@ class TestTable:
         code, _, err = run("table", "sph_j", "--n", "2", "--x", "1:10")
         assert code == 2
 
+    @pytest.mark.parametrize("sweep", ["a:b:3", "0:1:2.5"])
+    def test_non_numeric_sweep_exits_2(self, run, sweep):
+        # a bound that is no number, or a count that is no integer
+        code, out, err = run("table", "cyl_j", "--nu", "0", "--x", sweep)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep bounds must be numbers and its count an integer, got {sweep!r}\n"
+
     def test_unknown_function_lists_the_choices(self, run):
         for argv in (("eval", "frob", "--x", "1"), ("table", "frob", "--x", "1:2:2")):
             code, _, err = run(*argv)

@@ -401,15 +401,14 @@ def _bits(result):
     return value.hex(), terms, tail.hex()
 
 
-def _humbert_summed(indices, z, policy, dens=None):
+def _humbert_summed(indices, z, policy):
     """The multi-index series of `_humbert_terms` summed by the kernel."""
     t0, den_offsets, k0 = _humbert_terms(indices, z)
-    return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0, dens)
+    return _sum_ratio_series(t0, -z, (), den_offsets, policy, k0)
 
 
 class TestHumbertFamily:
-    # long and short series interleave, so a shared denominator table is
-    # read past its end, read partly, and extended in every order
+    # long and short series, a zero z and small ones
     ZS = (30.0, 0.0, 0.5, 12.0, 1e-3, 45.0, 2.0, 0.0, 7.5)
     INDICES = [
         (0.5, 1.5),
@@ -421,12 +420,9 @@ class TestHumbertFamily:
 
     @pytest.mark.parametrize("indices", INDICES)
     def test_matches_pointwise_bitwise(self, indices):
-        # one denominator table across every z, as the Laguerre integrands
-        # share it across nodes
-        dens = []
         pointwise = humbert2 if len(indices) == 2 else humbert3
         for z in self.ZS:
-            got = _humbert_summed(indices, z, DEFAULT_POLICY, dens)
+            got = _humbert_summed(indices, z, DEFAULT_POLICY)
             assert _bits(got) == _bits(_humbert_by_loop(indices, z, DEFAULT_POLICY)), z
             res = pointwise(*indices, z)
             assert _bits(got) == _bits((res.value, res.terms_used, res.tail_estimate)), z
@@ -466,18 +462,6 @@ class TestHumbertFamily:
 
         run()
 
-    def test_max_terms_holds_on_a_grown_table(self):
-        dens = []
-        _, terms, _ = _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), DEFAULT_POLICY, dens=dens)
-        assert len(dens) == terms > 5
-        with pytest.raises(ConvergenceError):
-            _sum_ratio_series(1.0, -30.0, (), (1.0, 1.0, 1.0), EvalPolicy(max_terms=5), dens=dens)
-        short, dens = EvalPolicy(max_terms=5), []
-        _humbert_summed((0.0, 0.0), 0.0, short, dens=dens)
-        _humbert_summed((0.0, 0.0), 1e-4, short, dens=dens)
-        with pytest.raises(ConvergenceError):
-            _humbert_summed((0.0, 0.0), 30.0, short, dens=dens)
-
 
 class TestRatioSeriesKernel:
     # (value, terms_used, tail_estimate) of the catalog's call shapes, as
@@ -505,10 +489,8 @@ class TestRatioSeriesKernel:
             _sum_ratio_series(1.0, -1.0, nums, dens, DEFAULT_POLICY)
 
     @staticmethod
-    def _generic(t0, z, num_offsets, den_offsets, policy, k0=0, dens=None):
+    def _generic(t0, z, num_offsets, den_offsets, policy, k0=0):
         # the kernel's earlier loop over any number of offsets, as its oracle
-        grow = dens is not None
-        known = len(dens) if grow else 0
         rel_tol = policy.rel_tol
         abs_tol = policy.abs_tol
         total = 0.0
@@ -525,14 +507,9 @@ class TestRatioSeriesKernel:
             if num_offsets:
                 for a in num_offsets:
                     num *= k + a
-            if i < known:
-                den = dens[i]
-            else:
-                den = 1.0
-                for a in den_offsets:
-                    den *= k + a
-                if grow:
-                    dens.append(den)
+            den = 1.0
+            for a in den_offsets:
+                den *= k + a
             term = term * num / den
             k += 1.0
             bound = rel_tol * total
@@ -558,9 +535,6 @@ class TestRatioSeriesKernel:
         # random shapes with 1-4 denominator and 0-1 numerator offsets,
         # kill starts k0 > 0, an abs_tol that decides tiny sums, and a
         # max_terms that runs out; each shape is summed at several z
-        # through one shared table, which is fresh at the first z and then
-        # full (a short series after a long one) or partly filled (a long
-        # series after a short one, which extends it)
         rng = random.Random(seed)
         offset = lambda: rng.choice((rng.uniform(-4.0, 6.0), 0.5 * rng.randint(1, 12), float(rng.randint(1, 6))))
         for _ in range(60):
@@ -572,26 +546,21 @@ class TestRatioSeriesKernel:
                 abs_tol=rng.choice((1e-300, 1e-300, 1e-9, 1e-3)),
                 max_terms=rng.choice((500, 500, 500, rng.randint(1, 12))),
             )
-            table, oracle_table = [], []
             for _ in range(4):
                 z = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 2.0)
-                want = self._outcome(self._generic, t0, z, nums, dens, policy, k0, oracle_table)
-                got = self._outcome(_sum_ratio_series, t0, z, nums, dens, policy, k0, table)
+                want = self._outcome(self._generic, t0, z, nums, dens, policy, k0)
+                got = self._outcome(_sum_ratio_series, t0, z, nums, dens, policy, k0)
                 assert got == want, (nums, dens, k0, t0, z, policy)
-                assert [d.hex() for d in table] == [d.hex() for d in oracle_table]
-                assert self._outcome(_sum_ratio_series, t0, z, nums, dens, policy, k0) == want
 
-    def test_pinned_bits_with_a_shared_table(self):
-        # the second z extends the table, the third reads only part of it
-        dens = []
+    def test_pinned_bits_at_three_z(self):
+        # one three-offset shape at a short, a long and a middling series
         want = [
-            (-3.0, ("0x1.f8e0135f920a3p-3", 10, "0x1.45c173970eeedp-57"), 10),
-            (-40.0, ("0x1.2bfe0a5e038ecp-1", 15, "0x1.d68137254bdb4p-50"), 15),
-            (-1.0, ("0x1.1f542e6200d21p-1", 8, "0x1.75c495769d55ap-53"), 15),
+            (-3.0, ("0x1.f8e0135f920a3p-3", 10, "0x1.45c173970eeedp-57")),
+            (-40.0, ("0x1.2bfe0a5e038ecp-1", 15, "0x1.d68137254bdb4p-50")),
+            (-1.0, ("0x1.1f542e6200d21p-1", 8, "0x1.75c495769d55ap-53")),
         ]
-        for z, bits, table in want:
-            assert _bits(_sum_ratio_series(0.75, z, (), (1.0, 1.5, 2.5), DEFAULT_POLICY, dens=dens)) == bits
-            assert len(dens) == table
+        for z, bits in want:
+            assert _bits(_sum_ratio_series(0.75, z, (), (1.0, 1.5, 2.5), DEFAULT_POLICY)) == bits
 
 
 class TestHypergeometric:

@@ -92,6 +92,27 @@ class TestIndependenceAudit:
         for iden in list_identities():
             assert iden.lhs.strategy != iden.rhs.strategy, iden.id
 
+    def test_a_scaled_ratio_kernel_fails_every_laguerre_check(self, monkeypatch):
+        # the Laguerre images of I11, I15 and I18 sum no ratio series, so
+        # scaling the binary64 kernel's value moves only their series side,
+        # by far more than any of their tolerances.  Every module that
+        # holds the kernel's name gets the scaled one
+        from sphstruve import functions, regularized, umbral
+
+        kernel = functions._sum_ratio_series
+
+        def scaled(*args, **kwargs):
+            value, terms, tail = kernel(*args, **kwargs)
+            return value * (1.0 + 1e-6), terms, tail
+
+        for module in (functions, identities, quadrature, regularized, umbral):
+            if hasattr(module, "_sum_ratio_series"):
+                monkeypatch.setattr(module, "_sum_ratio_series", scaled)
+        reports = verify_all(ids=["I11", "I15", "I18"])
+        assert len(reports) == 93
+        held = [(r.identity_id, r.params) for r in reports if r.status != "fail"]
+        assert not held, held
+
 
 class TestWindowRespect:
     def test_out_of_window_raises(self):
@@ -406,7 +427,6 @@ class TestSymmetricDoubleSums:
             factor_sizes.append([len(weights) for _, weights in factors])
             return reduce(expr, factors, check_tail_rel)
 
-        monkeypatch.setattr(identities, "_sum_ratio_series", kernel)
         monkeypatch.setattr(functions, "_sum_ratio_series", kernel)
         monkeypatch.setattr(identities, "reduce_weighted", recorded)
         for identity_id in ("I16", "I17"):
@@ -432,48 +452,49 @@ class TestSymmetricDoubleSums:
 
 class TestLaguerreMultiIndex:
     # the Laguerre side of every default I11/I15/I18 point, at the one
-    # rule the a-priori bound selects (_RULES); the prepared series must
-    # serve every node of it bitwise.  The bits are those of an
-    # independent loop: pointwise humbert2 or humbert3 at every node of
+    # rule the a-priori bound selects (_RULES): first times Horner's sum
+    # of the image's one coefficient table at every node of
     # gauss_laguerre_nodes(sigma, n), the products w * f summed by
-    # math.fsum, at that n
+    # math.fsum.  The bits pin that operation order; they are not
+    # pointwise humbert2 or humbert3 at the nodes, whose ratio series
+    # stops where its terms fall below rel_tol
     _BITS = {
         "I11": (
-            "0x1.3cfc39c5aeb0dp-2", "0x1.2326f61fa6f21p-1", "0x1.94eb737cc766fp-1", "-0x1.7b52f43370e3ep-3",
-            "0x1.1ae59fec267b1p-3", "0x1.7796ab2c99afbp-2", "0x1.99134a2bb05a1p-1", "0x1.05bddf0dcceddp-2",
-            "0x1.ab6845a76215bp-5", "0x1.9670ccc51be8fp-3", "0x1.4b249d8a6f113p-1", "0x1.9d99870101dbfp-1",
+            "0x1.3cfc39c5aeb0dp-2", "0x1.2326f61fa6f1fp-1", "0x1.94eb737cc766fp-1", "-0x1.7b52f43370dfep-3",
+            "0x1.1ae59fec267b2p-3", "0x1.7796ab2c99afbp-2", "0x1.99134a2bb05a1p-1", "0x1.05bddf0dccef6p-2",
+            "0x1.ab6845a76215cp-5", "0x1.9670ccc51be8ep-3", "0x1.4b249d8a6f116p-1", "0x1.9d99870101dc7p-1",
         ),
         "I15": (
-            "0x1.b7bbd7f90f223p+0", "0x1.8fa0ac9ab72a8p+0", "0x1.09ae9a3774c92p+0", "0x1.0feda478c881ap-8",
-            "0x1.e07f1d54c3f38p-1", "0x1.87c7fdbd7b8edp-1", "0x1.ca873fb24cefap-3", "-0x1.6bb7db255cb8ep-3",
-            "0x1.f56ece862246fp+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c2ep-2",
-            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367556p-3",
-            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d51p-2",
-            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6cp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaf7p-3",
-            "0x1.f56ece862246fp+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c2ep-2",
-            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367556p-3",
-            "0x1.1ce20d3cb1dc2p+1", "0x1.114a5454e1faap+1", "0x1.cfbf6b05288a0p+0", "0x1.662d42601022bp-1",
-            "0x1.3cfc39c5aeb0dp+0", "0x1.2326f61fa6f21p+0", "0x1.94eb737cc766fp-1", "-0x1.2f759029271cbp-4",
-            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190558p+0", "0x1.ab2b0d99cf9a3p-1",
-            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec189p-4",
-            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149ap+0", "0x1.c4bcfb3e57d51p-2",
-            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6cp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaf7p-3",
-            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190558p+0", "0x1.ab2b0d99cf9a3p-1",
-            "0x1.1ae59fec267b1p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec189p-4",
-            "0x1.c238c019bac78p+0", "0x1.b7dc32dab7449p+0", "0x1.9184b844e6096p+0", "0x1.d6330a435f0a0p-1",
-            "0x1.f80e2ab3c0cbcp-1", "0x1.e0e0090a11c46p-1", "0x1.8d5e30136cc3fp-1", "0x1.81dffa1a753b0p-3",
+            "0x1.b7bbd7f90f223p+0", "0x1.8fa0ac9ab72a8p+0", "0x1.09ae9a3774c92p+0", "0x1.0feda478c8a36p-8",
+            "0x1.e07f1d54c3f38p-1", "0x1.87c7fdbd7b8efp-1", "0x1.ca873fb24cefap-3", "-0x1.6bb7db255cb72p-3",
+            "0x1.f56ece8622470p+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c3bp-2",
+            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367548p-3",
+            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149dp+0", "0x1.c4bcfb3e57d4fp-2",
+            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6bp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaebp-3",
+            "0x1.f56ece8622470p+0", "0x1.d6e6e780f1c2bp+0", "0x1.6cff482ce3ba5p+0", "0x1.24fde41551c3bp-2",
+            "0x1.14fa843f86215p+0", "0x1.e624a51d16749p-1", "0x1.06aa0d11b4e67p-1", "-0x1.bb33165367548p-3",
+            "0x1.1ce20d3cb1dc2p+1", "0x1.114a5454e1faap+1", "0x1.cfbf6b05288a4p+0", "0x1.662d426010230p-1",
+            "0x1.3cfc39c5aeb0dp+0", "0x1.2326f61fa6f1fp+0", "0x1.94eb737cc766fp-1", "-0x1.2f75902927198p-4",
+            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190559p+0", "0x1.ab2b0d99cf9a6p-1",
+            "0x1.1ae59fec267b2p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec1a3p-4",
+            "0x1.beb6a93cdb69cp+0", "0x1.aa428aec1dad6p+0", "0x1.618c427ae149dp+0", "0x1.c4bcfb3e57d4fp-2",
+            "0x1.f02a71f4870d9p-1", "0x1.c29c9ee970c6bp-1", "0x1.27487958371f0p-1", "-0x1.0c5a5308fbaebp-3",
+            "0x1.fab32b17bd809p+0", "0x1.eb31301872be9p+0", "0x1.b2b6170190559p+0", "0x1.ab2b0d99cf9a6p-1",
+            "0x1.1ae59fec267b2p+0", "0x1.0994ca317b72ep+0", "0x1.99134a2bb05a1p-1", "0x1.08dd2ca3ec1a3p-4",
+            "0x1.c238c019bac78p+0", "0x1.b7dc32dab7449p+0", "0x1.9184b844e6098p+0", "0x1.d6330a435f09cp-1",
+            "0x1.f80e2ab3c0cbcp-1", "0x1.e0e0090a11c44p-1", "0x1.8d5e30136cc42p-1", "0x1.81dffa1a753c7p-3",
         ),
         "I18": (
-            "0x1.c2ee768dfe23ap-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b44p-4", "0x1.2bad224f899b4p-2",
-            "0x1.cd979414a5f7ep-2", "0x1.14f595fcec770p-8", "0x1.e5e8d0b042401p-8", "0x1.9e37059973002p-5",
-            "0x1.5189ca7963276p-3",
+            "0x1.c2ee768dfe23ap-1", "0x1.2bca42aaa3c2bp-1", "0x1.150011bff5b58p-4", "0x1.2bad224f899b4p-2",
+            "0x1.cd979414a5f7fp-2", "0x1.14f595fcecad2p-8", "0x1.e5e8d0b042401p-8", "0x1.9e37059973003p-5",
+            "0x1.5189ca796327ap-3",
         ),
     }
     # the selected rule at each default point, the least n whose
     # truncation bound is at most u A in 40-digit mpmath moments (as
     # test_least_rule_meeting_u_a sums them): 4 to 9 nodes at I11 and
     # I15, whose size grows with x, and 8 to 18 at I18, whose z grows
-    # like s^2; 593 node series a pass, against 888 for the least of 8,
+    # like s^2; 593 nodes a pass, against 888 for the least of 8,
     # 16, ..., 128 nodes and 2,328 for the 8/16 rule pairs
     _RULES = {
         "I11": (4, 5, 6, 8) * 3,
@@ -509,8 +530,25 @@ class TestLaguerreMultiIndex:
             assert getattr(r, self._SIDE[identity_id]).hex() == bits, params
         assert tuple(sizes) == self._RULES[identity_id]
 
-    def test_node_series_per_pass(self):
-        assert sum(sum(sizes) for sizes in self._RULES.values()) == 593
+    def test_node_series_per_pass(self, monkeypatch):
+        # the nodes a default pass evaluates the three images at
+        nodes, gauss_laguerre_nodes = [], identities.gauss_laguerre_nodes
+
+        def counted(sigma, n):
+            xs, ws = gauss_laguerre_nodes(sigma, n)
+            nodes.extend(xs)
+            return xs, ws
+
+        monkeypatch.setattr(identities, "gauss_laguerre_nodes", counted)
+        assert [r.status for r in verify_all(ids=["I11", "I15", "I18"])] == ["pass"] * 93
+        assert len(nodes) == sum(sum(sizes) for sizes in self._RULES.values()) == 593
+
+    @pytest.mark.parametrize("indices", [(-1.0, 0.5), (0.0, -0.5), (1.0, 2.0, -3.0)])
+    def test_gamma_argument_below_one_raises(self, indices):
+        # the image sums from k = 0 only: an index below 0 puts a gamma
+        # argument below 1, a negative integer one also kills terms
+        with pytest.raises(DomainError, match="falls below 1"):
+            identities._humbert_laguerre(indices, 1.0, len(indices) - 1, 0.0)
 
     def test_one_prefactor_per_check(self, monkeypatch):
         from sphstruve import functions
@@ -1510,7 +1548,7 @@ class TestLaguerreOracle:
         # range axis, every choice value; 9, 54 and 27 points) passes, and
         # its Laguerre value lies within its bound, at a rule the rounding
         # test covers.  The bound is on u A, not u |value|: I15's worst
-        # corner reads rel_err 5.3e-13, inside the 1e-9 tolerance
+        # corner reads rel_err 2.7e-13, inside the 1e-9 tolerance
         mp = pytest.importorskip("mpmath")
         iden = get_identity(identity_id)
         axes = [
